@@ -1,13 +1,16 @@
 //! The storm harness: drives a storm through the engine's
 //! [`EpochStepper`] epoch by epoch, running the invariant catalogue
-//! after every epoch and the full-recompute oracle comparison every
+//! after every epoch and the on-demand full-recompute oracle every
 //! Nth, with optional controller-policy churn applied between epochs.
 //!
 //! The harness owns no world: the caller supplies an **engine
 //! factory** — a closure building an identically-configured engine for
 //! a given [`RecomputeMode`] — so the same harness runs a 4-site test
 //! world or the million-user columnar expansion unchanged, and the
-//! minimizer can rebuild fresh engines per delta-debugging probe.
+//! minimizer can rebuild fresh engines per delta-debugging probe. The
+//! harness itself only ever asks for [`RecomputeMode::Incremental`]:
+//! the oracle re-ranks inside the live engine, so no shadow engine is
+//! built.
 
 use crate::invariants::{self, CounterBaseline, Violation};
 use crate::storm::{scenario_from, switch_schedule, Incident};
@@ -15,8 +18,7 @@ use dynamics::{DynamicsEngine, EpochStepper, RecomputeMode, Timeline};
 
 /// Builds an identically-configured engine in the requested mode. Must
 /// be pure: two calls with the same mode must yield engines that replay
-/// a scenario byte-identically (the oracle lockstep and every
-/// minimizer probe depend on it).
+/// a scenario byte-identically (every minimizer probe depends on it).
 pub type EngineFactory<'g> = dyn Fn(RecomputeMode) -> DynamicsEngine<'g> + 'g;
 
 /// Knobs of one harness run.
@@ -24,8 +26,8 @@ pub type EngineFactory<'g> = dyn Fn(RecomputeMode) -> DynamicsEngine<'g> + 'g;
 pub struct ChaosOptions {
     /// Storm name (becomes the scenario and timeline name).
     pub name: String,
-    /// Run the full-recompute oracle comparison every N epochs
-    /// (0 = no shadow oracle engine at all).
+    /// Run the on-demand full-recompute oracle every N epochs
+    /// (0 = never).
     pub oracle_every: u64,
     /// Check the global-counter ledger identities (requires that no
     /// other engine runs concurrently in the process — `obs` counters
@@ -88,9 +90,9 @@ impl ChaosReport {
 
 /// Runs `incidents` through an engine from `factory`, checking the
 /// invariant catalogue after every epoch (see [`crate::invariants`]).
-/// With `opts.oracle_every > 0`, a second engine in
-/// [`RecomputeMode::Full`] steps the same scenario in lockstep and is
-/// compared every Nth epoch.
+/// With `opts.oracle_every > 0`, every Nth epoch also runs the
+/// on-demand full-recompute oracle
+/// ([`DynamicsEngine::verify_full_recompute`]) on the live engine.
 ///
 /// Emits the `chaos.*` counter family: `chaos.incidents`,
 /// `chaos.epochs`, `chaos.oracle_checks`, `chaos.violations`.
@@ -107,8 +109,6 @@ pub fn run_storm<'g>(
     let mut eng = factory(RecomputeMode::Incremental);
     let population = eng.population();
     let mut stepper = EpochStepper::new(&eng, &scenario);
-    let mut oracle = (opts.oracle_every > 0).then(|| factory(RecomputeMode::Full));
-    let mut ostepper = oracle.as_ref().map(|o| EpochStepper::new(o, &scenario));
     let baseline = opts.counter_checks.then(CounterBaseline::capture);
 
     let mut violations: Vec<Violation> = Vec::new();
@@ -122,42 +122,14 @@ pub fn run_storm<'g>(
         if let Some(next) = stepper.next_time() {
             while si < switches.len() && switches[si].0.as_ms() <= next.as_ms() {
                 eng.set_controller(Some(switches[si].1.controller()));
-                if let Some(o) = oracle.as_mut() {
-                    o.set_controller(Some(switches[si].1.controller()));
-                }
                 si += 1;
             }
         }
         let before = stepper.records().len();
         if !stepper.step(&mut eng) {
-            // The oracle must run dry at the same instant.
-            if let (Some(os), Some(o)) = (ostepper.as_mut(), oracle.as_mut()) {
-                if os.step(o) {
-                    violations.push(Violation {
-                        epoch: epochs,
-                        t_ms: 0.0,
-                        invariant: "oracle-lockstep",
-                        detail: "oracle stepper had epochs left after the incremental run ended"
-                            .into(),
-                    });
-                }
-            }
             break;
         }
         epochs += 1;
-        let mut obefore = 0usize;
-        if let (Some(os), Some(o)) = (ostepper.as_mut(), oracle.as_mut()) {
-            obefore = os.records().len();
-            if !os.step(o) {
-                violations.push(Violation {
-                    epoch: epochs,
-                    t_ms: 0.0,
-                    invariant: "oracle-lockstep",
-                    detail: "oracle stepper ran dry before the incremental run ended".into(),
-                });
-                break;
-            }
-        }
         let new = &stepper.records()[before..];
         invariants::check_epoch(&eng, new, population, baseline.as_ref(), epochs, &mut violations);
         if let Some(label) = &opts.synthetic_violation_label {
@@ -173,17 +145,8 @@ pub fn run_storm<'g>(
             }
         }
         if opts.oracle_every > 0 && epochs % opts.oracle_every == 0 {
-            if let (Some(os), Some(o)) = (ostepper.as_ref(), oracle.as_ref()) {
-                oracle_checks += 1;
-                invariants::compare_oracle(
-                    &eng,
-                    o,
-                    new,
-                    &os.records()[obefore..],
-                    epochs,
-                    &mut violations,
-                );
-            }
+            oracle_checks += 1;
+            invariants::check_full_recompute(&mut eng, new, epochs, &mut violations);
         }
         if !violations.is_empty() && opts.stop_on_violation {
             break;
@@ -191,9 +154,6 @@ pub fn run_storm<'g>(
     }
     let events = stepper.events_processed();
     let timeline = stepper.finish(&mut eng);
-    if let (Some(os), Some(o)) = (ostepper, oracle.as_mut()) {
-        os.finish(o);
-    }
     // The drain identity only closes once `finish` ledgers the staged
     // remainder — and only when the storm ran to completion (an early
     // stop leaves queued follow-ups unapplied by design).

@@ -22,13 +22,18 @@
 //! 7. **Record sanity** — shares in `[0, 1]`, non-negative convergence
 //!    and degraded-query mass.
 //!
-//! The oracle spot-check rebuilds nothing: a shadow engine in
-//! [`dynamics::RecomputeMode::Full`] steps the same scenario in
-//! lockstep, and every Nth epoch its records and serving state must
-//! equal the incremental engine's **exactly** (f64 equality, not
-//! tolerance — the repo's determinism contract is byte-identity).
+//! The oracle spot-check ([`check_full_recompute`]) builds no second
+//! engine: every Nth epoch the live engine re-ranks every cohort
+//! against its own current effective deployment
+//! ([`DynamicsEngine::verify_full_recompute`]), and the stored
+//! per-cohort state and the epoch record's aggregates must equal the
+//! fresh result **exactly** (f64 bits, not tolerance — the repo's
+//! determinism contract is byte-identity). [`compare_oracle`] is the
+//! lockstep form kept for reference tests: it compares an incremental
+//! engine record by record and cohort by cohort against a
+//! [`dynamics::RecomputeMode::Full`] engine stepped alongside.
 
-use dynamics::{DynamicsEngine, EpochRecord};
+use dynamics::{DynamicsEngine, EpochRecord, MismatchKind};
 use std::fmt;
 
 /// Floating-point slack for *accumulated* weight comparisons.
@@ -276,6 +281,26 @@ pub fn check_final(baseline: Option<&CounterBaseline>, out: &mut Vec<Violation>)
                 ),
             );
         }
+    }
+}
+
+/// The on-demand oracle: re-ranks every cohort of the live engine and
+/// reports any disagreement with its stored state (`oracle-state`) or
+/// with the aggregates of the epoch's last record (`oracle-records`).
+/// `new_records` are the records the epoch just appended.
+pub fn check_full_recompute(
+    eng: &mut DynamicsEngine<'_>,
+    new_records: &[EpochRecord],
+    epoch: u64,
+    out: &mut Vec<Violation>,
+) {
+    let Some(last) = new_records.last() else { return };
+    for m in eng.verify_full_recompute(last) {
+        let invariant = match m.kind {
+            MismatchKind::State => "oracle-state",
+            MismatchKind::Record => "oracle-records",
+        };
+        push(out, epoch, last.t_ms, invariant, m.detail);
     }
 }
 

@@ -14,10 +14,10 @@
 //!   minimizer's delta debugging relies on.
 //! - [`invariants`]: the per-epoch **invariant catalogue** (user
 //!   conservation, recompute and drain/load ledger identities, record
-//!   sanity) plus the exact-equality full-recompute oracle comparison.
+//!   sanity) plus the exact-equality full-recompute oracle checks.
 //! - [`harness`]: [`run_storm`] drives a storm through an
 //!   [`dynamics::EpochStepper`], checking after every epoch and
-//!   consulting the oracle every Nth.
+//!   re-ranking every cohort in place (the on-demand oracle) every Nth.
 //! - [`minimize`] + [`repro`]: on violation, delta-debug the storm to a
 //!   minimal failing incident list and write it as a **replayable
 //!   reproducer file** (`Reproducer::parse` + [`run_storm`] replays
@@ -43,7 +43,9 @@ pub mod repro;
 pub mod storm;
 
 pub use harness::{run_storm, ChaosOptions, ChaosReport, EngineFactory};
-pub use invariants::{check_epoch, check_final, compare_oracle, CounterBaseline, Violation};
+pub use invariants::{
+    check_epoch, check_final, check_full_recompute, compare_oracle, CounterBaseline, Violation,
+};
 pub use minimize::{minimize, MinimizeOutcome};
 pub use repro::Reproducer;
 pub use storm::{

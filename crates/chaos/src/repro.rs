@@ -116,7 +116,10 @@ impl Reproducer {
     }
 
     /// Parses a rendered reproducer back. Returns a message naming the
-    /// offending line on any malformed input.
+    /// offending line on any malformed input — a truncated or
+    /// over-long line, a non-finite float, a non-integer id, an
+    /// unknown key or incident kind, or a header key given twice —
+    /// and never panics.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
@@ -131,6 +134,7 @@ impl Reproducer {
             incidents: Vec::new(),
             notes: Vec::new(),
         };
+        let mut seen: Vec<&str> = Vec::new();
         for (ln, raw) in lines {
             let line = raw.trim();
             if line.is_empty() {
@@ -142,6 +146,12 @@ impl Reproducer {
             }
             let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
             let err = |what: &str| format!("line {}: {what}: '{raw}'", ln + 1);
+            if key != "incident" {
+                if seen.contains(&key) {
+                    return Err(err("duplicate key"));
+                }
+                seen.push(key);
+            }
             match key {
                 "name" => out.name = rest.to_string(),
                 "seed" => out.seed = rest.parse().map_err(|_| err("bad seed"))?,
@@ -149,62 +159,7 @@ impl Reproducer {
                     out.oracle_every = rest.parse().map_err(|_| err("bad oracle-every"))?;
                 }
                 "synthetic" => out.synthetic = Some(rest.to_string()),
-                "incident" => {
-                    let mut f = rest.split_whitespace();
-                    let at_ms: f64 = f
-                        .next()
-                        .ok_or_else(|| err("missing time"))?
-                        .parse()
-                        .map_err(|_| err("bad time"))?;
-                    let kind = f.next().ok_or_else(|| err("missing kind"))?;
-                    let args: Vec<&str> = f.collect();
-                    let num = |i: usize| -> Result<f64, String> {
-                        args.get(i)
-                            .ok_or_else(|| err("missing field"))?
-                            .parse()
-                            .map_err(|_| err("bad number"))
-                    };
-                    let kind = match kind {
-                        "flap" => IncidentKind::Flap {
-                            site: SiteId(num(0)? as u32),
-                            outage_ms: num(1)?,
-                        },
-                        "drain" => IncidentKind::Drain {
-                            site: SiteId(num(0)? as u32),
-                            stage_ms: num(1)?,
-                            stages: num(2)? as u32,
-                            hold_ms: num(3)?,
-                        },
-                        "peering" => IncidentKind::PeeringFlap {
-                            neighbor: Asn(num(0)? as u32),
-                            outage_ms: num(1)?,
-                        },
-                        "swap" => IncidentKind::SwapCycle {
-                            to: num(0)? as u32,
-                            hold_ms: num(1)?,
-                        },
-                        "surge" => IncidentKind::Surge {
-                            center: GeoPoint::new(num(0)?, num(1)?),
-                            radius_km: num(2)?,
-                            factor: num(3)?,
-                            hold_ms: num(4)?,
-                        },
-                        "cap" => IncidentKind::CapacityDip {
-                            site: SiteId(num(0)? as u32),
-                            factor: num(1)?,
-                            hold_ms: num(2)?,
-                        },
-                        "policy" => IncidentKind::PolicySwitch {
-                            policy: args
-                                .first()
-                                .and_then(|s| PolicyName::parse(s))
-                                .ok_or_else(|| err("bad policy"))?,
-                        },
-                        "tick" => IncidentKind::Tick,
-                        _ => return Err(err("unknown incident kind")),
-                    };
-                    out.incidents.push(Incident { at: SimTime(at_ms), kind });
-                }
+                "incident" => out.incidents.push(parse_incident(rest).map_err(err)?),
                 _ => return Err(err("unknown key")),
             }
         }
@@ -215,10 +170,72 @@ impl Reproducer {
     }
 }
 
+/// Parses the fields after `incident`: time, kind, then exactly the
+/// kind's arguments.
+fn parse_incident(rest: &str) -> Result<Incident, &'static str> {
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let (Some(at), Some(kind)) = (fields.first(), fields.get(1)) else {
+        return Err("missing time or kind");
+    };
+    let args = &fields[2..];
+    let arity = match *kind {
+        "tick" => 0,
+        "policy" => 1,
+        "flap" | "peering" | "swap" => 2,
+        "cap" => 3,
+        "drain" => 4,
+        "surge" => 5,
+        _ => return Err("unknown incident kind"),
+    };
+    if args.len() != arity {
+        return Err("wrong number of fields");
+    }
+    let float = |s: &str, lo: f64, hi: f64| match s.parse::<f64>() {
+        Ok(v) if (lo..=hi).contains(&v) => Ok(v),
+        _ => Err("bad or out-of-range number"),
+    };
+    // Times and durations are non-negative, factors positive, and
+    // coordinates inside their ranges: anything else is not a storm
+    // the generator could have drawn.
+    let nonneg = |s: &str| float(s, 0.0, f64::MAX);
+    let factor = |s: &str| float(s, f64::MIN_POSITIVE, f64::MAX);
+    let int = |s: &str| s.parse::<u32>().map_err(|_| "bad integer");
+    let kind = match *kind {
+        "flap" => IncidentKind::Flap { site: SiteId(int(args[0])?), outage_ms: nonneg(args[1])? },
+        "drain" => IncidentKind::Drain {
+            site: SiteId(int(args[0])?),
+            stage_ms: nonneg(args[1])?,
+            stages: int(args[2])?,
+            hold_ms: nonneg(args[3])?,
+        },
+        "peering" => {
+            IncidentKind::PeeringFlap { neighbor: Asn(int(args[0])?), outage_ms: nonneg(args[1])? }
+        }
+        "swap" => IncidentKind::SwapCycle { to: int(args[0])?, hold_ms: nonneg(args[1])? },
+        "surge" => IncidentKind::Surge {
+            center: GeoPoint::new(float(args[0], -90.0, 90.0)?, float(args[1], -180.0, 180.0)?),
+            radius_km: nonneg(args[2])?,
+            factor: factor(args[3])?,
+            hold_ms: nonneg(args[4])?,
+        },
+        "cap" => IncidentKind::CapacityDip {
+            site: SiteId(int(args[0])?),
+            factor: factor(args[1])?,
+            hold_ms: nonneg(args[2])?,
+        },
+        "policy" => IncidentKind::PolicySwitch {
+            policy: PolicyName::parse(args[0]).ok_or("bad policy")?,
+        },
+        _ => IncidentKind::Tick,
+    };
+    Ok(Incident { at: SimTime(nonneg(at)?), kind })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storm::{generate, StormConfig, StormRegime};
+    use proptest::prelude::*;
 
     fn sample() -> Reproducer {
         let incidents = generate(&StormConfig {
@@ -280,6 +297,86 @@ mod tests {
         let parsed = Reproducer::parse(&r.render()).expect("parses");
         assert_eq!(parsed.incidents, r.incidents);
         assert_eq!(parsed.synthetic, None);
+    }
+
+    /// A reproducer holding every incident kind.
+    fn every_kind() -> String {
+        let mut r = sample();
+        r.incidents.extend(
+            generate(&StormConfig {
+                seed: 3,
+                incidents: 12,
+                start: SimTime::from_secs(10.0),
+                mean_gap_ms: 40_000.0,
+                sites: 6,
+                neighbors: vec![],
+                centers: vec![],
+                rings: 4,
+                regime: StormRegime::Swap,
+            }),
+        );
+        r.render()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Cutting a valid file anywhere never panics, and whatever
+        /// still parses renders back to a file that parses again.
+        #[test]
+        fn truncated_input_never_panics(cut in 0usize..1_000_000) {
+            let text = every_kind();
+            let mut at = cut % (text.len() + 1);
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            if let Ok(r) = Reproducer::parse(&text[..at]) {
+                prop_assert!(Reproducer::parse(&r.render()).is_ok());
+            }
+        }
+
+        /// One malformed line — a non-finite, overflowing or garbage
+        /// number, a truncated or over-long incident, an unknown kind,
+        /// or a header key given twice — is an `Err`, never a panic.
+        #[test]
+        fn malformed_lines_are_errors(
+            pick in 0usize..10_000,
+            field in 0usize..16,
+            how in 0u8..5,
+            poison in 0usize..6,
+        ) {
+            let text = every_kind();
+            let mut lines: Vec<String> = text.lines().map(String::from).collect();
+            let incidents: Vec<usize> =
+                (0..lines.len()).filter(|&i| lines[i].starts_with("incident ")).collect();
+            let target = incidents[pick % incidents.len()];
+            let mut fields: Vec<String> = lines[target].split(' ').map(String::from).collect();
+            match how {
+                0 => {
+                    // Field 1 (the time) is always numeric; kind is field 2.
+                    let numeric: Vec<usize> = (1..fields.len())
+                        .filter(|&i| i != 2 && fields[i].parse::<f64>().is_ok())
+                        .collect();
+                    let i = numeric[field % numeric.len()];
+                    fields[i] = ["NaN", "inf", "-inf", "1e400", "x", "1.5.2"][poison].into();
+                }
+                1 => {
+                    fields.pop();
+                }
+                2 => fields[2] = "frobnicate".into(),
+                3 => fields.push("7".into()),
+                _ => {
+                    let key = ["name x", "seed 4", "oracle-every 2", "synthetic y"][field % 4];
+                    lines.insert(1, key.into());
+                    lines.insert(target + 1, key.into());
+                }
+            }
+            if how < 4 {
+                lines[target] = fields.join(" ");
+            }
+            let bad = lines.join("\n");
+            prop_assert!(Reproducer::parse(&bad).is_err(), "accepted:\n{}", bad);
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! End-to-end storm campaigns on real worlds: every regime survives a
-//! clean storm with zero violations, an injected synthetic fault
-//! shrinks to a handful of incidents, the written reproducer replays
-//! the failure, and a storm under query replay conserves traffic.
+//! clean storm with zero violations, an incremental engine matches a
+//! real full-recompute engine stepped in lockstep, a corrupted cohort
+//! trips the on-demand oracle, an injected synthetic fault shrinks to
+//! a handful of incidents, the written reproducer replays the failure,
+//! and a storm under query replay conserves traffic.
 //!
 //! The ledger identities in the invariant catalogue are checked against
 //! **process-global** `obs` counters, so every test that runs an engine
@@ -9,12 +11,13 @@
 //! their counter deltas and raise false violations.
 
 use anycast_chaos::{
-    event_total, generate, minimize, run_storm, scenario_from, ChaosOptions, Incident,
-    IncidentKind, Reproducer, StormConfig, StormRegime,
+    check_full_recompute, compare_oracle, event_total, generate, minimize, run_storm,
+    scenario_from, switch_schedule, ChaosOptions, Incident, IncidentKind, Reproducer,
+    StormConfig, StormRegime,
 };
 use analysis::SiteCapacities;
 use cdn::{Cdn, CdnConfig};
-use dynamics::{DynUser, DynamicsEngine, RecomputeMode, SwapDeployment};
+use dynamics::{DynUser, DynamicsEngine, EpochStepper, RecomputeMode, SwapDeployment};
 use netsim::{LatencyModel, SimTime};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use topology::gen::Internet;
@@ -76,7 +79,7 @@ fn engine(mode: RecomputeMode) -> DynamicsEngine<'static> {
 /// peering-flap targets whose loss actually reroutes user weight.
 fn neighbors() -> Vec<Asn> {
     let (_, dep, _) = world();
-    engine(RecomputeMode::Full)
+    engine(RecomputeMode::Incremental)
         .transit_loads()
         .into_iter()
         .map(|(asn, _)| asn)
@@ -119,35 +122,43 @@ fn routing_storm_survives_with_zero_violations() {
     assert!(!report.timeline.records.is_empty());
 }
 
-#[test]
-fn load_storm_with_policy_churn_survives() {
-    let _g = chaos_lock();
+/// The capacity-aware engine under a hysteresis controller that the
+/// load-regime storms run on.
+fn load_engine(mode: RecomputeMode) -> DynamicsEngine<'static> {
+    static CAPS: OnceLock<SiteCapacities> = OnceLock::new();
+    let caps = CAPS.get_or_init(|| {
+        SiteCapacities::from_headroom(&engine(RecomputeMode::Incremental).site_loads(), 1.3, 1.0)
+    });
+    engine(mode)
+        .with_capacities(caps.clone())
+        .with_controller(Box::new(loadmgmt::HysteresisController::default()))
+}
+
+fn load_cfg(seed: u64, incidents: usize) -> StormConfig {
     let (_, dep, _) = world();
-    let centers: Vec<_> = dep.sites.iter().map(|s| s.location).collect();
-    let caps = SiteCapacities::from_headroom(&engine(RecomputeMode::Full).site_loads(), 1.3, 1.0);
-    let factory = move |mode: RecomputeMode| {
-        engine(mode)
-            .with_capacities(caps.clone())
-            .with_controller(Box::new(loadmgmt::HysteresisController::default()))
-    };
-    let cfg = StormConfig {
-        seed: 7,
-        incidents: 150,
+    StormConfig {
+        seed,
+        incidents,
         start: SimTime::from_secs(60.0),
         mean_gap_ms: 45_000.0,
         sites: 5,
         neighbors: neighbors(),
-        centers,
+        centers: dep.sites.iter().map(|s| s.location).collect(),
         rings: 0,
         regime: StormRegime::Load,
-    };
-    let incidents = generate(&cfg);
+    }
+}
+
+#[test]
+fn load_storm_with_policy_churn_survives() {
+    let _g = chaos_lock();
+    let incidents = generate(&load_cfg(7, 150));
     assert!(
         incidents.iter().any(|i| matches!(i.kind, IncidentKind::PolicySwitch { .. })),
         "the storm exercises controller churn"
     );
     let report = run_storm(
-        &factory,
+        &load_engine,
         &incidents,
         &ChaosOptions { name: "load-storm".into(), oracle_every: 8, ..Default::default() },
     );
@@ -157,6 +168,87 @@ fn load_storm_with_policy_churn_survives() {
         report.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; ")
     );
     assert!(report.epochs >= 150);
+}
+
+/// The reference the on-demand oracle answers to: a real
+/// `RecomputeMode::Full` engine stepped in lockstep with the
+/// incremental one through a routing and a load storm (peering flaps
+/// and controller churn included), every record and every cohort
+/// compared after every epoch. The on-demand oracle runs on every epoch
+/// too and must agree that nothing diverged.
+#[test]
+fn incremental_engine_matches_a_lockstep_full_recompute_engine() {
+    let _g = chaos_lock();
+    type Factory = fn(RecomputeMode) -> DynamicsEngine<'static>;
+    for (cfg, factory) in
+        [(routing_cfg(404, 60), engine as Factory), (load_cfg(405, 60), load_engine)]
+    {
+        let incidents = generate(&cfg);
+        assert!(incidents.iter().any(|i| matches!(i.kind, IncidentKind::PeeringFlap { .. })));
+        let scenario = scenario_from("lockstep", &incidents);
+        let switches = switch_schedule(&incidents);
+        let mut inc = factory(RecomputeMode::Incremental);
+        let mut full = factory(RecomputeMode::Full);
+        let mut si = EpochStepper::new(&inc, &scenario);
+        let mut sf = EpochStepper::new(&full, &scenario);
+        let (mut pending, mut epochs, mut violations) = (&switches[..], 0u64, Vec::new());
+        loop {
+            if let Some(next) = si.next_time() {
+                while let Some(&(_, policy)) = pending.first().filter(|s| s.0 <= next) {
+                    inc.set_controller(Some(policy.controller()));
+                    full.set_controller(Some(policy.controller()));
+                    pending = &pending[1..];
+                }
+            }
+            let (bi, bf) = (si.records().len(), sf.records().len());
+            let stepped = si.step(&mut inc);
+            assert_eq!(stepped, sf.step(&mut full), "both engines run dry together");
+            if !stepped {
+                break;
+            }
+            epochs += 1;
+            let (ri, rf) = (&si.records()[bi..], &sf.records()[bf..]);
+            compare_oracle(&inc, &full, ri, rf, epochs, &mut violations);
+            check_full_recompute(&mut inc, ri, epochs, &mut violations);
+        }
+        assert!(epochs >= 60, "{:?}: every incident steps an epoch", cfg.regime);
+        assert!(
+            violations.is_empty(),
+            "{:?} storm diverged from the full engine: {}",
+            cfg.regime,
+            violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; ")
+        );
+        let (ti, tf) = (si.finish(&mut inc), sf.finish(&mut full));
+        assert!(ti.records.iter().map(|r| r.recomputed).sum::<u64>()
+            < tf.records.iter().map(|r| r.recomputed).sum::<u64>(),
+            "the incremental engine reused something");
+    }
+}
+
+/// The on-demand oracle is not vacuous: one ulp of drift in one
+/// cohort's stored latency, mid-storm, raises `oracle-state`.
+#[test]
+fn corrupted_cohort_state_trips_the_on_demand_oracle() {
+    let _g = chaos_lock();
+    let incidents = generate(&routing_cfg(77, 20));
+    let scenario = scenario_from("corrupt", &incidents);
+    let mut eng = engine(RecomputeMode::Incremental);
+    let mut stepper = EpochStepper::new(&eng, &scenario);
+    for _ in 0..10 {
+        assert!(stepper.step(&mut eng));
+    }
+    let last = stepper.records().last().unwrap().clone();
+    let mut clean = Vec::new();
+    check_full_recompute(&mut eng, std::slice::from_ref(&last), 10, &mut clean);
+    assert!(clean.is_empty(), "an honest engine passes: {clean:?}");
+
+    eng.corrupt_cohort_state_for_test(eng.cohort_count() / 2);
+    let mut out = Vec::new();
+    check_full_recompute(&mut eng, std::slice::from_ref(&last), 10, &mut out);
+    assert!(
+        out.iter().any(|v| v.invariant == "oracle-state"),
+        "the corrupted cohort is reported: {out:?}"
+    );
 }
 
 #[test]

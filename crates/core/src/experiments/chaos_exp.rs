@@ -36,11 +36,13 @@ use topology::{AnycastDeployment, Asn};
 /// comfortably clear 2,000 processed events.
 const INCIDENTS_PER_STORM: usize = 800;
 
-/// Oracle comparison cadence, epochs.
-const ORACLE_EVERY: u64 = 16;
+/// Oracle cadence, epochs. One check is one in-place re-rank of every
+/// cohort (`DynamicsEngine::verify_full_recompute`), cheap enough to
+/// run every 4th epoch.
+const ORACLE_EVERY: u64 = 4;
 
 /// The columnar engine at `dyn_population` scale in the requested mode
-/// (the chaos factory needs both `Incremental` and `Full`).
+/// (the chaos harness itself only asks for `Incremental`).
 fn storm_engine<'w>(
     world: &'w World,
     deployment: &Arc<AnycastDeployment>,

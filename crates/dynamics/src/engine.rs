@@ -23,8 +23,12 @@
 //! each group's routes live behind an `Arc` memoized by the route
 //! cache, so an unchanged group is recognizable by pointer identity
 //! plus an identical hosted-site list plus an identical drain
-//! footprint. The engine diffs successive group sets and recomputes a
-//! user when, and only when:
+//! footprint. Peering and withhold changes reach a group only through
+//! that `Arc`: the cache keys a withhold list by its intersection with
+//! the origin's own adjacency (`W ∩ adj(o)`, the only part
+//! `routes_from_origin` can see), so a lost session hands new routes
+//! only to the origins adjacent to it. The engine diffs successive
+//! group sets and recomputes a user when, and only when:
 //!
 //! 1. the user's *winning* group was removed or changed — its routes,
 //!    its hosted sites, or its sites' drain withhold sets are
@@ -139,6 +143,38 @@ struct UserState {
 
 const UNSERVED: UserState =
     UserState { site: None, key: None, via: None, entry: None, latency_ms: 0.0, path_km: 0.0 };
+
+impl UserState {
+    /// Exact equality, floats compared bit for bit.
+    fn same_bits(&self, o: &UserState) -> bool {
+        self.site == o.site
+            && self.key == o.key
+            && self.via == o.via
+            && self.entry == o.entry
+            && self.latency_ms.to_bits() == o.latency_ms.to_bits()
+            && self.path_km.to_bits() == o.path_km.to_bits()
+    }
+}
+
+/// What a [`DynamicsEngine::verify_full_recompute`] disagreement is
+/// about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MismatchKind {
+    /// A cohort's stored assignment differs from a fresh re-rank.
+    State,
+    /// An aggregate of the last epoch record differs from the value
+    /// the fresh assignments give.
+    Record,
+}
+
+/// One disagreement found by [`DynamicsEngine::verify_full_recompute`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecomputeMismatch {
+    /// Stored state or record aggregate.
+    pub kind: MismatchKind,
+    /// Human-readable evidence.
+    pub detail: String,
+}
 
 /// One entry of the engine's deployment swap set: an alternative
 /// deployment the engine may switch to mid-scenario via
@@ -285,6 +321,27 @@ impl RecordSeed {
             note: self.note,
         }
     }
+}
+
+/// Epoch aggregates over per-cohort `states` in ascending cohort order:
+/// served weight, Σ path length × weight, and the raw `(latency,
+/// weight)` points of the weighted median. Per-cohort, since every
+/// member shares its cohort's assignment, so the cost stays
+/// O(cohorts) at any population. The median sort lives in
+/// [`RecordSeed::render`] so the pipelined stepper can overlap it with
+/// the next epoch.
+fn aggregates(cohorts: &[Cohort], states: &[UserState]) -> (f64, f64, Vec<(f64, f64)>) {
+    let mut latency_pts = Vec::new();
+    let mut served_w = 0.0;
+    let mut path_sum = 0.0;
+    for (c, st) in cohorts.iter().zip(states) {
+        if st.site.is_some() {
+            served_w += c.weight;
+            path_sum += st.path_km * c.weight;
+            latency_pts.push((st.latency_ms, c.weight));
+        }
+    }
+    (served_w, path_sum, latency_pts)
 }
 
 /// Removes the intersection of two sorted, deduplicated sets and
@@ -2280,22 +2337,7 @@ impl<'g> DynamicsEngine<'g> {
         self.groups = new_groups;
         self.orphans.clear();
 
-        // Epoch aggregates in ascending cohort order — per-cohort,
-        // since every member shares its cohort's assignment, so the
-        // cost stays O(cohorts) at any population. Only the raw
-        // points are collected here; the median sort lives in
-        // `RecordSeed::render` so the pipelined stepper can overlap it
-        // with the next epoch.
-        let mut latency_pts = Vec::new();
-        let mut served_w = 0.0;
-        let mut path_sum = 0.0;
-        for (c, st) in self.cohorts.iter().zip(&self.states) {
-            if st.site.is_some() {
-                served_w += c.weight;
-                path_sum += st.path_km * c.weight;
-                latency_pts.push((st.latency_ms, c.weight));
-            }
-        }
+        let (served_w, path_sum, latency_pts) = aggregates(&self.cohorts, &self.states);
         // The recompute ledger stays in *user* units: an affected
         // cohort recomputes once but stands in for all its members.
         let recomputed: u64 =
@@ -2327,6 +2369,87 @@ impl<'g> DynamicsEngine<'g> {
             headroom_frac: None,
             note: String::new(),
         }
+    }
+
+    /// The on-demand full-recompute oracle. Re-ranks every cohort
+    /// against the current effective deployment — the plan and rank
+    /// phases with all cohorts selected, and no commit — and compares
+    /// the result with the stored per-cohort state (site, key, entry
+    /// session, entry point, latency and path bits). It then recomputes
+    /// the served weight, mean path and median from those fresh states
+    /// and compares them with `last`, the record of the epoch that
+    /// produced the current state. Returns every disagreement (empty =
+    /// the stored state is what a [`RecomputeMode::Full`] engine would
+    /// hold). Leaves the assignment state untouched; only the route
+    /// cache may gain entries.
+    ///
+    /// [`RecomputeMode::Incremental`] and [`RecomputeMode::Full`] differ
+    /// only in which cohorts the plan selects, so this checks exactly
+    /// the reuse rule the incremental engine trusts.
+    pub fn verify_full_recompute(&mut self, last: &EpochRecord) -> Vec<RecomputeMismatch> {
+        let span = obs::span!("dynamics.verify_full_recompute");
+        span.add_items(self.cohorts.len() as u64);
+        let plan = self.plan_reassign(true);
+        let fresh: Vec<UserState> =
+            self.rank_plan(&plan).into_iter().map(|r| r.unwrap_or(UNSERVED)).collect();
+        let mut out = Vec::new();
+        // One cohort is evidence enough; don't flood.
+        if let Some(c) = (0..fresh.len()).find(|&c| !self.states[c].same_bits(&fresh[c])) {
+            let (a, b) = (&self.states[c], &fresh[c]);
+            let cohort = &self.cohorts[c];
+            out.push(RecomputeMismatch {
+                kind: MismatchKind::State,
+                detail: format!(
+                    "cohort [{}, {}) stores {:?}@{} ms via {:?} but a full re-rank gives \
+                     {:?}@{} ms via {:?}",
+                    cohort.start, cohort.end, a.site, a.latency_ms, a.via, b.site,
+                    b.latency_ms, b.via
+                ),
+            });
+        }
+        let (served_w, path_sum, latency_pts) = aggregates(&self.cohorts, &fresh);
+        let want = RecordSeed {
+            t_ms: last.t_ms,
+            label: String::new(),
+            shifted: 0.0,
+            shifted_qpd: 0.0,
+            served_w,
+            path_sum,
+            latency_pts,
+            recomputed: 0,
+            reused: 0,
+            total_weight: self.total_weight,
+            baseline_median_ms: self.baseline_median_ms,
+            headroom_frac: None,
+            note: String::new(),
+        }
+        .render();
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        for (field, stored, recomputed) in [
+            ("unserved_frac", Some(last.unserved_frac), Some(want.unserved_frac)),
+            ("mean_path_km", last.mean_path_km, want.mean_path_km),
+            ("median_ms", last.median_ms, want.median_ms),
+            ("inflation_ms", last.inflation_ms, want.inflation_ms),
+        ] {
+            if bits(stored) != bits(recomputed) {
+                out.push(RecomputeMismatch {
+                    kind: MismatchKind::Record,
+                    detail: format!(
+                        "'{}': {field} {stored:?} but the fresh assignments give {recomputed:?}",
+                        last.event
+                    ),
+                });
+            }
+        }
+        out
+    }
+
+    /// Nudges one cohort's stored latency by one ulp, so tests can
+    /// prove [`DynamicsEngine::verify_full_recompute`] notices.
+    #[doc(hidden)]
+    pub fn corrupt_cohort_state_for_test(&mut self, cohort: usize) {
+        let st = &mut self.states[cohort];
+        st.latency_ms = f64::from_bits(st.latency_ms.to_bits() ^ 1);
     }
 }
 
@@ -2693,6 +2816,45 @@ mod tests {
         let t = e.run(&Scenario::peering_flap("pf", neighbor, SimTime::from_secs(1.0), 60_000.0));
         assert_eq!(t.records.len(), 3);
         assert_eq!(t.records[2].median_ms, init_median);
+    }
+
+    /// Losing the session toward a neighbor of one host changes only
+    /// that host's routes (the route cache keys withholds by the
+    /// origin's own adjacency), so the epoch re-ranks a slice of the
+    /// population — and still matches the full-recompute oracle.
+    #[test]
+    fn peering_loss_reuses_groups_not_adjacent_to_the_neighbor() {
+        let (net, dep, users) = world(4);
+        let g = &net.graph;
+        let hosts: Vec<usize> = dep.sites.iter().map(|s| g.idx(s.host)).collect();
+        let neighbor = g
+            .adjacency(hosts[0])
+            .iter()
+            .map(|a| a.neighbor)
+            .find(|&n| {
+                !hosts.contains(&n)
+                    && hosts[1..].iter().all(|&h| g.adjacency(h).iter().all(|a| a.neighbor != n))
+            })
+            .map(|n| g.node_at(n).asn)
+            .expect("site 0's host has a neighbor no other host touches");
+        let scenario = Scenario::peering_flap("pf", neighbor, SimTime::from_secs(1.0), 60_000.0);
+        let mut inc = engine(&net, &dep, &users, RecomputeMode::Incremental);
+        let mut full = engine(&net, &dep, &users, RecomputeMode::Full);
+        let population = inc.population() as u64;
+        let (ti, tf) = (inc.run(&scenario), full.run(&scenario));
+        assert_eq!(ti.records.len(), tf.records.len());
+        for (a, b) in ti.records.iter().zip(&tf.records) {
+            assert_eq!(a.event, b.event);
+            assert_eq!(a.shifted, b.shifted, "at {}", a.event);
+            assert_eq!(a.median_ms, b.median_ms, "at {}", a.event);
+            assert_eq!(a.mean_path_km, b.mean_path_km, "at {}", a.event);
+            if a.event != "init" {
+                assert!(a.recomputed < population, "{} re-ranked everyone", a.event);
+            }
+        }
+        assert_eq!(inc.user_snapshot(), full.user_snapshot());
+        let last = ti.records.last().unwrap();
+        assert!(inc.verify_full_recompute(last).is_empty());
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub mod timeline;
 
 pub use columnar::{expand_counts, Cohort, GroupIndex, UserColumns, NO_ASN, NO_KEY, NO_SITE};
 pub use engine::{
-    DynUser, DynamicsEngine, EpochStepper, LoadLedger, RecomputeMode, ServingCohort,
-    SwapDeployment,
+    DynUser, DynamicsEngine, EpochStepper, LoadLedger, MismatchKind, RecomputeMismatch,
+    RecomputeMode, ServingCohort, SwapDeployment,
 };
 pub use event::{EventQueue, RoutingEvent, ScheduledEvent};
 pub use scenario::{jitter_frac, Scenario};

@@ -1,5 +1,5 @@
 //! Property tests for the columnar million-user core: random
-//! flap/drain/swap/surge gauntlets over a 50k-user expanded population
+//! flap/drain/swap/surge/peering gauntlets over a 50k-user expanded population
 //! must keep the incremental slice-invalidation path record-for-record
 //! equal to the full-recompute oracle, conserve users, and keep the
 //! recompute ledger balanced (`recomputed + reused = population`) —
@@ -18,7 +18,7 @@ use netsim::{LatencyModel, SimTime};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use topology::gen::Internet;
-use topology::SiteId;
+use topology::{Asn, SiteId};
 
 const POPULATION: usize = 50_000;
 
@@ -50,6 +50,28 @@ fn engine(ring: usize, mode: RecomputeMode) -> DynamicsEngine<'static> {
     .with_swap_set(swap_set(cdn), ring)
 }
 
+/// Peering-event targets: the four sessions into the CDN's host AS
+/// that carry the most users (losing one reroutes them) followed by two
+/// ASes it has no session with (losing one must leave every route
+/// untouched).
+fn peers() -> &'static [Asn] {
+    static PEERS: OnceLock<Vec<Asn>> = OnceLock::new();
+    PEERS.get_or_init(|| {
+        let (net, cdn, _, _) = world();
+        let g = &net.graph;
+        let host = g.idx(cdn.rings[0].deployment.sites[0].host);
+        let adjacent: Vec<usize> = g.adjacency(host).iter().map(|a| a.neighbor).collect();
+        let busiest = engine(2, RecomputeMode::Incremental).transit_loads();
+        let remote = (0..g.len()).filter(|i| *i != host && !adjacent.contains(i)).take(2);
+        busiest
+            .into_iter()
+            .take(4)
+            .map(|(a, _)| a)
+            .chain(remote.map(|i| g.node_at(i).asn))
+            .collect()
+    })
+}
+
 /// Raw generated step: (kind, site selector, ring selector, second).
 /// Selectors are reduced modulo the world's actual sizes in the test
 /// body so the strategy stays independent of the topology scale.
@@ -63,10 +85,11 @@ fn scenario_from(steps: &[Step]) -> Scenario {
     let n_min = cdn.rings[0].deployment.sites.len() as u32;
     let mut s = Scenario::new("columnar-prop");
     for &(kind, site, ring, sec) in steps {
+        let peer = peers()[site as usize % peers().len()];
         let site = SiteId(site % n_min);
         let to = ring % n_rings;
         let t = SimTime::from_secs(f64::from(sec));
-        s = match kind % 7 {
+        s = match kind % 9 {
             0 => s.at(t, RoutingEvent::RingPromote { to }),
             1 => s.at(t, RoutingEvent::RingDemote { to }),
             2 => s.at(t, RoutingEvent::SiteDown(site)),
@@ -81,7 +104,9 @@ fn scenario_from(steps: &[Step]) -> Scenario {
                 },
             ),
             5 => s.at(t, surge(site, ring)),
-            _ => s.at(t, RoutingEvent::LoadTick),
+            6 => s.at(t, RoutingEvent::LoadTick),
+            7 => s.at(t, RoutingEvent::PeeringDown(peer)),
+            _ => s.at(t, RoutingEvent::PeeringUp(peer)),
         };
     }
     s
@@ -107,7 +132,7 @@ proptest! {
     /// row equal, users conserved, and the recompute ledger balanced.
     #[test]
     fn columnar_incremental_matches_oracle_at_50k_users(
-        steps in proptest::collection::vec((0u8..7, 0u32..64, 0u32..8, 1u32..30), 1..8)
+        steps in proptest::collection::vec((0u8..9, 0u32..64, 0u32..8, 1u32..30), 1..8)
     ) {
         let mut inc = engine(2, RecomputeMode::Incremental);
         let mut full = engine(2, RecomputeMode::Full);
@@ -151,14 +176,14 @@ proptest! {
     /// controller action.
     #[test]
     fn columnar_incremental_matches_oracle_under_controller_rounds(
-        steps in proptest::collection::vec((0u8..7, 0u32..64, 0u32..8, 1u32..30), 1..8)
+        steps in proptest::collection::vec((0u8..9, 0u32..64, 0u32..8, 1u32..30), 1..8)
     ) {
         // Swap events are out of the alphabet here: capacities and
         // swap sets are mutually exclusive engine features, so the
         // load engine maps them onto flaps instead.
         let steps: Vec<Step> = steps
             .iter()
-            .map(|&(kind, site, ring, sec)| match kind % 7 {
+            .map(|&(kind, site, ring, sec)| match kind % 9 {
                 0 => (2u8, site, ring, sec),
                 1 => (3u8, site, ring, sec),
                 k => (k, site, ring, sec),

@@ -203,13 +203,23 @@ impl SiteAssignment {
 
 /// Memoizes per-origin BGP computations across deployments.
 ///
-/// Withhold lists are interned once as canonical sorted keys, so cache
-/// lookups never clone a `Vec<Asn>` and permutations of the same
-/// withheld set share one entry. Routes are behind `Arc` so catchments
-/// can cross thread boundaries in the deterministic parallel layer.
+/// An entry is keyed by `(origin, scope, W ∩ adj(origin))`: the
+/// withhold list cut down to the origin's own neighbors.
+/// [`RouteComputer::routes_from_origin`] consults the list only through
+/// `blocked(from, to) = from == origin && to ∈ W`, so entries that are
+/// not adjacent to the origin cannot change its routes. A withhold
+/// change toward one neighbor therefore misses the cache only for the
+/// origins adjacent to it; every other origin keeps its `Arc`, which
+/// incremental layers read as "routes unchanged".
+///
+/// The cut lists are interned once as canonical sorted sets, so
+/// permutations and duplicates share one entry and a lookup allocates
+/// nothing when the list is empty or wholly adjacent. Routes are
+/// behind `Arc` so catchments can cross thread boundaries in the
+/// deterministic parallel layer.
 #[derive(Debug, Default)]
 pub struct RouteCache {
-    /// Canonical (sorted) withhold list → interned key.
+    /// Canonical (sorted, deduplicated) withhold list → interned key.
     withhold_keys: HashMap<Box<[Asn]>, u32>,
     /// Interned key → canonical withhold list (for cache misses).
     withhold_lists: Vec<Arc<[Asn]>>,
@@ -222,23 +232,41 @@ impl RouteCache {
         Self::default()
     }
 
-    /// Interns `withhold` under its canonical sorted form. Sorting is
-    /// sound because a withhold list is a *set* of neighbors.
-    fn intern_withhold(&mut self, withhold: &[Asn]) -> u32 {
-        let canonical: Cow<'_, [Asn]> = if withhold.windows(2).all(|w| w[0] <= w[1]) {
-            Cow::Borrowed(withhold)
-        } else {
-            let mut v = withhold.to_vec();
-            v.sort_unstable();
-            Cow::Owned(v)
-        };
-        if let Some(&k) = self.withhold_keys.get(canonical.as_ref()) {
-            return k;
+    /// The cache key of `(origin, scope, withhold)`: `withhold` cut to
+    /// the origin's neighbors and interned under its canonical sorted
+    /// form (sound because a withhold list is a *set* of neighbors).
+    fn key(
+        &mut self,
+        graph: &AsGraph,
+        origin: Asn,
+        scope: ExportScope,
+        withhold: &[Asn],
+    ) -> (Asn, ExportScope, u32) {
+        let mut cut: Cow<'_, [Asn]> = Cow::Borrowed(withhold);
+        if let Some(oi) = graph.try_idx(origin) {
+            let adj = graph.adjacency(oi);
+            let adjacent = |a: &Asn| {
+                graph.try_idx(*a).is_some_and(|ai| adj.iter().any(|x| x.neighbor == ai))
+            };
+            if !withhold.iter().all(adjacent) {
+                cut = Cow::Owned(withhold.iter().copied().filter(adjacent).collect());
+            }
         }
-        let k = self.withhold_lists.len() as u32;
-        self.withhold_lists.push(Arc::from(canonical.as_ref()));
-        self.withhold_keys.insert(canonical.into_owned().into_boxed_slice(), k);
-        k
+        if !cut.windows(2).all(|w| w[0] < w[1]) {
+            let v = cut.to_mut();
+            v.sort_unstable();
+            v.dedup();
+        }
+        let wk = match self.withhold_keys.get(cut.as_ref()) {
+            Some(&k) => k,
+            None => {
+                let k = self.withhold_lists.len() as u32;
+                self.withhold_lists.push(Arc::from(cut.as_ref()));
+                self.withhold_keys.insert(cut.into_owned().into_boxed_slice(), k);
+                k
+            }
+        };
+        (origin, scope, wk)
     }
 
     fn get(
@@ -248,14 +276,13 @@ impl RouteCache {
         scope: ExportScope,
         withhold: &[Asn],
     ) -> Arc<OriginRoutes> {
-        let wk = self.intern_withhold(withhold);
-        let key = (origin, scope, wk);
+        let key = self.key(graph, origin, scope, withhold);
         if let Some(r) = self.map.get(&key) {
             obs::counter_add("route_cache.hit", 1);
             return Arc::clone(r);
         }
         obs::counter_add("route_cache.miss", 1);
-        let canonical = Arc::clone(&self.withhold_lists[wk as usize]);
+        let canonical = Arc::clone(&self.withhold_lists[key.2 as usize]);
         if !canonical.is_empty() {
             obs::counter_add("route_cache.withheld_recompute", 1);
         }
@@ -279,8 +306,7 @@ impl RouteCache {
         let mut missing: Vec<(Asn, ExportScope, u32)> = Vec::new();
         for (origin, scope, withhold) in keys {
             requested += 1;
-            let wk = self.intern_withhold(withhold);
-            let key = (origin, scope, wk);
+            let key = self.key(graph, origin, scope, withhold);
             if !self.map.contains_key(&key) && !missing.contains(&key) {
                 missing.push(key);
             }
@@ -764,6 +790,40 @@ mod tests {
             vec![],
         );
         (g, dep)
+    }
+
+    #[test]
+    fn withholding_a_non_neighbor_keeps_the_cached_routes() {
+        let (g, _) = inflation_world();
+        let mut cache = RouteCache::new();
+        let g21 = ExportScope::Global;
+        let plain = cache.get(&g, Asn(21), g21, &[]);
+        // AS1 is not adjacent to AS21: the same cache entry answers.
+        assert!(Arc::ptr_eq(&plain, &cache.get(&g, Asn(21), g21, &[Asn(1)])));
+        // AS20 is AS21's only neighbor: withholding it is a new entry,
+        // and permutations and duplicates of the list share that entry.
+        let cut = cache.get(&g, Asn(21), g21, &[Asn(20), Asn(1)]);
+        assert!(!Arc::ptr_eq(&plain, &cut));
+        assert!(Arc::ptr_eq(&cut, &cache.get(&g, Asn(21), g21, &[Asn(1), Asn(20), Asn(20)])));
+        // AS1 *is* adjacent to AS10, so there the withhold bites.
+        let h10 = cache.get(&g, Asn(10), g21, &[]);
+        assert!(!Arc::ptr_eq(&h10, &cache.get(&g, Asn(10), g21, &[Asn(1)])));
+        assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn withholding_an_as_absent_from_the_graph_is_inert() {
+        let (g, mut dep) = inflation_world();
+        let mut cache = RouteCache::new();
+        let plain = cache.get(&g, Asn(10), ExportScope::Global, &[]);
+        let ghost = cache.get(&g, Asn(10), ExportScope::Global, &[Asn(999)]);
+        assert!(Arc::ptr_eq(&plain, &ghost));
+        let direct =
+            RouteComputer::new(&g).routes_from_origin(Asn(10), ExportScope::Global, &[Asn(999)]);
+        assert_eq!(*plain, direct);
+        dep.withhold = vec![Asn(999)];
+        let catchment = Catchment::compute(&g, &dep, &mut cache);
+        assert_eq!(catchment.assign(Asn(1), &p(0.0)).unwrap().site, SiteId(0));
     }
 
     #[test]

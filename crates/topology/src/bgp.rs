@@ -106,7 +106,7 @@ pub struct FirstHop {
 }
 
 /// The route a node selected toward one origin.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeRoute {
     /// Local-preference class.
     pub class: RouteClass,
@@ -120,7 +120,7 @@ pub struct NodeRoute {
 }
 
 /// Routes from every AS toward one origin.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OriginRoutes {
     origin: Asn,
     origin_idx: usize,
@@ -185,7 +185,9 @@ impl<'g> RouteComputer<'g> {
     ///
     /// `withhold` lists neighbor ASes the origin does *not* announce to —
     /// the selective-announcement traffic engineering of §7.1. Withheld
-    /// neighbors can still reach the origin through other ASes.
+    /// neighbors can still reach the origin through other ASes. Only
+    /// entries adjacent to `origin` have any effect; entries that are
+    /// not neighbors, or not in the graph at all, are ignored.
     ///
     /// # Panics
     ///
@@ -199,7 +201,7 @@ impl<'g> RouteComputer<'g> {
         let g = self.graph;
         let n = g.len();
         let oi = g.idx(origin);
-        let mut withheld: Vec<usize> = withhold.iter().map(|a| g.idx(*a)).collect();
+        let mut withheld: Vec<usize> = withhold.iter().filter_map(|a| g.try_idx(*a)).collect();
         withheld.sort_unstable();
         let blocked =
             |from: usize, to: usize| from == oi && withheld.binary_search(&to).is_ok();

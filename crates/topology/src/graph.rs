@@ -203,10 +203,12 @@ impl AsGraph {
     ///
     /// Panics if the ASN is unknown.
     pub fn idx(&self, asn: Asn) -> usize {
-        *self
-            .index
-            .get(&asn)
-            .unwrap_or_else(|| panic!("unknown {asn}"))
+        self.try_idx(asn).unwrap_or_else(|| panic!("unknown {asn}"))
+    }
+
+    /// Dense index of an ASN, `None` for unknown ASNs.
+    pub fn try_idx(&self, asn: Asn) -> Option<usize> {
+        self.index.get(&asn).copied()
     }
 
     /// Node by dense index.

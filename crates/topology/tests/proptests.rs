@@ -62,6 +62,50 @@ proptest! {
         }
     }
 
+    /// The route cache's key rule: routes from an origin depend on a
+    /// withhold list only through its intersection with the origin's
+    /// adjacency, under both export scopes.
+    #[test]
+    fn withhold_matters_only_through_the_origins_neighbors(
+        seed in 0u64..500,
+        picks in proptest::collection::vec(0usize..10_000, 0..8),
+    ) {
+        let net = InternetGenerator::generate(&TopologyConfig::small(seed));
+        let g = &net.graph;
+        let origin = net.hosters[seed as usize % net.hosters.len()];
+        let oi = g.idx(origin);
+        let neighbors: Vec<usize> = g.adjacency(oi).iter().map(|a| a.neighbor).collect();
+        if neighbors.is_empty() {
+            return Ok(());
+        }
+        // Even picks draw from the origin's neighbors, odd ones from the
+        // whole graph, so lists mix adjacent and remote ASes.
+        let withhold: Vec<_> = picks
+            .iter()
+            .map(|&k| {
+                let i = if k % 2 == 0 {
+                    neighbors[k / 2 % neighbors.len()]
+                } else {
+                    k / 2 % g.len()
+                };
+                g.node_at(i).asn
+            })
+            .collect();
+        let cut: Vec<_> = withhold
+            .iter()
+            .copied()
+            .filter(|a| neighbors.contains(&g.idx(*a)))
+            .collect();
+        let rc = RouteComputer::new(g);
+        for scope in [ExportScope::Global, ExportScope::Local] {
+            prop_assert_eq!(
+                rc.routes_from_origin(origin, scope, &withhold),
+                rc.routes_from_origin(origin, scope, &cut),
+                "{:?} withhold {:?} vs its cut {:?}", scope, withhold, cut
+            );
+        }
+    }
+
     /// Path length bookkeeping: the reconstructed AS path has exactly
     /// `path_len` nodes and starts/ends correctly.
     #[test]
