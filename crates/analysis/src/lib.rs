@@ -6,7 +6,7 @@
 //! counts) go in; figure-ready distributions come out:
 //!
 //! * [`stats`] — weighted CDFs and box summaries (every figure is one),
-//! * [`preprocess`] — §2.1's DITL filtering (invalid names, PTR, private
+//! * [`preprocess`](mod@preprocess) — §2.1's DITL filtering (invalid names, PTR, private
 //!   space, IPv6), with Appendix B.1's keep-invalid counterfactual,
 //! * [`join`] — DITL∩CDN /24 joining, the exact-IP counterfactual, the
 //!   APNIC per-AS variant, and Table 4's overlap accounting,
@@ -16,7 +16,7 @@
 //! * [`affinity`] — Eq. 3 favorite-site fractions (Fig. 10),
 //! * [`paths`] — AS-path-length distributions and inflation-by-length
 //!   (Fig. 6), with org merging and interface cleaning,
-//! * [`efficiency`] — §7.2's efficiency metric and Fig. 7a points.
+//! * [`efficiency`](mod@efficiency) — §7.2's efficiency metric and Fig. 7a points.
 //!
 //! Beyond the paper's artifacts, four extension studies answer the
 //! questions the paper raises but cannot measure:

@@ -65,19 +65,6 @@ fn expanded_engine(world: &World, population: usize) -> DynamicsEngine<'_> {
     )
 }
 
-/// Per-site entry sessions, lightest first — the bench-local copy of
-/// the experiment family's observation helper.
-fn entry_sessions(eng: &DynamicsEngine<'_>) -> Vec<Vec<(Asn, f64)>> {
-    (0..eng.deployment().sites.len())
-        .map(|i| {
-            let mut v: Vec<(Asn, f64)> =
-                eng.site_via_loads(SiteId(i as u32)).into_iter().collect();
-            v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            v
-        })
-        .collect()
-}
-
 /// The `dynload` capacity shape: surged multi-session sites must shed
 /// 40% of their increase (but never below their heaviest session);
 /// everyone else gets slack for the careful policy's overshoot.
@@ -124,7 +111,7 @@ fn crowd_caps(
 fn closed_loop_engine(world: &World, population: usize) -> (DynamicsEngine<'_>, Scenario) {
     let mut eng = expanded_engine(world, population);
     let init = eng.site_loads();
-    let sessions = entry_sessions(&eng);
+    let sessions = eng.entry_sessions();
     let mut order: Vec<usize> = (0..init.len()).collect();
     order.sort_by(|&a, &b| {
         sessions[b]
@@ -140,7 +127,7 @@ fn closed_loop_engine(world: &World, population: usize) -> (DynamicsEngine<'_>, 
         SimTime::from_secs(1.0),
         RoutingEvent::DemandScale { center, radius_km, factor },
     ));
-    let caps = crowd_caps(&init, &eng.site_loads(), &entry_sessions(&eng));
+    let caps = crowd_caps(&init, &eng.site_loads(), &eng.entry_sessions());
     eng.run(&Scenario::new("restore").at(
         SimTime::from_secs(1.0),
         RoutingEvent::DemandScale { center, radius_km, factor: 1.0 / factor },

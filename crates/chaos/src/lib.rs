@@ -18,7 +18,7 @@
 //! - [`harness`]: [`run_storm`] drives a storm through an
 //!   [`dynamics::EpochStepper`], checking after every epoch and
 //!   re-ranking every cohort in place (the on-demand oracle) every Nth.
-//! - [`minimize`] + [`repro`]: on violation, delta-debug the storm to a
+//! - [`minimize`](mod@minimize) + [`repro`]: on violation, delta-debug the storm to a
 //!   minimal failing incident list and write it as a **replayable
 //!   reproducer file** (`Reproducer::parse` + [`run_storm`] replays
 //!   it bit-for-bit).

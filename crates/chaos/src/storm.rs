@@ -6,7 +6,7 @@
 //! a swap cycle promotes and demotes back) rather than raw events.
 //! Pairing is what makes delta-debugging sound: **every subset of a
 //! storm's incidents is itself a legal storm** that ends in a
-//! recoverable state, so the minimizer in [`crate::minimize`] can
+//! recoverable state, so the minimizer in [`crate::minimize`](mod@crate::minimize) can
 //! drop any incident without producing an event sequence the engine
 //! would reject or a permanently degraded deployment the invariants
 //! would (correctly, uselessly) flag.

@@ -510,21 +510,6 @@ fn crowd_caps(
     )
 }
 
-/// Per-site entry sessions (lightest first) in the engine's current
-/// state — [`crowd_caps`]'s raw material for deciding which sites can
-/// shed at all (two or more sessions; the keep-one rule protects the
-/// last) and how big a careful shed can be.
-fn entry_sessions(eng: &DynamicsEngine<'_>) -> Vec<Vec<(Asn, f64)>> {
-    (0..eng.deployment().sites.len())
-        .map(|i| {
-            let mut v: Vec<(Asn, f64)> =
-                eng.site_via_loads(SiteId(i as u32)).into_iter().collect();
-            v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            v
-        })
-        .collect()
-}
-
 /// Runs `scenario` once per [`LOAD_POLICIES`] entry over fresh
 /// expanded engines sharing `caps`, and renders two artifacts: the
 /// closed-loop (distributed) timeline as `{id}.csv`, and a per-policy
@@ -608,13 +593,12 @@ fn load_family_artifacts(
 /// through a single neighbor.
 fn most_shedable_sites(eng: &DynamicsEngine<'_>) -> Vec<SiteId> {
     let loads = eng.site_loads();
-    let sessions: Vec<usize> = (0..loads.len())
-        .map(|i| eng.site_via_loads(SiteId(i as u32)).len())
-        .collect();
+    let sessions = eng.entry_sessions();
     let mut order: Vec<usize> = (0..loads.len()).collect();
     order.sort_by(|&a, &b| {
         sessions[b]
-            .cmp(&sessions[a])
+            .len()
+            .cmp(&sessions[a].len())
             .then(loads[b].total_cmp(&loads[a]))
             .then(a.cmp(&b))
     });
@@ -622,9 +606,9 @@ fn most_shedable_sites(eng: &DynamicsEngine<'_>) -> Vec<SiteId> {
 }
 
 /// `dynload`: a flash crowd on the busiest letter's most-shedable
-/// catchment (see [`most_shedable_sites`]) —
-/// demand within 6000 km doubles for eight minutes with a controller
-/// tick every minute. The four load policies replay the identical
+/// catchment (most entry sessions, then most load) — demand within
+/// 6000 km doubles for eight minutes with a controller tick every
+/// minute. The four load policies replay the identical
 /// scenario; the summary compares overload-seconds, shed volume, and
 /// the latency price of shedding.
 pub fn dynload(world: &World) -> Vec<Artifact> {
@@ -638,7 +622,7 @@ pub fn dynload(world: &World) -> Vec<Artifact> {
         SimTime::from_secs(1.0),
         RoutingEvent::DemandScale { center, radius_km, factor },
     ));
-    let caps = crowd_caps(&init, &probe.site_loads(), &entry_sessions(&probe));
+    let caps = crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions());
     let scenario = Scenario::flash_crowd(
         format!("{}-crowd", letter.deployment.name),
         center,
@@ -676,7 +660,7 @@ pub fn dynload_surge(world: &World) -> Vec<Artifact> {
         SimTime::from_secs(1.0),
         RoutingEvent::DemandScale { center, radius_km, factor },
     ));
-    let caps = crowd_caps(&init, &probe.site_loads(), &entry_sessions(&probe));
+    let caps = crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions());
     let scenario = Scenario::flash_crowd(
         format!("{}-surge", letter.deployment.name),
         center,
@@ -721,7 +705,7 @@ pub fn dynload_cascade(world: &World) -> Vec<Artifact> {
             )
             .at(SimTime::from_secs(2.0), RoutingEvent::SiteDown(target)),
     );
-    let caps = crowd_caps(&init, &probe.site_loads(), &entry_sessions(&probe));
+    let caps = crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions());
     let scenario = Scenario::new(format!("{}-cascade", letter.deployment.name))
         .at(
             SimTime::from_secs(60.0),
@@ -776,7 +760,7 @@ pub fn dynreplay(world: &World) -> Vec<Artifact> {
             )
             .at(SimTime::from_secs(2.0), RoutingEvent::SiteDown(target)),
     );
-    let caps = crowd_caps(&init, &probe.site_loads(), &entry_sessions(&probe));
+    let caps = crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions());
     let scenario = Scenario::new(format!("{}-replay", letter.deployment.name))
         .at(
             SimTime::from_secs(120.0),

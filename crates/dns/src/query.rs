@@ -32,9 +32,9 @@ pub enum QueryClass {
     /// sent at browser startup/network change, never awaited by a page.
     ChromiumProbe,
     /// Queries for invalid suffixes like `local`, `belkin`, `corp` —
-    /// leaked by software and corporate networks ([28] in the paper).
+    /// leaked by software and corporate networks (\[28\] in the paper).
     JunkSuffix,
-    /// A misspelled TLD a user might actually wait on; rare ([28] finds
+    /// A misspelled TLD a user might actually wait on; rare (\[28\] finds
     /// most invalid queries are not typos).
     Typo,
     /// PTR lookup (traceroute, auth logging) — not web latency.
@@ -104,7 +104,7 @@ impl QueryName {
     }
 }
 
-/// The junk suffixes [28] found dominate invalid root traffic.
+/// The junk suffixes \[28\] found dominate invalid root traffic.
 pub const JUNK_SUFFIXES: &[&str] = &["local", "no_dot", "belkin", "corp", "home", "lan", "internal"];
 
 #[cfg(test)]

@@ -249,99 +249,14 @@ struct BatchOutcome {
 /// The planning half of one recompute: the new catchment, its origin
 /// groups snapshotted in original site ids, and the affected-cohort
 /// selection the group diff produced. Everything here is decided
-/// before any assignment state is written — the seam the phase split
-/// (`plan → rank → commit → render`) exposes so the pipelined stepper
-/// can overlap epoch N's record rendering with epoch N+1's planning.
+/// before any assignment state is written — the seam between the
+/// `plan → rank → commit` phases of [`DynamicsEngine::reassign`].
 struct ReassignPlan<'g> {
     catchment: Option<Catchment<'g>>,
     dense_to_orig: Vec<SiteId>,
     new_groups: DetHashMap<(Asn, ExportScope), GroupSnap>,
     affected: Vec<u32>,
     slice_users: u64,
-}
-
-/// The deferred tail of one epoch record: every scalar the commit
-/// phase already fixed, plus the raw `(latency, weight)` points whose
-/// weighted-median sort — and the fields derived from it — are left to
-/// [`RecordSeed::render`]. The seed owns its data outright (no engine
-/// borrow), so rendering is a pure function that may run on a
-/// [`par::join`] worker while the engine mutates itself for the next
-/// epoch, byte-identical at any thread count.
-#[derive(Debug, Clone)]
-struct RecordSeed {
-    t_ms: f64,
-    label: String,
-    shifted: f64,
-    shifted_qpd: f64,
-    served_w: f64,
-    path_sum: f64,
-    latency_pts: Vec<(f64, f64)>,
-    recomputed: u64,
-    reused: u64,
-    total_weight: f64,
-    baseline_median_ms: Option<f64>,
-    headroom_frac: Option<f64>,
-    note: String,
-}
-
-impl RecordSeed {
-    /// Sorts the latency points (the weighted median) and derives the
-    /// remaining record fields.
-    fn render(mut self) -> EpochRecord {
-        let median_ms = weighted_median(&mut self.latency_pts);
-        let frac = |w: f64| if self.total_weight > 0.0 { w / self.total_weight } else { 0.0 };
-        let shifted_frac = frac(self.shifted);
-        let unserved_frac = (1.0 - frac(self.served_w)).max(0.0);
-        let convergence_ms = if self.shifted > 0.0 {
-            BASE_CONVERGENCE_MS + SHIFT_CONVERGENCE_MS * shifted_frac
-        } else {
-            0.0
-        };
-        EpochRecord {
-            t_ms: self.t_ms,
-            event: self.label,
-            shifted: self.shifted,
-            shifted_frac,
-            unserved_frac,
-            median_ms,
-            inflation_ms: match (median_ms, self.baseline_median_ms) {
-                (Some(m), Some(b)) => Some(m - b),
-                _ => None,
-            },
-            mean_path_km: if self.served_w > 0.0 {
-                Some(self.path_sum / self.served_w)
-            } else {
-                None
-            },
-            convergence_ms,
-            degraded_queries: self.shifted_qpd * convergence_ms / MS_PER_DAY,
-            recomputed: self.recomputed,
-            reused: self.reused,
-            headroom_frac: self.headroom_frac,
-            note: self.note,
-        }
-    }
-}
-
-/// Epoch aggregates over per-cohort `states` in ascending cohort order:
-/// served weight, Σ path length × weight, and the raw `(latency,
-/// weight)` points of the weighted median. Per-cohort, since every
-/// member shares its cohort's assignment, so the cost stays
-/// O(cohorts) at any population. The median sort lives in
-/// [`RecordSeed::render`] so the pipelined stepper can overlap it with
-/// the next epoch.
-fn aggregates(cohorts: &[Cohort], states: &[UserState]) -> (f64, f64, Vec<(f64, f64)>) {
-    let mut latency_pts = Vec::new();
-    let mut served_w = 0.0;
-    let mut path_sum = 0.0;
-    for (c, st) in cohorts.iter().zip(states) {
-        if st.site.is_some() {
-            served_w += c.weight;
-            path_sum += st.path_km * c.weight;
-            latency_pts.push((st.latency_ms, c.weight));
-        }
-    }
-    (served_w, path_sum, latency_pts)
 }
 
 /// Removes the intersection of two sorted, deduplicated sets and
@@ -536,10 +451,6 @@ pub struct EpochStepper {
     queue: EventQueue,
     timeline: Timeline,
     processed: u64,
-    /// The most recent epoch's final record, rendering deferred by
-    /// [`EpochStepper::step_pipelined`]. Flushed into the timeline by
-    /// the next step (either flavor) or by [`EpochStepper::finish`].
-    pending: Option<RecordSeed>,
 }
 
 impl EpochStepper {
@@ -553,7 +464,6 @@ impl EpochStepper {
             queue: EventQueue::from_events(scenario.events.iter().copied()),
             timeline,
             processed: 0,
-            pending: None,
         }
     }
 
@@ -567,61 +477,12 @@ impl EpochStepper {
 
     /// Applies the next epoch — every pending event at the next
     /// instant, as one batch — and appends its records to the
-    /// timeline. Returns `false` (doing nothing) once the queue is
-    /// exhausted.
+    /// timeline. Overloaded-site time accrues for the interval ending
+    /// now (loads were constant since the last epoch closed) before
+    /// the clock advances. Returns `false` (doing nothing) once the
+    /// queue is exhausted.
     pub fn step(&mut self, eng: &mut DynamicsEngine<'_>) -> bool {
-        self.flush_pending();
-        let Some(batch) = self.pop_batch(eng) else { return false };
-        self.timeline.records.extend(eng.epoch(&batch, &mut self.queue));
-        obs::counter_add("dynamics.epochs", 1);
-        true
-    }
-
-    /// [`EpochStepper::step`] with the record pipeline engaged: epoch
-    /// N's final record renders (the weighted-median sort and derived
-    /// fields) on a [`par::join`] worker *while* the engine applies
-    /// epoch N+1 — batch apply, catchment recompute, group-diff
-    /// invalidation, re-rank, and commit all overlap the rendering.
-    /// The deferred record is a pure function of data the commit phase
-    /// already extracted, so the finished timeline is byte-identical
-    /// to the serial stepper at any thread count. The epoch's *final*
-    /// record stays pending until the next step (or
-    /// [`EpochStepper::finish`]) flushes it, so
-    /// [`EpochStepper::records`] may lag one record behind mid-run.
-    pub fn step_pipelined(&mut self, eng: &mut DynamicsEngine<'_>) -> bool {
-        let Some(batch) = self.pop_batch(eng) else {
-            self.flush_pending();
-            return false;
-        };
-        let pending = self.pending.take();
-        let queue = &mut self.queue;
-        let (prev, (mut done, last)) = par::join(
-            move || pending.map(RecordSeed::render),
-            || eng.epoch_core(&batch, queue),
-        );
-        if let Some(r) = prev {
-            self.timeline.records.push(r);
-        }
-        self.timeline.records.append(&mut done);
-        self.pending = Some(last);
-        obs::counter_add("dynamics.epochs", 1);
-        true
-    }
-
-    /// Renders and appends the deferred record, if any.
-    fn flush_pending(&mut self) {
-        if let Some(seed) = self.pending.take() {
-            self.timeline.records.push(seed.render());
-        }
-    }
-
-    /// Pops every event sharing the next instant into one batch,
-    /// accrues overloaded-site time for the interval ending now (loads
-    /// were constant since the last epoch closed), advances the clock,
-    /// and counts the events — the shared preamble of both stepping
-    /// flavors. `None` once the queue is exhausted.
-    fn pop_batch(&mut self, eng: &mut DynamicsEngine<'_>) -> Option<Vec<RoutingEvent>> {
-        let first = self.queue.pop()?;
+        let Some(first) = self.queue.pop() else { return false };
         // One epoch = every pending event at this exact instant.
         let mut batch = vec![first.event];
         while self
@@ -644,7 +505,9 @@ impl EpochStepper {
         eng.clock.advance_to(first.at);
         obs::counter_add("dynamics.events_processed", batch.len() as u64);
         self.processed += batch.len() as u64;
-        Some(batch)
+        self.timeline.records.extend(eng.epoch(&batch, &mut self.queue));
+        obs::counter_add("dynamics.epochs", 1);
+        true
     }
 
     /// Events applied so far (the scenario's plus engine-scheduled
@@ -662,8 +525,7 @@ impl EpochStepper {
     /// Closes the run's ledgers (staged-drain and `dynamics.load.*`
     /// counters, exactly as [`DynamicsEngine::run`] emits them) and
     /// returns the timeline.
-    pub fn finish(mut self, eng: &mut DynamicsEngine<'_>) -> Timeline {
-        self.flush_pending();
+    pub fn finish(self, eng: &mut DynamicsEngine<'_>) -> Timeline {
         // Close the drain ledger: whatever is still draining when the
         // script runs out stays staged, so
         // `started = staged + aborted + completed` always balances.
@@ -1105,29 +967,6 @@ impl<'g> DynamicsEngine<'g> {
         loads
     }
 
-    /// User weight entering the deployment through each host-adjacent
-    /// neighbor AS, optionally restricted to the users one site
-    /// currently serves — the shared accumulation behind
-    /// [`DynamicsEngine::transit_loads`] (global) and the per-site
-    /// drain plan. Insertion order is cohort order, so the map
-    /// iterates deterministically.
-    fn via_loads(&self, only_site: Option<SiteId>) -> DetHashMap<Asn, f64> {
-        let mut loads: DetHashMap<Asn, f64> = DetHashMap::default();
-        for (c, st) in self.cohorts.iter().zip(&self.states) {
-            if let Some(s) = only_site {
-                if st.site != Some(s) {
-                    continue;
-                }
-            }
-            if st.site.is_some() {
-                if let Some(via) = st.via {
-                    *loads.entry(via).or_default() += c.weight;
-                }
-            }
-        }
-        loads
-    }
-
     /// Current user weight entering the deployment through each
     /// host-adjacent neighbor AS (the last interdomain session before
     /// the serving site), heaviest first, ties broken by ASN. Users
@@ -1136,94 +975,26 @@ impl<'g> DynamicsEngine<'g> {
     /// that actually carry traffic — withholding is per host neighbor,
     /// so only host-adjacent ASes are meaningful targets.
     pub fn transit_loads(&self) -> Vec<(Asn, f64)> {
-        let mut out: Vec<(Asn, f64)> = self.via_loads(None).into_iter().collect();
+        let mut loads: DetHashMap<Asn, f64> = DetHashMap::default();
+        for (c, st) in self.cohorts.iter().zip(&self.states) {
+            if let (Some(_), Some(via)) = (st.site, st.via) {
+                *loads.entry(via).or_default() += c.weight;
+            }
+        }
+        let mut out: Vec<(Asn, f64)> = loads.into_iter().collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
 
-    /// User weight entering the deployment through each host-adjacent
-    /// neighbor AS *among the users `site` currently serves* — one
-    /// site's share of [`DynamicsEngine::global_via_loads`]. Load
-    /// controllers and drain plans both shed in units of these entry
-    /// sessions.
-    pub fn site_via_loads(&self, site: SiteId) -> DetHashMap<Asn, f64> {
-        self.via_loads(Some(site))
-    }
-
-    /// User weight entering the deployment through each host-adjacent
-    /// neighbor AS, across all sites. Users inside a host AS cross no
-    /// such session and are not counted.
-    ///
-    /// The per-site views partition this global view: every (neighbor,
-    /// weight) entry is the sum of the per-site entries, because each
-    /// served cohort has exactly one serving site.
-    ///
-    /// ```
-    /// use anycast_dynamics::{DynUser, DynamicsEngine, RecomputeMode};
-    /// use netsim::LatencyModel;
-    /// use par::DetHashMap;
-    /// use std::sync::Arc;
-    /// use topology::{
-    ///     AnycastDeployment, AnycastSite, Asn, InternetGenerator, SiteId, SiteScope,
-    ///     TopologyConfig,
-    /// };
-    ///
-    /// let mut net = InternetGenerator::generate(&TopologyConfig::small(111));
-    /// let sites: Vec<AnycastSite> = net
-    ///     .sample_hosters(3)
-    ///     .iter()
-    ///     .enumerate()
-    ///     .map(|(i, h)| AnycastSite {
-    ///         id: SiteId(i as u32),
-    ///         name: format!("s{i}"),
-    ///         host: *h,
-    ///         location: net.graph.node(*h).pops[0],
-    ///         scope: SiteScope::Global,
-    ///     })
-    ///     .collect();
-    /// let dep = Arc::new(AnycastDeployment::new("doc", sites, vec![]));
-    /// let users: Vec<DynUser> = net
-    ///     .user_locations()
-    ///     .iter()
-    ///     .map(|l| DynUser {
-    ///         asn: l.asn,
-    ///         location: net.world.region(l.region).center,
-    ///         weight: 1.0,
-    ///         queries_per_day: 1_000.0,
-    ///     })
-    ///     .collect();
-    /// let eng = DynamicsEngine::new(
-    ///     &net.graph,
-    ///     dep,
-    ///     LatencyModel::default(),
-    ///     users,
-    ///     RecomputeMode::Incremental,
-    /// );
-    ///
-    /// let global = eng.global_via_loads();
-    /// let mut merged: DetHashMap<Asn, f64> = DetHashMap::default();
-    /// for s in (0..3).map(SiteId) {
-    ///     for (a, w) in eng.site_via_loads(s) {
-    ///         *merged.entry(a).or_default() += w;
-    ///     }
-    /// }
-    /// assert_eq!(merged.len(), global.len());
-    /// for (a, w) in &global {
-    ///     let m = merged.get(a).copied().unwrap_or(0.0);
-    ///     assert!((m - w).abs() < 1e-9, "session {a} splits exactly across sites");
-    /// }
-    /// ```
-    pub fn global_via_loads(&self) -> DetHashMap<Asn, f64> {
-        self.via_loads(None)
-    }
-
     /// Entry-session loads per site in one cohort pass: element `s`
     /// lists the `(neighbor, weight)` sessions of the users site `s`
-    /// currently serves, lightest first (ties by ASN) — the shed
-    /// ordering convention shared with drain plans, and the
-    /// controller's observation. Cost is O(cohorts), independent of
-    /// the expanded population.
-    fn via_loads_by_site(&self) -> Vec<Vec<(Asn, f64)>> {
+    /// currently serves, lightest first (ties by ASN). Load
+    /// controllers, drain plans and scenario builders all shed in
+    /// units of these sessions. Each site's sums accumulate in cohort
+    /// order, and each served cohort has exactly one serving site, so
+    /// the per-site lists partition [`DynamicsEngine::transit_loads`].
+    /// Cost is O(cohorts), independent of the expanded population.
+    pub fn entry_sessions(&self) -> Vec<Vec<(Asn, f64)>> {
         let mut maps: Vec<DetHashMap<Asn, f64>> =
             vec![DetHashMap::default(); self.base.sites.len()];
         for (c, st) in self.cohorts.iter().zip(&self.states) {
@@ -1258,22 +1029,6 @@ impl<'g> DynamicsEngine<'g> {
         timeline
     }
 
-    /// [`DynamicsEngine::run`] with epoch pipelining
-    /// ([`EpochStepper::step_pipelined`]): epoch N's record rendering
-    /// overlaps epoch N+1's batch apply, group-diff invalidation, and
-    /// re-rank on a [`par::join`] worker. Byte-identical to `run` at
-    /// any thread count; the `dynamics_pipeline` bench section prices
-    /// the overlap.
-    pub fn run_pipelined(&mut self, scenario: &Scenario) -> Timeline {
-        let span = obs::span!("dynamics.scenario", name = scenario.name.as_str());
-        let mut stepper = EpochStepper::new(self, scenario);
-        while stepper.step_pipelined(self) {}
-        let processed = stepper.events_processed();
-        let timeline = stepper.finish(self);
-        span.add_items(processed);
-        timeline
-    }
-
     /// Announced sites currently loaded past their capacity, and their
     /// total user weight above it.
     fn overload_snapshot(&self) -> (usize, f64) {
@@ -1301,21 +1056,6 @@ impl<'g> DynamicsEngine<'g> {
     /// more record — so an epoch yields one record plus zero or more
     /// `ctrl[…]` rounds.
     fn epoch(&mut self, batch: &[RoutingEvent], queue: &mut EventQueue) -> Vec<EpochRecord> {
-        let (mut records, last) = self.epoch_core(batch, queue);
-        records.push(last.render());
-        records
-    }
-
-    /// [`DynamicsEngine::epoch`] with the final record's rendering
-    /// deferred: returns every earlier record rendered (controller
-    /// epochs yield several) plus the last one as a [`RecordSeed`],
-    /// which the pipelined stepper renders while the *next* epoch is
-    /// applied.
-    fn epoch_core(
-        &mut self,
-        batch: &[RoutingEvent],
-        queue: &mut EventQueue,
-    ) -> (Vec<EpochRecord>, RecordSeed) {
         let BatchOutcome { labels, mut notes, escalated, followups } = self.apply_batch(batch);
         let label = labels.join(" + ");
         // Snapshot the assignment state only when an abort is
@@ -1330,7 +1070,7 @@ impl<'g> DynamicsEngine<'g> {
                 self.orphans.clone(),
             )
         });
-        let mut seed = self.reassign_seeded(&label, false);
+        let mut rec = self.reassign(&label, false);
         let mut committed = true;
         if let Some((states, groups, index, orphans)) = snap {
             let violation = {
@@ -1359,7 +1099,7 @@ impl<'g> DynamicsEngine<'g> {
                     .map(|s| format!("drain-abort {s}"))
                     .collect::<Vec<_>>()
                     .join(" + ");
-                seed = self.reassign_seeded(&format!("{label} => {aborts}"), false);
+                rec = self.reassign(&format!("{label} => {aborts}"), false);
                 notes.push(format!(
                     "drain aborted: {site} load {load:.3} exceeds cap {cap:.3}"
                 ));
@@ -1374,14 +1114,13 @@ impl<'g> DynamicsEngine<'g> {
                 queue.push(at, ev);
             }
         }
-        seed.headroom_frac = self.current_headroom();
-        seed.note = notes.join("; ");
-        let mut seeds = vec![seed];
+        rec.headroom_frac = self.current_headroom();
+        rec.note = notes.join("; ");
+        let mut records = vec![rec];
         if self.controller.is_some() {
-            self.controller_rounds(&mut seeds);
+            self.controller_rounds(&mut records);
         }
-        let last = seeds.pop().expect("at least the batch record");
-        (seeds.into_iter().map(RecordSeed::render).collect(), last)
+        records
     }
 
     /// Runs the attached controller's observe → decide → apply rounds
@@ -1389,11 +1128,11 @@ impl<'g> DynamicsEngine<'g> {
     /// effective round. Decisions read only per-cohort aggregates
     /// (loads, entry sessions), so a round's cost is independent of
     /// the expanded population.
-    fn controller_rounds(&mut self, seeds: &mut Vec<RecordSeed>) {
+    fn controller_rounds(&mut self, records: &mut Vec<EpochRecord>) {
         let mut ctrl = self.controller.take().expect("caller checked");
         for _ in 0..ctrl.max_rounds().max(1) {
             let loads = self.site_loads();
-            let sessions = self.via_loads_by_site();
+            let sessions = self.entry_sessions();
             let mut announced = vec![false; self.base.sites.len()];
             for s in self.announced_sites() {
                 announced[s.0 as usize] = true;
@@ -1453,10 +1192,10 @@ impl<'g> DynamicsEngine<'g> {
                 (0, r) => format!("ctrl[{}] release {r}", ctrl.name()),
                 (s, r) => format!("ctrl[{}] shed {s} + release {r}", ctrl.name()),
             };
-            let mut r = self.reassign_seeded(&label, false);
+            let mut r = self.reassign(&label, false);
             r.headroom_frac = self.current_headroom();
             r.note = detail.join(" ");
-            seeds.push(r);
+            records.push(r);
         }
         self.controller = Some(ctrl);
     }
@@ -1960,7 +1699,8 @@ impl<'g> DynamicsEngine<'g> {
             .collect();
         neigh.sort_unstable();
         neigh.dedup();
-        let load = self.via_loads(Some(site));
+        let load: DetHashMap<Asn, f64> =
+            self.entry_sessions().swap_remove(site.0 as usize).into_iter().collect();
         neigh.sort_by(|a, b| {
             let la = load.get(a).copied().unwrap_or(0.0);
             let lb = load.get(b).copied().unwrap_or(0.0);
@@ -2049,20 +1789,12 @@ impl<'g> DynamicsEngine<'g> {
 
     /// Recomputes the catchment over the effective deployment, re-ranks
     /// the affected users (all of them under [`RecomputeMode::Full`] or
-    /// at init), and closes the epoch. Composed from the four phases —
+    /// at init), and closes the epoch. Composed from the three phases —
     /// [`DynamicsEngine::plan_reassign`] (catchment + group diff +
     /// invalidation selection), [`DynamicsEngine::rank_plan`] (the
-    /// parallel re-rank), [`DynamicsEngine::commit_plan`] (state
-    /// writes + counters), and [`RecordSeed::render`] — run back to
-    /// back.
+    /// parallel re-rank), and [`DynamicsEngine::commit_plan`] (state
+    /// writes, counters, and the record) — run back to back.
     fn reassign(&mut self, label: &str, is_init: bool) -> EpochRecord {
-        self.reassign_seeded(label, is_init).render()
-    }
-
-    /// [`DynamicsEngine::reassign`] up to (but not including) the
-    /// record rendering: the returned seed owns everything the record
-    /// needs, so the caller may render it later — or elsewhere.
-    fn reassign_seeded(&mut self, label: &str, is_init: bool) -> RecordSeed {
         let plan = self.plan_reassign(is_init);
         let results = self.rank_plan(&plan);
         self.commit_plan(plan, &results, label, is_init)
@@ -2302,20 +2034,18 @@ impl<'g> DynamicsEngine<'g> {
         }
     }
 
-    /// Phases 3 and 4 of a recompute: store each rank result in the
-    /// per-cohort state table, mark changed cohorts stale for the lazy
-    /// column sync, re-home each cohort in the group index, adopt the
-    /// new group snapshot, collect the epoch aggregates (one
-    /// O(cohorts) pass), and emit the recompute counters. Returns the
-    /// record as a [`RecordSeed`]; the weighted-median sort and the
-    /// fields derived from it are deferred to [`RecordSeed::render`].
+    /// Phase 3 of a recompute: store each rank result in the per-cohort
+    /// state table, mark changed cohorts stale for the lazy column
+    /// sync, re-home each cohort in the group index, adopt the new
+    /// group snapshot, emit the recompute counters, and build the
+    /// epoch's record from the committed state.
     fn commit_plan(
         &mut self,
         plan: ReassignPlan<'_>,
         results: &[Option<UserState>],
         label: &str,
         is_init: bool,
-    ) -> RecordSeed {
+    ) -> EpochRecord {
         let ReassignPlan { new_groups, affected, slice_users, .. } = plan;
         let population = self.cols.len();
         let mut shifted = 0.0;
@@ -2337,7 +2067,6 @@ impl<'g> DynamicsEngine<'g> {
         self.groups = new_groups;
         self.orphans.clear();
 
-        let (served_w, path_sum, latency_pts) = aggregates(&self.cohorts, &self.states);
         // The recompute ledger stays in *user* units: an affected
         // cohort recomputes once but stands in for all its members.
         let recomputed: u64 =
@@ -2354,18 +2083,59 @@ impl<'g> DynamicsEngine<'g> {
             self.slice_users_total += slice_users;
             self.population_total += population as u64;
         }
-        RecordSeed {
+        self.record(&self.states, label, shifted, shifted_qpd, recomputed)
+    }
+
+    /// Builds an epoch record at the current instant from per-cohort
+    /// `states` (ascending cohort order) plus the epoch's shift and
+    /// recompute totals. Served weight, Σ path length × weight, and the
+    /// weighted-median points come from one pass over cohorts, since
+    /// every member shares its cohort's assignment, so the cost stays
+    /// O(cohorts) at any population. The one record builder:
+    /// [`DynamicsEngine::commit_plan`] hands it the committed state,
+    /// [`DynamicsEngine::verify_full_recompute`] a fresh full re-rank.
+    fn record(
+        &self,
+        states: &[UserState],
+        label: &str,
+        shifted: f64,
+        shifted_qpd: f64,
+        recomputed: u64,
+    ) -> EpochRecord {
+        let mut latency_pts = Vec::new();
+        let mut served_w = 0.0;
+        let mut path_sum = 0.0;
+        for (c, st) in self.cohorts.iter().zip(states) {
+            if st.site.is_some() {
+                served_w += c.weight;
+                path_sum += st.path_km * c.weight;
+                latency_pts.push((st.latency_ms, c.weight));
+            }
+        }
+        let median_ms = weighted_median(&mut latency_pts);
+        let frac = |w: f64| if self.total_weight > 0.0 { w / self.total_weight } else { 0.0 };
+        let shifted_frac = frac(shifted);
+        let convergence_ms = if shifted > 0.0 {
+            BASE_CONVERGENCE_MS + SHIFT_CONVERGENCE_MS * shifted_frac
+        } else {
+            0.0
+        };
+        EpochRecord {
             t_ms: self.clock.now().as_ms(),
-            label: label.to_string(),
+            event: label.to_string(),
             shifted,
-            shifted_qpd,
-            served_w,
-            path_sum,
-            latency_pts,
+            shifted_frac,
+            unserved_frac: (1.0 - frac(served_w)).max(0.0),
+            median_ms,
+            inflation_ms: match (median_ms, self.baseline_median_ms) {
+                (Some(m), Some(b)) => Some(m - b),
+                _ => None,
+            },
+            mean_path_km: (served_w > 0.0).then(|| path_sum / served_w),
+            convergence_ms,
+            degraded_queries: shifted_qpd * convergence_ms / MS_PER_DAY,
             recomputed,
-            reused,
-            total_weight: self.total_weight,
-            baseline_median_ms: self.baseline_median_ms,
+            reused: self.cols.len() as u64 - recomputed,
             headroom_frac: None,
             note: String::new(),
         }
@@ -2407,23 +2177,7 @@ impl<'g> DynamicsEngine<'g> {
                 ),
             });
         }
-        let (served_w, path_sum, latency_pts) = aggregates(&self.cohorts, &fresh);
-        let want = RecordSeed {
-            t_ms: last.t_ms,
-            label: String::new(),
-            shifted: 0.0,
-            shifted_qpd: 0.0,
-            served_w,
-            path_sum,
-            latency_pts,
-            recomputed: 0,
-            reused: 0,
-            total_weight: self.total_weight,
-            baseline_median_ms: self.baseline_median_ms,
-            headroom_frac: None,
-            note: String::new(),
-        }
-        .render();
+        let want = self.record(&fresh, "", 0.0, 0.0, 0);
         let bits = |x: Option<f64>| x.map(f64::to_bits);
         for (field, stored, recomputed) in [
             ("unserved_frac", Some(last.unserved_frac), Some(want.unserved_frac)),
@@ -2543,69 +2297,6 @@ mod tests {
         assert!(inc_rc < full_rc, "incremental {inc_rc} must beat full {full_rc}");
         // The flap moved somebody, both ways.
         assert!(ti.max_shifted_frac() > 0.0);
-    }
-
-    /// `run_pipelined` must render a byte-identical timeline to `run`
-    /// at every thread count: the deferred record is a pure function of
-    /// committed data, so overlapping its rendering with the next epoch
-    /// can change only wall-clock, never bytes.
-    #[test]
-    fn pipelined_timeline_is_byte_identical_to_serial() {
-        let (net, dep, users) = world(4);
-        let probe = engine(&net, &dep, &users, RecomputeMode::Incremental);
-        let target = hottest_site(&probe);
-        let scenario = Scenario::site_flap(
-            "pipeflap",
-            target,
-            SimTime::from_secs(60.0),
-            600_000.0,
-            3,
-            30_000.0,
-            7,
-        )
-        .ticks(SimTime::from_secs(45.0), 120_000.0, 20);
-        let mut serial = engine(&net, &dep, &users, RecomputeMode::Incremental);
-        let reference: Vec<Vec<String>> = serial.run(&scenario).rows();
-        for t in [1usize, 8] {
-            par::set_threads(t);
-            let mut piped = engine(&net, &dep, &users, RecomputeMode::Incremental);
-            let got = piped.run_pipelined(&scenario).rows();
-            par::set_threads(0);
-            assert_eq!(got, reference, "threads={t}");
-        }
-    }
-
-    /// Same identity with controller rounds attached — the multi-record
-    /// epoch path, where `epoch_core` returns earlier records already
-    /// rendered and defers only the last.
-    #[test]
-    fn pipelined_matches_serial_with_controller_rounds() {
-        let (net, dep, users) = world(4);
-        let total: f64 = users.iter().map(|u| u.weight).sum();
-        let build = |ctl: bool| {
-            let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental)
-                .with_capacities(SiteCapacities::uniform(dep.sites.len(), total * 0.45));
-            if ctl {
-                e = e.with_controller(Box::new(loadmgmt::HysteresisController::new(0.8)));
-            }
-            e
-        };
-        let target = hottest_site(&build(false));
-        let scenario = Scenario::site_flap(
-            "pipectl",
-            target,
-            SimTime::from_secs(30.0),
-            300_000.0,
-            2,
-            60_000.0,
-            5,
-        )
-        .ticks(SimTime::from_secs(20.0), 90_000.0, 12);
-        let reference = build(true).run(&scenario).rows();
-        par::set_threads(8);
-        let got = build(true).run_pipelined(&scenario).rows();
-        par::set_threads(0);
-        assert_eq!(got, reference);
     }
 
     /// A capacity dip moves no users (announcements are untouched) but
@@ -2998,30 +2689,34 @@ mod tests {
         );
     }
 
-    /// The public via-load accessors share one accumulator with the
-    /// drain plans and the controller observation; the partition
-    /// property itself is the doc test on
-    /// [`DynamicsEngine::global_via_loads`]. Here: the by-site batch
-    /// view matches the per-site accessor, lightest first.
+    /// The per-site entry sessions partition the global view: summed
+    /// per neighbor across sites they equal `transit_loads` (each
+    /// served cohort has exactly one serving site), and every site's
+    /// list is lightest first, ties by ASN.
     #[test]
-    fn via_loads_by_site_matches_the_public_accessors() {
+    fn entry_sessions_partition_transit_loads_lightest_first() {
         let (net, dep, users) = world(4);
         let e = engine(&net, &dep, &users, RecomputeMode::Incremental);
-        assert!(!e.global_via_loads().is_empty(), "somebody must enter through a neighbor");
-        let by_site = e.via_loads_by_site();
+        let global = e.transit_loads();
+        assert!(!global.is_empty(), "somebody must enter through a neighbor");
+        let by_site = e.entry_sessions();
         assert_eq!(by_site.len(), dep.sites.len());
+        let mut merged: DetHashMap<Asn, f64> = DetHashMap::default();
         for (i, sessions) in by_site.iter().enumerate() {
-            let single = e.site_via_loads(SiteId(i as u32));
-            assert_eq!(sessions.len(), single.len());
             for pair in sessions.windows(2) {
                 assert!(
-                    pair[0].1 <= pair[1].1,
-                    "sessions must be lightest first at site {i}"
+                    pair[0].1.total_cmp(&pair[1].1).then(pair[0].0.cmp(&pair[1].0)).is_lt(),
+                    "sessions must be lightest first at site {i}: {pair:?}"
                 );
             }
             for &(a, w) in sessions {
-                assert_eq!(single.get(&a), Some(&w));
+                *merged.entry(a).or_default() += w;
             }
+        }
+        assert_eq!(merged.len(), global.len());
+        for (a, w) in &global {
+            let m = merged.get(a).copied().unwrap_or(0.0);
+            assert!((m - w).abs() < 1e-9, "session {a} splits exactly across sites");
         }
     }
 
@@ -3296,15 +2991,15 @@ mod tests {
         e.run(&s);
         let ledger = e.load_ledger().clone();
         assert!(ledger.shed_users > 0.0, "the surge must trip the threshold");
-        // Withheld neighbors cannot appear in their shed site's
-        // via-load map while the withhold stands.
+        // Withheld neighbors cannot appear among their shed site's
+        // entry sessions while the withhold stands.
+        let sessions = e.entry_sessions();
         for (site, withheld) in e.ctrl_withheld.iter().enumerate() {
-            if withheld.is_empty() {
-                continue;
-            }
-            let vias = e.site_via_loads(SiteId(site as u32));
             for (asn, _) in withheld {
-                assert!(!vias.contains_key(asn), "withheld {asn:?} still lands on site {site}");
+                assert!(
+                    sessions[site].iter().all(|(a, _)| a != asn),
+                    "withheld {asn:?} still lands on site {site}"
+                );
             }
         }
     }

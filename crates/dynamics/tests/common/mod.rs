@@ -9,7 +9,7 @@
 
 use anycast_dynamics::{DynUser, SwapDeployment};
 use cdn::{Cdn, CdnConfig};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use topology::gen::Internet;
 use topology::{
     AnycastDeployment, AnycastSite, InternetGenerator, SiteId, SiteScope, TopologyConfig,

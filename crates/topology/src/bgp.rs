@@ -72,7 +72,7 @@ pub enum ExportScope {
     Global,
     /// NO_EXPORT-style announcement used for *local* anycast sites
     /// (§2.1: "local sites serve small geographic areas or certain ASes
-    /// [by] restricting the propagation of the anycast BGP announcement"):
+    /// \[by\] restricting the propagation of the anycast BGP announcement"):
     /// only the origin's direct neighbors learn the route.
     Local,
 }

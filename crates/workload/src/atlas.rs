@@ -3,7 +3,7 @@
 //! The paper leans on Atlas where its proprietary data can't be shared
 //! (ring latencies, Fig. 4a) or where it needs traceroutes (AS path
 //! lengths, Fig. 6) — while repeatedly cautioning that Atlas coverage
-//! "is not representative" [10]. The panel here reproduces both the
+//! "is not representative" \[10\]. The panel here reproduces both the
 //! utility and the bias: probes are drawn from ⟨region, AS⟩ locations
 //! with a strong skew toward Europe/North America and well-connected
 //! networks.

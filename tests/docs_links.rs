@@ -88,3 +88,22 @@ fn required_handbook_pages_exist_and_are_scanned() {
         );
     }
 }
+
+/// The timeline schema block in docs/DYNAMICS.md is the one place a
+/// reader learns what every `dyn*.csv` column is, so it must list
+/// exactly the columns `Timeline::header()` writes, in order.
+#[test]
+fn dynamics_timeline_schema_block_matches_the_csv_header() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/DYNAMICS.md");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let intro = "one row in the timeline CSV, whose schema is:";
+    let after = &text[text.find(intro).expect("DYNAMICS.md introduces the schema block")..];
+    let open = after.find("```\n").expect("the schema block opens") + 4;
+    let len = after[open..].find("```").expect("the schema block closes");
+    let documented: Vec<String> = after[open..open + len]
+        .split(',')
+        .map(|c| c.trim().to_string())
+        .collect();
+    assert_eq!(documented, dynamics::Timeline::header());
+}
