@@ -291,7 +291,7 @@ pub fn exttld(world: &World) -> Vec<Artifact> {
         &world.zone,
         world.config.seed ^ 0x71d,
     );
-    let events = generator.generate(days, &world.zone);
+    let events = generator.generate(days);
     let mut resolver = RecursiveResolver::new(
         ResolverConfig::default(),
         rtts,

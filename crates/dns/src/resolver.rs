@@ -203,13 +203,7 @@ impl CampaignStats {
 /// [`RecursiveResolver`], used by the rate-level DITL generator.
 pub fn letter_weights(rtts: &[(Letter, f64)], exploration: f64) -> Vec<(Letter, f64)> {
     assert!(!rtts.is_empty(), "no letters");
-    let best = rtts
-        .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("non-empty")
-        .0;
-    let inv: Vec<f64> = rtts.iter().map(|(_, r)| 1.0 / (r + 5.0)).collect();
-    let total: f64 = inv.iter().sum();
+    let (best, inv, total) = letter_policy(rtts);
     rtts.iter()
         .zip(&inv)
         .map(|((l, _), w)| {
@@ -217,6 +211,19 @@ pub fn letter_weights(rtts: &[(Letter, f64)], exploration: f64) -> Vec<(Letter, 
             (*l, exploit + exploration * w / total)
         })
         .collect()
+}
+
+/// The letter policy's inputs: the lowest-RTT letter, each letter's
+/// inverse-RTT exploration weight (in `rtts` order), and their sum.
+fn letter_policy(rtts: &[(Letter, f64)]) -> (Letter, Vec<f64>, f64) {
+    let best = rtts
+        .iter()
+        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .expect("letters non-empty")
+        .0;
+    let inv: Vec<f64> = rtts.iter().map(|(_, r)| 1.0 / (r + 5.0)).collect();
+    let total = inv.iter().sum();
+    (best, inv, total)
 }
 
 /// Long-run *root-visible* query rate of a user whose `queries_per_day`
@@ -285,12 +292,17 @@ pub struct RecursiveResolver {
     user_queries: u64,
     /// Stats: awaited root queries emitted.
     awaited_root_queries: u64,
+    /// [`letter_policy`] of the root RTTs, fixed at construction.
+    best_letter: Letter,
+    inv_rtts: Vec<f64>,
+    inv_rtt_total: f64,
     rng: StdRng,
 }
 
 impl RecursiveResolver {
     /// A fresh (cold-cache) resolver.
     pub fn new(config: ResolverConfig, rtts: UpstreamRtts, rng: StdRng) -> Self {
+        let (best_letter, inv_rtts, inv_rtt_total) = letter_policy(&rtts.root_rtt_ms);
         Self {
             config,
             rtts,
@@ -301,6 +313,9 @@ impl RecursiveResolver {
             answers: HashMap::new(),
             user_queries: 0,
             awaited_root_queries: 0,
+            best_letter,
+            inv_rtts,
+            inv_rtt_total,
             rng,
         }
     }
@@ -340,18 +355,20 @@ impl RecursiveResolver {
         let awaited_before = self.awaited_root_queries;
         let mut stats = CampaignStats::default();
         let mut sheet = obs::MetricSheet::new();
+        let mut upstream = Vec::new();
         for (t, q) in events {
-            let res = self.resolve(t, q, zone);
-            stats.latencies.push((res.user_latency_ms, 1.0));
-            stats.root_waits.push((res.root_wait_ms, 1.0));
-            sheet.record("resolver.user_latency_ms", res.user_latency_ms);
-            if res.root_wait_ms > 0.0 {
-                sheet.record("resolver.root_wait_ms", res.root_wait_ms);
+            upstream.clear();
+            let (latency, root_wait, cache_hit) = self.resolve_into(t, q, zone, &mut upstream);
+            stats.latencies.push((latency, 1.0));
+            stats.root_waits.push((root_wait, 1.0));
+            sheet.record("resolver.user_latency_ms", latency);
+            if root_wait > 0.0 {
+                sheet.record("resolver.root_wait_ms", root_wait);
             }
-            if res.cache_hit {
+            if cache_hit {
                 sheet.counter_add("resolver.cache_hits", 1);
             }
-            for ev in &res.events {
+            for ev in &upstream {
                 if let ResolverEvent::RootQuery { redundant, .. } = ev {
                     stats.root_queries += 1;
                     if *redundant {
@@ -381,34 +398,39 @@ impl RecursiveResolver {
     /// `1 - letter_exploration`, otherwise inverse-RTT-weighted across
     /// all letters.
     fn pick_letter(&mut self) -> Letter {
-        let best = self
-            .rtts
-            .root_rtt_ms
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("letters non-empty")
-            .0;
         if !self.rng.gen_bool(self.config.letter_exploration) {
-            return best;
+            return self.best_letter;
         }
-        let weights: Vec<f64> =
-            self.rtts.root_rtt_ms.iter().map(|(_, r)| 1.0 / (r + 5.0)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut x = self.rng.gen_range(0.0..total);
-        for ((l, _), w) in self.rtts.root_rtt_ms.iter().zip(&weights) {
+        let mut x = self.rng.gen_range(0.0..self.inv_rtt_total);
+        for ((l, _), w) in self.rtts.root_rtt_ms.iter().zip(&self.inv_rtts) {
             x -= w;
             if x <= 0.0 {
                 return *l;
             }
         }
-        best
+        self.best_letter
     }
 
     /// Resolves one user query arriving at `t` for `q` under a TLD
     /// resolved against `zone`.
     pub fn resolve(&mut self, t: SimTime, q: &QueryName, zone: &RootZone) -> Resolution {
-        self.user_queries += 1;
         let mut events = Vec::new();
+        let (user_latency_ms, root_wait_ms, cache_hit) =
+            self.resolve_into(t, q, zone, &mut events);
+        Resolution { user_latency_ms, root_wait_ms, cache_hit, events }
+    }
+
+    /// The body of [`Self::resolve`]: appends the upstream queries to
+    /// `events` and returns `(user latency ms, root wait ms, cache hit)`,
+    /// so a replay can reuse one event buffer across queries.
+    fn resolve_into(
+        &mut self,
+        t: SimTime,
+        q: &QueryName,
+        zone: &RootZone,
+        events: &mut Vec<ResolverEvent>,
+    ) -> (f64, f64, bool) {
+        self.user_queries += 1;
         let mut latency = 0.0;
         let mut root_wait = 0.0;
         let mut cache_hit = true;
@@ -419,12 +441,7 @@ impl RecursiveResolver {
                 // answered locally in sub-millisecond time.
                 if let Some(e) = self.answers.get(&q.fqdn) {
                     if e.expires >= t {
-                        return Resolution {
-                            user_latency_ms: 0.1,
-                            root_wait_ms: 0.0,
-                            cache_hit: true,
-                            events,
-                        };
+                        return (0.1, 0.0, true);
                     }
                 }
                 let tld_idx = zone
@@ -532,10 +549,14 @@ impl RecursiveResolver {
                 // (log-uniform over 1 min – 6 h; far below TLD TTLs).
                 let ttl_ms = 60_000.0 * (360.0f64).powf(self.rng.gen::<f64>());
                 let now = t.plus_ms(latency);
-                self.answers.insert(
-                    q.fqdn.clone(),
-                    CacheEntry { expires: now.plus_ms(ttl_ms), fetched: now },
-                );
+                let entry = CacheEntry { expires: now.plus_ms(ttl_ms), fetched: now };
+                // A refresh overwrites in place; only a new name is cloned.
+                match self.answers.get_mut(&q.fqdn) {
+                    Some(e) => *e = entry,
+                    None => {
+                        self.answers.insert(q.fqdn.clone(), entry);
+                    }
+                }
             }
             QueryClass::ChromiumProbe => {
                 // Random label: never cached, always one root round trip,
@@ -588,7 +609,7 @@ impl RecursiveResolver {
             }
         }
 
-        Resolution { user_latency_ms: latency, root_wait_ms: root_wait, cache_hit, events }
+        (latency, root_wait, cache_hit)
     }
 }
 
@@ -753,6 +774,61 @@ mod tests {
         assert!(f > 0.5, "fastest letter should dominate, got {f}");
         // But exploration still touches most letters.
         assert!(counts.len() >= 10, "only {} letters queried", counts.len());
+    }
+
+    /// The letter pick before the table: best letter, weights and total
+    /// recomputed per call.
+    fn reference_pick_letter(rtts: &[(Letter, f64)], exploration: f64, rng: &mut StdRng) -> Letter {
+        let best = rtts
+            .iter()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .expect("letters non-empty")
+            .0;
+        if !rng.gen_bool(exploration) {
+            return best;
+        }
+        let weights: Vec<f64> = rtts.iter().map(|(_, r)| 1.0 / (r + 5.0)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut x = rng.gen_range(0.0..total);
+        for ((l, _), w) in rtts.iter().zip(&weights) {
+            x -= w;
+            if x <= 0.0 {
+                return *l;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn table_letter_pick_matches_the_per_call_loop() {
+        let mut tied = UpstreamRtts::uniform(40.0, 1.0, 1.0);
+        tied.root_rtt_ms[7].1 = 12.0;
+        tied.root_rtt_ms[3].1 = 12.0;
+        let mut spread = UpstreamRtts::uniform(0.0, 1.0, 1.0);
+        for (i, (_, r)) in spread.root_rtt_ms.iter_mut().enumerate() {
+            *r = 290.0 - 23.0 * i as f64;
+        }
+        for (rtts, exploration) in [(tied, 0.6), (spread, 0.3)] {
+            let config = ResolverConfig { letter_exploration: exploration, ..Default::default() };
+            let mut r = RecursiveResolver::new(config, rtts.clone(), StdRng::seed_from_u64(5));
+            let mut reference = r.rng.clone();
+            for draw in 0..10_000 {
+                let want = reference_pick_letter(&rtts.root_rtt_ms, exploration, &mut reference);
+                assert_eq!(r.pick_letter(), want, "draw {draw}");
+            }
+        }
+    }
+
+    #[test]
+    fn refreshed_answer_replaces_the_expired_entry() {
+        let (mut r, zone) = mk(no_timeout());
+        let q = QueryName::valid_host("www.a", "com");
+        r.resolve(SimTime(0.0), &q, &zone);
+        // Past the longest answer TTL (6 h), inside the TLD TTL.
+        let refresh = r.resolve(SimTime::from_hours(7.0), &q, &zone);
+        assert!(!refresh.cache_hit);
+        let again = r.resolve(SimTime::from_hours(7.0).plus_ms(1.0), &q, &zone);
+        assert!(again.cache_hit, "the refresh must extend the cached answer");
     }
 
     #[test]
