@@ -29,7 +29,7 @@ use topology::{AnycastDeployment, Asn, SiteId};
 /// The user population as dynamics traffic sources. Query volume is the
 /// world's DITL total apportioned by user weight, so degraded-query
 /// accounting stays on the same scale as the capture campaigns.
-pub(super) fn dyn_users(world: &World) -> Vec<DynUser> {
+pub fn dyn_users(world: &World) -> Vec<DynUser> {
     let total_users = world.population.total_users();
     let total_qpd = world.ditl.total_queries_per_day();
     world
@@ -62,7 +62,7 @@ fn engine<'w>(world: &'w World, deployment: Arc<AnycastDeployment>) -> DynamicsE
 
 /// The root letter with the most global sites — the deployment where
 /// site-level churn has the richest catchment structure to disturb.
-pub(super) fn busiest_letter(world: &World) -> &dns::letters::RootLetter {
+pub fn busiest_letter(world: &World) -> &dns::letters::RootLetter {
     world
         .letters
         .letters
@@ -77,7 +77,7 @@ pub(super) fn busiest_letter(world: &World) -> &dns::letters::RootLetter {
 }
 
 /// The site carrying the most user weight (first one on ties).
-pub(super) fn hottest_site(eng: &DynamicsEngine<'_>) -> SiteId {
+pub fn hottest_site(eng: &DynamicsEngine<'_>) -> SiteId {
     let loads = eng.site_loads();
     let mut best = 0usize;
     for (i, l) in loads.iter().enumerate() {

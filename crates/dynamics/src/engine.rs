@@ -2602,6 +2602,20 @@ mod tests {
         let last = t.records.last().unwrap();
         assert_eq!(last.median_ms, init_median, "the drain ends where it began");
         assert_eq!(e.user_snapshot(), before);
+
+        // A binary drain (stages = 1) downs the site in one epoch: fewer
+        // records than the staged run, same generous capacity, no abort.
+        let s1 = Scenario::gradual_drain("gd1", target, SimTime::from_secs(10.0), 30_000.0, 1, 120_000.0);
+        let t1 = e.run(&s1);
+        assert!(
+            t1.records.len() < t.records.len(),
+            "a binary drain must emit fewer records ({} vs {})",
+            t1.records.len(),
+            t.records.len()
+        );
+        assert!(t1.records.iter().all(|r| !r.note.contains("abort")));
+        assert_eq!(t1.records.last().unwrap().median_ms, init_median);
+        assert_eq!(e.user_snapshot(), before);
     }
 
     #[test]

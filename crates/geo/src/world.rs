@@ -102,7 +102,7 @@ impl WorldMap {
     }
 
     /// Generates a world with region counts scaled by `scale` (at least one
-    /// region per continent). Tests and benches use `scale < 1` for speed;
+    /// region per continent). Tests use `scale < 1` for speed;
     /// the full reproduction uses `scale = 1.0` (508 regions).
     pub fn generate_scaled(seed: u64, scale: f64) -> Self {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");

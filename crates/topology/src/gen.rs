@@ -97,7 +97,7 @@ pub struct ContentAsSpec {
     /// Peer with every transit provider.
     pub peer_all_transit: bool,
     /// Probability of peering directly with each eyeball AS — the
-    /// "extensive peering" knob (§7.1). Ablation benches sweep this.
+    /// "extensive peering" knob (§7.1). The peering ablation test varies this.
     pub eyeball_peering_prob: f64,
     /// Probability of peering with each hoster AS.
     pub hoster_peering_prob: f64,

@@ -45,3 +45,16 @@ pub fn assert_artifacts_identical(single: &[(String, String)], other: &[(String,
         assert_eq!(s.1, e.1, "artifact {i}: text differs between 1 and 8 threads");
     }
 }
+
+/// The scale-0.2 world the population sweep, the replay floor and the
+/// letter-preference ablation share: seed 2021 with trimmed probe and
+/// sample counts, so one build stays well under a second.
+pub fn sweep_config() -> WorldConfig {
+    WorldConfig {
+        scale: 0.2,
+        atlas_probes: 150,
+        log_samples: 7,
+        client_samples: 5,
+        ..WorldConfig::paper(2021)
+    }
+}

@@ -1,10 +1,12 @@
 //! Cross-cutting guarantees: determinism (same seed ⇒ identical
-//! artifacts) and the §7.1 peering ablation (investment is what keeps
-//! CDN inflation low).
+//! artifacts) and the two single-knob ablations of DESIGN decision 8:
+//! §7.1's peering (investment is what keeps CDN inflation low) and
+//! §3's letter preference (it is what keeps All-Roots inflation low).
 
 mod common;
 
-use anycast_context::analysis::cdn_inflation;
+use anycast_context::analysis::{cdn_inflation, preprocess, root_inflation, FilterOptions};
+use anycast_context::workload::{DitlConfig, DitlDataset};
 use anycast_context::{experiments, World, WorldConfig};
 use proptest::prelude::*;
 
@@ -84,6 +86,34 @@ fn removing_peering_raises_cdn_inflation() {
         eng.geo.intercept(1.0)
     );
     assert!(abl.latency.mean() > eng.latency.mean());
+}
+
+/// The §3 mechanism check (DESIGN decision 8): the root DNS as a whole
+/// inflates less than its letters because recursives prefer nearby
+/// letters. Weakening that preference (more exploration) must raise
+/// the All-Roots geographic-inflation median at every step.
+#[test]
+fn letter_exploration_raises_all_roots_inflation() {
+    let world = World::build(&common::sweep_config());
+    let users = world.users_by_prefix();
+    let medians: Vec<f64> = [0.0, 0.3, 0.6, 1.0]
+        .into_iter()
+        .map(|letter_exploration| {
+            let ditl = DitlDataset::generate(
+                &world.internet,
+                &world.letters,
+                &world.population,
+                &world.model,
+                &DitlConfig { letter_exploration, ..DitlConfig::default() },
+            );
+            let clean = preprocess(&ditl, &FilterOptions::default());
+            root_inflation(&clean, &world.letters, &world.geolocator, &users).geo_all_roots.median()
+        })
+        .collect();
+    assert!(
+        medians.windows(2).all(|w| w[0] < w[1]),
+        "All-Roots inflation must rise strictly with exploration: {medians:?}"
+    );
 }
 
 #[test]

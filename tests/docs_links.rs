@@ -1,7 +1,8 @@
 //! Docs integrity: every relative markdown link in the repo's
-//! documentation resolves to a real file. Docs rot silently — a moved
-//! handbook or a renamed design doc breaks readers long before anyone
-//! notices — so CI runs this as its docs-integrity step.
+//! documentation resolves to a real file, and so does every repo path
+//! the docs cite in backticks. Docs rot silently — a moved handbook, a
+//! renamed design doc or a deleted crate breaks readers long before
+//! anyone notices — so CI runs this as its docs-integrity step.
 
 use std::path::{Path, PathBuf};
 
@@ -73,6 +74,64 @@ fn every_relative_doc_link_resolves() {
     }
     assert!(checked > 0, "no relative links found — the extractor is broken");
     assert!(broken.is_empty(), "broken relative doc links:\n  {}", broken.join("\n  "));
+}
+
+/// Roots of the repo paths the docs cite in backticks.
+const PATH_ROOTS: [&str; 6] = ["crates/", "results/", "docs/", "tests/", "perfbench/", "vendored/"];
+
+/// The first word of every inline code span in `text` (fenced blocks
+/// skipped) that starts with one of [`PATH_ROOTS`].
+fn cited_paths(text: &str) -> Vec<String> {
+    let mut prose = String::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    prose
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter_map(|span| span.split_whitespace().next())
+        .filter(|word| PATH_ROOTS.iter().any(|r| word.starts_with(r)))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Whether a cited path exists under `root`. For a glob such as
+/// `crates/*/tests/`, the directory above its first `*` must exist.
+fn cited_path_exists(root: &Path, path: &str) -> bool {
+    let literal = match path.find('*') {
+        Some(star) => &path[..path[..star].rfind('/').map_or(0, |slash| slash + 1)],
+        None => path,
+    };
+    root.join(literal).exists()
+}
+
+/// Every backticked repo path in the docs (`crates/…`, `results/…`,
+/// …) exists, so a deleted crate or artifact cannot stay cited.
+/// ROADMAP.md is left out: it names files that are planned, not built.
+#[test]
+fn every_backticked_repo_path_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    let mut checked = 0usize;
+    for file in doc_files().into_iter().filter(|f| !f.ends_with("ROADMAP.md")) {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        for path in cited_paths(&text) {
+            checked += 1;
+            if !cited_path_exists(root, &path) {
+                missing.push(format!("{} -> {path}", file.display()));
+            }
+        }
+    }
+    assert!(checked > 0, "no backticked repo paths found — the extractor is broken");
+    assert!(missing.is_empty(), "docs cite missing repo paths:\n  {}", missing.join("\n  "));
 }
 
 /// The handbook set is part of the repo's contract: auto-discovery
