@@ -46,6 +46,7 @@ fn main() {
                 scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|s: &f64| *s > 0.0 && *s <= 1.0)
                     .unwrap_or_else(|| die("--scale needs a float in (0,1]"))
             }
             "--threads" => {
@@ -126,16 +127,19 @@ fn main() {
     }
     par::set_threads(threads);
 
+    // Fail on an unusable `--out` before the world is built, not after.
+    if let Some(dir) = &out_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            die(&format!("cannot create --out directory {dir:?}: {e}"));
+        }
+    }
+
     let config = WorldConfig { seed, scale, year, dyn_population: population, ..WorldConfig::paper(seed) };
     // World::build opens the `world` span (and its stage children) on
     // this thread; it closes before the experiments fan out below, so no
     // span is open across the parallel region — the recorded span paths
     // are therefore identical at any thread count.
     let world = World::build(&config);
-
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-    }
 
     // Run the registry concurrently; results come back in id order, so
     // the streamed output below is identical to a sequential run. Each

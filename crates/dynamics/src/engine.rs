@@ -14,7 +14,7 @@
 //! whether the epoch could possibly have changed its BGP choice.
 //! Candidate cohorts come from the inverted group index, not a
 //! population scan; only challenged cohorts are re-ranked, and the
-//! result fans across the cohort's column slices. Everybody else
+//! result is stored once, in the cohort's state row. Everybody else
 //! reuses their stored assignment verbatim.
 //!
 //! # Why the reuse rule is sound
@@ -70,7 +70,7 @@
 //! swap remap soundness proof, and worked examples, lives in
 //! `docs/DYNAMICS.md`.
 
-use crate::columnar::{Cohort, GroupIndex, UserColumns, NO_ASN, NO_KEY, NO_SITE};
+use crate::columnar::{Cohort, GroupIndex};
 use crate::event::{EventQueue, RoutingEvent};
 use crate::scenario::Scenario;
 use crate::timeline::{weighted_median, EpochRecord, Timeline};
@@ -120,10 +120,9 @@ pub struct DynUser {
 }
 
 /// A cohort's current assignment, in *original* deployment site ids —
-/// the rank-result type the re-rank step produces before fanning it
-/// across the cohort's column slices (every member of an expansion
-/// cohort shares one `(source AS, location)` pair and therefore one
-/// assignment).
+/// the rank-result type the re-rank step produces and the engine
+/// stores once per cohort (every member of an expansion cohort shares
+/// one `(source AS, location)` pair and therefore one assignment).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct UserState {
     site: Option<SiteId>,
@@ -298,23 +297,20 @@ pub struct DynamicsEngine<'g> {
     model: LatencyModel,
     mode: RecomputeMode,
     /// Expansion cohorts in user-id order: cohort `c` owns the
-    /// contiguous user-id range `cohorts[c].range()` of the columns.
+    /// contiguous user-id range `cohorts[c].range()`, and its `weight`
+    /// and `queries_per_day` are the live per-cohort demand.
     cohorts: Vec<Cohort>,
-    /// Struct-of-arrays per-user state (see [`UserColumns`]).
-    cols: UserColumns,
-    /// The authoritative per-cohort state: cohort `c`'s members all
-    /// hold exactly `states[c]` fanned out. Every hot path
-    /// (invalidation, apply, aggregates, load accumulation) reads and
-    /// compares this contiguous table; the per-user columns are a view
-    /// materialized from it on demand.
+    /// Query volume per user per day, indexed by user id — the only
+    /// per-user data the engine keeps, because replay draws each
+    /// member's query count from it. Lags pending `demand_mult`
+    /// factors until [`DynamicsEngine::queries_per_day`] folds them.
+    queries_per_day: Vec<f64>,
+    /// The assignment, one row per cohort: every member of cohort `c`
+    /// is served exactly as `states[c]` says. This table is the only
+    /// copy; invalidation, apply, aggregates, load accumulation and
+    /// the oracle all read and compare it, so an epoch's cost scales
+    /// with cohorts, never with the expanded population.
     states: Vec<UserState>,
-    /// Cohort ids whose column rows lag `states`: the epoch apply
-    /// pushes a mark here instead of fanning values across member
-    /// slices inline, and [`DynamicsEngine::columns`] drains the
-    /// marks. A million-user flap therefore marks a few dozen cohorts
-    /// and writes nothing per-user until a bulk consumer actually asks
-    /// for the columnar view. May hold duplicates between syncs.
-    stale: Vec<u32>,
     /// Inverted index `(host, scope) → cohort ids` over the *stored*
     /// winning keys, maintained incrementally so epoch invalidation is
     /// slice iteration, not a full-population scan.
@@ -363,10 +359,10 @@ pub struct DynamicsEngine<'g> {
     /// withheld (the release-projection estimate).
     ctrl_withheld: Vec<Vec<(Asn, f64)>>,
     /// Per-cohort demand multipliers not yet folded into the per-user
-    /// weight/query columns — the lazy columnar sync for
+    /// `queries_per_day` — the lazy half of
     /// [`RoutingEvent::DemandScale`], drained by
-    /// [`DynamicsEngine::columns`] so a surge epoch costs O(cohorts),
-    /// not O(population).
+    /// [`DynamicsEngine::queries_per_day`] so a surge epoch costs
+    /// O(cohorts), not O(population).
     demand_mult: Vec<f64>,
     /// The `dynamics.load.*` ledger accumulators.
     load_ledger: LoadLedger,
@@ -608,35 +604,34 @@ impl<'g> DynamicsEngine<'g> {
         assert_eq!(base.len(), counts.len(), "one expansion count per source");
         let n_sites = deployment.sites.len();
         let population: usize = counts.iter().map(|&c| c as usize).sum();
-        let mut weight = Vec::with_capacity(population);
         let mut qpd = Vec::with_capacity(population);
         let mut cohorts = Vec::with_capacity(base.len());
         for (u, &k) in base.iter().zip(counts) {
             assert!(k >= 1, "every source expands to at least one user");
-            let start = weight.len() as u32;
+            let start = qpd.len() as u32;
+            let share_w = u.weight / k as f64;
             if k == 1 {
-                weight.push(u.weight);
                 qpd.push(u.queries_per_day);
             } else {
-                let share_w = u.weight / k as f64;
                 let share_q = u.queries_per_day / k as f64;
                 for _ in 0..k {
-                    let r = (par::seed_for(seed, weight.len() as u64) >> 11) as f64
-                        / (1u64 << 53) as f64;
-                    weight.push(share_w);
+                    let r =
+                        (par::seed_for(seed, qpd.len() as u64) >> 11) as f64 / (1u64 << 53) as f64;
                     qpd.push(share_q * (0.75 + 0.5 * r));
                 }
             }
-            // Member-order sums, so the cohort totals are deterministic
-            // (and exactly the source values in the count-1 case).
-            let range = start as usize..weight.len();
+            // Member-order sums (the weight one sums the k equal shares,
+            // not `share_w * k`, whose bits can differ), so the cohort
+            // totals are deterministic and exactly the source values in
+            // the count-1 case.
+            let range = start as usize..qpd.len();
             cohorts.push(Cohort {
                 asn: u.asn,
                 src_idx: graph.idx(u.asn) as u32,
                 location: u.location,
                 start,
-                end: weight.len() as u32,
-                weight: weight[range.clone()].iter().sum(),
+                end: qpd.len() as u32,
+                weight: std::iter::repeat_n(share_w, k as usize).sum(),
                 queries_per_day: qpd[range].iter().sum(),
             });
         }
@@ -648,9 +643,8 @@ impl<'g> DynamicsEngine<'g> {
             model,
             mode,
             cohorts,
-            cols: UserColumns::with_users(weight, qpd),
+            queries_per_day: qpd,
             states: vec![UNSERVED; n_cohorts],
-            stale: Vec::new(),
             index: GroupIndex::all_unkeyed(n_cohorts),
             orphans: Vec::new(),
             slice_users_total: 0,
@@ -681,70 +675,22 @@ impl<'g> DynamicsEngine<'g> {
         eng
     }
 
-    /// Fans one cohort's state across its column slices, eliding every
-    /// column whose stored value already matches (members are uniform,
-    /// so the first row decides for the slice). Runs only when the
-    /// columnar view is materialized, never on the epoch path.
-    fn write_cohort(cols: &mut UserColumns, range: std::ops::Range<usize>, st: &UserState) {
-        let start = range.start;
-        macro_rules! fill {
-            ($col:ident, $val:expr) => {{
-                let v = $val;
-                if cols.$col[start] != v {
-                    cols.$col[range.clone()].fill(v);
-                }
-            }};
-        }
-        fill!(site, st.site.map_or(NO_SITE, |s| s.0));
-        fill!(via, st.via.map_or(NO_ASN, |a| a.0));
-        match st.key {
-            Some(k) => {
-                fill!(key_class, k.class.code());
-                fill!(key_path_len, k.path_len);
-                fill!(key_exit_km, k.exit_km);
-                fill!(key_host, k.host.0);
-                fill!(key_scope, k.scope.code());
-            }
-            None => {
-                fill!(key_class, NO_KEY);
-                fill!(key_path_len, 0);
-                fill!(key_exit_km, 0.0);
-                fill!(key_host, 0);
-                fill!(key_scope, 0);
-            }
-        }
-    }
-
-    /// The materialized columnar view of the population: every stale
-    /// cohort's state is fanned across its member slices (per field,
-    /// skipping columns that already match) before the columns are
-    /// returned. Bulk consumers pay for the fan-out exactly when they
-    /// ask for it; the epoch loop itself never writes a per-user row,
-    /// which is what keeps epoch cost independent of population.
-    pub fn columns(&mut self) -> &UserColumns {
-        let mut stale = std::mem::take(&mut self.stale);
-        stale.sort_unstable();
-        stale.dedup();
-        for ci in stale {
-            let cohort = self.cohorts[ci as usize];
-            Self::write_cohort(&mut self.cols, cohort.range(), &self.states[ci as usize]);
-        }
-        // Fold pending demand multipliers into the weight and query
-        // columns (the `DemandScale` half of the lazy sync).
+    /// Query volume per user per day, indexed by user id, with every
+    /// pending [`RoutingEvent::DemandScale`] factor folded in first
+    /// (cohort order, then member order). A surge epoch only scales
+    /// the cohort rows; readers of per-user demand pay the O(members)
+    /// fold here, exactly when they ask for it.
+    pub fn queries_per_day(&mut self) -> &[f64] {
         for ci in 0..self.demand_mult.len() {
             let m = self.demand_mult[ci];
             if m != 1.0 {
-                let range = self.cohorts[ci].range();
-                for w in &mut self.cols.weight[range.clone()] {
-                    *w *= m;
-                }
-                for q in &mut self.cols.queries_per_day[range] {
+                for q in &mut self.queries_per_day[self.cohorts[ci].range()] {
                     *q *= m;
                 }
                 self.demand_mult[ci] = 1.0;
             }
         }
-        &self.cols
+        &self.queries_per_day
     }
 
     /// Attaches per-site load limits, turning every drain stage into a
@@ -888,7 +834,7 @@ impl<'g> DynamicsEngine<'g> {
     /// rollback oracle of the drain-abort tests: an aborted drain must
     /// leave this byte-identical to the pre-drain snapshot.
     pub fn user_snapshot(&self) -> Vec<(Option<SiteId>, f64, f64)> {
-        let mut out = Vec::with_capacity(self.cols.len());
+        let mut out = Vec::with_capacity(self.queries_per_day.len());
         for (c, st) in self.cohorts.iter().zip(&self.states) {
             for _ in c.range() {
                 out.push((st.site, st.latency_ms, st.path_km));
@@ -901,7 +847,7 @@ impl<'g> DynamicsEngine<'g> {
     /// range plus the shared site and RTT — as one owned vector.
     /// O(cohorts) regardless of the expanded population, and borrow-free,
     /// so streaming consumers can snapshot it before taking the
-    /// [`DynamicsEngine::columns`] borrow for per-user demand.
+    /// [`DynamicsEngine::queries_per_day`] borrow for per-user demand.
     pub fn serving_cohorts(&self) -> Vec<ServingCohort> {
         self.cohorts
             .iter()
@@ -917,7 +863,7 @@ impl<'g> DynamicsEngine<'g> {
 
     /// Expanded population size (number of per-user rows).
     pub fn population(&self) -> usize {
-        self.cols.len()
+        self.queries_per_day.len()
     }
 
     /// Number of expansion cohorts (distinct weighted sources).
@@ -1059,9 +1005,7 @@ impl<'g> DynamicsEngine<'g> {
         let BatchOutcome { labels, mut notes, escalated, followups } = self.apply_batch(batch);
         let label = labels.join(" + ");
         // Snapshot the assignment state only when an abort is
-        // possible. The per-user columns are not part of it: they are
-        // a lazy view of `states`, and the stale marks accumulated by
-        // the aborted recompute simply re-sync on the next access.
+        // possible.
         let snap = (!escalated.is_empty() && self.capacities.is_some()).then(|| {
             (
                 self.states.clone(),
@@ -1323,10 +1267,10 @@ impl<'g> DynamicsEngine<'g> {
 
         // Demand changes first: they move no announcements (the
         // routing precedence below is untouched), only cohort weights
-        // and query volumes. The per-user columns sync lazily through
-        // `demand_mult`, so a million-user surge writes O(cohorts)
-        // here and O(members) only when the columnar view is next
-        // materialized.
+        // and query volumes. Per-user query volumes follow lazily
+        // through `demand_mult`, so a million-user surge writes
+        // O(cohorts) here and O(members) only when
+        // `queries_per_day` is next read.
         for &(center, radius_km, factor) in &surges {
             let mut hit = 0u64;
             let mut delta = 0.0;
@@ -1588,8 +1532,7 @@ impl<'g> DynamicsEngine<'g> {
         // site in place; a cohort whose site left the deployment keeps
         // its stored key with the site cleared — the rule-0 orphan
         // marker — and joins the orphan set the next recompute
-        // re-ranks unconditionally. Both shapes go stale for the lazy
-        // column sync.
+        // re-ranks unconditionally.
         let mut rekeyed = 0u64;
         for (c, cohort) in self.cohorts.iter().enumerate() {
             let Some(s) = self.states[c].site else {
@@ -1598,12 +1541,10 @@ impl<'g> DynamicsEngine<'g> {
             match fwd[s.0 as usize] {
                 Some(ns) => {
                     self.states[c].site = Some(ns);
-                    self.stale.push(c as u32);
                     rekeyed += u64::from(cohort.len());
                 }
                 None => {
                     self.states[c].site = None;
-                    self.stale.push(c as u32);
                     // `reassign` cleared `orphans` last epoch and one
                     // swap applies per epoch, so a plain push keeps the
                     // set sorted and duplicate-free.
@@ -1806,7 +1747,7 @@ impl<'g> DynamicsEngine<'g> {
     /// rules 0–3). Mutates only the route cache; every assignment
     /// write waits for [`DynamicsEngine::commit_plan`].
     fn plan_reassign(&mut self, is_init: bool) -> ReassignPlan<'g> {
-        let population = self.cols.len();
+        let population = self.queries_per_day.len();
         // New catchment over whatever is still announced.
         let (catchment, dense_to_orig) = match self.effective_deployment() {
             Some((dep, orig)) => {
@@ -1935,7 +1876,7 @@ impl<'g> DynamicsEngine<'g> {
                     continue;
                 }
                 for &c in members {
-                    // A swap-orphaned cohort keeps its key columns, so
+                    // A swap-orphaned cohort keeps its stored key, so
                     // it still sits in this slice; rule 0 already
                     // collected (and counted) it.
                     if self.orphans.binary_search(&c).is_ok() {
@@ -2035,9 +1976,8 @@ impl<'g> DynamicsEngine<'g> {
     }
 
     /// Phase 3 of a recompute: store each rank result in the per-cohort
-    /// state table, mark changed cohorts stale for the lazy column
-    /// sync, re-home each cohort in the group index, adopt the new
-    /// group snapshot, emit the recompute counters, and build the
+    /// state table, re-home each cohort in the group index, adopt the
+    /// new group snapshot, emit the recompute counters, and build the
     /// epoch's record from the committed state.
     fn commit_plan(
         &mut self,
@@ -2047,7 +1987,7 @@ impl<'g> DynamicsEngine<'g> {
         is_init: bool,
     ) -> EpochRecord {
         let ReassignPlan { new_groups, affected, slice_users, .. } = plan;
-        let population = self.cols.len();
+        let population = self.queries_per_day.len();
         let mut shifted = 0.0;
         let mut shifted_qpd = 0.0;
         for (&ci, &res) in affected.iter().zip(results) {
@@ -2057,9 +1997,6 @@ impl<'g> DynamicsEngine<'g> {
             if !is_init && new.site != old.site {
                 shifted += cohort.weight;
                 shifted_qpd += cohort.queries_per_day;
-            }
-            if new != old {
-                self.stale.push(ci);
             }
             self.index.move_cohort(ci, old.key.map(|k| k.group()), new.key.map(|k| k.group()));
             self.states[ci as usize] = new;
@@ -2135,7 +2072,7 @@ impl<'g> DynamicsEngine<'g> {
             convergence_ms,
             degraded_queries: shifted_qpd * convergence_ms / MS_PER_DAY,
             recomputed,
-            reused: self.cols.len() as u64 - recomputed,
+            reused: self.queries_per_day.len() as u64 - recomputed,
             headroom_frac: None,
             note: String::new(),
         }
@@ -2786,50 +2723,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_materialize_exactly_the_cohort_states() {
-        let (net, dep, users) = world(4);
-        let counts = crate::columnar::expand_counts(
-            &users.iter().map(|u| u.weight).collect::<Vec<_>>(),
-            10 * users.len(),
-            42,
-        );
-        let mut e = DynamicsEngine::new_expanded(
-            &net.graph,
-            Arc::clone(&dep),
-            LatencyModel::default(),
-            &users,
-            &counts,
-            42,
-            RecomputeMode::Incremental,
-        );
-        let target = hottest_site(&e);
-        let scenario =
-            Scenario::site_flap("flap", target, SimTime::from_secs(60.0), 600_000.0, 2, 0.0, 7);
-        e.run(&scenario);
-        assert!(!e.stale.is_empty(), "the flap must have marked cohorts stale");
-        let states = e.states.clone();
-        let cohorts = e.cohorts.clone();
-        let cols = e.columns();
-        for (c, st) in cohorts.iter().zip(&states) {
-            for i in c.range() {
-                assert_eq!(cols.site[i], st.site.map_or(NO_SITE, |s| s.0), "site row {i}");
-                assert_eq!(cols.via[i], st.via.map_or(NO_ASN, |a| a.0), "via row {i}");
-                match st.key {
-                    Some(k) => {
-                        assert_eq!(cols.key_class[i], k.class.code(), "class row {i}");
-                        assert_eq!(cols.key_path_len[i], k.path_len, "path_len row {i}");
-                        assert_eq!(cols.key_exit_km[i], k.exit_km, "exit_km row {i}");
-                        assert_eq!(cols.key_host[i], k.host.0, "host row {i}");
-                        assert_eq!(cols.key_scope[i], k.scope.code(), "scope row {i}");
-                    }
-                    None => assert_eq!(cols.key_class[i], NO_KEY, "class row {i}"),
-                }
-            }
-        }
-        assert!(e.stale.is_empty(), "the sync drains every mark");
-    }
-
-    #[test]
     fn site_failure_mid_drain_aborts_it_and_stale_stages_are_ignored() {
         let (net, dep, users) = world(4);
         let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental);
@@ -2864,13 +2757,13 @@ mod tests {
 
     /// A demand surge scales cohort weights lazily: the epoch touches
     /// only cohorts, ticks recompute nobody, and the reciprocal scale
-    /// restores both the scalar totals and the materialized columns.
+    /// restores both the scalar totals and the per-user query volumes.
     #[test]
     fn demand_scale_is_lazy_and_the_reciprocal_restores_it() {
         let (net, dep, users) = world(4);
         let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental);
         let w0 = e.total_weight;
-        let cols_w0: f64 = e.columns().weight.iter().sum();
+        let q0: f64 = e.queries_per_day().iter().sum();
         let s = crowd(&e, 2.0);
         let t = e.run(&s);
         for r in &t.records {
@@ -2887,8 +2780,58 @@ mod tests {
         assert!(t.records.iter().any(|r| r.event.starts_with("surge x0.50")));
         assert!((e.total_weight - w0).abs() < 1e-6 * w0, "reciprocal restores total weight");
         assert!(e.demand_mult.iter().all(|m| (m - 1.0).abs() < 1e-9 || *m != 1.0));
-        let cols_w1: f64 = e.columns().weight.iter().sum();
-        assert!((cols_w1 - cols_w0).abs() < 1e-6 * cols_w0, "columns fold the multipliers back");
+        let q1: f64 = e.queries_per_day().iter().sum();
+        assert!((q1 - q0).abs() < 1e-6 * q0, "the fold restores per-user query volumes");
+        assert!(e.demand_mult.iter().all(|&m| m == 1.0), "the fold drains every multiplier");
+    }
+
+    /// On an expanded engine, a ×2 surge reaches per-user query volumes
+    /// only through the fold, and reaches them exactly: ×2 is exact in
+    /// f64, so every member of a cohort inside the radius reads twice
+    /// its pre-surge value and every member outside keeps its bits.
+    #[test]
+    fn demand_fold_doubles_exactly_the_members_inside_the_radius() {
+        let (net, dep, users) = world(4);
+        let counts = crate::columnar::expand_counts(
+            &users.iter().map(|u| u.weight).collect::<Vec<_>>(),
+            10 * users.len(),
+            42,
+        );
+        let mut e = DynamicsEngine::new_expanded(
+            &net.graph,
+            Arc::clone(&dep),
+            LatencyModel::default(),
+            &users,
+            &counts,
+            42,
+            RecomputeMode::Incremental,
+        );
+        let hot = hottest_site(&e);
+        let center = e.base.sites[hot.0 as usize].location;
+        let radius_km = 3_000.0;
+        let s = Scenario::new("surge").at(
+            SimTime::from_secs(10.0),
+            RoutingEvent::DemandScale { center, radius_km, factor: 2.0 },
+        );
+        let before = e.queries_per_day().to_vec();
+        let mut stepper = EpochStepper::new(&e, &s);
+        assert!(stepper.step(&mut e), "the surge epoch applies");
+        assert!(e.demand_mult.contains(&2.0), "the epoch only marks cohorts");
+        let cohorts = e.cohorts.clone();
+        let after = e.queries_per_day().to_vec();
+        let inside = |c: &Cohort| c.location.distance_km(&center) <= radius_km;
+        assert!(cohorts.iter().any(|c| inside(c) && c.len() > 1), "a surged cohort has members");
+        assert!(cohorts.iter().any(|c| !inside(c)), "some cohort sits outside the radius");
+        for c in &cohorts {
+            for i in c.range() {
+                if inside(c) {
+                    assert_eq!(after[i], 2.0 * before[i], "member {i} inside the radius");
+                } else {
+                    assert_eq!(after[i].to_bits(), before[i].to_bits(), "member {i} outside");
+                }
+            }
+        }
+        assert!(e.demand_mult.iter().all(|&m| m == 1.0), "the fold drains every multiplier");
     }
 
     /// The surge itself must grow demand while it holds.

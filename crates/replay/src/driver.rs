@@ -12,7 +12,7 @@
 //! `DynamicsEngine::run` would report.
 
 use crate::schedule::{QuerySchedule, ReplayConfig};
-use dynamics::{DynamicsEngine, EpochStepper, Scenario, ServingCohort, Timeline, UserColumns};
+use dynamics::{DynamicsEngine, EpochStepper, Scenario, ServingCohort, Timeline};
 use obs::MetricSheet;
 
 /// Per-window serving statistics, in window order.
@@ -112,18 +112,19 @@ pub fn replay(
 
 /// Serves one window against the engine's current catchment: cohort
 /// shards fan out over `par::ordered_map`, each drawing its members'
-/// query counts from the live columns and paying the cohort's current
-/// RTT, with per-shard sheets merged in shard order.
+/// query counts from the engine's live per-user query volumes
+/// ([`DynamicsEngine::queries_per_day`]) and paying the cohort's
+/// current RTT, with per-shard sheets merged in shard order.
 fn serve_window(
     eng: &mut DynamicsEngine<'_>,
     schedule: &QuerySchedule,
     cfg: &ReplayConfig,
     window: u64,
 ) -> WindowStats {
-    // Snapshot the O(cohorts) serving state first: `columns` holds a
-    // mutable borrow of the engine for the rest of the window.
+    // Snapshot the O(cohorts) serving state first: `queries_per_day`
+    // holds a mutable borrow of the engine for the rest of the window.
     let cohorts = eng.serving_cohorts();
-    let cols: &UserColumns = eng.columns();
+    let queries_per_day = eng.queries_per_day();
     let per = cohorts.len().div_ceil(par::threads().max(1)).max(1);
     let shards: Vec<&[ServingCohort]> = cohorts.chunks(per).collect();
     let sharded = par::ordered_map(&shards, |_, shard| {
@@ -131,7 +132,7 @@ fn serve_window(
         let mut points: Vec<(f64, u64)> = Vec::new();
         let (mut dns_q, mut cdn_q, mut served, mut degraded) = (0u64, 0u64, 0u64, 0u64);
         for c in *shard {
-            let qpd = &cols.queries_per_day[c.start as usize..c.end as usize];
+            let qpd = &queries_per_day[c.start as usize..c.end as usize];
             let (dns, cdn) = schedule.window_counts(window, c.start, qpd);
             let total = dns + cdn;
             if total == 0 {

@@ -4,8 +4,8 @@
 //! The batch pipeline asks "where would these users land?"; this crate
 //! asks the operational question the paper's two systems disagree on:
 //! "what do the queries actually experience while routing churns?"
-//! Each replay window draws per-user query counts from the columnar
-//! cohort table ([`QuerySchedule`]), resolves them against the
+//! Each replay window draws per-user query counts from the engine's
+//! per-user query volumes ([`QuerySchedule`]), resolves them against the
 //! *current* catchment, pays the *current* anycast RTT, and feeds the
 //! served load back into whatever `loadmgmt` controller the engine
 //! carries — so a flash crowd sheds, a flap degrades, and the replayed

@@ -6,10 +6,11 @@
 //! stochastically rounds it with one `par::seed_for(seed, w·N + u)`
 //! draw — `floor(expected + u01)` — so the count is a pure function of
 //! `(seed, window, user, current qpd)`. Demand surges fold in for free:
-//! `qpd` is read from the engine's live columns each window, so a
-//! `DemandScale` event doubles next window's draw without any schedule
-//! state. That statelessness is what makes replay shardable: any
-//! thread can serve any cohort slice of any window independently.
+//! `qpd` is read from the engine's live per-user query volumes each
+//! window, so a `DemandScale` event doubles next window's draw without
+//! any schedule state. That statelessness is what makes replay
+//! shardable: any thread can serve any cohort slice of any window
+//! independently.
 
 /// Milliseconds in a day — the denominator turning a per-day query
 /// volume into a per-window expectation.
@@ -143,9 +144,9 @@ impl QuerySchedule {
 
     /// Batched counts for one cohort's member range — the replay hot
     /// path. `queries_per_day` is the cohort's slice of the engine's
-    /// live columns starting at user id `start`; returns the cohort's
-    /// `(dns, cdn)` query totals for the window. Iterates matched
-    /// slices so the per-user cost is one `seed_for` plus a few
+    /// live per-user query volumes starting at user id `start`; returns
+    /// the cohort's `(dns, cdn)` query totals for the window. Iterates
+    /// matched slices so the per-user cost is one `seed_for` plus a few
     /// multiplies.
     #[inline]
     pub fn window_counts(&self, window: u64, start: u32, queries_per_day: &[f64]) -> (u64, u64) {

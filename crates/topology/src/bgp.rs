@@ -39,32 +39,6 @@ pub enum RouteClass {
     Origin,
 }
 
-impl RouteClass {
-    /// Dense `u8` code of this class for columnar storage. Codes are
-    /// assigned in `Ord` order (worst route = smallest code), so
-    /// comparing codes is equivalent to comparing classes.
-    pub const fn code(self) -> u8 {
-        match self {
-            RouteClass::Provider => 0,
-            RouteClass::Peer => 1,
-            RouteClass::Customer => 2,
-            RouteClass::Origin => 3,
-        }
-    }
-
-    /// Inverse of [`RouteClass::code`]; `None` for unknown codes
-    /// (columnar layers use an out-of-range sentinel for "no route").
-    pub const fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(RouteClass::Provider),
-            1 => Some(RouteClass::Peer),
-            2 => Some(RouteClass::Customer),
-            3 => Some(RouteClass::Origin),
-            _ => None,
-        }
-    }
-}
-
 /// How far an announcement is allowed to propagate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExportScope {
@@ -75,25 +49,6 @@ pub enum ExportScope {
     /// \[by\] restricting the propagation of the anycast BGP announcement"):
     /// only the origin's direct neighbors learn the route.
     Local,
-}
-
-impl ExportScope {
-    /// Dense `u8` code of this scope for columnar storage.
-    pub const fn code(self) -> u8 {
-        match self {
-            ExportScope::Global => 0,
-            ExportScope::Local => 1,
-        }
-    }
-
-    /// Inverse of [`ExportScope::code`]; `None` for unknown codes.
-    pub const fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(ExportScope::Global),
-            1 => Some(ExportScope::Local),
-            _ => None,
-        }
-    }
 }
 
 /// One equally-best first hop of a node's selected route.
@@ -609,28 +564,5 @@ mod tests {
         assert!(RouteClass::Origin > RouteClass::Customer);
         assert!(RouteClass::Customer > RouteClass::Peer);
         assert!(RouteClass::Peer > RouteClass::Provider);
-    }
-
-    #[test]
-    fn columnar_codes_round_trip_and_preserve_order() {
-        let classes =
-            [RouteClass::Provider, RouteClass::Peer, RouteClass::Customer, RouteClass::Origin];
-        for c in classes {
-            assert_eq!(RouteClass::from_code(c.code()), Some(c));
-        }
-        // Codes compare like classes, so columnar layers may compare
-        // raw codes without decoding.
-        for a in classes {
-            for b in classes {
-                assert_eq!(a.code().cmp(&b.code()), a.cmp(&b));
-            }
-        }
-        assert_eq!(RouteClass::from_code(4), None);
-        assert_eq!(RouteClass::from_code(u8::MAX), None);
-        for s in [ExportScope::Global, ExportScope::Local] {
-            assert_eq!(ExportScope::from_code(s.code()), Some(s));
-        }
-        assert_eq!(ExportScope::from_code(2), None);
-        assert_eq!(ExportScope::from_code(u8::MAX), None);
     }
 }
