@@ -43,13 +43,6 @@ pub struct AttackSpec {
     pub sources: Vec<TrafficSource>,
 }
 
-impl AttackSpec {
-    /// Total attack volume.
-    pub fn total_volume(&self) -> f64 {
-        self.sources.iter().map(|s| s.load).sum()
-    }
-}
-
 /// Per-site load limits of one deployment — the capacity side of every
 /// load-coupled simulation in the repo (DDoS cascades here, load-aware
 /// drains in `dynamics`).

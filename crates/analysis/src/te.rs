@@ -29,13 +29,6 @@ pub struct TeResult {
     pub evaluations: usize,
 }
 
-impl TeResult {
-    /// Mean improvement, ms (positive = better).
-    pub fn mean_improvement_ms(&self) -> f64 {
-        self.before.mean() - self.after.mean()
-    }
-}
-
 /// User-weighted latency of a deployment variant.
 fn evaluate(
     graph: &AsGraph,

@@ -72,11 +72,6 @@ impl WorldConfig {
             .unwrap_or_else(|| ((1_000_000.0 * self.scale).round() as usize).max(1))
     }
 
-    /// Medium configuration for the repro binary's default run.
-    pub fn medium(seed: u64) -> Self {
-        Self { scale: 0.5, atlas_probes: 400, ..Self::paper(seed) }
-    }
-
     /// Small configuration for tests.
     pub fn small(seed: u64) -> Self {
         Self {

@@ -27,9 +27,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use topology::gen::{ContentAsSpec, Internet};
 use std::sync::Arc;
-use topology::{
-    AnycastDeployment, AnycastSite, AsKind, Catchment, RouteCache, SiteId, SiteScope,
-};
+use topology::{AnycastDeployment, AnycastSite, Catchment, RouteCache, SiteId, SiteScope};
 
 /// One TLD operator platform: an anycast deployment serving a set of
 /// TLD indices.
@@ -229,16 +227,10 @@ impl DnsHierarchy {
     }
 }
 
-/// Marker so the module reads self-contained in docs: TLD platform hosts
-/// are Content (com), Transit (ccTLD), or Hoster (tail) ASes.
-pub fn expected_host_kinds() -> [AsKind; 3] {
-    [AsKind::Content, AsKind::Transit, AsKind::Hoster]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topology::{InternetGenerator, TopologyConfig};
+    use topology::{AsKind, InternetGenerator, TopologyConfig};
 
     fn build() -> (Internet, RootZone, DnsHierarchy) {
         let mut net = InternetGenerator::generate(&TopologyConfig::small(131));

@@ -79,11 +79,6 @@ impl<T> Capture<T> {
     pub fn daily_rate(&self) -> f64 {
         self.records.len() as f64 / self.window_hours() * 24.0
     }
-
-    /// Splits out the records, consuming the capture.
-    pub fn into_records(self) -> Vec<(SimTime, T)> {
-        self.records
-    }
 }
 
 #[cfg(test)]

@@ -115,15 +115,6 @@ pub fn verbose() -> bool {
     metrics::registry().verbose.load(Ordering::Relaxed)
 }
 
-/// Clears all recorded counters, histograms, and spans (verbose mode is
-/// left as-is). For tests and multi-run tools that reuse one process;
-/// open spans are unaffected and will re-create their paths on close.
-pub fn reset() {
-    metrics::lock_counters().clear();
-    metrics::lock_hists().clear();
-    metrics::lock_spans().clear();
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

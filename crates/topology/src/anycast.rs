@@ -519,11 +519,6 @@ impl<'g> Catchment<'g> {
         &self.deployment
     }
 
-    /// Shared handle to the deployment.
-    pub fn deployment_arc(&self) -> Arc<AnycastDeployment> {
-        Arc::clone(&self.deployment)
-    }
-
     /// The site BGP selects for traffic from AS `src` at `user_loc`, or
     /// `None` if the source cannot reach any site.
     pub fn assign(&self, src: Asn, user_loc: &GeoPoint) -> Option<SiteAssignment> {

@@ -151,13 +151,6 @@ impl Internet {
         out
     }
 
-    /// Allocates `n` fresh public /24 prefixes to `asn` and returns them.
-    pub fn allocate_prefixes(&mut self, asn: Asn, n: usize) -> Vec<Prefix24> {
-        let ps = alloc_prefixes(&mut self.next_prefix, n);
-        self.graph.add_prefixes(asn, ps.clone());
-        ps
-    }
-
     /// Attaches a content hypergiant per `spec` and returns its ASN.
     ///
     /// Peering interconnects are placed at the content AS's own PoPs —
