@@ -4,8 +4,8 @@
 //! The static pipeline answers "where does traffic land?"; this crate
 //! answers "what happens while that answer is changing?". A
 //! [`Scenario`] scripts routing events — site failures and recoveries,
-//! load-aware gradual maintenance drains, prefix withdrawals, peering
-//! losses, and ring promotions/demotions that swap the whole effective
+//! load-aware gradual maintenance drains, peering losses, and ring
+//! promotions/demotions that swap the whole effective
 //! deployment (see [`SwapDeployment`]) — onto `netsim`'s simulated
 //! clock; the [`DynamicsEngine`]
 //! replays them over a deployment and emits a per-epoch [`Timeline`]:

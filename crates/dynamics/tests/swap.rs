@@ -210,9 +210,9 @@ fn swap_to_identical_ring_is_ledgered_noop() {
     assert_eq!(e.current_swap(), r74);
 }
 
-/// When several swaps share an epoch, the last (demotes, promotes,
-/// general swaps) wins and the earlier ones are recorded as
-/// superseded — the epoch still lands on exactly one deployment.
+/// When several swaps share an epoch, the last (demotes, then
+/// promotes) wins and the earlier ones are recorded as superseded —
+/// the epoch still lands on exactly one deployment.
 #[test]
 fn last_swap_in_an_epoch_wins() {
     let (net, cdn, users) = cdn_world();
@@ -224,11 +224,11 @@ fn last_swap_in_an_epoch_wins() {
     let t0 = SimTime::from_secs(30.0);
     let scenario = Scenario::new("pile-up")
         .at(t0, RoutingEvent::RingDemote { to: r28 as u32 })
-        .at(t0, RoutingEvent::DeploymentSwap { to: r110 as u32 });
+        .at(t0, RoutingEvent::RingPromote { to: r110 as u32 });
     let t = e.run(&scenario);
 
     let rec = &t.records[1];
-    assert_eq!(rec.event, "demote R28 + swap R110");
+    assert_eq!(rec.event, "demote R28 + promote R110");
     assert!(rec.note.contains("demote to R28 superseded"), "got {:?}", rec.note);
     assert_eq!(e.current_swap(), r110);
     assert_eq!(e.deployment().name, "R110");

@@ -70,8 +70,8 @@ pub struct LoadObservation<'a> {
     /// by ASN, with the user weight each carried when withheld — the
     /// projection estimate for what a release would attract back.
     pub withheld: &'a [Vec<(Asn, f64)>],
-    /// Whether each site is currently announced (alive and not
-    /// prefix-withdrawn). Controllers must not act on dark sites.
+    /// Whether each site is currently announced (neither down nor
+    /// held by a drain). Controllers must not act on dark sites.
     pub announced: &'a [bool],
 }
 
