@@ -1,0 +1,102 @@
+//! The staged-drain state machine: escalation, abort, the
+//! lightest-first withhold plan, and the merged withhold set a site
+//! currently applies. `docs/DYNAMICS.md` §3 draws the machine.
+
+use super::apply::insert_sorted;
+use super::DynamicsEngine;
+use crate::event::RoutingEvent;
+use netsim::SimTime;
+use par::DetHashMap;
+use topology::{Asn, SiteId};
+
+impl<'g> DynamicsEngine<'g> {
+    /// Advances `site`'s drain by one stage and returns the follow-up
+    /// to schedule *if the epoch commits*: the next generation-stamped
+    /// [`RoutingEvent::DrainStage`] for a partial stage, or the
+    /// [`RoutingEvent::DrainEnd`] once the final stage withdraws the
+    /// site for its maintenance hold.
+    pub(super) fn escalate(&mut self, site: SiteId) -> (SimTime, RoutingEvent) {
+        let now = self.clock.now();
+        let idx = self
+            .drains
+            .iter()
+            .position(|d| d.site == site)
+            .expect("escalating a live drain");
+        let d = &mut self.drains[idx];
+        d.stage += 1;
+        if d.stage < d.stages {
+            // Partial stage k of n: withhold the lightest
+            // ceil(k·len/(n−1)) neighbor sessions, so the last partial
+            // stage covers the whole plan and the final stage only
+            // removes the remaining intra-host traffic.
+            let len = d.plan.len();
+            let div = (d.stages - 1) as usize;
+            let cut = ((d.stage as usize * len) + div - 1) / div;
+            d.withheld = d.plan[..cut.min(len)].to_vec();
+            d.withheld.sort_unstable();
+            (now.plus_ms(d.stage_ms), RoutingEvent::DrainStage { site, gen: d.gen })
+        } else {
+            d.withheld.clear();
+            d.holding = true;
+            let (gen, hold) = (d.gen, d.hold_ms);
+            self.alive[site.0 as usize] = false;
+            (now.plus_ms(hold), RoutingEvent::DrainEnd { site, gen })
+        }
+    }
+
+    /// Cancels `site`'s drain outright: the withholds disappear and,
+    /// if the final stage had already withdrawn the site, it
+    /// re-announces.
+    pub(super) fn abort_drain(&mut self, site: SiteId) {
+        if let Some(pos) = self.drains.iter().position(|d| d.site == site) {
+            let d = self.drains.remove(pos);
+            if d.holding {
+                self.alive[site.0 as usize] = true;
+            }
+        }
+    }
+
+    /// The per-neighbor withhold plan for draining `site`: every AS
+    /// adjacent to the site's host, ordered lightest current traffic
+    /// first (ties by ASN) so early stages shift the smallest
+    /// catchment slices. Load is measured at plan time from the users
+    /// `site` currently serves through each entry session.
+    pub(super) fn drain_plan(&self, site: SiteId) -> Vec<Asn> {
+        let host = self.base.sites[site.0 as usize].host;
+        let hidx = self.graph.idx(host);
+        let mut neigh: Vec<Asn> = self
+            .graph
+            .adjacency(hidx)
+            .iter()
+            .map(|a| self.graph.node_at(a.neighbor).asn)
+            .collect();
+        neigh.sort_unstable();
+        neigh.dedup();
+        let load: DetHashMap<Asn, f64> =
+            self.entry_sessions().swap_remove(site.0 as usize).into_iter().collect();
+        neigh.sort_by(|a, b| {
+            let la = load.get(a).copied().unwrap_or(0.0);
+            let lb = load.get(b).copied().unwrap_or(0.0);
+            la.total_cmp(&lb).then(a.cmp(b))
+        });
+        neigh
+    }
+
+    /// Sessions currently withheld at `site`: the drain withhold set
+    /// and the controller withhold set merged (sorted, deduplicated).
+    /// Both the effective deployment and the group-snapshot drain
+    /// footprint go through this, so a controller withhold is as
+    /// visible to the group-diff soundness argument as a drain stage.
+    pub(super) fn withheld_sessions(&self, site: SiteId) -> Vec<Asn> {
+        let mut w: Vec<Asn> = self
+            .drains
+            .iter()
+            .find(|d| d.site == site)
+            .map(|d| d.withheld.clone())
+            .unwrap_or_default();
+        for &(a, _) in &self.ctrl_withheld[site.0 as usize] {
+            insert_sorted(&mut w, a);
+        }
+        w
+    }
+}

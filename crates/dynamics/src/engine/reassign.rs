@@ -1,0 +1,477 @@
+//! The recompute: build the effective deployment, diff its origin groups
+//! against the stored snapshot, re-rank only the cohorts the diff
+//! invalidates (`plan → rank → commit`), and build the epoch record.
+//! [`DynamicsEngine::verify_full_recompute`] re-ranks everyone as the
+//! oracle.
+//!
+//! Why reusing every other cohort's stored assignment is sound — the
+//! invalidation rules 0–3, the site-diff refinement, and how drains,
+//! withholds and swaps keep the argument — is argued once, in
+//! `docs/DYNAMICS.md` §4 and §5.
+
+use super::convergence;
+use super::{
+    DynamicsEngine, GroupSnap, MismatchKind, RecomputeMismatch, RecomputeMode, ReassignPlan,
+    UserState, UNSERVED,
+};
+use crate::timeline::{weighted_median, EpochRecord};
+use netsim::{LastMile, PathProfile};
+use par::{DetHashMap, DetHashSet};
+use std::sync::Arc;
+use topology::{
+    AnycastDeployment, AnycastSite, Asn, Catchment, ExportScope, OriginRoutes, SiteDrain, SiteId,
+};
+
+const MS_PER_DAY: f64 = 86_400_000.0;
+
+impl<'g> DynamicsEngine<'g> {
+    /// The deployment as currently announced: alive sites, re-id'd
+    /// densely, with lost peerings merged
+    /// into the withhold list. `None` when nothing is announced. The
+    /// second element maps dense ids back to original ids.
+    fn effective_deployment(&self) -> Option<(Arc<AnycastDeployment>, Vec<SiteId>)> {
+        let mut sites: Vec<AnycastSite> = Vec::new();
+        let mut orig: Vec<SiteId> = Vec::new();
+        for (i, s) in self.base.sites.iter().enumerate() {
+            if self.alive[i] {
+                orig.push(s.id);
+                let mut s = s.clone();
+                s.id = SiteId(sites.len() as u32);
+                sites.push(s);
+            }
+        }
+        if sites.is_empty() {
+            return None;
+        }
+        let mut withhold = self.base.withhold.clone();
+        withhold.extend(self.lost_peerings.iter().copied());
+        withhold.sort_unstable();
+        withhold.dedup();
+        let mut dep = AnycastDeployment::new(self.base.name.clone(), sites, withhold);
+        dep.origin_as = self.base.origin_as;
+        dep.direct_hosts = self.base.direct_hosts.clone();
+        // Active withhold sets — partial drains merged with controller
+        // sheds — translated to dense ids (`orig` is ascending).
+        // Holding drains have no withheld set: their site is simply
+        // absent.
+        for (dense, &s) in orig.iter().enumerate() {
+            let withheld = self.withheld_sessions(s);
+            if withheld.is_empty() {
+                continue;
+            }
+            dep.site_drains.push(SiteDrain { site: SiteId(dense as u32), withheld });
+        }
+        Some((Arc::new(dep), orig))
+    }
+
+    /// Recomputes the catchment over the effective deployment, re-ranks
+    /// the affected users (all of them under [`RecomputeMode::Full`] or
+    /// at init), and closes the epoch. Composed from the three phases —
+    /// [`DynamicsEngine::plan_reassign`] (catchment + group diff +
+    /// invalidation selection), [`DynamicsEngine::rank_plan`] (the
+    /// parallel re-rank), and [`DynamicsEngine::commit_plan`] (state
+    /// writes, counters, and the record) — run back to back.
+    pub(super) fn reassign(&mut self, label: &str, is_init: bool) -> EpochRecord {
+        let plan = self.plan_reassign(is_init);
+        let results = self.rank_plan(&plan);
+        self.commit_plan(plan, &results, label, is_init)
+    }
+
+    /// Phase 1 of a recompute: the new catchment over the effective
+    /// deployment, its origin-group snapshot in original site ids, and
+    /// the affected-cohort selection (the group diff and invalidation
+    /// rules 0–3). Mutates only the route cache; every assignment
+    /// write waits for [`DynamicsEngine::commit_plan`].
+    fn plan_reassign(&mut self, is_init: bool) -> ReassignPlan<'g> {
+        let population = self.queries_per_day.len();
+        // New catchment over whatever is still announced.
+        let (catchment, dense_to_orig) = match self.effective_deployment() {
+            Some((dep, orig)) => {
+                (Some(Catchment::compute_shared(self.graph, dep, &mut self.cache)), orig)
+            }
+            None => (None, Vec::new()),
+        };
+        // Snapshot its origin groups in original site ids.
+        let mut new_groups: DetHashMap<(Asn, ExportScope), GroupSnap> = DetHashMap::default();
+        if let Some(c) = &catchment {
+            for (host, scope) in c.group_keys() {
+                let routes = c.group_routes(host, scope).expect("listed group");
+                let mut sites: Vec<SiteId> = c
+                    .group_sites(host, scope)
+                    .expect("listed group")
+                    .iter()
+                    .map(|s| dense_to_orig[s.0 as usize])
+                    .collect();
+                sites.sort_unstable();
+                let drains: Vec<(SiteId, Vec<Asn>)> = sites
+                    .iter()
+                    .filter_map(|s| {
+                        let w = self.withheld_sessions(*s);
+                        (!w.is_empty()).then_some((*s, w))
+                    })
+                    .collect();
+                new_groups.insert((host, scope), GroupSnap { routes, sites, drains });
+            }
+        }
+
+        // Who must be re-ranked? Selection walks the *group index*,
+        // not the population: cohorts of a group the epoch provably
+        // did not touch are skipped without visiting their slices, so
+        // `slice_users` — the user count under slices actually
+        // visited — is the honest measure of invalidation work.
+        let n_cohorts = self.cohorts.len();
+        let mut slice_users = 0u64;
+        let affected: Vec<u32> = if is_init || self.mode == RecomputeMode::Full {
+            slice_users = population as u64;
+            (0..n_cohorts as u32).collect()
+        } else {
+            // Diff the group sets. A group whose routes Arc, hosted
+            // sites, and drain footprint all survived unchanged ranks
+            // and materializes exactly as before. A group whose ONLY
+            // change is its hosted-site list (the site up/down and
+            // deployment-swap shape) is diffed site-by-site: its own
+            // users re-rank only when their stored site was removed or
+            // an added site beats it on `materialize`'s
+            // nearest-to-entry tie-break, and it challenges other
+            // groups' users only when sites were added (shrinking a
+            // group cannot improve it). Everything else invalidates
+            // its own users wholesale and may challenge others.
+            let mut invalidated: DetHashSet<(Asn, ExportScope)> = DetHashSet::default();
+            let mut site_diffed: DetHashMap<(Asn, ExportScope), (Vec<SiteId>, Vec<SiteId>)> =
+                DetHashMap::default();
+            let mut challengers: Vec<((Asn, ExportScope), Arc<OriginRoutes>)> = Vec::new();
+            for (k, old) in &self.groups {
+                match new_groups.get(k) {
+                    None => {
+                        invalidated.insert(*k);
+                    }
+                    Some(new) => {
+                        if Arc::ptr_eq(&old.routes, &new.routes) && old.drains == new.drains {
+                            if old.sites != new.sites {
+                                let added: Vec<SiteId> = new
+                                    .sites
+                                    .iter()
+                                    .copied()
+                                    .filter(|s| old.sites.binary_search(s).is_err())
+                                    .collect();
+                                let removed: Vec<SiteId> = old
+                                    .sites
+                                    .iter()
+                                    .copied()
+                                    .filter(|s| new.sites.binary_search(s).is_err())
+                                    .collect();
+                                if !added.is_empty() {
+                                    challengers.push((*k, Arc::clone(&new.routes)));
+                                }
+                                site_diffed.insert(*k, (added, removed));
+                            }
+                        } else {
+                            invalidated.insert(*k);
+                            challengers.push((*k, Arc::clone(&new.routes)));
+                        }
+                    }
+                }
+            }
+            for (k, new) in &new_groups {
+                if !self.groups.contains_key(k) {
+                    challengers.push((*k, Arc::clone(&new.routes)));
+                }
+            }
+            let base = &self.base;
+            let mut out: Vec<u32> = Vec::new();
+            // Rule 0: a stored key with no site only arises when a
+            // swap removed the cohort's site — nothing else would
+            // re-rank them. The swap recorded exactly those cohorts.
+            for &c in &self.orphans {
+                slice_users += u64::from(self.cohorts[c as usize].len());
+                out.push(c);
+            }
+            // Rule 3: unserved cohorts re-rank when an added or
+            // changed group now has any route at their source. With no
+            // challengers the bucket is provably untouched and its
+            // slices are never visited.
+            if !challengers.is_empty() {
+                for &c in &self.index.unkeyed {
+                    let cohort = &self.cohorts[c as usize];
+                    slice_users += u64::from(cohort.len());
+                    let src = cohort.src_idx as usize;
+                    if challengers.iter().any(|(_, r)| r.route_at(src).is_some()) {
+                        out.push(c);
+                    }
+                }
+            }
+            // Rules 1 and 2, per *stored-key group slice*: a group
+            // that is not invalidated, not site-diffed, and challenged
+            // by nobody else is skipped wholesale — this is where
+            // epoch cost decouples from population.
+            for (gk, members) in &self.index.groups {
+                let inv = invalidated.contains(gk);
+                let sd = site_diffed.get(gk);
+                let challenged = challengers.iter().any(|(ck, _)| ck != gk);
+                if !inv && sd.is_none() && !challenged {
+                    continue;
+                }
+                for &c in members {
+                    // A swap-orphaned cohort keeps its stored key, so
+                    // it still sits in this slice; rule 0 already
+                    // collected (and counted) it.
+                    if self.orphans.binary_search(&c).is_ok() {
+                        continue;
+                    }
+                    let cohort = &self.cohorts[c as usize];
+                    slice_users += u64::from(cohort.len());
+                    let st = &self.states[c as usize];
+                    let key = st.key.expect("keyed slice member");
+                    let Some(s) = st.site.filter(|_| !inv) else {
+                        out.push(c);
+                        continue;
+                    };
+                    if let Some((added, removed)) = sd {
+                        if removed.binary_search(&s).is_ok() {
+                            out.push(c);
+                            continue;
+                        }
+                        // An added site takes over exactly when it
+                        // beats the stored one on (distance to the
+                        // stored entry point, site id) —
+                        // `materialize`'s tie-break. Comparing
+                        // original ids is order-isomorphic to the
+                        // dense comparison because dense re-ids
+                        // preserve ascending order.
+                        let e = st.entry.expect("served member has an entry");
+                        let ds = base.sites[s.0 as usize].location.distance_km(&e);
+                        if added.iter().any(|&a| {
+                            let da = base.sites[a.0 as usize].location.distance_km(&e);
+                            da < ds || (da == ds && a < s)
+                        }) {
+                            out.push(c);
+                            continue;
+                        }
+                    }
+                    // The cohort's own group never challenges its own
+                    // members here: the site-diff rule above already
+                    // decided for them.
+                    let src = cohort.src_idx as usize;
+                    if challengers.iter().any(|(ck, r)| {
+                        *ck != *gk
+                            && r.route_at(src)
+                                .is_some_and(|nr| key.challenged_by(nr.class, nr.path_len))
+                    }) {
+                        out.push(c);
+                    }
+                }
+            }
+            // The three sources are disjoint; the sort restores the
+            // ascending cohort order every downstream accumulation
+            // (and therefore byte-level determinism) depends on.
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        ReassignPlan { catchment, dense_to_orig, new_groups, affected, slice_users }
+    }
+
+    /// Phase 2 of a recompute: re-rank the planned cohorts on the
+    /// deterministic parallel layer; index order of `plan.affected`
+    /// fixes the merge order. One BGP decision per cohort serves every
+    /// member: the decision sees only `(source AS, location)`, which
+    /// members share. Reads the engine immutably.
+    fn rank_plan(&self, plan: &ReassignPlan<'_>) -> Vec<Option<UserState>> {
+        let cohorts = &self.cohorts;
+        let model = &self.model;
+        let dense_to_orig = &plan.dense_to_orig;
+        let affected = &plan.affected;
+        match &plan.catchment {
+            Some(c) => par::ordered_map(affected, |_, &ci| {
+                let u = &cohorts[ci as usize];
+                c.assign_with_key(u.asn, &u.location).map(|(a, key)| {
+                    let ms = model
+                        .median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband));
+                    // The withhold-relevant session: the AS the host
+                    // announced to on this path (the hop right before
+                    // the host; None when the user sits inside it).
+                    let host = c.deployment().site(a.site).host;
+                    let via = a
+                        .as_path
+                        .iter()
+                        .position(|&n| n == host)
+                        .and_then(|p| p.checked_sub(1))
+                        .map(|p| a.as_path[p]);
+                    UserState {
+                        site: Some(dense_to_orig[a.site.0 as usize]),
+                        key: Some(key),
+                        via,
+                        entry: Some(a.entry),
+                        latency_ms: ms,
+                        path_km: a.path_km,
+                    }
+                })
+            }),
+            None => vec![None; affected.len()],
+        }
+    }
+
+    /// Phase 3 of a recompute: store each rank result in the per-cohort
+    /// state table, re-home each cohort in the group index, adopt the
+    /// new group snapshot, emit the recompute counters, and build the
+    /// epoch's record from the committed state.
+    fn commit_plan(
+        &mut self,
+        plan: ReassignPlan<'_>,
+        results: &[Option<UserState>],
+        label: &str,
+        is_init: bool,
+    ) -> EpochRecord {
+        let ReassignPlan { new_groups, affected, slice_users, .. } = plan;
+        let population = self.queries_per_day.len();
+        let mut shifted = 0.0;
+        let mut shifted_qpd = 0.0;
+        for (&ci, &res) in affected.iter().zip(results) {
+            let cohort = self.cohorts[ci as usize];
+            let old = self.states[ci as usize];
+            let new = res.unwrap_or(UNSERVED);
+            if !is_init && new.site != old.site {
+                shifted += cohort.weight;
+                shifted_qpd += cohort.queries_per_day;
+            }
+            self.index.move_cohort(ci, old.key.map(|k| k.group()), new.key.map(|k| k.group()));
+            self.states[ci as usize] = new;
+        }
+        self.groups = new_groups;
+        self.orphans.clear();
+
+        // The recompute ledger stays in *user* units: an affected
+        // cohort recomputes once but stands in for all its members.
+        let recomputed: u64 =
+            affected.iter().map(|&ci| u64::from(self.cohorts[ci as usize].len())).sum();
+        let reused = population as u64 - recomputed;
+        obs::counter_add("dynamics.assign_recomputed", recomputed);
+        obs::counter_add("dynamics.assign_reused", reused);
+        // What a full recompute would have paid for this event — the
+        // denominator of the incremental savings.
+        obs::counter_add("dynamics.full_equiv", population as u64);
+        if !is_init {
+            obs::counter_add("dynamics.invalidation.slice_users", slice_users);
+            obs::counter_add("dynamics.invalidation.population", population as u64);
+            self.slice_users_total += slice_users;
+            self.population_total += population as u64;
+        }
+        self.record(&self.states, label, shifted, shifted_qpd, recomputed)
+    }
+
+    /// Builds an epoch record at the current instant from per-cohort
+    /// `states` (ascending cohort order) plus the epoch's shift and
+    /// recompute totals. Served weight, Σ path length × weight, and the
+    /// weighted-median points come from one pass over cohorts, since
+    /// every member shares its cohort's assignment, so the cost stays
+    /// O(cohorts) at any population. The one record builder:
+    /// [`DynamicsEngine::commit_plan`] hands it the committed state,
+    /// [`DynamicsEngine::verify_full_recompute`] a fresh full re-rank.
+    fn record(
+        &self,
+        states: &[UserState],
+        label: &str,
+        shifted: f64,
+        shifted_qpd: f64,
+        recomputed: u64,
+    ) -> EpochRecord {
+        let mut latency_pts = Vec::new();
+        let mut served_w = 0.0;
+        let mut path_sum = 0.0;
+        for (c, st) in self.cohorts.iter().zip(states) {
+            if st.site.is_some() {
+                served_w += c.weight;
+                path_sum += st.path_km * c.weight;
+                latency_pts.push((st.latency_ms, c.weight));
+            }
+        }
+        let median_ms = weighted_median(&mut latency_pts);
+        let frac = |w: f64| if self.total_weight > 0.0 { w / self.total_weight } else { 0.0 };
+        let shifted_frac = frac(shifted);
+        let convergence_ms = convergence::convergence_ms(shifted, shifted_frac);
+        EpochRecord {
+            t_ms: self.clock.now().as_ms(),
+            event: label.to_string(),
+            shifted,
+            shifted_frac,
+            unserved_frac: (1.0 - frac(served_w)).max(0.0),
+            median_ms,
+            inflation_ms: match (median_ms, self.baseline_median_ms) {
+                (Some(m), Some(b)) => Some(m - b),
+                _ => None,
+            },
+            mean_path_km: (served_w > 0.0).then(|| path_sum / served_w),
+            convergence_ms,
+            degraded_queries: shifted_qpd * convergence_ms / MS_PER_DAY,
+            recomputed,
+            reused: self.queries_per_day.len() as u64 - recomputed,
+            headroom_frac: None,
+            note: String::new(),
+        }
+    }
+
+    /// The on-demand full-recompute oracle. Re-ranks every cohort
+    /// against the current effective deployment — the plan and rank
+    /// phases with all cohorts selected, and no commit — and compares
+    /// the result with the stored per-cohort state (site, key, entry
+    /// session, entry point, latency and path bits). It then recomputes
+    /// the served weight, mean path and median from those fresh states
+    /// and compares them with `last`, the record of the epoch that
+    /// produced the current state. Returns every disagreement (empty =
+    /// the stored state is what a [`RecomputeMode::Full`] engine would
+    /// hold). Leaves the assignment state untouched; only the route
+    /// cache may gain entries.
+    ///
+    /// [`RecomputeMode::Incremental`] and [`RecomputeMode::Full`] differ
+    /// only in which cohorts the plan selects, so this checks exactly
+    /// the reuse rule the incremental engine trusts.
+    pub fn verify_full_recompute(&mut self, last: &EpochRecord) -> Vec<RecomputeMismatch> {
+        let span = obs::span!("dynamics.verify_full_recompute");
+        span.add_items(self.cohorts.len() as u64);
+        let plan = self.plan_reassign(true);
+        let fresh: Vec<UserState> =
+            self.rank_plan(&plan).into_iter().map(|r| r.unwrap_or(UNSERVED)).collect();
+        let mut out = Vec::new();
+        // One cohort is evidence enough; don't flood.
+        if let Some(c) = (0..fresh.len()).find(|&c| !self.states[c].same_bits(&fresh[c])) {
+            let (a, b) = (&self.states[c], &fresh[c]);
+            let cohort = &self.cohorts[c];
+            out.push(RecomputeMismatch {
+                kind: MismatchKind::State,
+                detail: format!(
+                    "cohort [{}, {}) stores {:?}@{} ms via {:?} but a full re-rank gives \
+                     {:?}@{} ms via {:?}",
+                    cohort.start, cohort.end, a.site, a.latency_ms, a.via, b.site,
+                    b.latency_ms, b.via
+                ),
+            });
+        }
+        let want = self.record(&fresh, "", 0.0, 0.0, 0);
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        for (field, stored, recomputed) in [
+            ("unserved_frac", Some(last.unserved_frac), Some(want.unserved_frac)),
+            ("mean_path_km", last.mean_path_km, want.mean_path_km),
+            ("median_ms", last.median_ms, want.median_ms),
+            ("inflation_ms", last.inflation_ms, want.inflation_ms),
+        ] {
+            if bits(stored) != bits(recomputed) {
+                out.push(RecomputeMismatch {
+                    kind: MismatchKind::Record,
+                    detail: format!(
+                        "'{}': {field} {stored:?} but the fresh assignments give {recomputed:?}",
+                        last.event
+                    ),
+                });
+            }
+        }
+        out
+    }
+
+    /// Nudges one cohort's stored latency by one ulp, so tests can
+    /// prove [`DynamicsEngine::verify_full_recompute`] notices.
+    #[doc(hidden)]
+    pub fn corrupt_cohort_state_for_test(&mut self, cohort: usize) {
+        let st = &mut self.states[cohort];
+        st.latency_ms = f64::from_bits(st.latency_ms.to_bits() ^ 1);
+    }
+}
