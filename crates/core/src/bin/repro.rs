@@ -23,7 +23,6 @@
 
 use anycast_core::experiments::{run, ALL_IDS, DESCRIPTIONS};
 use anycast_core::{Artifact, World, WorldConfig};
-use std::io::Write;
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
@@ -167,8 +166,8 @@ fn main() {
                     "repro.csv_rows",
                     (csv.lines().count() as u64).saturating_sub(1),
                 );
-                let mut f = std::fs::File::create(&path).expect("create CSV");
-                f.write_all(csv.as_bytes()).expect("write CSV");
+                std::fs::write(&path, csv)
+                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
             }
         }
         let items: u64 = artifacts.iter().map(Artifact::item_count).sum();
@@ -180,10 +179,10 @@ fn main() {
     if let Some(dir) = &out_dir {
         let path = format!("{dir}/timings.json");
         std::fs::write(&path, render_timings(&timings, par::threads(), run_secs))
-            .expect("write timings.json");
+            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         let metrics_path = format!("{dir}/metrics.json");
         std::fs::write(&metrics_path, obs::render_metrics_json())
-            .expect("write metrics.json");
+            .unwrap_or_else(|e| die(&format!("cannot write {metrics_path}: {e}")));
         if obs::verbose() {
             eprintln!("[obs] timings → {path}");
             eprintln!("[obs] metrics → {metrics_path}");

@@ -28,3 +28,12 @@ fn an_out_dir_that_cannot_be_created_exits_2() {
     let out = file.join("out");
     assert_rejected(&["--scale", "0.12", "--out", out.to_str().expect("utf8 path"), "fig2"]);
 }
+
+#[test]
+fn an_output_file_that_cannot_be_written_exits_2() {
+    let out = std::env::temp_dir().join("anycast-cli-errors-unwritable");
+    // `fig2` writes fig2a.csv and fig2b.csv; a directory where the
+    // first one should go makes the write itself fail.
+    std::fs::create_dir_all(out.join("fig2a.csv")).expect("create blocking directory");
+    assert_rejected(&["--scale", "0.12", "--out", out.to_str().expect("utf8 path"), "fig2"]);
+}

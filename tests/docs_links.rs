@@ -166,3 +166,78 @@ fn dynamics_timeline_schema_block_matches_the_csv_header() {
         .collect();
     assert_eq!(documented, dynamics::Timeline::header());
 }
+
+/// The event table in docs/DYNAMICS.md §1 is where scenario authors
+/// learn the event vocabulary, so its first column must name exactly
+/// the `RoutingEvent` variants, and the sentence introducing it must
+/// count them.
+#[test]
+fn dynamics_event_table_matches_routing_event() {
+    use dynamics::RoutingEvent as E;
+    use topology::{Asn, SiteId};
+    let (site, asn) = (SiteId(0), Asn(1));
+    let all = [
+        E::SiteDown(site),
+        E::SiteUp(site),
+        E::PeeringDown(asn),
+        E::PeeringUp(asn),
+        E::DrainStart { site, stage_ms: 1.0, stages: 1, hold_ms: 1.0 },
+        E::DrainStage { site, gen: 0 },
+        E::DrainEnd { site, gen: 0 },
+        E::RingPromote { to: 0 },
+        E::RingDemote { to: 0 },
+        E::DemandScale { center: geo::GeoPoint::new(0.0, 0.0), radius_km: 1.0, factor: 1.0 },
+        E::CapacityScale { site, factor: 1.0 },
+        E::LoadTick,
+    ];
+    // Exhaustive on purpose: a new variant stops this compiling until
+    // it has a slot above, and each slot holds its own variant.
+    for (i, ev) in all.iter().enumerate() {
+        let slot = match ev {
+            E::SiteDown(_) => 0,
+            E::SiteUp(_) => 1,
+            E::PeeringDown(_) => 2,
+            E::PeeringUp(_) => 3,
+            E::DrainStart { .. } => 4,
+            E::DrainStage { .. } => 5,
+            E::DrainEnd { .. } => 6,
+            E::RingPromote { .. } => 7,
+            E::RingDemote { .. } => 8,
+            E::DemandScale { .. } => 9,
+            E::CapacityScale { .. } => 10,
+            E::LoadTick => 11,
+        };
+        assert_eq!(slot, i, "{ev:?} sits in the wrong slot");
+    }
+    let names: Vec<String> = all
+        .iter()
+        .map(|ev| format!("{ev:?}").chars().take_while(char::is_ascii_alphanumeric).collect())
+        .collect();
+
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/DYNAMICS.md");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let intro = " event kinds exist:";
+    let at = text.find(intro).expect("DYNAMICS.md counts the event kinds");
+    let count_word = text[..at].rsplit(char::is_whitespace).next().expect("a count word");
+    const WORDS: [&str; 21] = [
+        "zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten",
+        "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen", "seventeen",
+        "eighteen", "nineteen", "twenty",
+    ];
+    assert_eq!(
+        count_word.to_lowercase(),
+        WORDS[all.len()],
+        "DYNAMICS.md counts {count_word} event kinds"
+    );
+    let documented: Vec<String> = text[at..]
+        .lines()
+        .skip_while(|l| !l.starts_with("| `"))
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| {
+            let first = row.split('|').nth(1).expect("a first column");
+            first.trim().trim_matches('`').to_string()
+        })
+        .collect();
+    assert_eq!(documented, names);
+}
