@@ -18,7 +18,7 @@
 
 use crate::asn::Asn;
 use crate::bgp::{ExportScope, OriginRoutes, RouteClass, RouteComputer};
-use crate::graph::AsGraph;
+use crate::graph::{nearest, AsGraph};
 use crate::waypoints;
 use geo::GeoPoint;
 use serde::{Deserialize, Serialize};
@@ -636,15 +636,12 @@ impl<'g> Catchment<'g> {
             }
             // Early-exit: among equally-best first hops, the source picks
             // the one whose interconnect is nearest its serving PoP.
-            let best = route
-                .first_hops
-                .iter()
-                .map(|fh| {
-                    let x = self.graph.nearest_interconnect(fh.link, serving);
-                    (serving.distance_km(&x), *fh)
-                })
-                .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            if let Some((exit_km, fh)) = best {
+            // Haversine distances are symmetric bit for bit, so the
+            // interconnect's distance from `serving` is the exit cost.
+            let best = nearest(route.first_hops.iter().copied(), |fh| {
+                self.graph.nearest_interconnect(fh.link, serving).1
+            });
+            if let Some((fh, exit_km)) = best {
                 cands.push(Cand { group, class: route.class, len: route.path_len, exit_km, first: Some(fh) });
             }
         }
@@ -687,34 +684,28 @@ impl<'g> Catchment<'g> {
             .len()
             .checked_sub(2)
             .map(|p| self.graph.node_at(nodes[p]).asn);
-        // Entry point into the origin AS: the last interconnect crossed,
-        // or the user's serving PoP when the user sits inside the origin.
-        let mut entry = *serving;
-        let mut cur = *serving;
-        for &link in &links {
-            cur = self.graph.nearest_interconnect(link, &cur);
-            entry = cur;
-        }
+        // One hot-potato walk: its last point is the entry into the
+        // origin AS (the user's serving PoP when the user sits inside it).
+        let (mut points, walked_km) = waypoints::walk(self.graph, &links, user_loc, *serving);
+        let entry = *points.last().expect("the walk starts at the user");
         // Intra-origin site selection: nearest *eligible* hosted site to
         // the entry. A site is ineligible when its staged drain withholds
-        // this path's entry session.
+        // this path's entry session. Group sites are in ascending id
+        // order, so the first nearest site is the lowest id among ties.
         let eligible = |s: SiteId| match (via, self.deployment.drain_of(s)) {
             (Some(v), Some(d)) => d.withheld.binary_search(&v).is_err(),
             _ => true,
         };
-        let site_id = group
-            .sites
-            .iter()
-            .copied()
-            .filter(|&s| self.deployment.site_drains.is_empty() || eligible(s))
-            .min_by(|a, b| {
-                let da = self.deployment.site(*a).location.distance_km(&entry);
-                let db = self.deployment.site(*b).location.distance_km(&entry);
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
-            })?;
-        let site_loc = self.deployment.site(site_id).location;
-        let wp = waypoints::resolve(self.graph, &nodes, &links, user_loc, &site_loc);
-        let path_km = waypoints::length_km(&wp);
+        let (site_id, site_km) = nearest(
+            group
+                .sites
+                .iter()
+                .copied()
+                .filter(|&s| self.deployment.site_drains.is_empty() || eligible(s)),
+            |&s| self.deployment.site(s).location.distance_km(&entry),
+        )?;
+        points.push(self.deployment.site(site_id).location);
+        let path_km = walked_km + site_km;
         let mut as_path: Vec<Asn> =
             nodes.iter().map(|&i| self.graph.node_at(i).asn).collect();
         // Upstream hosts hand off to the service's own AS at the site.
@@ -728,7 +719,7 @@ impl<'g> Catchment<'g> {
             None => RouteClass::Origin,
             Some(_) => group.routes.route_at(src_idx).expect("had route").class,
         };
-        Some(SiteAssignment { site: site_id, class, as_path, waypoints: wp, path_km, entry })
+        Some(SiteAssignment { site: site_id, class, as_path, waypoints: points, path_km, entry })
     }
 }
 
@@ -1107,5 +1098,133 @@ mod tests {
             &c.group_routes(Asn(10), ExportScope::Global).unwrap(),
             &c2.group_routes(Asn(10), ExportScope::Global).unwrap()
         ));
+    }
+
+    /// Bit pattern of a point, so NaN-free points compare exactly.
+    fn bits(p: &GeoPoint) -> (u64, u64) {
+        (p.lat().to_bits(), p.lon().to_bits())
+    }
+
+    /// The point `Iterator::min_by` picked before [`nearest`]: two
+    /// haversines per comparison.
+    fn min_by_nearest(points: &[GeoPoint], from: &GeoPoint) -> GeoPoint {
+        *points
+            .iter()
+            .min_by(|p, q| {
+                p.distance_km(from)
+                    .partial_cmp(&q.distance_km(from))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .expect("non-empty")
+    }
+
+    /// The construction `materialize` replaced: walk the hops for the
+    /// entry, pick the site by `min_by` (ties to the lower id), then walk
+    /// the hops again from a recomputed serving PoP for the waypoints.
+    /// Returns `(site, waypoints, path_km, entry)`.
+    fn two_walk(
+        c: &Catchment<'_>,
+        src_idx: usize,
+        user_loc: &GeoPoint,
+        group: &OriginGroup,
+        first: Option<crate::bgp::FirstHop>,
+    ) -> Option<(SiteId, Vec<GeoPoint>, f64, GeoPoint)> {
+        let g = c.graph;
+        let (nodes, links) = match first {
+            Some(fh) => group.routes.path_via(src_idx, fh)?,
+            None => (vec![src_idx], vec![]),
+        };
+        let via = nodes.len().checked_sub(2).map(|p| g.node_at(nodes[p]).asn);
+        let serving = min_by_nearest(&g.node_at(src_idx).pops, user_loc);
+        let mut entry = serving;
+        for &link in &links {
+            entry = min_by_nearest(&g.link(link).interconnects, &entry);
+        }
+        let eligible = |s: SiteId| match (via, c.deployment.drain_of(s)) {
+            (Some(v), Some(d)) => d.withheld.binary_search(&v).is_err(),
+            _ => true,
+        };
+        let site = group.sites.iter().copied().filter(|&s| eligible(s)).min_by(|a, b| {
+            let da = c.deployment.site(*a).location.distance_km(&entry);
+            let db = c.deployment.site(*b).location.distance_km(&entry);
+            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
+        })?;
+        let mut cur = min_by_nearest(&g.node(g.node_at(nodes[0]).asn).pops, user_loc);
+        let mut points = vec![*user_loc, cur];
+        for &link in &links {
+            cur = min_by_nearest(&g.link(link).interconnects, &cur);
+            points.push(cur);
+        }
+        points.push(c.deployment.site(site).location);
+        let km = points.windows(2).map(|w| w[0].distance_km(&w[1])).sum();
+        Some((site, points, km, entry))
+    }
+
+    #[test]
+    fn materialize_matches_the_two_walk_construction() {
+        use crate::gen::{InternetGenerator, TopologyConfig};
+        let mut compared = 0;
+        for seed in [3, 17] {
+            let mut net = InternetGenerator::generate(&TopologyConfig::small(seed));
+            // Two sites per host, the second collocated with the first
+            // (exact distance ties inside a group), plus a drain.
+            let hosts = net.sample_hosters(3);
+            let sites: Vec<AnycastSite> = (0..6)
+                .map(|i| AnycastSite {
+                    id: SiteId(i as u32),
+                    name: format!("s{i}"),
+                    host: hosts[i / 2],
+                    location: net.graph.node(hosts[i / 2]).pops[0],
+                    scope: SiteScope::Global,
+                })
+                .collect();
+            let mut dep = AnycastDeployment::new("two-walk", sites, vec![]);
+            let g = &net.graph;
+            let mut withheld: Vec<Asn> = g
+                .adjacency(g.idx(hosts[0]))
+                .iter()
+                .step_by(2)
+                .map(|a| g.node_at(a.neighbor).asn)
+                .collect();
+            withheld.sort();
+            dep.site_drains = vec![SiteDrain { site: SiteId(0), withheld }];
+            let mut cache = RouteCache::new();
+            let c = Catchment::compute(g, &dep, &mut cache);
+            for loc in net.user_locations() {
+                let user = net.world.region(loc.region).center;
+                let src_idx = g.idx(loc.asn);
+                let serving = g.serving_pop(loc.asn, &user);
+                assert_eq!(bits(&serving), bits(&min_by_nearest(&g.node(loc.asn).pops, &user)));
+                for cand in c.candidates(src_idx, &serving) {
+                    let route = cand.group.routes.route_at(src_idx).expect("candidates route");
+                    if let Some(fh) = cand.first {
+                        // The early-exit pick and its cost, as `min_by` made them.
+                        let (old_km, old_fh) = route
+                            .first_hops
+                            .iter()
+                            .map(|h| {
+                                let x = min_by_nearest(&g.link(h.link).interconnects, &serving);
+                                (serving.distance_km(&x), *h)
+                            })
+                            .min_by(|a, b| {
+                                a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal)
+                            })
+                            .expect("routed");
+                        assert_eq!((fh, cand.exit_km.to_bits()), (old_fh, old_km.to_bits()));
+                    }
+                    let new = c.materialize(src_idx, &user, &serving, cand.group, cand.first);
+                    let old = two_walk(&c, src_idx, &user, cand.group, cand.first);
+                    assert_eq!(new.is_some(), old.is_some());
+                    let (Some(a), Some((site, points, km, entry))) = (new, old) else { continue };
+                    assert_eq!(a.site, site);
+                    let new_bits: Vec<_> = a.waypoints.iter().map(bits).collect();
+                    assert_eq!(new_bits, points.iter().map(bits).collect::<Vec<_>>());
+                    assert_eq!(a.path_km.to_bits(), km.to_bits());
+                    assert_eq!(bits(&a.entry), bits(&entry));
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 100, "only {compared} assignments compared");
     }
 }

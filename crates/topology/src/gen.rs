@@ -18,7 +18,7 @@
 //! config produce byte-identical topologies.
 
 use crate::asn::{AsKind, Asn, OrgId};
-use crate::graph::{AsGraph, AsNode};
+use crate::graph::{nearest, AsGraph, AsNode};
 use crate::prefix::Prefix24;
 use geo::region::RegionId;
 use geo::{GeoPoint, WorldMap};
@@ -181,16 +181,10 @@ impl Internet {
             let other_pops = graph.node(other).pops.clone();
             let mut picked: Vec<GeoPoint> = Vec::new();
             for op in other_pops.iter().take(k.max(1)) {
-                let best = pops
-                    .iter()
-                    .min_by(|a, b| {
-                        a.distance_km(op)
-                            .partial_cmp(&b.distance_km(op))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
+                let (best, _) = nearest(pops.iter().copied(), |a| a.distance_km(op))
                     .expect("content AS has PoPs");
-                if !picked.iter().any(|p| p.distance_km(best) < 1.0) {
-                    picked.push(*best);
+                if !picked.iter().any(|p| p.distance_km(&best) < 1.0) {
+                    picked.push(best);
                 }
             }
             picked

@@ -229,29 +229,14 @@ impl AsGraph {
     /// The PoP of `asn` nearest to `point` — the "serving PoP" used for
     /// IGP early-exit decisions and as the first waypoint of a path.
     pub fn serving_pop(&self, asn: Asn, point: &GeoPoint) -> GeoPoint {
-        let node = self.node(asn);
-        *node
-            .pops
-            .iter()
-            .min_by(|p, q| {
-                p.distance_km(point)
-                    .partial_cmp(&q.distance_km(point))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("nodes always have PoPs")
+        let pops = self.node(asn).pops.iter().copied();
+        nearest(pops, |p| p.distance_km(point)).expect("nodes always have PoPs").0
     }
 
     /// The interconnect point on `link` nearest to `from` — hot-potato
-    /// exit selection.
-    pub fn nearest_interconnect(&self, link: usize, from: &GeoPoint) -> GeoPoint {
-        *self.links[link]
-            .interconnects
-            .iter()
-            .min_by(|p, q| {
-                p.distance_km(from)
-                    .partial_cmp(&q.distance_km(from))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
+    /// exit selection — and its distance from `from` in km.
+    pub fn nearest_interconnect(&self, link: usize, from: &GeoPoint) -> (GeoPoint, f64) {
+        nearest(self.links[link].interconnects.iter().copied(), |p| p.distance_km(from))
             .expect("links always have interconnects")
     }
 
@@ -268,6 +253,29 @@ impl AsGraph {
     pub fn ases_of_kind(&self, kind: AsKind) -> Vec<Asn> {
         self.nodes.iter().filter(|n| n.kind == kind).map(|n| n.asn).collect()
     }
+}
+
+/// The item of `items` whose `dist` is least, with that distance, or
+/// `None` when `items` is empty. Each distance is evaluated once, where
+/// `Iterator::min_by` over `dist(a).partial_cmp(&dist(b))` evaluates two
+/// per comparison; the pick is the same: the first minimum wins, and a
+/// NaN distance compares equal to everything (`unwrap_or(Equal)`).
+pub fn nearest<T>(
+    items: impl IntoIterator<Item = T>,
+    mut dist: impl FnMut(&T) -> f64,
+) -> Option<(T, f64)> {
+    let mut best: Option<(T, f64)> = None;
+    for item in items {
+        let d = dist(&item);
+        // `min_by` keeps the current minimum unless it compares Greater.
+        let replaces = best.as_ref().is_none_or(|(_, b)| {
+            b.partial_cmp(&d).unwrap_or(std::cmp::Ordering::Equal) == std::cmp::Ordering::Greater
+        });
+        if replaces {
+            best = Some((item, d));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -355,8 +363,9 @@ mod tests {
             Asn(2),
             vec![GeoPoint::new(0.0, -60.0), GeoPoint::new(0.0, 60.0)],
         );
-        let x = g.nearest_interconnect(0, &GeoPoint::new(0.0, 50.0));
+        let (x, km) = g.nearest_interconnect(0, &GeoPoint::new(0.0, 50.0));
         assert!((x.lon() - 60.0).abs() < 1e-9);
+        assert_eq!(km, x.distance_km(&GeoPoint::new(0.0, 50.0)));
     }
 
     #[test]

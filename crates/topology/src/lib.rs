@@ -48,5 +48,5 @@ pub use asn::{AsKind, Asn, OrgId};
 pub use bgp::{ExportScope, OriginRoutes, RouteClass, RouteComputer};
 pub use gen::{InternetGenerator, TopologyConfig};
 pub use infer::{infer_relationships, score_inference, InferenceAccuracy, InferredRel};
-pub use graph::{AsGraph, AsNode, Relationship};
+pub use graph::{nearest, AsGraph, AsNode, Relationship};
 pub use prefix::{IpToAsnService, Ipv4Addr24, Prefix24};
