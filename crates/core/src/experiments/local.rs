@@ -49,7 +49,7 @@ fn sharded_campaign(
             rtts.clone(),
             StdRng::seed_from_u64(shard_seed),
         );
-        resolver.drive(events.iter().map(|e| (e.t, &e.query)), &world.zone)
+        resolver.drive(events.iter().map(|e| (e.t, &*e.query)), &world.zone)
     });
     let mut stats = CampaignStats::default();
     for shard in per_shard {

@@ -26,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Negative-cache TTL for NXDOMAIN answers (SOA-minimum style), ms.
 pub const NEGATIVE_TTL_MS: f64 = 900.0 * 1000.0;
@@ -262,6 +263,53 @@ pub fn amortized_root_rate(
     queries_per_day * (uncacheable_share + (1.0 - uncacheable_share) * cacheable_miss_rate)
 }
 
+/// A multiplicative (FxHash-style) hasher for the resolver's caches:
+/// fixed, so deterministic, and several times cheaper than SipHash on
+/// short names and small integer keys. Nothing iterates those caches,
+/// so their hasher cannot reach any output; it only decides where
+/// entries sit. The keys are names and indices the simulation built,
+/// not outside input, so SipHash's resistance to crafted collisions
+/// buys nothing here.
+#[derive(Debug, Default)]
+struct CacheHasher(u64);
+
+impl CacheHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for CacheHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A resolver cache, hashed with [`CacheHasher`].
+type CacheMap<K, V> = HashMap<K, V, BuildHasherDefault<CacheHasher>>;
+
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
     expires: SimTime,
@@ -275,19 +323,19 @@ pub struct RecursiveResolver {
     config: ResolverConfig,
     rtts: UpstreamRtts,
     /// Positive cache: (tld index, qtype) → entry.
-    cache: HashMap<(usize, QueryType), CacheEntry>,
+    cache: CacheMap<(usize, QueryType), CacheEntry>,
     /// AAAA cache for TLD-zone *nameserver* names: (tld, ns index).
-    ns_aaaa_cache: HashMap<(usize, u8), CacheEntry>,
+    ns_aaaa_cache: CacheMap<(usize, u8), CacheEntry>,
     /// When each nameserver AAAA was last *fetched* from the roots —
     /// empty answers are uncacheable, so this only feeds the Appendix E
     /// redundancy accounting.
-    ns_fetch_log: HashMap<(usize, u8), SimTime>,
+    ns_fetch_log: CacheMap<(usize, u8), SimTime>,
     /// Negative cache for junk suffixes.
-    negative: HashMap<String, CacheEntry>,
+    negative: CacheMap<String, CacheEntry>,
     /// Full-answer cache (fqdn → expiry): what makes "roughly half of
     /// queries ... (probably) cached" with sub-millisecond latency in
     /// Appendix D's Fig. 12.
-    answers: HashMap<String, CacheEntry>,
+    answers: CacheMap<String, CacheEntry>,
     /// Stats: user queries served.
     user_queries: u64,
     /// Stats: awaited root queries emitted.
@@ -306,11 +354,11 @@ impl RecursiveResolver {
         Self {
             config,
             rtts,
-            cache: HashMap::new(),
-            ns_aaaa_cache: HashMap::new(),
-            ns_fetch_log: HashMap::new(),
-            negative: HashMap::new(),
-            answers: HashMap::new(),
+            cache: CacheMap::default(),
+            ns_aaaa_cache: CacheMap::default(),
+            ns_fetch_log: CacheMap::default(),
+            negative: CacheMap::default(),
+            answers: CacheMap::default(),
             user_queries: 0,
             awaited_root_queries: 0,
             best_letter,

@@ -14,6 +14,7 @@ use netsim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Third-party assets come from the most popular sites only.
 const THIRD_PARTY_UNIVERSE: usize = 400;
@@ -53,8 +54,9 @@ impl Default for BrowseConfig {
 pub struct BrowseEvent {
     /// Arrival time.
     pub t: SimTime,
-    /// The query.
-    pub query: QueryName,
+    /// The query. Every event for one name shares one allocation; only
+    /// the Chromium probes' random labels are fresh.
+    pub query: Arc<QueryName>,
 }
 
 /// Generates browsing query streams.
@@ -62,38 +64,76 @@ pub struct BrowseEvent {
 pub struct BrowseGenerator {
     config: BrowseConfig,
     rng: StdRng,
-    /// Site universe in Zipf rank order, names rendered once.
+    /// Site universe in Zipf rank order, names built once.
     sites: Vec<Site>,
-    /// `1/k` for `k` in `1..=site_universe`; the third-party universe is
-    /// a prefix.
-    recip: Vec<f64>,
-    /// Zipf normaliser `H_n` of the site universe.
-    h_sites: f64,
-    /// Zipf normaliser of the third-party universe (its top 400 sites).
-    h_third: f64,
+    /// One query per [`JUNK_SUFFIXES`] entry, in its order.
+    junk: Vec<Arc<QueryName>>,
+    /// Zipf prefix sums: entry `k` is `Σ_{i=1..=k+1} 1/i`, summed in rank
+    /// order, so entry `n - 1` is the normaliser `H_n` of the universe of
+    /// the top `n` sites (the third-party universe is a prefix).
+    prefix: Vec<f64>,
 }
 
-/// One site's names, lower-cased as [`QueryName::valid_host`] renders
-/// them.
+/// One site's names, each built once and shared by every event that
+/// looks it up.
 #[derive(Debug)]
 struct Site {
     /// `site{i}.{tld}`.
-    fqdn: String,
+    name: Arc<QueryName>,
     /// `cdn.site{i}.{tld}`: the name a third-party asset fetch looks up.
-    cdn_fqdn: String,
-    /// The site's TLD.
-    tld: String,
+    cdn: Arc<QueryName>,
+    /// `static{k}.site{i}.{tld}` at index `k`, built on first use.
+    statics: Vec<Option<Arc<QueryName>>>,
 }
 
 impl Site {
-    fn query(&self, fqdn: String) -> QueryName {
-        QueryName { fqdn, tld: self.tld.clone(), class: QueryClass::ValidTld }
+    /// The site's `k`-th own-subdomain asset name.
+    fn static_name(&mut self, k: usize) -> Arc<QueryName> {
+        if self.statics.len() <= k {
+            self.statics.resize(k + 1, None);
+        }
+        let name = &self.name;
+        Arc::clone(self.statics[k].get_or_insert_with(|| {
+            Arc::new(QueryName {
+                fqdn: format!("static{k}.{}", name.fqdn),
+                tld: name.tld.clone(),
+                class: QueryClass::ValidTld,
+            })
+        }))
     }
 }
 
-/// `H_n = Σ_{k=1..n} 1/k`, summed in the order the draw scans.
-fn harmonic(n: usize) -> f64 {
-    (1..=n).map(|k| 1.0 / k as f64).sum()
+/// The rank a uniform draw `x` in `[0, H_n)` selects when it is
+/// certified: binary search finds the first prefix sum reaching `x`, and
+/// the result stands only when `x` lies more than
+/// `δ = 8·n·ε·H_n` from both neighbouring prefix sums (ε is
+/// `f64::EPSILON`). The rank-order scan [`scan_rank`] and the table each
+/// round `n` times by at most `ε/2·H_n`, so the scan's running value
+/// stays within `n·ε·H_n` of `x − prefix[k]` and takes the same sign
+/// as it at every step: the scan returns the same rank. `None` (the
+/// draw falls within `δ` of a boundary, or past the last sum) leaves the
+/// draw to the scan (DESIGN.md decision 9).
+fn certified_rank(prefix: &[f64], x: f64) -> Option<usize> {
+    let n = prefix.len();
+    let delta = 8.0 * n as f64 * f64::EPSILON * prefix[n - 1];
+    let k = prefix.partition_point(|&p| p < x);
+    let clear_above = prefix.get(k).is_some_and(|&p| p - x > delta);
+    let clear_below = k == 0 || x - prefix[k - 1] > delta;
+    (clear_above && clear_below).then_some(k)
+}
+
+/// Zipf(1) rank in `[0, n)` of a uniform draw `x` in `[0, H_n)`:
+/// subtracts `1/k` in rank order until `x` is spent. This is the draw's
+/// definition; [`certified_rank`] reproduces it where it can prove the
+/// same result.
+fn scan_rank(n: usize, mut x: f64) -> usize {
+    for k in 1..=n {
+        x -= 1.0 / k as f64;
+        if x <= 0.0 {
+            return k - 1;
+        }
+    }
+    n - 1
 }
 
 impl BrowseGenerator {
@@ -102,15 +142,22 @@ impl BrowseGenerator {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xb205_e000_0000_0001);
         let sites = (0..config.site_universe)
             .map(|i| {
-                let tld = zone.tld(zone.sample_tld(&mut rng)).name.to_ascii_lowercase();
-                let fqdn = format!("site{i}.{tld}");
-                Site { cdn_fqdn: format!("cdn.{fqdn}"), fqdn, tld }
+                let tld = &zone.tld(zone.sample_tld(&mut rng)).name;
+                Site {
+                    name: Arc::new(QueryName::valid_host(format!("site{i}"), tld)),
+                    cdn: Arc::new(QueryName::valid_host(format!("cdn.site{i}"), tld)),
+                    statics: Vec::new(),
+                }
             })
             .collect();
-        let recip = (1..=config.site_universe).map(|k| 1.0 / k as f64).collect();
-        let h_sites = harmonic(config.site_universe);
-        let h_third = harmonic(config.site_universe.min(THIRD_PARTY_UNIVERSE));
-        Self { config, rng, sites, recip, h_sites, h_third }
+        let junk = JUNK_SUFFIXES.iter().map(|s| Arc::new(QueryName::junk(*s))).collect();
+        let prefix = (1..=config.site_universe)
+            .scan(0.0, |sum, k| {
+                *sum += 1.0 / k as f64;
+                Some(*sum)
+            })
+            .collect();
+        Self { config, rng, sites, junk, prefix }
     }
 
     /// Generates `days` of queries, time-ordered.
@@ -126,22 +173,19 @@ impl BrowseGenerator {
         for _ in 0..total_pages {
             let t0 = self.rng.gen_range(0.0..horizon);
             // Zipf site choice.
-            let site_idx = self.zipf(cfg.site_universe, self.h_sites);
+            let site_idx = self.zipf(cfg.site_universe);
             let n_lookups = 1 + self.poisson_ish(cfg.lookups_per_page - 1.0);
             for k in 0..n_lookups {
                 // First lookup is the site itself; the rest are assets on
                 // a mix of its own subdomains and popular third parties.
                 let q = if k == 0 {
-                    let site = &self.sites[site_idx];
-                    site.query(site.fqdn.clone())
+                    Arc::clone(&self.sites[site_idx].name)
                 } else if self.rng.gen_bool(0.6) {
                     // Third-party asset: another (usually popular) site.
-                    let third = self.zipf(n_third, self.h_third);
-                    let third = &self.sites[third];
-                    third.query(third.cdn_fqdn.clone())
+                    let third = self.zipf(n_third);
+                    Arc::clone(&self.sites[third].cdn)
                 } else {
-                    let site = &self.sites[site_idx];
-                    site.query(format!("static{k}.{}", site.fqdn))
+                    self.sites[site_idx].static_name(k)
                 };
                 events.push(BrowseEvent { t: SimTime(t0 + k as f64 * 35.0), query: q });
             }
@@ -157,7 +201,7 @@ impl BrowseGenerator {
                     (0..len).map(|_| (b'a' + self.rng.gen_range(0..26)) as char).collect();
                 events.push(BrowseEvent {
                     t: SimTime(t0 + k as f64 * 2.0),
-                    query: QueryName::chromium_probe(label),
+                    query: Arc::new(QueryName::chromium_probe(label)),
                 });
             }
         }
@@ -166,26 +210,20 @@ impl BrowseGenerator {
         let junk = (cfg.users as f64 * cfg.junk_per_user_per_day * days) as usize;
         for _ in 0..junk {
             let t = SimTime(self.rng.gen_range(0.0..horizon));
-            let suffix = JUNK_SUFFIXES[self.rng.gen_range(0..JUNK_SUFFIXES.len())];
-            events.push(BrowseEvent { t, query: QueryName::junk(suffix) });
+            let query = Arc::clone(&self.junk[self.rng.gen_range(0..self.junk.len())]);
+            events.push(BrowseEvent { t, query });
         }
 
         events.sort_by(|a, b| a.t.partial_cmp(&b.t).expect("finite times"));
         events
     }
 
-    /// Zipf(1)-ish index in `[0, n)`; `h_n` is [`harmonic`]`(n)`. The
-    /// scan must subtract `1/k` in rank order: a binary search or alias
-    /// table would move draws at ulp boundaries (DESIGN.md decision 9).
-    fn zipf(&mut self, n: usize, h_n: f64) -> usize {
-        let mut x = self.rng.gen_range(0.0..h_n);
-        for (i, r) in self.recip[..n].iter().enumerate() {
-            x -= r;
-            if x <= 0.0 {
-                return i;
-            }
-        }
-        n - 1
+    /// Zipf(1)-ish index in `[0, n)`: certified binary search, else the
+    /// rank-order scan (DESIGN.md decision 9).
+    fn zipf(&mut self, n: usize) -> usize {
+        let prefix = &self.prefix[..n];
+        let x = self.rng.gen_range(0.0..prefix[n - 1]);
+        certified_rank(prefix, x).unwrap_or_else(|| scan_rank(n, x))
     }
 
     fn poisson_ish(&mut self, lambda: f64) -> usize {
@@ -250,11 +288,9 @@ mod tests {
         assert!(max > 3, "Zipf reuse should revisit popular names (max {max})");
     }
 
-    /// The draw before the tables: `H_n` and every `1/k` recomputed per
-    /// call.
-    fn reference_zipf(rng: &mut StdRng, n: usize) -> usize {
-        let h_n: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
-        let mut x = rng.gen_range(0.0..h_n);
+    /// The draw before the tables and the search: `1/k` recomputed and
+    /// subtracted in rank order.
+    fn reference_zipf(n: usize, mut x: f64) -> usize {
         for k in 1..=n {
             x -= 1.0 / k as f64;
             if x <= 0.0 {
@@ -264,15 +300,46 @@ mod tests {
         n - 1
     }
 
+    /// `x` moved by `steps` ulps (`x` positive and finite).
+    fn ulps(x: f64, steps: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + steps) as u64)
+    }
+
     #[test]
-    fn table_zipf_matches_the_per_draw_loop() {
+    fn certified_zipf_matches_the_rank_order_scan() {
         let zone = RootZone::generate(1, 50);
         for n in [1, 2, 400, 4000] {
             let mut g = BrowseGenerator::new(BrowseConfig::default(), &zone, n as u64);
-            let h_n = harmonic(n);
+            // `H_n` as the draw before the tables summed it.
+            let h_n: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
+            assert_eq!(g.prefix[n - 1].to_bits(), h_n.to_bits(), "n {n}");
             let mut reference = g.rng.clone();
-            for draw in 0..10_000 {
-                assert_eq!(g.zipf(n, h_n), reference_zipf(&mut reference, n), "n {n} draw {draw}");
+            let mut certified = 0;
+            for draw in 0..1_000_000 {
+                let x = reference.gen_range(0.0..h_n);
+                certified += usize::from(certified_rank(&g.prefix[..n], x).is_some());
+                assert_eq!(g.zipf(n), reference_zipf(n, x), "n {n} draw {draw}");
+            }
+            // The search, not the scan, must carry the draws.
+            assert!(certified > 999_000, "n {n}: only {certified} draws certified");
+        }
+    }
+
+    #[test]
+    fn draws_near_a_prefix_sum_take_the_scan() {
+        let zone = RootZone::generate(1, 50);
+        let g = BrowseGenerator::new(BrowseConfig::default(), &zone, 1);
+        for n in [1, 2, 400, 4000] {
+            let prefix = &g.prefix[..n];
+            for k in 0..n {
+                for j in -4..=4 {
+                    let x = ulps(prefix[k], j);
+                    if x >= prefix[n - 1] {
+                        continue; // outside the draw's range [0, H_n)
+                    }
+                    assert_eq!(certified_rank(prefix, x), None, "n {n} k {k} j {j}");
+                    assert_eq!(scan_rank(n, x), reference_zipf(n, x), "n {n} k {k} j {j}");
+                }
             }
         }
     }

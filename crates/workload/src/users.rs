@@ -24,7 +24,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use par::DetHashMap as HashMap;
 use topology::gen::{ContentAsSpec, Internet};
-use topology::{Asn, Ipv4Addr24, Prefix24};
+use topology::{nearest, Asn, Ipv4Addr24, Prefix24};
 
 /// Identifier of a recursive resolver deployment (index into
 /// [`UserPopulation::recursives`]).
@@ -334,14 +334,8 @@ fn recursive_node<'a>(
 }
 
 fn nearest_public(publics: &[(GeoPoint, RecursiveId)], loc: &GeoPoint) -> RecursiveId {
-    publics
-        .iter()
-        .min_by(|a, b| {
-            a.0.distance_km(loc)
-                .partial_cmp(&b.0.distance_km(loc))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(_, id)| *id)
+    nearest(publics, |(p, _)| p.distance_km(loc))
+        .map(|((_, id), _)| *id)
         .expect("public DNS always deployed")
 }
 
