@@ -21,108 +21,25 @@
 //! span tree to stderr as stages finish and prints the aggregated tree
 //! at the end; the default run is silent apart from the artifacts.
 
+use anycast_core::cli::{parse_args, Command, RunArgs, USAGE};
 use anycast_core::experiments::{run, ALL_IDS, DESCRIPTIONS};
 use anycast_core::{Artifact, World, WorldConfig};
 
 fn main() {
-    let mut args = std::env::args().skip(1).peekable();
-    let mut seed = 2021u64;
-    let mut scale = 0.5f64;
-    let mut year = 2018u16;
-    let mut threads = 0usize; // 0 = available parallelism
-    let mut population: Option<usize> = None;
-    let mut out_dir: Option<String> = None;
-    let mut ids: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"))
-            }
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|s: &f64| *s > 0.0 && *s <= 1.0)
-                    .unwrap_or_else(|| die("--scale needs a float in (0,1]"))
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs a non-negative integer"))
-            }
-            "--population" => {
-                population = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|p| *p >= 1)
-                        .unwrap_or_else(|| die("--population needs a positive integer")),
-                )
-            }
-            "--out" => {
-                out_dir = Some(args.next().unwrap_or_else(|| die("--out needs a directory")))
-            }
-            "--year" => {
-                year = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|y| *y == 2018 || *y == 2020)
-                    .unwrap_or_else(|| die("--year must be 2018 or 2020"))
-            }
-            "--verbose" | "-v" => obs::set_verbose(true),
-            "--list" => {
-                // Group the catalogue by experiment family, preserving
-                // registry order within each group.
-                let family = |id: &str| {
-                    if id.starts_with("dyn") {
-                        "dynamics & replay"
-                    } else if id.starts_with("ext") {
-                        "extensions"
-                    } else {
-                        "core paper artifacts"
-                    }
-                };
-                let width = 2 + DESCRIPTIONS.iter().map(|(id, _)| id.len()).max().unwrap_or(0);
-                let mut current = "";
-                for (id, desc) in DESCRIPTIONS {
-                    let f = family(id);
-                    if f != current {
-                        if !current.is_empty() {
-                            println!();
-                        }
-                        println!("{f}:");
-                        current = f;
-                    }
-                    println!("  {id:<width$}{desc}");
-                }
-                return;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "repro [--seed N] [--scale F] [--population N] [--year 2018|2020] [--threads N] [--verbose] [--list] [--out DIR] [ids…|all]"
-                );
-                println!("ids: {}", ALL_IDS.join(" "));
-                println!("run `repro --list` for one-line descriptions");
-                return;
-            }
-            other => ids.push(other.to_string()),
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Run(args)) => args,
+        Ok(Command::List) => return print_list(),
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            println!("ids: {}", ALL_IDS.join(" "));
+            println!("run `repro --list` for one-line descriptions");
+            return;
         }
-    }
-    if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
-    }
-    for id in &ids {
-        if !ALL_IDS.contains(&id.as_str()) {
-            let hint = closest_id(id)
-                .map(|c| format!(" (did you mean {c:?}?)"))
-                .unwrap_or_default();
-            die(&format!(
-                "unknown experiment {id:?}{hint}; run `repro --list` to see every id"
-            ));
-        }
+        Err(msg) => die(&msg),
+    };
+    let RunArgs { seed, scale, year, threads, population, out_dir, verbose, ids } = args;
+    if verbose {
+        obs::set_verbose(true);
     }
     par::set_threads(threads);
 
@@ -214,30 +131,31 @@ fn render_timings(timings: &[(String, f64, u64)], threads: usize, total_secs: f6
     s
 }
 
-/// The known id nearest to `input` by edit distance, if any comes
-/// within two edits (typo range). Ties go to registry order.
-fn closest_id(input: &str) -> Option<&'static str> {
-    ALL_IDS
-        .iter()
-        .map(|id| (edit_distance(input, id), *id))
-        .filter(|(d, _)| *d <= 2)
-        .min_by_key(|(d, _)| *d)
-        .map(|(_, id)| id)
-}
-
-/// Plain Levenshtein distance (the inputs are short ids).
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.iter().enumerate() {
-        let mut row = vec![i + 1];
-        for (j, cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            row.push(sub.min(prev[j + 1] + 1).min(row[j] + 1));
+/// `--list`: the catalogue grouped by experiment family, registry
+/// order within each group.
+fn print_list() {
+    let family = |id: &str| {
+        if id.starts_with("dyn") {
+            "dynamics & replay"
+        } else if id.starts_with("ext") {
+            "extensions"
+        } else {
+            "core paper artifacts"
         }
-        prev = row;
+    };
+    let width = 2 + DESCRIPTIONS.iter().map(|(id, _)| id.len()).max().unwrap_or(0);
+    let mut current = "";
+    for (id, desc) in DESCRIPTIONS {
+        let f = family(id);
+        if f != current {
+            if !current.is_empty() {
+                println!();
+            }
+            println!("{f}:");
+            current = f;
+        }
+        println!("  {id:<width$}{desc}");
     }
-    prev[b.len()]
 }
 
 fn die(msg: &str) -> ! {

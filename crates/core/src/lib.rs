@@ -18,6 +18,7 @@
 //! ```
 
 pub mod artifact;
+pub mod cli;
 pub mod experiments;
 pub mod world;
 
