@@ -6,24 +6,10 @@
 //! *lower* median latency — efficiency is a poor performance metric.
 
 use crate::stats::WeightedCdf;
-use serde::{Deserialize, Serialize};
 
 /// Tolerance for "zero" geographic inflation, ms (distance jitter from
 /// geolocation error makes exact zero too strict).
-pub const ZERO_INFLATION_EPSILON_MS: f64 = 1.0;
-
-/// One deployment's point in Fig. 7a.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DeploymentPoint {
-    /// Deployment name (letter or ring).
-    pub name: String,
-    /// Number of global sites.
-    pub global_sites: usize,
-    /// Fraction of users with (effectively) zero geographic inflation.
-    pub efficiency: f64,
-    /// Median user latency, ms.
-    pub median_latency_ms: f64,
-}
+pub(crate) const ZERO_INFLATION_EPSILON_MS: f64 = 1.0;
 
 /// Efficiency from a geographic-inflation CDF: the y-intercept.
 pub fn efficiency(geo_inflation: &WeightedCdf) -> f64 {
@@ -31,21 +17,6 @@ pub fn efficiency(geo_inflation: &WeightedCdf) -> f64 {
         return 0.0;
     }
     geo_inflation.intercept(ZERO_INFLATION_EPSILON_MS)
-}
-
-/// Assembles a Fig. 7a point.
-pub fn deployment_point(
-    name: impl Into<String>,
-    global_sites: usize,
-    geo_inflation: &WeightedCdf,
-    latency: &WeightedCdf,
-) -> DeploymentPoint {
-    DeploymentPoint {
-        name: name.into(),
-        global_sites,
-        efficiency: efficiency(geo_inflation),
-        median_latency_ms: if latency.is_empty() { f64::NAN } else { latency.median() },
-    }
 }
 
 /// Rank correlation (Kendall's τ, unnormalized sign count) between two
@@ -86,16 +57,6 @@ mod tests {
     #[test]
     fn empty_cdf_has_zero_efficiency() {
         assert_eq!(efficiency(&WeightedCdf::from_points(vec![])), 0.0);
-    }
-
-    #[test]
-    fn deployment_point_assembles() {
-        let geo = WeightedCdf::from_points(vec![(0.0, 1.0), (10.0, 1.0)]);
-        let lat = WeightedCdf::from_values([10.0, 20.0, 30.0]);
-        let p = deployment_point("R95", 95, &geo, &lat);
-        assert_eq!(p.global_sites, 95);
-        assert!((p.efficiency - 0.5).abs() < 1e-9);
-        assert_eq!(p.median_latency_ms, 20.0);
     }
 
     #[test]

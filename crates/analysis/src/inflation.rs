@@ -56,7 +56,7 @@ pub struct RootInflation {
 
 /// Minimum TCP query volume for a ⟨letter, /24⟩ latency estimate to
 /// count (the paper requires ≥ 10 handshakes per ⟨root, /24, site⟩).
-pub const MIN_TCP_VOLUME: f64 = 0.5;
+pub(crate) const MIN_TCP_VOLUME: f64 = 0.5;
 
 /// Computes root inflation over a cleaned DITL dataset.
 ///

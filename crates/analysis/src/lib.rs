@@ -42,18 +42,13 @@ pub mod stats;
 pub mod te;
 pub mod unicast;
 
-pub use affinity::{favorite_site_miss_fractions, site_affinity_over_windows, AffinityOverTime};
+pub use affinity::{favorite_site_miss_fractions, site_affinity_over_windows};
 pub use amortize::{ideal_queries_per_user_cdf, queries_per_user_cdf};
-pub use efficiency::{deployment_point, efficiency, kendall_tau, DeploymentPoint};
-pub use inflation::{cdn_inflation, coverage_cdf, root_inflation, CdnInflation, RootInflation};
-pub use join::{join_by_asn, join_by_ip, join_by_prefix, JoinKey, JoinStats, JoinedData, JoinedEntry};
-pub use paths::{inflation_by_path_length, org_path_length, PathLenClass, PathLengthDist};
-pub use preprocess::{preprocess, CleanDitl, FilterOptions, FilterStats};
-pub use locals::{local_site_study, LocalSiteStudy};
-pub use resilience::{
-    simulate_attack, simulate_attack_capacitated, AttackOutcome, AttackSpec, SiteCapacities,
-    TrafficSource,
-};
+pub use efficiency::{efficiency, kendall_tau};
+pub use inflation::{cdn_inflation, coverage_cdf, root_inflation, RootInflation};
+pub use join::{join_by_asn, join_by_ip, join_by_prefix};
+pub use preprocess::{preprocess, FilterOptions};
+pub use locals::local_site_study;
+pub use resilience::SiteCapacities;
 pub use stats::{median, BoxStats, WeightedCdf};
-pub use te::{optimize_withholds, TeResult};
-pub use unicast::{unicast_study, UnicastStudy};
+pub use unicast::unicast_study;

@@ -28,7 +28,7 @@ pub enum PathLenClass {
 
 impl PathLenClass {
     /// Classifies an organization count.
-    pub fn of(len: usize) -> PathLenClass {
+    pub(crate) fn of(len: usize) -> PathLenClass {
         match len {
             0..=2 => PathLenClass::Two,
             3 => PathLenClass::Three,
@@ -48,7 +48,7 @@ impl PathLenClass {
     }
 
     /// All classes in order.
-    pub const ALL: [PathLenClass; 4] =
+    pub(crate) const ALL: [PathLenClass; 4] =
         [PathLenClass::Two, PathLenClass::Three, PathLenClass::Four, PathLenClass::FivePlus];
 }
 
@@ -76,10 +76,9 @@ fn push_if_new_run(orgs: &mut Vec<OrgId>, org: OrgId) {
 /// Distribution of path-length classes over (weighted) observations.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PathLengthDist {
-    /// Fraction of weight per class, in [`PathLenClass::ALL`] order.
+    /// Fraction of weight per class, in [`PathLenClass`] declaration
+    /// order (2, 3, 4, 5+ ASes).
     pub fractions: [f64; 4],
-    /// Total weight observed.
-    pub total_weight: f64,
 }
 
 impl PathLengthDist {
@@ -103,7 +102,7 @@ impl PathLengthDist {
         } else {
             [0.0; 4]
         };
-        Self { fractions, total_weight: total }
+        Self { fractions }
     }
 
     /// Fraction of direct (2-AS) paths — §7.1's headline comparison
@@ -219,7 +218,6 @@ mod tests {
     #[test]
     fn empty_distribution() {
         let d = PathLengthDist::from_observations(vec![]);
-        assert_eq!(d.total_weight, 0.0);
         assert_eq!(d.fractions, [0.0; 4]);
     }
 }

@@ -56,7 +56,7 @@ impl FilterStats {
 #[derive(Debug, Clone)]
 pub struct CleanDitl {
     /// Surviving rows.
-    pub rows: Vec<DitlRow>,
+    pub(crate) rows: Vec<DitlRow>,
     /// Accounting for each filter stage.
     pub stats: FilterStats,
 }

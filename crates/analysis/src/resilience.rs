@@ -113,11 +113,6 @@ impl SiteCapacities {
         self.caps.len()
     }
 
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
-    }
-
     /// The load limit of `site`.
     ///
     /// # Panics
@@ -129,7 +124,7 @@ impl SiteCapacities {
 
     /// Remaining absolute headroom of `site` under `load` (negative when
     /// overloaded).
-    pub fn headroom(&self, site: SiteId, load: f64) -> f64 {
+    pub(crate) fn headroom(&self, site: SiteId, load: f64) -> f64 {
         self.capacity(site) - load
     }
 
@@ -177,15 +172,9 @@ pub struct AttackOutcome {
     pub rounds: usize,
 }
 
-impl AttackOutcome {
-    /// Whether the deployment rode out the attack (no user lost service).
-    pub fn survived(&self) -> bool {
-        self.unserved_user_fraction < 1e-9
-    }
-}
-
 /// Simulates `attack` against `deployment` with one uniform per-site
-/// capacity — a convenience wrapper over [`simulate_attack_capacitated`].
+/// capacity: every site gets the same limit in a [`SiteCapacities`]
+/// table.
 ///
 /// `users` carries the legitimate load (weight = users); `capacity` is
 /// each site's load limit in the same units (legit + attack combined).
@@ -213,7 +202,7 @@ pub fn simulate_attack(
 /// # Panics
 ///
 /// Panics when `caps` does not cover every site of the deployment.
-pub fn simulate_attack_capacitated(
+pub(crate) fn simulate_attack_capacitated(
     graph: &AsGraph,
     deployment: &AnycastDeployment,
     model: &LatencyModel,
@@ -376,7 +365,7 @@ mod tests {
             1e12,
         );
         assert!(outcome.withdrawn_sites.is_empty());
-        assert!(outcome.survived());
+        assert!(outcome.unserved_user_fraction < 1e-9);
         assert_eq!(outcome.rounds, 1);
     }
 
@@ -474,7 +463,7 @@ mod tests {
         );
         assert!(outcome.withdrawn_sites.is_empty());
         assert_eq!(outcome.rounds, 1);
-        assert!(outcome.survived());
+        assert!(outcome.unserved_user_fraction < 1e-9);
         assert!(
             (outcome.latency_after.total_weight() - outcome.latency_before.total_weight()).abs()
                 < 1e-9,
@@ -500,7 +489,7 @@ mod tests {
             &AttackSpec { sources: vec![] },
             1e12,
         );
-        assert!(!outcome.survived(), "a blacked-out deployment cannot survive");
+        assert!(outcome.unserved_user_fraction >= 1e-9, "a blacked-out deployment cannot survive");
         // Nothing reached the sites, so nothing overloaded and withdrew.
         assert!(outcome.withdrawn_sites.is_empty());
         assert_eq!(outcome.rounds, 1);
@@ -536,7 +525,6 @@ mod tests {
     fn capacities_answer_headroom_queries() {
         let caps = SiteCapacities::from_per_site(vec![100.0, 50.0, 200.0]);
         assert_eq!(caps.len(), 3);
-        assert!(!caps.is_empty());
         assert_eq!(caps.capacity(SiteId(1)), 50.0);
         assert_eq!(caps.headroom(SiteId(0), 60.0), 40.0);
 

@@ -133,7 +133,7 @@ pub struct BoxStats {
 
 impl BoxStats {
     /// Summary of a weighted distribution. Returns `None` when empty.
-    pub fn of(cdf: &WeightedCdf) -> Option<BoxStats> {
+    pub(crate) fn of(cdf: &WeightedCdf) -> Option<BoxStats> {
         if cdf.is_empty() {
             return None;
         }

@@ -15,68 +15,6 @@ use geo::GeoPoint;
 use netsim::{LastMile, LatencyModel, PathProfile};
 use topology::{AnycastDeployment, AsGraph, Asn, Catchment, RouteCache, SiteScope};
 
-/// One user's anycast-vs-unicast comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct UnicastComparison {
-    /// Modeled anycast RTT (median), ms.
-    pub anycast_ms: f64,
-    /// Best unicast RTT across all global sites, ms.
-    pub best_unicast_ms: f64,
-}
-
-impl UnicastComparison {
-    /// Li-et-al-style "unicast inflation": anycast minus best unicast,
-    /// clamped at zero.
-    pub fn unicast_inflation_ms(&self) -> f64 {
-        (self.anycast_ms - self.best_unicast_ms).max(0.0)
-    }
-}
-
-/// Computes the unicast alternative for one user: route to *each* global
-/// site's host individually (as if probing that site's unicast address)
-/// and keep the lowest modeled RTT.
-///
-/// Returns `None` if the user cannot reach the deployment via anycast or
-/// cannot reach any site via unicast.
-pub fn compare_for_user(
-    graph: &AsGraph,
-    deployment: &AnycastDeployment,
-    catchment: &Catchment<'_>,
-    cache: &mut RouteCache,
-    model: &LatencyModel,
-    src: Asn,
-    user_loc: &GeoPoint,
-    last_mile: LastMile,
-) -> Option<UnicastComparison> {
-    let anycast = catchment.assign(src, user_loc)?;
-    let anycast_ms =
-        model.median_rtt_ms(&PathProfile::from_assignment(&anycast, last_mile));
-
-    let mut best: Option<f64> = None;
-    for site in deployment.global_sites() {
-        // Unicast to this site: route to its host AS, then to the site.
-        let unicast_dep = AnycastDeployment::new(
-            format!("unicast-{}", site.name),
-            vec![topology::AnycastSite {
-                id: topology::SiteId(0),
-                name: site.name.clone(),
-                host: site.host,
-                location: site.location,
-                scope: SiteScope::Global,
-            }],
-            deployment.withhold.clone(),
-        );
-        // Reuse the shared per-origin route cache (same key space).
-        let single = Catchment::compute(graph, &unicast_dep, cache);
-        let Some(assignment) = single.assign(src, user_loc) else {
-            continue;
-        };
-        let ms = model.median_rtt_ms(&PathProfile::from_assignment(&assignment, last_mile));
-        best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-    }
-    best.map(|best_unicast_ms| UnicastComparison { anycast_ms, best_unicast_ms })
-}
-
 /// Unicast-inflation CDF over a set of weighted users, plus the CDF of
 /// the *unicast alternative's own* inflation above the geometric bound —
 /// the quantity §3 warns about ("user routes to the best unicast
@@ -93,8 +31,7 @@ pub struct UnicastStudy {
 /// Runs the study over `(src, location, weight)` users.
 ///
 /// Per-site ("unicast") catchments are computed once and reused across
-/// every user — the per-user helper [`compare_for_user`] exists for
-/// spot checks, but a population study would otherwise recompute each
+/// every user; a per-user comparison would otherwise recompute each
 /// site's routing thousands of times.
 pub fn unicast_study(
     graph: &AsGraph,
@@ -136,10 +73,10 @@ pub fn unicast_study(
         if !best_unicast_ms.is_finite() {
             continue;
         }
-        let cmp = UnicastComparison { anycast_ms, best_unicast_ms };
-        li_points.push((cmp.unicast_inflation_ms(), *weight));
+        // Li-et-al-style "unicast inflation", clamped at zero.
+        li_points.push(((anycast_ms - best_unicast_ms).max(0.0), *weight));
         let bound = geo::km_to_rtt_lower_bound_ms(deployment.nearest_global_site_km(loc));
-        residual_points.push(((cmp.best_unicast_ms - bound).max(0.0), *weight));
+        residual_points.push(((best_unicast_ms - bound).max(0.0), *weight));
     }
     UnicastStudy {
         unicast_inflation: WeightedCdf::from_points(li_points),
@@ -171,41 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn anycast_never_beats_best_unicast_by_construction() {
-        let (net, dep) = setup();
-        let model = LatencyModel::default();
-        let mut cache = RouteCache::new();
-        let catchment = Catchment::compute(&net.graph, &dep, &mut cache);
-        let mut compared = 0;
-        for loc in net.user_locations().iter().take(40) {
-            let p = net.world.region(loc.region).center;
-            let Some(cmp) = compare_for_user(
-                &net.graph,
-                &dep,
-                &catchment,
-                &mut cache,
-                &model,
-                loc.asn,
-                &p,
-                LastMile::None,
-            ) else {
-                continue;
-            };
-            compared += 1;
-            // The anycast route is one of the unicast routes, so the best
-            // unicast can only be as good or better.
-            assert!(
-                cmp.best_unicast_ms <= cmp.anycast_ms + 1e-6,
-                "unicast {} > anycast {}",
-                cmp.best_unicast_ms,
-                cmp.anycast_ms
-            );
-            assert!(cmp.unicast_inflation_ms() >= 0.0);
-        }
-        assert!(compared > 10, "too few comparisons: {compared}");
-    }
-
-    #[test]
     fn study_produces_both_cdfs() {
         let (net, dep) = setup();
         let users: Vec<(Asn, GeoPoint, f64)> = net
@@ -221,26 +123,5 @@ mod tests {
         // carries residual inflation above the geometric bound for a
         // detectable share of users.
         assert!(study.baseline_residual.quantile(0.9) >= 0.0);
-    }
-
-    #[test]
-    fn route_cache_is_reused_across_sites() {
-        let (net, dep) = setup();
-        let model = LatencyModel::default();
-        let mut cache = RouteCache::new();
-        let catchment = Catchment::compute(&net.graph, &dep, &mut cache);
-        let before = cache.len();
-        let loc = net.user_locations()[0];
-        let p = net.world.region(loc.region).center;
-        let _ = compare_for_user(
-            &net.graph, &dep, &catchment, &mut cache, &model, loc.asn, &p, LastMile::None,
-        );
-        // Unicast per-site catchments share the anycast origin entries.
-        assert!(cache.len() >= before);
-        let after_first = cache.len();
-        let _ = compare_for_user(
-            &net.graph, &dep, &catchment, &mut cache, &model, loc.asn, &p, LastMile::None,
-        );
-        assert_eq!(cache.len(), after_first, "second user reuses all routes");
     }
 }

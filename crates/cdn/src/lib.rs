@@ -21,7 +21,7 @@ pub mod measurement;
 pub mod pageload;
 pub mod rings;
 
-pub use logs::{ServerLogRecord, ServerSideLogs};
-pub use measurement::{ClientMeasurement, ClientMeasurements};
+pub use logs::ServerSideLogs;
+pub use measurement::ClientMeasurements;
 pub use pageload::{PageLoadStudy, PAGE_LOAD_RTTS};
-pub use rings::{Cdn, CdnConfig, Ring, RING_SIZES};
+pub use rings::{Cdn, CdnConfig};

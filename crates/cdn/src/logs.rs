@@ -22,7 +22,7 @@ use topology::{Asn, Catchment, RouteCache, SiteId};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServerLogRecord {
     /// Ring name (`"R110"`).
-    pub ring: String,
+    pub(crate) ring: String,
     /// User region.
     pub region: RegionId,
     /// User AS.
@@ -31,20 +31,13 @@ pub struct ServerLogRecord {
     pub front_end: SiteId,
     /// Median TCP handshake RTT, ms.
     pub median_rtt_ms: f64,
-    /// Number of handshakes aggregated.
-    pub samples: u32,
-    /// Length of the routed path, km (ground truth carried alongside for
-    /// inflation analysis; the real logs get this from geolocation).
-    pub path_km: f64,
-    /// AS-path length from user to CDN.
-    pub as_path_len: u32,
 }
 
 /// The collected server-side dataset.
 #[derive(Debug, Clone, Default)]
 pub struct ServerSideLogs {
     /// All rows.
-    pub records: Vec<ServerLogRecord>,
+    pub(crate) records: Vec<ServerLogRecord>,
 }
 
 impl ServerSideLogs {
@@ -89,9 +82,6 @@ impl ServerSideLogs {
                     asn: loc.asn,
                     front_end: assignment.site,
                     median_rtt_ms,
-                    samples: samples_per_location,
-                    path_km: assignment.path_km,
-                    as_path_len: assignment.as_path_len() as u32,
                 });
             }
             drop(ring_span);
@@ -149,7 +139,6 @@ mod tests {
         let (_, _, logs) = collect_small();
         for r in &logs.records {
             assert!(r.median_rtt_ms > 0.0 && r.median_rtt_ms < 2000.0);
-            assert!(r.as_path_len >= 1);
         }
     }
 

@@ -23,14 +23,14 @@ use topology::{Asn, Catchment, RouteCache};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClientMeasurement {
     /// Ring name.
-    pub ring: String,
+    pub(crate) ring: String,
     /// User region.
-    pub region: RegionId,
+    pub(crate) region: RegionId,
     /// User AS.
-    pub asn: Asn,
+    pub(crate) asn: Asn,
     /// Median small-object fetch time, ms (DNS and TCP connect factored
     /// out, per §2.2 — effectively one RTT plus server time).
-    pub median_fetch_ms: f64,
+    pub(crate) median_fetch_ms: f64,
 }
 
 /// The collected client-side dataset.

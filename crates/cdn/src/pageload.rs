@@ -23,9 +23,9 @@ pub struct PageLoadStudy {
     pub rtt_counts: Vec<u32>,
     /// The same loads under QUIC (1-RTT handshake, 2× window) — the
     /// Appendix C footnote, quantified.
-    pub rtt_counts_quic: Vec<u32>,
+    pub(crate) rtt_counts_quic: Vec<u32>,
     /// The same loads over persistent warm connections.
-    pub rtt_counts_persistent: Vec<u32>,
+    pub(crate) rtt_counts_persistent: Vec<u32>,
 }
 
 impl PageLoadStudy {

@@ -14,7 +14,7 @@ use topology::gen::{ContentAsSpec, Internet};
 use topology::{AnycastDeployment, AnycastSite, Asn, SiteId, SiteScope};
 
 /// Paper ring sizes: R28, R47, R74, R95, R110 (§2.2, Fig. 1).
-pub const RING_SIZES: [usize; 5] = [28, 47, 74, 95, 110];
+pub(crate) const RING_SIZES: [usize; 5] = [28, 47, 74, 95, 110];
 
 /// CDN construction parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -147,11 +147,6 @@ impl Cdn {
         self.rings.last().expect("rings non-empty")
     }
 
-    /// Ring lookup by name (`"R95"`).
-    pub fn ring(&self, name: &str) -> Option<&Ring> {
-        self.rings.iter().find(|r| r.name == name)
-    }
-
     /// Position of the ring named `name` in [`Cdn::rings`].
     pub fn ring_index(&self, name: &str) -> Option<usize> {
         self.rings.iter().position(|r| r.name == name)
@@ -180,7 +175,7 @@ impl Cdn {
 /// (matched by host AS and physical location), or `None` when that
 /// front-end is not part of `to`. For nested rings this is how a
 /// promotion/demotion carries per-site state across the swap.
-pub fn site_remap(from: &AnycastDeployment, to: &AnycastDeployment) -> Vec<Option<SiteId>> {
+pub(crate) fn site_remap(from: &AnycastDeployment, to: &AnycastDeployment) -> Vec<Option<SiteId>> {
     from.sites
         .iter()
         .map(|s| {
@@ -237,13 +232,6 @@ mod tests {
         let top = net.world.top_regions_by_population(1)[0].center;
         let fe0 = cdn.rings[0].deployment.sites[0].location;
         assert!(fe0.distance_km(&top) < 1.0);
-    }
-
-    #[test]
-    fn ring_lookup() {
-        let (_, cdn) = build_small();
-        assert!(cdn.ring("R74").is_some());
-        assert!(cdn.ring("R9").is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use dynamics::{DynamicsEngine, EpochStepper, RecomputeMode, Timeline};
 /// Builds an identically-configured engine in the requested mode. Must
 /// be pure: two calls with the same mode must yield engines that replay
 /// a scenario byte-identically (every minimizer probe depends on it).
-pub type EngineFactory<'g> = dyn Fn(RecomputeMode) -> DynamicsEngine<'g> + 'g;
+pub(crate) type EngineFactory<'g> = dyn Fn(RecomputeMode) -> DynamicsEngine<'g> + 'g;
 
 /// Knobs of one harness run.
 #[derive(Debug, Clone)]
@@ -73,8 +73,6 @@ pub struct ChaosReport {
     /// The engine's load ledger at the end of the storm (all zero
     /// without capacities/controller).
     pub shed_users: f64,
-    /// User weight released back by the controller.
-    pub released_users: f64,
     /// Controller decision rounds taken.
     pub controller_rounds: u64,
     /// Accumulated overload exposure, user-seconds.
@@ -172,7 +170,6 @@ pub fn run_storm<'g>(
         violations,
         timeline,
         shed_users: ll.shed_users,
-        released_users: ll.released_users,
         controller_rounds: ll.controller_rounds,
         overload_user_s: ll.overload_user_s(),
     }

@@ -58,11 +58,11 @@ pub struct Violation {
     /// 1-based epoch index within the storm (0 = post-run check).
     pub epoch: u64,
     /// Simulated time of the offending epoch, ms.
-    pub t_ms: f64,
+    pub(crate) t_ms: f64,
     /// Which invariant broke (stable short name).
     pub invariant: &'static str,
     /// Human-readable evidence.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for Violation {
@@ -91,7 +91,7 @@ pub struct CounterBaseline {
 
 impl CounterBaseline {
     /// Captures the current counter values.
-    pub fn capture() -> Self {
+    pub(crate) fn capture() -> Self {
         Self {
             recomputed: obs::counter_value("dynamics.assign_recomputed"),
             reused: obs::counter_value("dynamics.assign_reused"),
@@ -263,7 +263,7 @@ pub fn check_epoch(
 /// Post-`finish` check: the drain identity closes —
 /// `Δstarted = Δstaged + Δaborted + Δcompleted` once the run's staged
 /// remainder is ledgered.
-pub fn check_final(baseline: Option<&CounterBaseline>, out: &mut Vec<Violation>) {
+pub(crate) fn check_final(baseline: Option<&CounterBaseline>, out: &mut Vec<Violation>) {
     if let Some(b) = baseline {
         let d_started = obs::counter_value("dynamics.drain.started") - b.drain_started;
         let d_staged = obs::counter_value("dynamics.drain.staged") - b.drain_staged;

@@ -42,13 +42,11 @@ pub mod minimize;
 pub mod repro;
 pub mod storm;
 
-pub use harness::{run_storm, ChaosOptions, ChaosReport, EngineFactory};
-pub use invariants::{
-    check_epoch, check_final, check_full_recompute, compare_oracle, CounterBaseline, Violation,
-};
-pub use minimize::{minimize, MinimizeOutcome};
+pub use harness::{run_storm, ChaosOptions, ChaosReport};
+pub use invariants::{check_epoch, check_full_recompute, compare_oracle};
+pub use minimize::minimize;
 pub use repro::Reproducer;
 pub use storm::{
-    event_total, generate, scenario_from, switch_schedule, Incident, IncidentKind, PolicyName,
-    StormConfig, StormRegime,
+    event_total, generate, scenario_from, switch_schedule, Incident, IncidentKind, StormConfig,
+    StormRegime,
 };

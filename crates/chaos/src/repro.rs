@@ -31,7 +31,7 @@ use std::path::Path;
 use topology::{Asn, SiteId};
 
 /// Magic first line of every reproducer file.
-pub const HEADER: &str = "# anycast-chaos reproducer v1";
+pub(crate) const HEADER: &str = "# anycast-chaos reproducer v1";
 
 /// A parsed (or about-to-be-written) reproducer: the minimal incident
 /// list plus everything needed to re-run it under the same checks.

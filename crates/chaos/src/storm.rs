@@ -42,7 +42,7 @@ pub enum PolicyName {
 
 impl PolicyName {
     /// Every policy, in switch-rotation order.
-    pub const ALL: [PolicyName; 4] = [
+    pub(crate) const ALL: [PolicyName; 4] = [
         PolicyName::Hysteresis,
         PolicyName::Distributed,
         PolicyName::Threshold,
@@ -50,7 +50,7 @@ impl PolicyName {
     ];
 
     /// Stable lowercase name, used in reproducer files.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             PolicyName::Null => "null",
             PolicyName::Threshold => "threshold",
@@ -60,7 +60,7 @@ impl PolicyName {
     }
 
     /// Parses [`PolicyName::as_str`] back.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "null" => Some(PolicyName::Null),
             "threshold" => Some(PolicyName::Threshold),
@@ -167,7 +167,7 @@ impl Incident {
     /// The scheduled routing events this incident expands to, in time
     /// order. [`IncidentKind::PolicySwitch`] expands to none (see
     /// [`switch_schedule`]).
-    pub fn events(&self) -> Vec<ScheduledEvent> {
+    pub(crate) fn events(&self) -> Vec<ScheduledEvent> {
         let at = self.at;
         match self.kind {
             IncidentKind::Flap { site, outage_ms } => vec![
@@ -219,7 +219,7 @@ impl Incident {
     }
 
     /// How many routing events the incident contributes.
-    pub fn event_count(&self) -> usize {
+    pub(crate) fn event_count(&self) -> usize {
         self.events().len()
     }
 }

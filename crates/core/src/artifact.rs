@@ -7,7 +7,7 @@
 use analysis::stats::{BoxStats, WeightedCdf};
 
 /// Quantiles at which CDF figures are tabulated.
-pub const CDF_QUANTILES: [f64; 9] = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0];
+pub(crate) const CDF_QUANTILES: [f64; 9] = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0];
 
 /// Formats a value with precision adapted to its magnitude, so
 /// queries-per-user-per-day (10⁻⁴…10³) and inflation milliseconds both
@@ -99,7 +99,7 @@ impl Artifact {
     }
 
     /// The title.
-    pub fn title(&self) -> &str {
+    pub(crate) fn title(&self) -> &str {
         match self {
             Artifact::Cdf { title, .. }
             | Artifact::Table { title, .. }

@@ -8,7 +8,7 @@ use cdn::pageload::{PageLoadStudy, PAGE_LOAD_RTTS};
 
 /// Fig. 4a: CDN latency per RTT / per page load, by ring, from the
 /// probe panel.
-pub fn fig4a(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig4a(world: &World) -> Vec<Artifact> {
     let mut per_rtt = Vec::new();
     let mut per_page = Vec::new();
     for ring in &world.cdn.rings {
@@ -48,7 +48,7 @@ pub fn fig4a(world: &World) -> Vec<Artifact> {
 
 /// Fig. 4b: per-⟨region, AS⟩ latency change when moving from each ring
 /// to the next larger one (client-side measurements, fixed population).
-pub fn fig4b(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig4b(world: &World) -> Vec<Artifact> {
     let mut series = Vec::new();
     for pair in world.cdn.rings.windows(2) {
         let (small, big) = (&pair[0], &pair[1]);
@@ -71,7 +71,7 @@ pub fn fig4b(world: &World) -> Vec<Artifact> {
 
 /// Fig. 5: CDN geographic (a) and latency (b) inflation per RTT, per
 /// ring, with the Root-DNS system overlaid.
-pub fn fig5(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig5(world: &World) -> Vec<Artifact> {
     let users = world.users_by_location();
     let mut geo_series = Vec::new();
     let mut lat_series = Vec::new();
@@ -100,7 +100,7 @@ pub fn fig5(world: &World) -> Vec<Artifact> {
 }
 
 /// Appendix C: the page-load RTT study behind the 10-RTT estimate.
-pub fn appc(world: &World) -> Vec<Artifact> {
+pub(crate) fn appc(world: &World) -> Vec<Artifact> {
     let study = PageLoadStudy::paper_scale(world.config.seed);
     let rows = vec![
         vec!["page loads analyzed".into(), study.rtt_counts.len().to_string()],
@@ -136,7 +136,7 @@ pub fn appc(world: &World) -> Vec<Artifact> {
 }
 
 /// Fig. 14 (App. F): per-region relative latency to the largest ring.
-pub fn fig14(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig14(world: &World) -> Vec<Artifact> {
     let ring = world.cdn.largest_ring();
     // Mean of per-⟨region,AS⟩ median RTTs, per region, normalized.
     use par::DetHashMap as HashMap;

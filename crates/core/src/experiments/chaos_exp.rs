@@ -96,7 +96,7 @@ fn summary_row(storm: &str, regime: StormRegime, incidents: usize, r: &ChaosRepo
 
 /// Runs the two storms and renders the summary (plus a reproducer
 /// artifact per violating storm, normally none).
-pub fn dynchaos(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynchaos(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let dep = &letter.deployment;
     let seed = world.config.seed;

@@ -131,7 +131,7 @@ fn timeline_artifacts(id: &str, title: &str, t: &Timeline, n_users: usize) -> Ve
 
 /// `dynflap`: the busiest root letter's hottest site flaps three times
 /// (down for five minutes, up for five, with seeded jitter).
-pub fn dynflap(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynflap(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut eng = engine(world, Arc::clone(&letter.deployment));
     let target = hottest_site(&eng);
@@ -164,7 +164,7 @@ pub fn dynflap(world: &World) -> Vec<Artifact> {
 /// generous (every site could absorb the whole user base), so every
 /// drain completes; the `headroom_frac` column tracks how much slack
 /// the survivors keep at each stage.
-pub fn dyndrain(world: &World) -> Vec<Artifact> {
+pub(crate) fn dyndrain(world: &World) -> Vec<Artifact> {
     let ring = world.cdn.largest_ring();
     let n = ring.deployment.sites.len().min(8);
     let sites: Vec<SiteId> = (0..n as u32).map(SiteId).collect();
@@ -205,7 +205,7 @@ pub fn dyndrain(world: &World) -> Vec<Artifact> {
 ///   its worst-case load during the drain (the strict `load > cap`
 ///   check admits an exact fit), so the same script completes through
 ///   all staged epochs and the maintenance hold.
-pub fn dyndrain_load(world: &World) -> Vec<Artifact> {
+pub(crate) fn dyndrain_load(world: &World) -> Vec<Artifact> {
     let ring = world.cdn.largest_ring();
     let n_sites = ring.deployment.sites.len();
     let probe = engine(world, Arc::clone(&ring.deployment));
@@ -273,7 +273,7 @@ pub fn dyndrain_load(world: &World) -> Vec<Artifact> {
 /// `dynoutage`: a correlated regional failure — every site of the
 /// busiest letter within 3000 km of its hottest site goes down within a
 /// two-minute window and recovers half an hour later.
-pub fn dynoutage(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynoutage(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut eng = engine(world, Arc::clone(&letter.deployment));
     let target = hottest_site(&eng);
@@ -310,7 +310,7 @@ pub fn dynoutage(world: &World) -> Vec<Artifact> {
 /// `reused` column stays high even though the whole deployment object
 /// was replaced. The timeline's `shifted` and `inflation_ms` columns
 /// give the per-epoch users-moved and latency deltas of the cycle.
-pub fn dynring(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynring(world: &World) -> Vec<Artifact> {
     let cdn = &world.cdn;
     let from = cdn.ring_index("R74").expect("paper ring R74 present");
     let to = cdn.ring_index("R95").expect("paper ring R95 present");
@@ -345,7 +345,7 @@ pub fn dynring(world: &World) -> Vec<Artifact> {
 /// an hour. Withhold changes invalidate every origin group at once, so
 /// this is the engine's worst case — the run summary shows (honestly)
 /// near-zero recompute savings.
-pub fn dynpeer(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynpeer(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut eng = engine(world, Arc::clone(&letter.deployment));
     // The heaviest host-adjacent AS that is not itself announcing the
@@ -383,7 +383,7 @@ pub fn dynpeer(world: &World) -> Vec<Artifact> {
 /// weight evenly — while the run summary's invalidation ledger
 /// (`slice_users` vs `scan_equivalent_users`) proves that epoch
 /// invalidation visited group slices, not the population.
-pub fn dynscale(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynscale(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut eng = expanded_engine(world, Arc::clone(&letter.deployment));
     let population = eng.population();
@@ -611,7 +611,7 @@ fn most_shedable_sites(eng: &DynamicsEngine<'_>) -> Vec<SiteId> {
 /// minute. The four load policies replay the identical
 /// scenario; the summary compares overload-seconds, shed volume, and
 /// the latency price of shedding.
-pub fn dynload(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynload(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
     let init = probe.site_loads();
@@ -649,7 +649,7 @@ pub fn dynload(world: &World) -> Vec<Artifact> {
 /// multi-session catchment while everything outside the ring stays a
 /// viable spillover target, the regime where lightest-session
 /// shedding pays off most.
-pub fn dynload_surge(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynload_surge(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
     let init = probe.site_loads();
@@ -688,7 +688,7 @@ pub fn dynload_surge(world: &World) -> Vec<Artifact> {
 /// policies chase the cascade one tick at a time; the distributed
 /// policy's bounded spillover recursion settles each epoch before the
 /// clock moves.
-pub fn dynload_cascade(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynload_cascade(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
     let init = probe.site_loads();
@@ -743,7 +743,7 @@ pub fn dynload_cascade(world: &World) -> Vec<Artifact> {
 /// served-RTT percentiles and `overload_user_s` is the controller's
 /// doing. Emits `dynreplay.csv` (per-policy per-window serving stats)
 /// and `dynreplaysum.csv` (per-policy stream totals).
-pub fn dynreplay(world: &World) -> Vec<Artifact> {
+pub(crate) fn dynreplay(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
     let init = probe.site_loads();

@@ -31,7 +31,7 @@ fn user_sources(world: &World) -> Vec<TrafficSource> {
 
 /// `extunicast`: anycast vs best-unicast latency for a small letter, a
 /// large letter, and the largest CDN ring.
-pub fn extunicast(world: &World) -> Vec<Artifact> {
+pub(crate) fn extunicast(world: &World) -> Vec<Artifact> {
     let users: Vec<(Asn, geo::GeoPoint, f64)> = world
         .population
         .locations
@@ -73,7 +73,7 @@ pub fn extunicast(world: &World) -> Vec<Artifact> {
 }
 
 /// `extlocals`: what local sites buy, for the letters that have them.
-pub fn extlocals(world: &World) -> Vec<Artifact> {
+pub(crate) fn extlocals(world: &World) -> Vec<Artifact> {
     let users = user_sources(world);
     let mut rows = Vec::new();
     for letter in [Letter::D, Letter::E, Letter::J, Letter::F] {
@@ -117,7 +117,7 @@ pub fn extlocals(world: &World) -> Vec<Artifact> {
 
 /// `extddos`: the same relative attack against deployments of different
 /// sizes — B root, K root, F root, and the largest ring.
-pub fn extddos(world: &World) -> Vec<Artifact> {
+pub(crate) fn extddos(world: &World) -> Vec<Artifact> {
     let users = user_sources(world);
     let total: f64 = users.iter().map(|u| u.load).sum();
     // Botnet: 25 sources spread across the population, volume 1.5× of
@@ -188,7 +188,7 @@ pub fn extddos(world: &World) -> Vec<Artifact> {
 
 /// `extte`: greedy selective-announcement optimization of the smallest
 /// ring (where ingress/front-end mismatch is worst).
-pub fn extte(world: &World) -> Vec<Artifact> {
+pub(crate) fn extte(world: &World) -> Vec<Artifact> {
     let users = user_sources(world);
     let ring = &world.cdn.rings[0];
     let result = optimize_withholds(
@@ -241,7 +241,7 @@ pub fn extte(world: &World) -> Vec<Artifact> {
 /// `exttld`: a tale of *three* systems — root DNS, TLD authoritative
 /// service, and the CDN, compared on the paper's own axis: how often a
 /// user waits on each, times how long each wait is.
-pub fn exttld(world: &World) -> Vec<Artifact> {
+pub(crate) fn exttld(world: &World) -> Vec<Artifact> {
     use dns::resolver::{RecursiveResolver, ResolverConfig, ResolverEvent, UpstreamRtts};
     use rand::SeedableRng as _;
     use topology::RouteCache;
@@ -366,7 +366,7 @@ pub fn exttld(world: &World) -> Vec<Artifact> {
 /// toward the letters and the CDN), and score it against the topology's
 /// ground truth — quantifying §7.1's caveat that "publicly available
 /// data cannot capture all of Microsoft's optimizations".
-pub fn extinfer(world: &World) -> Vec<Artifact> {
+pub(crate) fn extinfer(world: &World) -> Vec<Artifact> {
     use topology::{infer_relationships, score_inference};
 
     let mut paths: Vec<Vec<Asn>> = Vec::new();

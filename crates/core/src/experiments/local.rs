@@ -86,7 +86,7 @@ fn run_resolver_experiment(
 /// Figs. 12 and 13: user DNS latency and root-DNS wait CDFs at an
 /// ISI-style shared recursive, plus the miss-rate table (shared resolver
 /// vs the two authors' personal resolvers).
-pub fn fig12_13(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig12_13(world: &World) -> Vec<Artifact> {
     // ISI-style: many users share one cache. The paper's trace spans a
     // year; miss rates and latency CDFs converge within weeks, so the
     // experiment runs a scale-dependent slice.
@@ -141,7 +141,7 @@ pub fn fig12_13(world: &World) -> Vec<Artifact> {
 /// Table 5: the redundant-query trace. Replays the Appendix E scenario —
 /// an authoritative timeout under buggy BIND — and renders the resulting
 /// query sequence.
-pub fn tab5(world: &World) -> Vec<Artifact> {
+pub(crate) fn tab5(world: &World) -> Vec<Artifact> {
     let config = ResolverConfig {
         auth_timeout_prob: 1.0,
         bind_redundant_query_bug: true,

@@ -79,11 +79,6 @@ pub fn run(id: &str, world: &World) -> Vec<Artifact> {
     artifacts
 }
 
-/// The one-line description of an experiment id, if known.
-pub fn describe(id: &str) -> Option<&'static str> {
-    DESCRIPTIONS.iter().find(|(i, _)| *i == id).map(|(_, d)| *d)
-}
-
 fn dispatch(id: &str, world: &World) -> Vec<Artifact> {
     match id {
         "fig2" => roots::fig2(world),
@@ -140,7 +135,5 @@ mod tests {
             assert_eq!(*id, did, "catalogue order must match ALL_IDS");
             assert!(!desc.is_empty());
         }
-        assert_eq!(describe("dynflap"), Some(DESCRIPTIONS[23].1));
-        assert_eq!(describe("nope"), None);
     }
 }

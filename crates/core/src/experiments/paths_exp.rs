@@ -42,7 +42,7 @@ fn path_lengths_to(
 
 /// Fig. 6a: distribution of AS path lengths to the CDN and each letter.
 /// Fig. 6b: geographic inflation grouped by path length.
-pub fn fig6(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig6(world: &World) -> Vec<Artifact> {
     let mut dist_rows: Vec<Vec<String>> = Vec::new();
     let mut box_groups: Vec<(String, Vec<(String, analysis::BoxStats)>)> = Vec::new();
 
@@ -144,7 +144,7 @@ fn sort_boxes(
 
 /// Fig. 7a: median latency and efficiency vs number of global sites.
 /// Fig. 7b: coverage radius CDFs.
-pub fn fig7(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig7(world: &World) -> Vec<Artifact> {
     let mut latency_points = Vec::new();
     let mut efficiency_points = Vec::new();
 

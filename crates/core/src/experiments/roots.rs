@@ -10,13 +10,13 @@ use analysis::{
 
 /// Computes root inflation over the world's DITL (shared by fig2, fig5,
 /// fig6, fig7).
-pub fn compute_root_inflation(world: &World) -> RootInflation {
+pub(crate) fn compute_root_inflation(world: &World) -> RootInflation {
     let clean = preprocess(&world.ditl, &FilterOptions::default());
     root_inflation(&clean, &world.letters, &world.geolocator, &world.users_by_prefix())
 }
 
 /// Fig. 2: geographic (a) and latency (b) inflation per root query.
-pub fn fig2(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig2(world: &World) -> Vec<Artifact> {
     let inflation = compute_root_inflation(world);
     let mut geo_series: Vec<(String, analysis::WeightedCdf)> = inflation
         .geo_per_letter
@@ -53,7 +53,7 @@ pub fn fig2(world: &World) -> Vec<Artifact> {
 }
 
 /// Fig. 3: daily root queries per user — CDN, APNIC, and Ideal lines.
-pub fn fig3(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig3(world: &World) -> Vec<Artifact> {
     let clean = preprocess(&world.ditl, &FilterOptions::default());
     let by_prefix = join_by_prefix(&clean, &world.cdn_user_counts);
     let (by_asn, _mapped) = join_by_asn(&clean, &world.apnic_user_counts, &world.ip_to_asn);
@@ -72,7 +72,7 @@ pub fn fig3(world: &World) -> Vec<Artifact> {
 
 /// Fig. 8 (App. B.1): Fig. 3 recomputed *including* invalid-TLD and PTR
 /// queries.
-pub fn fig8(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig8(world: &World) -> Vec<Artifact> {
     let filtered = preprocess(&world.ditl, &FilterOptions::default());
     let unfiltered = preprocess(&world.ditl, &FilterOptions { keep_invalid: true });
     let jf = join_by_prefix(&filtered, &world.cdn_user_counts);
@@ -93,7 +93,7 @@ pub fn fig8(world: &World) -> Vec<Artifact> {
 }
 
 /// Fig. 9 (App. B.2): Fig. 3's CDN line without the /24 join.
-pub fn fig9(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig9(world: &World) -> Vec<Artifact> {
     let clean = preprocess(&world.ditl, &FilterOptions::default());
     let by_prefix = join_by_prefix(&clean, &world.cdn_user_counts);
     let by_ip = join_by_ip(&clean, &world.cdn_user_counts);
@@ -109,7 +109,7 @@ pub fn fig9(world: &World) -> Vec<Artifact> {
 }
 
 /// Table 4: DITL∩CDN overlap with vs without /24 aggregation.
-pub fn tab4(world: &World) -> Vec<Artifact> {
+pub(crate) fn tab4(world: &World) -> Vec<Artifact> {
     let clean = preprocess(&world.ditl, &FilterOptions::default());
     let with = join_by_prefix(&clean, &world.cdn_user_counts).stats;
     let without = join_by_ip(&clean, &world.cdn_user_counts).stats;
@@ -145,7 +145,7 @@ pub fn tab4(world: &World) -> Vec<Artifact> {
 
 /// Fig. 10 (App. B.2): fraction of each /24's queries missing its
 /// favorite site, per letter.
-pub fn fig10(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig10(world: &World) -> Vec<Artifact> {
     // Affinity uses *all* traffic from a /24 (the question is routing
     // coherence, not user latency), so keep invalid classes.
     let clean = preprocess(&world.ditl, &FilterOptions { keep_invalid: true });
@@ -200,7 +200,7 @@ pub fn fig10(world: &World) -> Vec<Artifact> {
 /// Fig. 11 (App. B.3): the 2020 DITL rerun — queries/user/day and
 /// geographic inflation with the 2020 letter census. Builds a sibling
 /// world with `year = 2020`.
-pub fn fig11(world: &World) -> Vec<Artifact> {
+pub(crate) fn fig11(world: &World) -> Vec<Artifact> {
     let mut config = world.config.clone();
     config.year = 2020;
     let w2020 = World::build(&config);

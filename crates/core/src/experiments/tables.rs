@@ -7,7 +7,7 @@ use dns::survey;
 
 /// Table 1: the operator survey (reproduced data) plus the growth
 /// trajectory it explains.
-pub fn tab1(_world: &World) -> Vec<Artifact> {
+pub(crate) fn tab1(_world: &World) -> Vec<Artifact> {
     let mut rows: Vec<Vec<String>> = survey::PAST_GROWTH
         .iter()
         .map(|r| {
@@ -51,7 +51,7 @@ pub fn tab1(_world: &World) -> Vec<Artifact> {
 
 /// Tables 2–3: what each (synthesized) dataset contains in *this* world,
 /// alongside its paper-scale counterpart.
-pub fn tab23(world: &World) -> Vec<Artifact> {
+pub(crate) fn tab23(world: &World) -> Vec<Artifact> {
     let n_ditl = world.ditl.rows.len();
     let ditl_queries = world.ditl.total_queries_per_day();
     let n_logs = world.server_logs.len();

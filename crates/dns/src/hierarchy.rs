@@ -32,22 +32,21 @@ use topology::{AnycastDeployment, AnycastSite, Catchment, RouteCache, SiteId, Si
 /// One TLD operator platform: an anycast deployment serving a set of
 /// TLD indices.
 #[derive(Debug, Clone)]
-pub struct TldPlatform {
-    /// Platform name (e.g. `"com-platform"`).
-    pub name: String,
-    /// The anycast deployment (shared, never deep-cloned).
-    pub deployment: Arc<AnycastDeployment>,
+pub(crate) struct TldPlatform {
+    /// The anycast deployment (shared, never deep-cloned); its name is
+    /// the platform's (e.g. `"com-platform"`).
+    pub(crate) deployment: Arc<AnycastDeployment>,
     /// Indices into the root zone's TLD list served by this platform.
-    pub tlds: Vec<usize>,
+    pub(crate) tlds: Vec<usize>,
 }
 
 /// All TLD platforms for one zone.
 #[derive(Debug, Clone)]
 pub struct DnsHierarchy {
     /// The platforms; every TLD in the zone is served by exactly one.
-    pub platforms: Vec<TldPlatform>,
+    pub(crate) platforms: Vec<TldPlatform>,
     /// Per-TLD platform index (same length as the zone's TLD list).
-    pub platform_of_tld: Vec<usize>,
+    pub(crate) platform_of_tld: Vec<usize>,
 }
 
 impl DnsHierarchy {
@@ -90,7 +89,6 @@ impl DnsHierarchy {
             .collect();
         let com_platform = platforms.len();
         platforms.push(TldPlatform {
-            name: "com-platform".into(),
             deployment: Arc::new(AnycastDeployment::new("com-platform", sites, vec![])),
             tlds: Vec::new(),
         });
@@ -134,7 +132,6 @@ impl DnsHierarchy {
             }
             let idx = platforms.len();
             platforms.push(TldPlatform {
-                name: format!("cctld-{}", continent.name()),
                 deployment: Arc::new(AnycastDeployment::new(
                     format!("cctld-{}", continent.name()),
                     sites,
@@ -168,7 +165,6 @@ impl DnsHierarchy {
             .collect();
         let tail_platform = platforms.len();
         platforms.push(TldPlatform {
-            name: "gtld-tail".into(),
             deployment: Arc::new(AnycastDeployment::new("gtld-tail", tail_sites, vec![])),
             tlds: Vec::new(),
         });
@@ -215,16 +211,6 @@ impl DnsHierarchy {
         }
         self.platform_of_tld.iter().map(|p| per_platform[*p]).collect()
     }
-
-    /// The platform serving a TLD.
-    pub fn platform_for(&self, tld_idx: usize) -> &TldPlatform {
-        &self.platforms[self.platform_of_tld[tld_idx]]
-    }
-
-    /// Sanity accessor used in tests: every hoster-kind platform host.
-    pub fn tail_platform(&self) -> &TldPlatform {
-        self.platforms.last().expect("platforms non-empty")
-    }
 }
 
 #[cfg(test)]
@@ -252,21 +238,22 @@ mod tests {
     fn com_runs_on_the_wide_platform() {
         let (net, zone, h) = build();
         let com = zone.find("com").expect("com exists");
-        let platform = h.platform_for(com);
-        assert_eq!(platform.name, "com-platform");
+        let platform = &h.platforms[h.platform_of_tld[com]];
+        assert_eq!(platform.deployment.name, "com-platform");
         for site in &platform.deployment.sites {
             assert_eq!(net.graph.node(site.host).kind, AsKind::Content);
         }
         // The com platform dwarfs the tail platform.
-        assert!(platform.deployment.total_site_count() >= h.tail_platform().deployment.total_site_count());
+        let tail = h.platforms.last().expect("tail platform");
+        assert!(platform.deployment.total_site_count() >= tail.deployment.total_site_count());
     }
 
     #[test]
     fn cctlds_run_on_regional_transit_platforms() {
         let (net, zone, h) = build();
         let de = zone.find("de").expect("de exists");
-        let platform = h.platform_for(de);
-        assert!(platform.name.starts_with("cctld-"), "{}", platform.name);
+        let platform = &h.platforms[h.platform_of_tld[de]];
+        assert!(platform.deployment.name.starts_with("cctld-"), "{}", platform.deployment.name);
         for site in &platform.deployment.sites {
             assert_eq!(net.graph.node(site.host).kind, AsKind::Transit);
         }

@@ -99,7 +99,7 @@ impl std::fmt::Display for Letter {
 
 /// How a letter's operator deploys sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeployStrategy {
+pub(crate) enum DeployStrategy {
     /// A handful of sites hosted by one or two institutions (B, H, M):
     /// simple, high site-affinity, high latency for distant users.
     University,
@@ -121,9 +121,9 @@ pub struct LetterMeta {
     /// The letter.
     pub letter: Letter,
     /// Deployment strategy.
-    pub strategy: DeployStrategy,
+    pub(crate) strategy: DeployStrategy,
     /// Global site count in the census year.
-    pub global_sites: usize,
+    pub(crate) global_sites: usize,
     /// Unscaled census global-site count (availability rules key off the
     /// real-world census even when the simulation is scaled down).
     pub census_global_sites: usize,
@@ -135,7 +135,7 @@ pub struct LetterMeta {
     pub fully_anonymized: bool,
     /// Whether TCP handshakes survived capture (D and L root's 2018
     /// PCAPs were malformed — §3 excludes them from latency inflation).
-    pub tcp_ok: bool,
+    pub(crate) tcp_ok: bool,
 }
 
 impl LetterMeta {
@@ -257,11 +257,6 @@ impl LetterSet {
     /// Letters usable for geographic-inflation analysis (Fig. 2a's set).
     pub fn geo_analysis_letters(&self) -> Vec<&RootLetter> {
         self.letters.iter().filter(|l| l.meta.usable_for_geo_inflation()).collect()
-    }
-
-    /// Letters usable for latency-inflation analysis (Fig. 2b's set).
-    pub fn latency_analysis_letters(&self) -> Vec<&RootLetter> {
-        self.letters.iter().filter(|l| l.meta.usable_for_latency_inflation()).collect()
     }
 
     /// Total sites across all letters (the "516 → 1367" growth trivia of
@@ -495,8 +490,12 @@ mod tests {
         assert_eq!(geo.len(), 10);
         assert!(!geo.contains(&Letter::G));
         assert!(!geo.contains(&Letter::I));
-        let lat: Vec<Letter> =
-            set.latency_analysis_letters().iter().map(|l| l.meta.letter).collect();
+        let lat: Vec<Letter> = set
+            .letters
+            .iter()
+            .filter(|l| l.meta.usable_for_latency_inflation())
+            .map(|l| l.meta.letter)
+            .collect();
         // Fig. 2b additionally drops D and L (malformed PCAPs): 8 letters.
         assert_eq!(lat.len(), 8);
         assert!(!lat.contains(&Letter::D));

@@ -30,8 +30,7 @@ pub mod resolver;
 pub mod survey;
 pub mod zone;
 
-pub use hierarchy::{DnsHierarchy, TldPlatform};
-pub use letters::{Letter, LetterMeta, LetterSet, RootLetter};
-pub use query::{QueryClass, QueryName, QueryType};
-pub use resolver::{RecursiveResolver, ResolverConfig, ResolverEvent, UpstreamRtts};
-pub use zone::{RootZone, Tld, TLD_TTL_MS};
+pub use hierarchy::DnsHierarchy;
+pub use letters::{Letter, LetterSet};
+pub use query::QueryName;
+pub use zone::{RootZone, TLD_TTL_MS};

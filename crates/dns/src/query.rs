@@ -41,19 +41,6 @@ pub enum QueryClass {
     Ptr,
 }
 
-impl QueryClass {
-    /// Whether §2.1's filtering keeps this class ("queries that affect
-    /// user latency").
-    pub fn is_user_latency(&self) -> bool {
-        matches!(self, QueryClass::ValidTld | QueryClass::Typo)
-    }
-
-    /// Whether the query's target TLD exists in the root zone.
-    pub fn tld_exists(&self) -> bool {
-        matches!(self, QueryClass::ValidTld | QueryClass::Ptr)
-    }
-}
-
 /// A query name reduced to what the reproduction needs: the full name
 /// (for answer caching at the recursive), the TLD (or invalid suffix, for
 /// root-level behaviour), and its traffic class.
@@ -75,11 +62,6 @@ impl QueryName {
         Self { fqdn, tld, class: QueryClass::ValidTld }
     }
 
-    /// A generic lookup under existing TLD `tld`.
-    pub fn valid(tld: impl Into<String>) -> Self {
-        Self::valid_host("www.example", tld)
-    }
-
     /// A Chromium captive-portal probe (random 7–15 letter label).
     pub fn chromium_probe(random_label: impl Into<String>) -> Self {
         let label = random_label.into();
@@ -90,12 +72,6 @@ impl QueryName {
     pub fn junk(suffix: impl Into<String>) -> Self {
         let suffix = suffix.into();
         Self { fqdn: format!("device.{suffix}"), tld: suffix, class: QueryClass::JunkSuffix }
-    }
-
-    /// A typo'd TLD.
-    pub fn typo(tld: impl Into<String>) -> Self {
-        let tld = tld.into();
-        Self { fqdn: format!("www.example.{tld}"), tld, class: QueryClass::Typo }
     }
 
     /// A PTR lookup.
@@ -112,25 +88,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_valid_and_typo_are_user_latency() {
-        assert!(QueryName::valid("com").class.is_user_latency());
-        assert!(QueryName::typo("cmo").class.is_user_latency());
-        assert!(!QueryName::chromium_probe("xkqzpfwh").class.is_user_latency());
-        assert!(!QueryName::junk("local").class.is_user_latency());
-        assert!(!QueryName::ptr().class.is_user_latency());
-    }
-
-    #[test]
     fn valid_lowercases() {
-        assert_eq!(QueryName::valid("COM").tld, "com");
-    }
-
-    #[test]
-    fn tld_existence() {
-        assert!(QueryClass::ValidTld.tld_exists());
-        assert!(QueryClass::Ptr.tld_exists());
-        assert!(!QueryClass::Typo.tld_exists());
-        assert!(!QueryClass::ChromiumProbe.tld_exists());
+        let q = QueryName::valid_host("WWW.Example", "COM");
+        assert_eq!(q.tld, "com");
+        assert_eq!(q.fqdn, "www.example.com");
     }
 
     #[test]

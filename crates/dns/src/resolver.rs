@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Negative-cache TTL for NXDOMAIN answers (SOA-minimum style), ms.
-pub const NEGATIVE_TTL_MS: f64 = 900.0 * 1000.0;
+pub(crate) const NEGATIVE_TTL_MS: f64 = 900.0 * 1000.0;
 
 /// Per-letter RTTs and downstream latencies as this resolver sees them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,7 +59,7 @@ impl UpstreamRtts {
     }
 
     /// RTT toward the authoritative servers of TLD `tld_idx`.
-    pub fn tld_rtt(&self, tld_idx: usize) -> f64 {
+    pub(crate) fn tld_rtt(&self, tld_idx: usize) -> f64 {
         match &self.per_tld_rtt_ms {
             Some(v) if tld_idx < v.len() && v[tld_idx].is_finite() => v[tld_idx],
             _ => self.tld_rtt_ms,
@@ -679,7 +679,7 @@ mod tests {
     #[test]
     fn first_query_misses_then_hits_for_two_days() {
         let (mut r, zone) = mk(no_timeout());
-        let q = QueryName::valid("com");
+        let q = QueryName::valid_host("www.example", "com");
         let first = r.resolve(SimTime(0.0), &q, &zone);
         assert!(first.root_wait_ms > 0.0);
         // One hour later: cached.
@@ -696,7 +696,7 @@ mod tests {
         let (mut r, zone) = mk(no_timeout());
         for i in 0..1000u32 {
             let t = SimTime::from_secs(i as f64);
-            r.resolve(t, &QueryName::valid("com"), &zone);
+            r.resolve(t, &QueryName::valid_host("www.example", "com"), &zone);
         }
         assert!(r.root_cache_miss_rate() < 0.01, "{}", r.root_cache_miss_rate());
     }
@@ -752,7 +752,7 @@ mod tests {
             ..Default::default()
         };
         let (mut r, zone) = mk(cfg);
-        let res = r.resolve(SimTime(0.0), &QueryName::valid("com"), &zone);
+        let res = r.resolve(SimTime(0.0), &QueryName::valid_host("www.example", "com"), &zone);
         assert!(res.events.iter().all(|e| !matches!(
             e,
             ResolverEvent::RootQuery { redundant: true, .. }
@@ -882,8 +882,8 @@ mod tests {
     #[test]
     fn miss_rate_statistics_track_user_queries() {
         let (mut r, zone) = mk(no_timeout());
-        r.resolve(SimTime(0.0), &QueryName::valid("com"), &zone);
-        r.resolve(SimTime(1.0), &QueryName::valid("com"), &zone);
+        r.resolve(SimTime(0.0), &QueryName::valid_host("www.example", "com"), &zone);
+        r.resolve(SimTime(1.0), &QueryName::valid_host("www.example", "com"), &zone);
         assert_eq!(r.user_query_count(), 2);
         assert!((r.root_cache_miss_rate() - 0.5).abs() < 1e-9);
     }

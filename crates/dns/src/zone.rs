@@ -20,7 +20,7 @@ pub struct Tld {
     /// Relative query popularity (Zipf-distributed across the zone).
     pub popularity: f64,
     /// Number of authoritative nameservers for the TLD.
-    pub nameservers: u8,
+    pub(crate) nameservers: u8,
     /// Whether the TLD's referral responses include AAAA glue for all of
     /// its nameservers. When `false`, a BIND-like resolver that loses a
     /// query to an authoritative server will go back to the *roots* for
@@ -80,23 +80,13 @@ impl RootZone {
     }
 
     /// Number of TLDs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tlds.len()
     }
 
-    /// Whether the zone is empty (never true for generated zones).
-    pub fn is_empty(&self) -> bool {
-        self.tlds.is_empty()
-    }
-
     /// Index of a TLD by name, if it exists.
-    pub fn find(&self, name: &str) -> Option<usize> {
+    pub(crate) fn find(&self, name: &str) -> Option<usize> {
         self.tlds.iter().position(|t| t.name == name)
-    }
-
-    /// Whether `name` is a delegated TLD.
-    pub fn exists(&self, name: &str) -> bool {
-        self.find(name).is_some()
     }
 
     /// TLD by index.
@@ -134,8 +124,9 @@ mod tests {
         let z = RootZone::paper_scale(1);
         assert_eq!(z.len(), 1000);
         assert_eq!(z.tld(0).name, "com");
-        assert!(z.exists("com") && z.exists("net"));
-        assert!(!z.exists("local"));
+        assert_eq!(z.find("com"), Some(0));
+        assert!(z.find("net").is_some());
+        assert_eq!(z.find("local"), None);
     }
 
     #[test]

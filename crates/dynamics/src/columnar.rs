@@ -9,10 +9,10 @@
 //! only per-user data is each member's query volume, which replay
 //! draws from. This module holds the two pieces of that design:
 //!
-//! * [`Cohort`] — the expansion unit. [`expand_counts`] fans the ~2k
+//! * `Cohort` — the expansion unit. [`expand_counts`] fans the ~2k
 //!   weighted locations out to per-user counts, and each cohort owns a
 //!   *contiguous* user-id range, so per-user data is sliced per cohort;
-//! * [`GroupIndex`] — the inverted index `(host, scope) → cohort ids`,
+//! * `GroupIndex` — the inverted index `(host, scope) → cohort ids`,
 //!   maintained incrementally as cohorts change winning origin group,
 //!   so an epoch's invalidation set is a handful of slice iterations
 //!   instead of a full-population scan.
@@ -33,39 +33,34 @@ use topology::{Asn, ExportScope};
 /// outcome), so the engine stores and re-ranks one state row per
 /// cohort.
 #[derive(Debug, Clone, Copy)]
-pub struct Cohort {
+pub(crate) struct Cohort {
     /// Source AS shared by every member.
-    pub asn: Asn,
+    pub(crate) asn: Asn,
     /// Dense graph node index of `asn` (precomputed).
-    pub src_idx: u32,
+    pub(crate) src_idx: u32,
     /// Source location shared by every member.
-    pub location: GeoPoint,
+    pub(crate) location: GeoPoint,
     /// First member's user id.
-    pub start: u32,
+    pub(crate) start: u32,
     /// One past the last member's user id.
-    pub end: u32,
+    pub(crate) end: u32,
     /// Sum of the members' equal weight shares (accumulated in member
     /// order, so the value is deterministic), scaled by any demand
     /// surge since.
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Sum of member query volumes per day (member order), scaled by
     /// any demand surge since.
-    pub queries_per_day: f64,
+    pub(crate) queries_per_day: f64,
 }
 
 impl Cohort {
     /// Number of users in the cohort.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.end - self.start
     }
 
-    /// Whether the cohort is empty (never true for expanded cohorts).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
     /// The member range as `usize` bounds, for slicing per-user data.
-    pub fn range(&self) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
         self.start as usize..self.end as usize
     }
 }
@@ -119,25 +114,25 @@ pub fn expand_counts(weights: &[f64], target: usize, seed: u64) -> Vec<u32> {
 /// assignments change, so an epoch's invalidation visits only the
 /// member lists of groups the epoch could have touched.
 #[derive(Debug, Clone, Default)]
-pub struct GroupIndex {
+pub(crate) struct GroupIndex {
     /// Sorted cohort ids per stored winning group. Entries whose member
     /// list empties are removed outright.
-    pub groups: DetHashMap<(Asn, ExportScope), Vec<u32>>,
+    pub(crate) groups: DetHashMap<(Asn, ExportScope), Vec<u32>>,
     /// Sorted cohort ids with no stored candidate key (unserved since
     /// the last full wipe).
-    pub unkeyed: Vec<u32>,
+    pub(crate) unkeyed: Vec<u32>,
 }
 
 impl GroupIndex {
     /// An index where every cohort of a population of `n_cohorts` is
     /// unkeyed — the state before the first assignment.
-    pub fn all_unkeyed(n_cohorts: usize) -> Self {
+    pub(crate) fn all_unkeyed(n_cohorts: usize) -> Self {
         Self { groups: DetHashMap::default(), unkeyed: (0..n_cohorts as u32).collect() }
     }
 
     /// Moves cohort `c` from group `from` to group `to` (`None` = the
     /// unkeyed bucket on either side). No-op when `from == to`.
-    pub fn move_cohort(
+    pub(crate) fn move_cohort(
         &mut self,
         c: u32,
         from: Option<(Asn, ExportScope)>,
@@ -176,11 +171,6 @@ impl GroupIndex {
                 }
             }
         }
-    }
-
-    /// Total cohorts tracked (keyed + unkeyed) — an invariant check.
-    pub fn cohort_count(&self) -> usize {
-        self.unkeyed.len() + self.groups.values().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -231,13 +221,16 @@ mod tests {
         let g1 = (Asn(10), ExportScope::Global);
         let g2 = (Asn(20), ExportScope::Local);
         let mut idx = GroupIndex::all_unkeyed(4);
+        // Total cohorts tracked (keyed + unkeyed).
+        let cohort_count =
+            |idx: &GroupIndex| idx.unkeyed.len() + idx.groups.values().map(Vec::len).sum::<usize>();
         assert_eq!(idx.unkeyed, vec![0, 1, 2, 3]);
         idx.move_cohort(2, None, Some(g1));
         idx.move_cohort(0, None, Some(g1));
         idx.move_cohort(3, None, Some(g2));
         assert_eq!(idx.unkeyed, vec![1]);
         assert_eq!(idx.groups[&g1], vec![0, 2], "member lists stay sorted");
-        assert_eq!(idx.cohort_count(), 4);
+        assert_eq!(cohort_count(&idx), 4);
         // Group-to-group move; the emptied entry disappears.
         idx.move_cohort(3, Some(g2), Some(g1));
         assert!(!idx.groups.contains_key(&g2));
@@ -247,6 +240,6 @@ mod tests {
         idx.move_cohort(0, Some(g1), Some(g1));
         assert_eq!(idx.unkeyed, vec![1, 2]);
         assert_eq!(idx.groups[&g1], vec![0, 3]);
-        assert_eq!(idx.cohort_count(), 4);
+        assert_eq!(cohort_count(&idx), 4);
     }
 }

@@ -226,9 +226,8 @@ struct ReassignPlan<'g> {
 /// every user's assignment incrementally.
 ///
 /// An engine is single-shot: construct, optionally inspect the initial
-/// steady state ([`DynamicsEngine::init_record`],
-/// [`DynamicsEngine::site_loads`]), then [`DynamicsEngine::run`] one
-/// scenario.
+/// steady state ([`DynamicsEngine::site_loads`]), then
+/// [`DynamicsEngine::run`] one scenario.
 #[derive(Debug)]
 pub struct DynamicsEngine<'g> {
     graph: &'g AsGraph,
@@ -688,18 +687,13 @@ impl<'g> DynamicsEngine<'g> {
     }
 
     /// The `"init"` steady-state epoch computed at construction.
-    pub fn init_record(&self) -> &EpochRecord {
+    pub(crate) fn init_record(&self) -> &EpochRecord {
         self.init_record.as_ref().expect("set in new()")
     }
 
     /// The base deployment the engine was built over.
     pub fn deployment(&self) -> &AnycastDeployment {
         &self.base
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.clock.now()
     }
 
     /// Current user weight landing on each site, indexed by original

@@ -100,7 +100,11 @@ fn capacity_scale_changes_headroom_not_assignments() {
     let target = hottest_site(&e);
     let before = e.user_snapshot();
     let init_headroom = e.init_record().headroom_frac.unwrap();
-    let s = Scenario::capacity_dip("dip", target, SimTime::from_secs(10.0), 0.25, 60_000.0);
+    // The hottest site loses three quarters of its capacity at 10 s and
+    // gets it back (the reciprocal factor) 60 s later.
+    let s = Scenario::new("dip")
+        .at(SimTime::from_secs(10.0), RoutingEvent::CapacityScale { site: target, factor: 0.25 })
+        .at(SimTime::from_secs(70.0), RoutingEvent::CapacityScale { site: target, factor: 4.0 });
     let t = e.run(&s);
     assert_eq!(t.records.len(), 3);
     let dip = &t.records[1];

@@ -5,7 +5,7 @@
 //! recovering, operators draining sites for maintenance, the deployment
 //! losing (or regaining) all peering sessions toward one neighbor AS,
 //! ring promotions and demotions, and demand and capacity changes. The
-//! [`EventQueue`] orders them by simulated time with insertion order as
+//! `EventQueue` orders them by simulated time with insertion order as
 //! the tie-break, so a timeline replays identically on every run — the
 //! engine's whole output hangs off this ordering.
 
@@ -123,26 +123,6 @@ pub enum RoutingEvent {
     LoadTick,
 }
 
-impl RoutingEvent {
-    /// Short human label for timeline rows, e.g. `"down site-3"`.
-    pub fn label(&self) -> String {
-        match self {
-            RoutingEvent::SiteDown(s) => format!("down {s}"),
-            RoutingEvent::SiteUp(s) => format!("up {s}"),
-            RoutingEvent::DrainStart { site, .. } => format!("drain-start {site}"),
-            RoutingEvent::DrainStage { site, .. } => format!("drain-stage {site}"),
-            RoutingEvent::DrainEnd { site, .. } => format!("drain-end {site}"),
-            RoutingEvent::PeeringDown(a) => format!("peering-down {a}"),
-            RoutingEvent::PeeringUp(a) => format!("peering-up {a}"),
-            RoutingEvent::RingPromote { to } => format!("promote ring-{to}"),
-            RoutingEvent::RingDemote { to } => format!("demote ring-{to}"),
-            RoutingEvent::DemandScale { factor, .. } => format!("surge x{factor:.2}"),
-            RoutingEvent::CapacityScale { site, factor } => format!("cap {site} x{factor:.2}"),
-            RoutingEvent::LoadTick => "tick".to_string(),
-        }
-    }
-}
-
 /// An event bound to a simulated instant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScheduledEvent {
@@ -189,20 +169,20 @@ impl Ord for Queued {
 /// resolve to whichever event was pushed first, never to heap
 /// internals, so the replay order is a pure function of the pushes.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Queued>,
     seq: u64,
 }
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Builds a queue from a scenario's event list (pushed in order, so
     /// list order breaks simultaneous-event ties).
-    pub fn from_events(events: impl IntoIterator<Item = ScheduledEvent>) -> Self {
+    pub(crate) fn from_events(events: impl IntoIterator<Item = ScheduledEvent>) -> Self {
         let mut q = Self::new();
         for e in events {
             q.push(e.at, e.event);
@@ -215,14 +195,14 @@ impl EventQueue {
     /// # Panics
     ///
     /// Panics on NaN times — an event must fire at a real instant.
-    pub fn push(&mut self, at: SimTime, event: RoutingEvent) {
+    pub(crate) fn push(&mut self, at: SimTime, event: RoutingEvent) {
         assert!(!at.as_ms().is_nan(), "event time must not be NaN");
         self.heap.push(Queued { at_ms: at.as_ms(), seq: self.seq, event });
         self.seq += 1;
     }
 
     /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<ScheduledEvent> {
+    pub(crate) fn pop(&mut self) -> Option<ScheduledEvent> {
         self.heap
             .pop()
             .map(|q| ScheduledEvent { at: SimTime(q.at_ms), event: q.event })
@@ -231,18 +211,8 @@ impl EventQueue {
     /// The firing time of the earliest pending event, if any — what the
     /// engine uses to gather every event sharing one `SimTime` into a
     /// single batched epoch.
-    pub fn next_time(&self) -> Option<SimTime> {
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|q| SimTime(q.at_ms))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -279,44 +249,17 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_short_and_stable() {
-        assert_eq!(RoutingEvent::SiteDown(SiteId(3)).label(), "down site-3");
-        assert_eq!(RoutingEvent::PeeringDown(Asn(42)).label(), "peering-down AS42");
-        assert_eq!(
-            RoutingEvent::DrainStart { site: SiteId(1), stage_ms: 5.0, stages: 3, hold_ms: 9.0 }
-                .label(),
-            "drain-start site-1"
-        );
-        assert_eq!(RoutingEvent::DrainStage { site: SiteId(2), gen: 7 }.label(), "drain-stage site-2");
-        assert_eq!(RoutingEvent::DrainEnd { site: SiteId(2), gen: 7 }.label(), "drain-end site-2");
-        assert_eq!(RoutingEvent::RingPromote { to: 3 }.label(), "promote ring-3");
-        assert_eq!(RoutingEvent::RingDemote { to: 2 }.label(), "demote ring-2");
-        assert_eq!(
-            RoutingEvent::DemandScale {
-                center: GeoPoint::new(0.0, 0.0),
-                radius_km: 500.0,
-                factor: 1.75
-            }
-            .label(),
-            "surge x1.75"
-        );
-        assert_eq!(
-            RoutingEvent::CapacityScale { site: SiteId(4), factor: 0.8 }.label(),
-            "cap site-4 x0.80"
-        );
-        assert_eq!(RoutingEvent::LoadTick.label(), "tick");
-    }
-
-    #[test]
     fn next_time_previews_without_popping() {
         let mut q = EventQueue::new();
         assert_eq!(q.next_time(), None);
         q.push(SimTime::from_secs(9.0), RoutingEvent::SiteUp(SiteId(0)));
         q.push(SimTime::from_secs(4.0), RoutingEvent::SiteDown(SiteId(0)));
         assert_eq!(q.next_time(), Some(SimTime::from_secs(4.0)));
-        assert_eq!(q.len(), 2, "peeking must not consume");
-        q.pop();
+        let first = q.pop().map(|e| e.at);
+        assert_eq!(first, Some(SimTime::from_secs(4.0)), "peeking must not consume");
         assert_eq!(q.next_time(), Some(SimTime::from_secs(9.0)));
+        q.pop();
+        assert_eq!(q.next_time(), None);
     }
 
     #[test]

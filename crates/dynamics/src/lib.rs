@@ -52,11 +52,11 @@ pub mod event;
 pub mod scenario;
 pub mod timeline;
 
-pub use columnar::{expand_counts, Cohort, GroupIndex};
+pub use columnar::expand_counts;
 pub use engine::{
-    DynUser, DynamicsEngine, EpochStepper, LoadLedger, MismatchKind, RecomputeMismatch,
-    RecomputeMode, ServingCohort, SwapDeployment,
+    DynUser, DynamicsEngine, EpochStepper, LoadLedger, MismatchKind, RecomputeMode, ServingCohort,
+    SwapDeployment,
 };
-pub use event::{EventQueue, RoutingEvent, ScheduledEvent};
-pub use scenario::{jitter_frac, Scenario};
-pub use timeline::{weighted_median, EpochRecord, Timeline};
+pub use event::{RoutingEvent, ScheduledEvent};
+pub use scenario::Scenario;
+pub use timeline::{EpochRecord, Timeline};

@@ -28,7 +28,7 @@ pub struct Scenario {
 /// Deterministic jitter fraction in `[0, 1)` for event `index` of the
 /// scenario seeded by `seed` — [`par::seed_for`]'s per-index stream
 /// mapped onto the unit interval.
-pub fn jitter_frac(seed: u64, index: u64) -> f64 {
+pub(crate) fn jitter_frac(seed: u64, index: u64) -> f64 {
     (par::seed_for(seed, index) >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -188,25 +188,6 @@ impl Scenario {
             .at(start.plus_ms(hold_ms), RoutingEvent::RingDemote { to: down })
     }
 
-    /// A capacity dip: `site`'s capacity scales by `factor` at `start`
-    /// and is restored by the reciprocal factor `hold_ms` later — a
-    /// rack failure (or provisioning change) inside a healthy site.
-    /// No announcement moves, so only the headroom ledger and any
-    /// attached load controller react.
-    pub fn capacity_dip(
-        name: impl Into<String>,
-        site: SiteId,
-        start: SimTime,
-        factor: f64,
-        hold_ms: f64,
-    ) -> Self {
-        assert!(factor.is_finite() && factor > 0.0, "capacity factor must be positive");
-        assert!(hold_ms > 0.0, "hold_ms must be positive, got {hold_ms}");
-        Self::new(name)
-            .at(start, RoutingEvent::CapacityScale { site, factor })
-            .at(start.plus_ms(hold_ms), RoutingEvent::CapacityScale { site, factor: 1.0 / factor })
-    }
-
     /// A flash crowd: demand within `radius_km` of `center` scales by
     /// `factor` at `start`, holds for `hold_ms` with controller ticks
     /// every `tick_ms`, then subsides (a second scale by `1/factor`),
@@ -251,16 +232,6 @@ impl Scenario {
         self
     }
 
-    /// The latest scripted event time (drain ends scheduled at run time
-    /// may extend past this).
-    pub fn horizon(&self) -> SimTime {
-        SimTime(
-            self.events
-                .iter()
-                .map(|e| e.at.as_ms())
-                .fold(0.0, f64::max),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -295,7 +266,7 @@ mod tests {
             assert!(matches!(pair[1].event, RoutingEvent::SiteUp(SiteId(2))));
             assert!(pair[0].at < pair[1].at, "down precedes up within a flap");
         }
-        assert!(s.horizon().as_ms() >= 60_000.0 + 2.0 * 600_000.0);
+        assert!(s.events[5].at.as_ms() >= 60_000.0 + 2.0 * 600_000.0);
     }
 
     #[test]
@@ -326,7 +297,7 @@ mod tests {
             s.events[0].event,
             RoutingEvent::DrainStart { site: SiteId(4), stages: 4, .. }
         ));
-        assert_eq!(s.horizon().as_secs(), 10.0);
+        assert_eq!(s.events[0].at.as_secs(), 10.0);
     }
 
     #[test]
@@ -369,7 +340,7 @@ mod tests {
         ));
         assert_eq!(s.events[5].at.as_secs(), 360.0);
         assert!(matches!(s.events[6].event, RoutingEvent::LoadTick));
-        assert_eq!(s.horizon().as_secs(), 420.0);
+        assert_eq!(s.events[6].at.as_secs(), 420.0);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct Timeline {
 
 impl Timeline {
     /// An empty timeline.
-    pub fn new(scenario: impl Into<String>) -> Self {
+    pub(crate) fn new(scenario: impl Into<String>) -> Self {
         Self { scenario: scenario.into(), records: Vec::new() }
     }
 
@@ -152,7 +152,7 @@ impl Timeline {
 /// which the cumulative weight reaches half the total. `None` on empty
 /// input or non-positive total weight. Sorting is by `total_cmp`, so
 /// the result is deterministic for any input order.
-pub fn weighted_median(points: &mut Vec<(f64, f64)>) -> Option<f64> {
+pub(crate) fn weighted_median(points: &mut Vec<(f64, f64)>) -> Option<f64> {
     let total: f64 = points.iter().map(|(_, w)| w).sum();
     if points.is_empty() || total <= 0.0 {
         return None;

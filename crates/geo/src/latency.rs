@@ -30,13 +30,6 @@ pub fn km_to_rtt_lower_bound_ms(km: f64) -> f64 {
     3.0 * 2.0 * km / (2.0 * SPEED_OF_LIGHT_FIBER_KM_PER_MS)
 }
 
-/// Inverse of [`km_to_rtt_ms`]: the one-way distance a given RTT could
-/// cover at fiber speed. Used to express inflation milliseconds as
-/// kilometers ("20 ms (2,000 km)" in §3.2).
-pub fn rtt_ms_to_km(ms: f64) -> f64 {
-    ms * SPEED_OF_LIGHT_FIBER_KM_PER_MS / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,7 +38,6 @@ mod tests {
     fn paper_rule_of_thumb_2000km_is_20ms() {
         // §3.2: "inflated by more than 2,000 km (20 ms)".
         assert!((km_to_rtt_ms(2000.0) - 20.0).abs() < 1e-9);
-        assert!((rtt_ms_to_km(20.0) - 2000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -59,11 +51,5 @@ mod tests {
     fn zero_distance_zero_latency() {
         assert_eq!(km_to_rtt_ms(0.0), 0.0);
         assert_eq!(km_to_rtt_lower_bound_ms(0.0), 0.0);
-    }
-
-    #[test]
-    fn round_trip_conversion() {
-        let ms = 37.0;
-        assert!((km_to_rtt_ms(rtt_ms_to_km(ms)) - ms).abs() < 1e-9);
     }
 }

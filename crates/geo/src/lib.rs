@@ -26,6 +26,6 @@ pub mod region;
 pub mod world;
 
 pub use coord::GeoPoint;
-pub use latency::{km_to_rtt_lower_bound_ms, km_to_rtt_ms, SPEED_OF_LIGHT_FIBER_KM_PER_MS};
-pub use region::{Continent, Region, RegionId};
+pub use latency::km_to_rtt_lower_bound_ms;
+pub use region::{Continent, Region};
 pub use world::WorldMap;

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Identifier of a [`Region`] — an index into [`crate::world::WorldMap::regions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct RegionId(pub u32);
+pub struct RegionId(pub(crate) u32);
 
 impl std::fmt::Display for RegionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -52,7 +52,7 @@ impl Continent {
     /// Number of Microsoft regions on this continent per §2.2
     /// (135 Europe, 62 Africa, 102 Asia, 2 Antarctica, 137 North America,
     /// 41 South America, 29 Oceania — 508 total).
-    pub fn paper_region_count(&self) -> u32 {
+    pub(crate) fn paper_region_count(&self) -> u32 {
         match self {
             Continent::Africa => 62,
             Continent::Antarctica => 2,

@@ -2,7 +2,7 @@
 //!
 //! The paper's user population lives in 508 Microsoft-internal regions
 //! concentrated around real metros (Fig. 1 shows front-ends deployed near
-//! user concentrations). [`WorldMap::generate`] reproduces that structure:
+//! user concentrations). [`WorldMap::generate_scaled`] reproduces that structure:
 //! anchor metros at real-world coordinates seed per-continent clusters of
 //! jittered satellite regions with heavy-tailed population weights.
 //!
@@ -96,11 +96,6 @@ pub struct WorldMap {
 }
 
 impl WorldMap {
-    /// Generates a world with the paper's full 508-region census.
-    pub fn generate(seed: u64) -> Self {
-        Self::generate_scaled(seed, 1.0)
-    }
-
     /// Generates a world with region counts scaled by `scale` (at least one
     /// region per continent). Tests use `scale < 1` for speed;
     /// the full reproduction uses `scale = 1.0` (508 regions).
@@ -214,13 +209,13 @@ mod tests {
 
     #[test]
     fn full_world_has_508_regions() {
-        let w = WorldMap::generate(1);
+        let w = WorldMap::generate_scaled(1, 1.0);
         assert_eq!(w.regions().len(), 508);
     }
 
     #[test]
     fn continent_census_matches_paper() {
-        let w = WorldMap::generate(2);
+        let w = WorldMap::generate_scaled(2, 1.0);
         for c in Continent::ALL {
             let n = w.regions().iter().filter(|r| r.continent == c).count() as u32;
             assert_eq!(n, c.paper_region_count(), "{}", c.name());
@@ -229,8 +224,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = WorldMap::generate(42);
-        let b = WorldMap::generate(42);
+        let a = WorldMap::generate_scaled(42, 1.0);
+        let b = WorldMap::generate_scaled(42, 1.0);
         for (ra, rb) in a.regions().iter().zip(b.regions()) {
             assert_eq!(ra.name, rb.name);
             assert!(ra.center.distance_km(&rb.center) < 1e-9);
@@ -240,8 +235,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = WorldMap::generate(1);
-        let b = WorldMap::generate(2);
+        let a = WorldMap::generate_scaled(1, 1.0);
+        let b = WorldMap::generate_scaled(2, 1.0);
         let same = a
             .regions()
             .iter()
@@ -265,7 +260,7 @@ mod tests {
 
     #[test]
     fn ids_are_dense_and_ordered() {
-        let w = WorldMap::generate(4);
+        let w = WorldMap::generate_scaled(4, 1.0);
         for (i, r) in w.regions().iter().enumerate() {
             assert_eq!(r.id.0 as usize, i);
         }
@@ -273,7 +268,7 @@ mod tests {
 
     #[test]
     fn population_weights_positive_and_heavy_tailed() {
-        let w = WorldMap::generate(5);
+        let w = WorldMap::generate_scaled(5, 1.0);
         assert!(w.regions().iter().all(|r| r.population_weight > 0.0));
         let total = w.total_population_weight();
         let top = w.top_regions_by_population(50);

@@ -77,17 +77,8 @@ pub struct LoadObservation<'a> {
 
 impl LoadObservation<'_> {
     /// Load above capacity at `site` (zero when under).
-    pub fn excess(&self, site: SiteId) -> f64 {
+    pub(crate) fn excess(&self, site: SiteId) -> f64 {
         (self.loads[site.0 as usize] - self.caps.capacity(site)).max(0.0)
-    }
-
-    /// Site ids that are announced and strictly over capacity,
-    /// ascending.
-    pub fn overloaded(&self) -> Vec<SiteId> {
-        (0..self.loads.len() as u32)
-            .map(SiteId)
-            .filter(|s| self.announced[s.0 as usize] && self.excess(*s) > 0.0)
-            .collect()
     }
 }
 
@@ -308,7 +299,7 @@ impl DistributedController {
     /// A controller releasing below `release_frac` of capacity
     /// (`0 < release_frac < 1`) with `rounds ≥ 1` decision rounds per
     /// epoch.
-    pub fn new(release_frac: f64, rounds: u32) -> Self {
+    pub(crate) fn new(release_frac: f64, rounds: u32) -> Self {
         assert!(
             release_frac > 0.0 && release_frac < 1.0,
             "release watermark must be a fraction of capacity, got {release_frac}"
@@ -391,7 +382,6 @@ mod tests {
         let o = obs(&[130.0, 40.0], &caps, &empty, &empty, &[true, true]);
         assert_eq!(o.excess(SiteId(0)), 30.0);
         assert_eq!(o.excess(SiteId(1)), 0.0);
-        assert_eq!(o.overloaded(), vec![SiteId(0)]);
     }
 
     #[test]

@@ -63,18 +63,6 @@ impl SimClock {
         self.now
     }
 
-    /// Advances by `ms` milliseconds and returns the new time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative or NaN advances — time never goes backwards in
-    /// the simulation.
-    pub fn advance_ms(&mut self, ms: f64) -> SimTime {
-        assert!(ms >= 0.0, "clock must advance forward (got {ms})");
-        self.now = self.now.plus_ms(ms);
-        self.now
-    }
-
     /// Jumps to `t` if it is in the future; otherwise stays put.
     pub fn advance_to(&mut self, t: SimTime) -> SimTime {
         if t > self.now {
@@ -95,14 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn advance_accumulates() {
-        let mut c = SimClock::new();
-        c.advance_ms(5.0);
-        c.advance_ms(7.5);
-        assert_eq!(c.now().as_ms(), 12.5);
-    }
-
-    #[test]
     fn since_is_signed() {
         let a = SimTime(10.0);
         let b = SimTime(4.0);
@@ -113,16 +93,10 @@ mod tests {
     #[test]
     fn advance_to_never_rewinds() {
         let mut c = SimClock::new();
-        c.advance_ms(100.0);
+        c.advance_to(SimTime(100.0));
         c.advance_to(SimTime(50.0));
         assert_eq!(c.now().as_ms(), 100.0);
         c.advance_to(SimTime(150.0));
         assert_eq!(c.now().as_ms(), 150.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "forward")]
-    fn negative_advance_panics() {
-        SimClock::new().advance_ms(-1.0);
     }
 }

@@ -35,7 +35,7 @@ pub enum LastMile {
 
 impl LastMile {
     /// Median added delay in milliseconds.
-    pub fn median_ms(&self) -> f64 {
+    pub(crate) fn median_ms(&self) -> f64 {
         match self {
             LastMile::None => 0.0,
             LastMile::Broadband => 4.0,
@@ -49,11 +49,11 @@ impl LastMile {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PathProfile {
     /// Great-circle length of the waypoint sequence, km.
-    pub path_km: f64,
+    pub(crate) path_km: f64,
     /// Number of forwarding segments (waypoint transitions).
-    pub hops: u32,
+    pub(crate) hops: u32,
     /// Access technology at the client end.
-    pub last_mile: LastMile,
+    pub(crate) last_mile: LastMile,
 }
 
 impl PathProfile {
@@ -78,15 +78,15 @@ impl PathProfile {
 pub struct LatencyModel {
     /// Multiplier on great-circle fiber time for physical conduit
     /// indirection. 1.0 = fiber laid along great circles.
-    pub fiber_stretch: f64,
+    pub(crate) fiber_stretch: f64,
     /// Per-segment forwarding overhead, ms.
-    pub per_hop_ms: f64,
+    pub(crate) per_hop_ms: f64,
     /// Scale (σ) of the lognormal jitter multiplier.
-    pub jitter_sigma: f64,
+    pub(crate) jitter_sigma: f64,
     /// Probability a sample is a congestion spike.
-    pub spike_prob: f64,
+    pub(crate) spike_prob: f64,
     /// Mean size of a spike, ms (exponential).
-    pub spike_mean_ms: f64,
+    pub(crate) spike_mean_ms: f64,
 }
 
 impl Default for LatencyModel {

@@ -29,4 +29,4 @@ pub use capture::Capture;
 pub use clock::{SimClock, SimTime};
 pub use latency::{LastMile, LatencyModel, PathProfile};
 pub use probe::{ping, traceroute, TracerouteHop};
-pub use tcp::{page_load_rtts, page_load_rtts_with, transfer_rtts, ConnectionPlan, TransportProfile, DEFAULT_INIT_WINDOW_BYTES};
+pub use tcp::TransportProfile;

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_INIT_WINDOW_BYTES: u64 = 15_000;
 
 /// RTTs two handshakes (TCP + TLS) cost on the first connection.
-pub const HANDSHAKE_RTTS: u32 = 2;
+pub(crate) const HANDSHAKE_RTTS: u32 = 2;
 
 /// Data-transfer RTTs for `bytes` over one connection in permanent slow
 /// start (Eq. 4): `⌈log₂(D/W)⌉`, floored at 1 RTT for any non-empty
@@ -180,7 +180,7 @@ pub enum TransportProfile {
 
 impl TransportProfile {
     /// Handshake RTTs charged to the first connection of a page.
-    pub fn handshake_rtts(&self) -> u32 {
+    pub(crate) fn handshake_rtts(&self) -> u32 {
         match self {
             TransportProfile::TcpTls => HANDSHAKE_RTTS,
             TransportProfile::Quic => 1,
@@ -189,7 +189,7 @@ impl TransportProfile {
     }
 
     /// Effective initial congestion window given a base window.
-    pub fn initial_window(&self, base: u64) -> u64 {
+    pub(crate) fn initial_window(&self, base: u64) -> u64 {
         match self {
             TransportProfile::TcpTls => base,
             TransportProfile::Quic => base * 2,

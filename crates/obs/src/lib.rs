@@ -78,7 +78,6 @@ mod sheet;
 mod sink;
 mod span;
 
-pub use metrics::{Histogram, SpanStats, BUCKET_BOUNDS};
 pub use sheet::MetricSheet;
 pub use sink::{render_metrics_json, render_tree};
 pub use span::SpanGuard;

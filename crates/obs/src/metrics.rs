@@ -6,7 +6,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Histogram bucket upper bounds (a 1–2.5–5 log ladder). Values above
 /// the last bound land in an implicit `+inf` overflow bucket.
-pub const BUCKET_BOUNDS: [f64; 16] = [
+pub(crate) const BUCKET_BOUNDS: [f64; 16] = [
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
     5000.0, 10000.0,
 ];
@@ -21,7 +21,7 @@ pub const BUCKET_BOUNDS: [f64; 16] = [
 /// **not** kept: floating-point addition is not associative, so a sum
 /// would depend on scheduling.
 #[derive(Debug, Clone)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     /// Count per bucket; index `BUCKET_BOUNDS.len()` is the overflow.
     counts: Vec<u64>,
     total: u64,
@@ -42,7 +42,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Records one observation.
-    pub fn record(&mut self, v: f64) {
+    pub(crate) fn record(&mut self, v: f64) {
         self.record_n(v, 1);
     }
 
@@ -51,7 +51,7 @@ impl Histogram {
     /// for a whole batch (e.g. every query of a cohort paying the same
     /// RTT). Equivalent to calling [`Histogram::record`] `n` times; a
     /// zero count leaves the histogram untouched (including extrema).
-    pub fn record_n(&mut self, v: f64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: f64, n: u64) {
         if n == 0 {
             return;
         }
@@ -66,7 +66,7 @@ impl Histogram {
     }
 
     /// Folds `other` into `self`. Commutative and associative.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -76,23 +76,23 @@ impl Histogram {
     }
 
     /// Total observations recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.total
     }
 
     /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.total > 0).then_some(self.min)
     }
 
     /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.total > 0).then_some(self.max)
     }
 
     /// `(upper_bound, count)` for each non-empty bucket; the overflow
     /// bucket reports `f64::INFINITY` as its bound.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -104,14 +104,14 @@ impl Histogram {
 
 /// Aggregated statistics of one span path.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpanStats {
+pub(crate) struct SpanStats {
     /// Times a span with this path closed.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Work items attributed via [`crate::SpanGuard::add_items`].
-    pub items: u64,
+    pub(crate) items: u64,
     /// Total wall-clock nanoseconds spent inside (human sink only —
     /// never serialized to `metrics.json`, which must be deterministic).
-    pub nanos: u128,
+    pub(crate) nanos: u128,
 }
 
 /// The process-wide registry behind the facade functions.

@@ -62,7 +62,7 @@ impl MetricSheet {
 
     /// Records `n` identical observations of `v` into the sheet's
     /// histogram `name` — one bucket update however large the batch
-    /// (see [`Histogram::record_n`]). A zero count is a no-op.
+    /// (see `Histogram::record_n`). A zero count is a no-op.
     pub fn record_n(&mut self, name: &'static str, v: f64, n: u64) {
         if n > 0 {
             self.hists.entry(name).or_default().record_n(v, n);

@@ -31,7 +31,7 @@ use std::thread;
 /// `RandomState` (the `HashMap` default) reseeds per process, which
 /// silently reorders float accumulations and breaks the bit-identical
 /// artifact contract.
-pub type DetState = BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+pub(crate) type DetState = BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
 
 /// A `HashMap` with run-to-run deterministic iteration order (given a
 /// deterministic insertion sequence). Use for any map whose iteration

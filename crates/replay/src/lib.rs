@@ -5,7 +5,7 @@
 //! asks the operational question the paper's two systems disagree on:
 //! "what do the queries actually experience while routing churns?"
 //! Each replay window draws per-user query counts from the engine's
-//! per-user query volumes ([`QuerySchedule`]), resolves them against the
+//! per-user query volumes (`QuerySchedule`), resolves them against the
 //! *current* catchment, pays the *current* anycast RTT, and feeds the
 //! served load back into whatever `loadmgmt` controller the engine
 //! carries — so a flash crowd sheds, a flap degrades, and the replayed
@@ -33,5 +33,5 @@
 pub mod driver;
 pub mod schedule;
 
-pub use driver::{replay, ReplayOutcome, WindowStats};
-pub use schedule::{QuerySchedule, ReplayConfig, DAY_MS};
+pub use driver::replay;
+pub use schedule::ReplayConfig;

@@ -14,7 +14,7 @@
 
 /// Milliseconds in a day — the denominator turning a per-day query
 /// volume into a per-window expectation.
-pub const DAY_MS: f64 = 86_400_000.0;
+pub(crate) const DAY_MS: f64 = 86_400_000.0;
 
 /// Salt mixed into the campaign seed for the one-time user classing
 /// draw (DNS vs CDN), keeping it independent of the per-window count
@@ -78,7 +78,7 @@ impl Default for ReplayConfig {
 /// only a handful of root-visible queries per day. CDN users get
 /// `cdn_conns_per_query`, since every connection pays the RTT.
 #[derive(Debug, Clone)]
-pub struct QuerySchedule {
+pub(crate) struct QuerySchedule {
     seed: u64,
     /// `window_ms / DAY_MS`, folded once.
     window_frac: f64,
@@ -98,7 +98,7 @@ impl QuerySchedule {
     ///
     /// Panics when a share lies outside `[0, 1]` or the window is not
     /// positive.
-    pub fn new(population: usize, cfg: &ReplayConfig) -> Self {
+    pub(crate) fn new(population: usize, cfg: &ReplayConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.dns_user_share),
             "dns_user_share must be a fraction"
@@ -120,28 +120,6 @@ impl QuerySchedule {
         Self { seed: cfg.seed, window_frac: cfg.window_ms / DAY_MS, factor, is_dns }
     }
 
-    /// Expanded population the schedule was built for.
-    pub fn population(&self) -> usize {
-        self.factor.len()
-    }
-
-    /// Whether user `u` is DNS-classed (resolver-amortized).
-    pub fn is_dns(&self, u: usize) -> bool {
-        self.is_dns[u]
-    }
-
-    /// Query count for one `(window, user)` slot given the user's
-    /// *current* daily query volume: stochastic rounding of the
-    /// expectation, seed-pure per slot.
-    #[inline]
-    pub fn queries_in_window(&self, window: u64, u: usize, queries_per_day: f64) -> u64 {
-        let expected = queries_per_day * self.factor[u] * self.window_frac;
-        let slot = window
-            .wrapping_mul(self.factor.len() as u64)
-            .wrapping_add(u as u64);
-        (expected + u01(par::seed_for(self.seed, slot))) as u64
-    }
-
     /// Batched counts for one cohort's member range — the replay hot
     /// path. `queries_per_day` is the cohort's slice of the engine's
     /// live per-user query volumes starting at user id `start`; returns
@@ -149,7 +127,7 @@ impl QuerySchedule {
     /// matched slices so the per-user cost is one `seed_for` plus a few
     /// multiplies.
     #[inline]
-    pub fn window_counts(&self, window: u64, start: u32, queries_per_day: &[f64]) -> (u64, u64) {
+    pub(crate) fn window_counts(&self, window: u64, start: u32, queries_per_day: &[f64]) -> (u64, u64) {
         let lo = start as usize;
         let hi = lo + queries_per_day.len();
         let factor = &self.factor[lo..hi];
@@ -175,6 +153,31 @@ impl QuerySchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-user reference the batched [`QuerySchedule::window_counts`]
+    /// is checked against, and the accessors the tests read.
+    impl QuerySchedule {
+        /// Expanded population the schedule was built for.
+        fn population(&self) -> usize {
+            self.factor.len()
+        }
+
+        /// Whether user `u` is DNS-classed (resolver-amortized).
+        fn is_dns(&self, u: usize) -> bool {
+            self.is_dns[u]
+        }
+
+        /// Query count for one `(window, user)` slot given the user's
+        /// *current* daily query volume: stochastic rounding of the
+        /// expectation, seed-pure per slot.
+        fn queries_in_window(&self, window: u64, u: usize, queries_per_day: f64) -> u64 {
+            let expected = queries_per_day * self.factor[u] * self.window_frac;
+            let slot = window
+                .wrapping_mul(self.factor.len() as u64)
+                .wrapping_add(u as u64);
+            (expected + u01(par::seed_for(self.seed, slot))) as u64
+        }
+    }
 
     #[test]
     fn class_split_tracks_the_configured_share() {

@@ -129,7 +129,7 @@ impl AnycastDeployment {
     }
 
     /// The staged withhold set of `site`, if it is currently draining.
-    pub fn drain_of(&self, site: SiteId) -> Option<&SiteDrain> {
+    pub(crate) fn drain_of(&self, site: SiteId) -> Option<&SiteDrain> {
         self.site_drains.iter().find(|d| d.site == site)
     }
 
@@ -192,13 +192,6 @@ pub struct SiteAssignment {
     /// layers store it so they can re-evaluate the nearest-site choice
     /// against a changed site set without re-materializing the path.
     pub entry: GeoPoint,
-}
-
-impl SiteAssignment {
-    /// Number of ASes on the path (Fig. 6a's x-axis before org merging).
-    pub fn as_path_len(&self) -> usize {
-        self.as_path.len()
-    }
 }
 
 /// Memoizes per-origin BGP computations across deployments.
@@ -297,7 +290,7 @@ impl RouteCache {
     /// identical to issuing the same lookups sequentially — only the
     /// wall-clock changes — so callers may prefill across whole
     /// letter/ring sets before assigning catchments.
-    pub fn prefill<'w>(
+    pub(crate) fn prefill<'w>(
         &mut self,
         graph: &AsGraph,
         keys: impl IntoIterator<Item = (Asn, ExportScope, &'w [Asn])>,
@@ -373,13 +366,9 @@ impl RouteCache {
     }
 
     /// Number of memoized origin computations.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -402,16 +391,16 @@ struct OriginGroup {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateKey {
     /// Local-preference class of the group's route at the source.
-    pub class: RouteClass,
+    pub(crate) class: RouteClass,
     /// AS-path length of that route (source and origin included).
-    pub path_len: u32,
+    pub(crate) path_len: u32,
     /// Early-exit cost: km from the source's serving PoP to the chosen
     /// first-hop interconnect (0 when the source is the origin).
-    pub exit_km: f64,
+    pub(crate) exit_km: f64,
     /// Host AS of the candidate group.
-    pub host: Asn,
+    pub(crate) host: Asn,
     /// Announcement scope of the candidate group.
-    pub scope: ExportScope,
+    pub(crate) scope: ExportScope,
 }
 
 impl CandidateKey {
@@ -525,15 +514,11 @@ impl<'g> Catchment<'g> {
         self.ranked_top(src, user_loc, 1).into_iter().next()
     }
 
-    /// All reachable candidates for traffic from `src` at `user_loc`,
-    /// ranked by the BGP decision process (best first). Entry 0 is the
-    /// steady-state choice; callers model transient load-balancing across
-    /// intermediate ASes (Appendix B.2) by occasionally taking entry 1.
-    pub fn ranked(&self, src: Asn, user_loc: &GeoPoint) -> Vec<SiteAssignment> {
-        self.ranked_top(src, user_loc, usize::MAX)
-    }
-
-    /// Like [`Catchment::ranked`] but materializes at most `k` candidates
+    /// The first `k` reachable candidates for traffic from `src` at
+    /// `user_loc`, ranked by the BGP decision process (best first).
+    /// Entry 0 is the steady-state choice; callers model transient
+    /// load-balancing across intermediate ASes (Appendix B.2) by
+    /// occasionally taking entry 1. Only `k` candidates are materialized
     /// (path reconstruction and waypoint resolution are the expensive
     /// part; campaign generators only need the top one or two).
     pub fn ranked_top(&self, src: Asn, user_loc: &GeoPoint, k: usize) -> Vec<SiteAssignment> {
@@ -576,24 +561,6 @@ impl<'g> Catchment<'g> {
         None
     }
 
-    /// Decision keys of every reachable candidate group for `src` at
-    /// `user_loc`, best first — the ranking of [`Catchment::ranked`]
-    /// without any path materialization.
-    pub fn candidate_keys(&self, src: Asn, user_loc: &GeoPoint) -> Vec<CandidateKey> {
-        let src_idx = self.graph.idx(src);
-        let serving = self.graph.serving_pop(src, user_loc);
-        self.candidates(src_idx, &serving)
-            .into_iter()
-            .map(|c| CandidateKey {
-                class: c.class,
-                path_len: c.len,
-                exit_km: c.exit_km,
-                host: c.group.host,
-                scope: c.group.scope,
-            })
-            .collect()
-    }
-
     /// The origin groups of this catchment, as `(host, scope)` keys in
     /// their internal (deterministic) order. One BGP computation backs
     /// each group; incremental layers diff successive catchments at this
@@ -622,8 +589,8 @@ impl<'g> Catchment<'g> {
     }
 
     /// Collects and ranks every reachable candidate group for one
-    /// source: the shared core of [`Catchment::ranked_top`],
-    /// [`Catchment::assign_with_key`], and [`Catchment::candidate_keys`].
+    /// source: the shared core of [`Catchment::ranked_top`] and
+    /// [`Catchment::assign_with_key`].
     fn candidates(&self, src_idx: usize, serving: &GeoPoint) -> Vec<Cand<'_>> {
         let mut cands: Vec<Cand<'_>> = Vec::new();
         for group in &self.groups {
@@ -831,11 +798,20 @@ mod tests {
         let (g, dep) = inflation_world();
         let mut cache = RouteCache::new();
         let catchment = Catchment::compute(&g, &dep, &mut cache);
-        let ranked = catchment.ranked(Asn(1), &p(0.0));
+        let ranked = catchment.ranked_top(Asn(1), &p(0.0), usize::MAX);
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0].site, SiteId(0));
         assert_eq!(ranked[1].site, SiteId(1));
         assert_eq!(ranked[1].as_path, vec![Asn(1), Asn(20), Asn(21)]);
+        // A truncated ranking keeps the head, and the decision key the
+        // incremental layers store describes that same candidate.
+        let top = catchment.ranked_top(Asn(1), &p(0.0), 1);
+        assert_eq!(top.len(), 1);
+        assert_eq!(top[0].as_path, ranked[0].as_path);
+        let (_, key) = catchment.assign_with_key(Asn(1), &p(0.0)).unwrap();
+        assert_eq!(key.class, ranked[0].class);
+        assert_eq!(key.path_len as usize, ranked[0].as_path.len());
+        assert!(key.path_len < ranked[1].as_path.len() as u32);
     }
 
     #[test]
@@ -971,21 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_keys_rank_like_ranked() {
-        let (g, dep) = inflation_world();
-        let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
-        let keys = c.candidate_keys(Asn(1), &p(0.0));
-        let ranked = c.ranked(Asn(1), &p(0.0));
-        assert_eq!(keys.len(), ranked.len());
-        for (k, a) in keys.iter().zip(&ranked) {
-            assert_eq!(k.class, a.class);
-            assert_eq!(k.path_len as usize, a.as_path_len());
-        }
-        assert!(keys[0].path_len < keys[1].path_len);
-    }
-
-    #[test]
     fn challenged_by_is_a_sound_prefilter() {
         let key = CandidateKey {
             class: RouteClass::Peer,
@@ -1040,11 +1001,12 @@ mod tests {
     fn fully_drained_single_site_group_falls_to_next_candidate_group() {
         // Same shape as inflation_world: the winning 2-AS group hosts
         // one site. Draining it for the eyeball's session must fall
-        // through to the 3-AS group, exactly like `ranked`'s entry 1.
+        // through to the 3-AS group, exactly like the full ranking's
+        // entry 1.
         let (g, mut dep) = inflation_world();
         let mut cache = RouteCache::new();
         let baseline = Catchment::compute(&g, &dep, &mut cache);
-        let ranked = baseline.ranked(Asn(1), &p(0.0));
+        let ranked = baseline.ranked_top(Asn(1), &p(0.0), usize::MAX);
         assert_eq!(ranked[0].site, SiteId(0));
 
         dep.site_drains = vec![SiteDrain { site: SiteId(0), withheld: vec![Asn(1)] }];

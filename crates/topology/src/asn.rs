@@ -44,24 +44,6 @@ pub enum AsKind {
     Hoster,
 }
 
-impl AsKind {
-    /// Whether this kind of AS originates end-user traffic.
-    pub fn has_users(&self) -> bool {
-        matches!(self, AsKind::Eyeball)
-    }
-
-    /// Short label for rendered tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AsKind::Tier1 => "tier1",
-            AsKind::Transit => "transit",
-            AsKind::Eyeball => "eyeball",
-            AsKind::Content => "content",
-            AsKind::Hoster => "hoster",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,14 +51,6 @@ mod tests {
     #[test]
     fn asn_display() {
         assert_eq!(Asn(65000).to_string(), "AS65000");
-    }
-
-    #[test]
-    fn only_eyeballs_have_users() {
-        assert!(AsKind::Eyeball.has_users());
-        for k in [AsKind::Tier1, AsKind::Transit, AsKind::Content, AsKind::Hoster] {
-            assert!(!k.has_users());
-        }
     }
 
     #[test]

@@ -55,9 +55,9 @@ pub enum ExportScope {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FirstHop {
     /// Link index in the graph (carries the interconnect locations).
-    pub link: usize,
+    pub(crate) link: usize,
     /// Dense node index of the neighbor the route was learned from.
-    pub via: usize,
+    pub(crate) via: usize,
 }
 
 /// The route a node selected toward one origin.
@@ -83,11 +83,6 @@ pub struct OriginRoutes {
 }
 
 impl OriginRoutes {
-    /// The origin AS these routes lead to.
-    pub fn origin(&self) -> Asn {
-        self.origin
-    }
-
     /// The selected route at dense node index `idx`, if the node can reach
     /// the origin at all.
     pub fn route_at(&self, idx: usize) -> Option<&NodeRoute> {

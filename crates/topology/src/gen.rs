@@ -122,13 +122,13 @@ pub struct Internet {
     /// The world map the topology was laid over.
     pub world: WorldMap,
     /// Tier-1 ASNs.
-    pub tier1s: Vec<Asn>,
+    pub(crate) tier1s: Vec<Asn>,
     /// Transit ASNs.
     pub transits: Vec<Asn>,
     /// Hoster ASNs.
     pub hosters: Vec<Asn>,
     /// Content ASNs added via [`Internet::add_content_as`].
-    pub content: Vec<Asn>,
+    pub(crate) content: Vec<Asn>,
     /// Eyeball ASes and the regions they cover.
     pub eyeballs: Vec<(Asn, Vec<RegionId>)>,
     /// IXP locations (region, point).

@@ -31,7 +31,7 @@ pub enum Relationship {
 
 impl Relationship {
     /// The same link seen from the other end.
-    pub fn inverse(&self) -> Relationship {
+    pub(crate) fn inverse(&self) -> Relationship {
         match self {
             Relationship::Customer => Relationship::Provider,
             Relationship::Provider => Relationship::Customer,
@@ -62,13 +62,13 @@ pub struct AsNode {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Link {
     /// One endpoint.
-    pub a: Asn,
+    pub(crate) a: Asn,
     /// Other endpoint.
-    pub b: Asn,
+    pub(crate) b: Asn,
     /// Relationship of `b` to `a` (i.e. `Customer` ⇒ b is a's customer).
-    pub rel_of_b_to_a: Relationship,
+    pub(crate) rel_of_b_to_a: Relationship,
     /// Locations where the two ASes interconnect (non-empty).
-    pub interconnects: Vec<GeoPoint>,
+    pub(crate) interconnects: Vec<GeoPoint>,
 }
 
 /// Adjacency entry stored per node.
@@ -79,7 +79,7 @@ pub struct Adjacency {
     /// Relationship of the neighbor to this node.
     pub rel: Relationship,
     /// Index into [`AsGraph::links`].
-    pub link: usize,
+    pub(crate) link: usize,
 }
 
 /// The AS-level Internet graph.
@@ -145,16 +145,6 @@ impl AsGraph {
         self.adj[ib].push(Adjacency { neighbor: ia, rel: rel_of_b_to_a.inverse(), link });
     }
 
-    /// Appends freshly-allocated prefixes to an existing AS.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ASN is unknown.
-    pub fn add_prefixes(&mut self, asn: Asn, prefixes: Vec<Prefix24>) {
-        let idx = self.idx(asn);
-        self.nodes[idx].prefixes.extend(prefixes);
-    }
-
     /// Whether the two ASes are directly connected.
     pub fn connected(&self, a: Asn, b: Asn) -> bool {
         let (Some(&ia), Some(&ib)) = (self.index.get(&a), self.index.get(&b)) else {
@@ -166,11 +156,6 @@ impl AsGraph {
     /// Number of ASes.
     pub fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Whether the graph has no ASes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// All nodes in insertion order.
@@ -207,7 +192,7 @@ impl AsGraph {
     }
 
     /// Dense index of an ASN, `None` for unknown ASNs.
-    pub fn try_idx(&self, asn: Asn) -> Option<usize> {
+    pub(crate) fn try_idx(&self, asn: Asn) -> Option<usize> {
         self.index.get(&asn).copied()
     }
 
@@ -222,7 +207,8 @@ impl AsGraph {
     }
 
     /// Link by index.
-    pub fn link(&self, idx: usize) -> &Link {
+    #[cfg(test)]
+    pub(crate) fn link(&self, idx: usize) -> &Link {
         &self.links[idx]
     }
 
@@ -235,7 +221,7 @@ impl AsGraph {
 
     /// The interconnect point on `link` nearest to `from` — hot-potato
     /// exit selection — and its distance from `from` in km.
-    pub fn nearest_interconnect(&self, link: usize, from: &GeoPoint) -> (GeoPoint, f64) {
+    pub(crate) fn nearest_interconnect(&self, link: usize, from: &GeoPoint) -> (GeoPoint, f64) {
         nearest(self.links[link].interconnects.iter().copied(), |p| p.distance_km(from))
             .expect("links always have interconnects")
     }
@@ -247,11 +233,6 @@ impl AsGraph {
             .iter()
             .flat_map(|n| n.prefixes.iter().map(move |p| (*p, n.asn)))
             .collect()
-    }
-
-    /// All ASes of a given kind.
-    pub fn ases_of_kind(&self, kind: AsKind) -> Vec<Asn> {
-        self.nodes.iter().filter(|n| n.kind == kind).map(|n| n.asn).collect()
     }
 }
 
@@ -376,14 +357,5 @@ mod tests {
         let allocs = g.prefix_allocations();
         assert_eq!(allocs.len(), 2);
         assert!(allocs.contains(&(Prefix24(1), Asn(1))));
-    }
-
-    #[test]
-    fn ases_of_kind_filters() {
-        let mut g = AsGraph::new();
-        g.add_as(node(1, AsKind::Eyeball));
-        g.add_as(node(2, AsKind::Transit));
-        g.add_as(node(3, AsKind::Eyeball));
-        assert_eq!(g.ases_of_kind(AsKind::Eyeball), vec![Asn(1), Asn(3)]);
     }
 }

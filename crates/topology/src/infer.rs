@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 /// An inferred relationship for an (unordered) AS pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum InferredRel {
+pub(crate) enum InferredRel {
     /// The first AS of the (canonically ordered) pair provides transit to
     /// the second.
     ProviderOf,
@@ -37,13 +37,13 @@ pub enum InferredRel {
 #[derive(Debug, Clone, Default)]
 pub struct InferredRelationships {
     /// The classified pairs.
-    pub pairs: HashMap<(Asn, Asn), InferredRel>,
+    pub(crate) pairs: HashMap<(Asn, Asn), InferredRel>,
 }
 
 impl InferredRelationships {
     /// Looks up the inferred relationship of `a` toward `b`:
     /// `ProviderOf` means *a provides transit to b*.
-    pub fn relation(&self, a: Asn, b: Asn) -> Option<InferredRel> {
+    pub(crate) fn relation(&self, a: Asn, b: Asn) -> Option<InferredRel> {
         let (key, flipped) = canonical(a, b);
         self.pairs.get(&key).map(|r| {
             if !flipped {
@@ -56,16 +56,6 @@ impl InferredRelationships {
                 }
             }
         })
-    }
-
-    /// Number of classified pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether nothing was classified.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
     }
 }
 

@@ -45,8 +45,8 @@ pub use anycast::{
     SiteId, SiteScope,
 };
 pub use asn::{AsKind, Asn, OrgId};
-pub use bgp::{ExportScope, OriginRoutes, RouteClass, RouteComputer};
+pub use bgp::{ExportScope, OriginRoutes, RouteClass};
 pub use gen::{InternetGenerator, TopologyConfig};
-pub use infer::{infer_relationships, score_inference, InferenceAccuracy, InferredRel};
+pub use infer::{infer_relationships, score_inference};
 pub use graph::{nearest, AsGraph, AsNode, Relationship};
 pub use prefix::{IpToAsnService, Ipv4Addr24, Prefix24};

@@ -30,7 +30,7 @@ impl Prefix24 {
     }
 
     /// Dotted-quad rendering of the network address (host byte 0).
-    pub fn dotted(&self) -> String {
+    pub(crate) fn dotted(&self) -> String {
         let a = self.0 << 8;
         format!("{}.{}.{}.0/24", (a >> 24) & 0xff, (a >> 16) & 0xff, (a >> 8) & 0xff)
     }
@@ -67,7 +67,7 @@ pub struct Ipv4Addr24 {
 
 impl Ipv4Addr24 {
     /// The full 32-bit address value.
-    pub fn as_u32(&self) -> u32 {
+    pub(crate) fn as_u32(&self) -> u32 {
         (self.prefix.0 << 8) | self.host as u32
     }
 }
@@ -111,22 +111,6 @@ impl IpToAsnService {
             return None;
         }
         self.map.get(&prefix).copied()
-    }
-
-    /// Ground-truth lookup ignoring the simulated mapping gaps. Analysis
-    /// code must *not* use this — it exists for validation tests.
-    pub fn lookup_ground_truth(&self, prefix: Prefix24) -> Option<Asn> {
-        self.map.get(&prefix).copied()
-    }
-
-    /// Number of known prefixes.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the service knows no prefixes.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Stable hash of the prefix to a uniform `[0, 1)` value (splitmix64).
@@ -183,7 +167,6 @@ mod tests {
         let svc = IpToAsnService::new(vec![(Prefix24(1), Asn(7))], 0.0);
         assert_eq!(svc.lookup(Prefix24(1)), Some(Asn(7)));
         assert_eq!(svc.lookup(Prefix24(2)), None);
-        assert_eq!(svc.lookup_ground_truth(Prefix24(1)), Some(Asn(7)));
     }
 
     #[test]

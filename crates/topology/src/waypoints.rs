@@ -26,7 +26,7 @@ use geo::GeoPoint;
 /// measured from the hop rather than to it (haversine is symmetric bit
 /// for bit; `tests/nearest.rs` pins that), so no distance is evaluated
 /// twice. The length sums the segments in path order.
-pub fn walk(
+pub(crate) fn walk(
     graph: &AsGraph,
     links: &[usize],
     user_loc: &GeoPoint,

@@ -9,7 +9,7 @@
 //! networks.
 
 use geo::region::RegionId;
-use geo::{Continent, GeoPoint};
+use geo::Continent;
 use netsim::{ping, traceroute, LastMile, LatencyModel, PathProfile, TracerouteHop};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,8 +20,6 @@ use topology::{AnycastDeployment, Asn, Catchment, RouteCache};
 /// One Atlas probe.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Probe {
-    /// Probe id.
-    pub id: u32,
     /// Region the probe sits in.
     pub region: RegionId,
     /// Hosting AS.
@@ -77,7 +75,7 @@ impl AtlasPanel {
             if !used.insert((loc.region, loc.asn)) {
                 continue;
             }
-            probes.push(Probe { id: probes.len() as u32, region: loc.region, asn: loc.asn });
+            probes.push(Probe { region: loc.region, asn: loc.asn });
         }
         Self { probes }
     }
@@ -144,11 +142,6 @@ impl AtlasPanel {
             out.push((*probe, hops));
         }
         out
-    }
-
-    /// Probe location helper.
-    pub fn location(&self, internet: &Internet, probe: &Probe) -> GeoPoint {
-        internet.world.region(probe.region).center
     }
 }
 

@@ -66,22 +66,6 @@ impl Geolocator {
         let dlon = dist_km / (111.0 * truth.lat().to_radians().cos().max(0.1)) * bearing.sin();
         Some(GeoPoint::new(truth.lat() + dlat, truth.lon() + dlon))
     }
-
-    /// Ground-truth location (validation only — analysis must use
-    /// [`Geolocator::locate`]).
-    pub fn truth(&self, prefix: Prefix24) -> Option<GeoPoint> {
-        self.truth.get(&prefix).copied()
-    }
-
-    /// Number of known prefixes.
-    pub fn len(&self) -> usize {
-        self.truth.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.truth.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +98,7 @@ mod tests {
             .map(|i| {
                 g.locate(Prefix24(i))
                     .expect("known")
-                    .distance_km(&g.truth(Prefix24(i)).expect("known"))
+                    .distance_km(&g.truth[&Prefix24(i)])
             })
             .collect();
         let small = errs.iter().filter(|e| **e < 150.0).count();

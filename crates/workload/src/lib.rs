@@ -26,9 +26,8 @@ pub mod geoloc;
 pub mod pcap;
 pub mod users;
 
-pub use atlas::{AtlasPanel, Probe};
-pub use browse::{BrowseConfig, BrowseEvent, BrowseGenerator};
-pub use ditl::{DitlConfig, DitlDataset, DitlRow};
+pub use atlas::AtlasPanel;
+pub use browse::{BrowseConfig, BrowseGenerator};
+pub use ditl::{DitlConfig, DitlDataset};
 pub use geoloc::{GeolocError, Geolocator};
-pub use pcap::{sample_capture, DnsPacketRecord, PcapConfig};
-pub use users::{ApnicUserCounts, CdnUserCounts, Recursive, RecursiveId, UserConfig, UserPopulation};
+pub use users::{ApnicUserCounts, CdnUserCounts, UserConfig, UserPopulation};

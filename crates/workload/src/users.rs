@@ -29,13 +29,13 @@ use topology::{nearest, Asn, Ipv4Addr24, Prefix24};
 /// Identifier of a recursive resolver deployment (index into
 /// [`UserPopulation::recursives`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct RecursiveId(pub u32);
+pub(crate) struct RecursiveId(pub(crate) u32);
 
 /// One recursive resolver deployment: a /24 of colocated resolver hosts.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Recursive {
     /// Identifier.
-    pub id: RecursiveId,
+    pub(crate) id: RecursiveId,
     /// AS hosting the resolvers.
     pub asn: Asn,
     /// The resolver /24.
@@ -44,18 +44,11 @@ pub struct Recursive {
     pub location: GeoPoint,
     /// Host bytes of resolver IPs that send upstream (DITL-visible)
     /// queries.
-    pub query_ips: Vec<u8>,
+    pub(crate) query_ips: Vec<u8>,
     /// Whether this is a public DNS service (users from many ASes).
     pub public_dns: bool,
     /// Ground-truth users served, summed over locations.
     pub users: f64,
-}
-
-impl Recursive {
-    /// A specific resolver IP.
-    pub fn ip(&self, idx: usize) -> Ipv4Addr24 {
-        self.prefix.host(self.query_ips[idx % self.query_ips.len()])
-    }
 }
 
 /// Ground-truth users at one ⟨region, AS⟩ location.
@@ -68,7 +61,7 @@ pub struct LocationUsers {
     /// Ground-truth user count.
     pub users: f64,
     /// Recursives serving these users, with the user share via each.
-    pub via: Vec<(RecursiveId, f64)>,
+    pub(crate) via: Vec<(RecursiveId, f64)>,
 }
 
 /// Population-synthesis parameters.
@@ -109,8 +102,6 @@ pub struct UserPopulation {
     pub locations: Vec<LocationUsers>,
     /// All recursive deployments.
     pub recursives: Vec<Recursive>,
-    /// ASNs of public DNS services (added to the Internet by synthesis).
-    pub public_dns_ases: Vec<Asn>,
     config: UserConfig,
 }
 
@@ -218,24 +209,13 @@ impl UserPopulation {
         Self {
             locations,
             recursives,
-            public_dns_ases: vec![public_asn],
             config: config.clone(),
         }
-    }
-
-    /// The synthesis configuration.
-    pub fn config(&self) -> &UserConfig {
-        &self.config
     }
 
     /// Total ground-truth users.
     pub fn total_users(&self) -> f64 {
         self.locations.iter().map(|l| l.users).sum()
-    }
-
-    /// Recursive by id.
-    pub fn recursive(&self, id: RecursiveId) -> &Recursive {
-        &self.recursives[id.0 as usize]
     }
 
     /// Derives the Microsoft-style user-count dataset: unique user IPs
@@ -387,9 +367,13 @@ mod tests {
         let (_, pop) = population();
         for loc in &pop.locations {
             assert_eq!(loc.via.len(), 2);
-            let own = pop.recursive(loc.via[0].0);
+            let recursive = |i: usize| {
+                let (RecursiveId(id), _) = loc.via[i];
+                &pop.recursives[id as usize]
+            };
+            let own = recursive(0);
             assert_eq!(own.asn, loc.asn, "primary recursive lives in the user AS");
-            let public = pop.recursive(loc.via[1].0);
+            let public = recursive(1);
             assert!(public.public_dns);
         }
     }
@@ -451,8 +435,8 @@ mod tests {
         let med = ratios[ratios.len() / 2];
         assert!((0.6..1.6).contains(&med), "median ratio {med}");
         // No APNIC users in the public DNS AS.
-        for asn in &pop.public_dns_ases {
-            assert!(!apnic.by_asn.contains_key(asn));
+        for r in pop.recursives.iter().filter(|r| r.public_dns) {
+            assert!(!apnic.by_asn.contains_key(&r.asn));
         }
     }
 
