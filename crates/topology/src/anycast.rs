@@ -23,6 +23,7 @@ use crate::waypoints;
 use geo::GeoPoint;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -423,12 +424,26 @@ impl CandidateKey {
 
 /// One ranked candidate during the decision process: a group, the
 /// comparison key, and the first hop the early-exit tie-break selected.
+#[derive(Clone, Copy)]
 struct Cand<'a> {
     group: &'a OriginGroup,
     class: RouteClass,
     len: u32,
     exit_km: f64,
     first: Option<crate::bgp::FirstHop>,
+}
+
+impl Cand<'_> {
+    /// The decision key incremental layers store for this candidate.
+    fn key(&self) -> CandidateKey {
+        CandidateKey {
+            class: self.class,
+            path_len: self.len,
+            exit_km: self.exit_km,
+            host: self.group.host,
+            scope: self.group.scope,
+        }
+    }
 }
 
 /// Computed catchments of one deployment over one graph. `Send + Sync`:
@@ -518,21 +533,26 @@ impl<'g> Catchment<'g> {
     /// `user_loc`, ranked by the BGP decision process (best first).
     /// Entry 0 is the steady-state choice; callers model transient
     /// load-balancing across intermediate ASes (Appendix B.2) by
-    /// occasionally taking entry 1. Only `k` candidates are materialized
-    /// (path reconstruction and waypoint resolution are the expensive
-    /// part; campaign generators only need the top one or two).
+    /// occasionally taking entry 1. Only as many (class, length) tiers
+    /// are ranked, and only as many candidates materialized, as it takes
+    /// to fill `k`: the early-exit ranking was most of an assignment's
+    /// cost, and campaign generators only need the top one or two.
     pub fn ranked_top(&self, src: Asn, user_loc: &GeoPoint, k: usize) -> Vec<SiteAssignment> {
+        let mut out = Vec::new();
+        if k == 0 {
+            return out;
+        }
         let src_idx = self.graph.idx(src);
         let serving = self.graph.serving_pop(src, user_loc);
-        // filter_map *before* take: a candidate that fails to
-        // materialize (every hosted site drained for this path's entry
-        // session) falls through to the next-ranked group instead of
-        // truncating the result — matching `assign_with_key`.
-        self.candidates(src_idx, &serving)
-            .into_iter()
-            .filter_map(|c| self.materialize(src_idx, user_loc, &serving, c.group, c.first))
-            .take(k)
-            .collect()
+        // A candidate that fails to materialize (every hosted site
+        // drained for this path's entry session) falls through to the
+        // next-ranked group instead of truncating the result — matching
+        // `assign_with_key`.
+        self.walk_ranked(src_idx, &serving, |c| {
+            out.extend(self.materialize(src_idx, user_loc, &serving, c.group, c.first));
+            out.len() == k
+        });
+        out
     }
 
     /// The best assignment together with its [`CandidateKey`], in one
@@ -546,19 +566,14 @@ impl<'g> Catchment<'g> {
     ) -> Option<(SiteAssignment, CandidateKey)> {
         let src_idx = self.graph.idx(src);
         let serving = self.graph.serving_pop(src, user_loc);
-        for c in self.candidates(src_idx, &serving) {
-            let key = CandidateKey {
-                class: c.class,
-                path_len: c.len,
-                exit_km: c.exit_km,
-                host: c.group.host,
-                scope: c.group.scope,
-            };
-            if let Some(a) = self.materialize(src_idx, user_loc, &serving, c.group, c.first) {
-                return Some((a, key));
-            }
-        }
-        None
+        let mut best = None;
+        self.walk_ranked(src_idx, &serving, |c| {
+            best = self
+                .materialize(src_idx, user_loc, &serving, c.group, c.first)
+                .map(|a| (a, c.key()));
+            best.is_some()
+        });
+        best
     }
 
     /// The origin groups of this catchment, as `(host, scope)` keys in
@@ -588,9 +603,81 @@ impl<'g> Catchment<'g> {
             .map(|g| g.sites.as_slice())
     }
 
-    /// Collects and ranks every reachable candidate group for one
-    /// source: the shared core of [`Catchment::ranked_top`] and
+    /// Hands the reachable candidate groups for one source to `visit` in
+    /// BGP decision order — class desc, then AS-path length asc, then
+    /// early-exit distance asc, then host ASN — until `visit` returns
+    /// `true`: the shared core of [`Catchment::ranked_top`] and
     /// [`Catchment::assign_with_key`].
+    ///
+    /// Class and length need no geometry, so the groups are first sorted
+    /// into (class, length) tiers, and early exit is computed one tier at
+    /// a time, best tier first. A walk that stops in the first tier never
+    /// prices the others. The order is the one stable sort over the
+    /// whole comparator would give: the comparator is lexicographic, and
+    /// both sorts keep group order among equals.
+    fn walk_ranked<'s>(
+        &'s self,
+        src_idx: usize,
+        serving: &GeoPoint,
+        mut visit: impl FnMut(Cand<'s>) -> bool,
+    ) {
+        let mut reach: Vec<(Reverse<RouteClass>, u32, usize)> = self
+            .groups
+            .iter()
+            .enumerate()
+            .filter_map(|(i, g)| {
+                let r = g.routes.route_at(src_idx)?;
+                Some((Reverse(r.class), r.path_len, i))
+            })
+            .collect();
+        // Group indices are distinct, so this is the stable sort by
+        // (class desc, length asc) over group order.
+        reach.sort_unstable();
+        let mut tier: Vec<Cand<'s>> = Vec::new();
+        for same in reach.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            tier.clear();
+            tier.extend(
+                same.iter().filter_map(|&(.., i)| self.early_exit(&self.groups[i], src_idx, serving)),
+            );
+            tier.sort_by(|a, b| {
+                a.exit_km
+                    .partial_cmp(&b.exit_km)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.group.host.cmp(&b.group.host))
+            });
+            for &c in &tier {
+                if visit(c) {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// `group` as a candidate for the source at `src_idx`: its route and
+    /// the early-exit first hop, or `None` when the group is unreachable.
+    fn early_exit<'s>(
+        &self,
+        group: &'s OriginGroup,
+        src_idx: usize,
+        serving: &GeoPoint,
+    ) -> Option<Cand<'s>> {
+        let route = group.routes.route_at(src_idx)?;
+        if route.class == RouteClass::Origin {
+            return Some(Cand { group, class: route.class, len: route.path_len, exit_km: 0.0, first: None });
+        }
+        // Early-exit: among equally-best first hops, the source picks
+        // the one whose interconnect is nearest its serving PoP.
+        // Haversine distances are symmetric bit for bit, so the
+        // interconnect's distance from `serving` is the exit cost.
+        let (fh, exit_km) = nearest(route.first_hops.iter().copied(), |fh| {
+            self.graph.nearest_interconnect(fh.link, serving).1
+        })?;
+        Some(Cand { group, class: route.class, len: route.path_len, exit_km, first: Some(fh) })
+    }
+
+    /// The eager ranking [`Catchment::walk_ranked`] replaced, kept as its
+    /// reference: early exit for every reachable group, then one sort.
+    #[cfg(test)]
     fn candidates(&self, src_idx: usize, serving: &GeoPoint) -> Vec<Cand<'_>> {
         let mut cands: Vec<Cand<'_>> = Vec::new();
         for group in &self.groups {
@@ -601,10 +688,6 @@ impl<'g> Catchment<'g> {
                 cands.push(Cand { group, class: route.class, len: route.path_len, exit_km: 0.0, first: None });
                 continue;
             }
-            // Early-exit: among equally-best first hops, the source picks
-            // the one whose interconnect is nearest its serving PoP.
-            // Haversine distances are symmetric bit for bit, so the
-            // interconnect's distance from `serving` is the exit cost.
             let best = nearest(route.first_hops.iter().copied(), |fh| {
                 self.graph.nearest_interconnect(fh.link, serving).1
             });
@@ -694,7 +777,12 @@ impl<'g> Catchment<'g> {
 mod tests {
     use super::*;
     use crate::asn::{AsKind, OrgId};
+    use crate::gen::{Internet, InternetGenerator, TopologyConfig};
     use crate::graph::AsNode;
+    use crate::Relationship;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn node(asn: u32, kind: AsKind, pops: Vec<GeoPoint>) -> AsNode {
         AsNode {
@@ -1122,9 +1210,126 @@ mod tests {
         Some((site, points, km, entry))
     }
 
+    /// `g` with every PoP and interconnect snapped to a `step`-degree
+    /// grid, so that early-exit distances from different links tie.
+    fn snapped(g: &AsGraph, step: f64) -> AsGraph {
+        let snap = |p: &GeoPoint| {
+            GeoPoint::new((p.lat() / step).round() * step, (p.lon() / step).round() * step)
+        };
+        let mut out = AsGraph::new();
+        for n in g.nodes() {
+            out.add_as(AsNode { pops: n.pops.iter().map(snap).collect(), ..n.clone() });
+        }
+        for l in g.links() {
+            let points = l.interconnects.iter().map(snap).collect();
+            match l.rel_of_b_to_a {
+                Relationship::Customer => out.add_provider_link(l.a, l.b, points),
+                Relationship::Provider => out.add_provider_link(l.b, l.a, points),
+                Relationship::Peer => out.add_peer_link(l.a, l.b, points),
+            }
+        }
+        out
+    }
+
+    /// Everything an assignment carries, floats as bits.
+    type Summary = (SiteId, RouteClass, Vec<Asn>, Vec<(u64, u64)>, u64, (u64, u64));
+
+    fn summary(a: &SiteAssignment) -> Summary {
+        let points = a.waypoints.iter().map(bits).collect();
+        (a.site, a.class, a.as_path.clone(), points, a.path_km.to_bits(), bits(&a.entry))
+    }
+
+    /// A deployment over `net` drawn from `rng`: two to six hosts with one
+    /// to three sites each at the host's PoPs (collocated sites tie), a
+    /// Global or Local scope per site so that some hosts announce both,
+    /// staged drains withholding random host neighbors, and sometimes an
+    /// origin AS whose group sorts after hosts with higher ASNs.
+    fn random_deployment(net: &mut Internet, g: &AsGraph, rng: &mut StdRng) -> AnycastDeployment {
+        let n_hosts = rng.gen_range(2..=6);
+        let hosts = net.sample_hosters(n_hosts);
+        let mut sites = Vec::new();
+        for &host in &hosts {
+            let pops = &g.node(host).pops;
+            for _ in 0..rng.gen_range(1..=3) {
+                sites.push(AnycastSite {
+                    id: SiteId(sites.len() as u32),
+                    name: format!("s{}", sites.len()),
+                    host,
+                    location: pops[rng.gen_range(0..pops.len())],
+                    scope: if rng.gen_bool(0.3) { SiteScope::Local } else { SiteScope::Global },
+                });
+            }
+        }
+        let mut dep = AnycastDeployment::new("ranked", sites, vec![]);
+        for s in &dep.sites {
+            if !rng.gen_bool(0.3) {
+                continue;
+            }
+            let mut withheld: Vec<Asn> = g
+                .adjacency(g.idx(s.host))
+                .iter()
+                .filter(|_| rng.gen_bool(0.5))
+                .map(|a| g.node_at(a.neighbor).asn)
+                .collect();
+            withheld.sort();
+            dep.site_drains.push(SiteDrain { site: s.id, withheld });
+        }
+        if rng.gen_bool(0.5) {
+            let origins: Vec<Asn> = net.tier1s.iter().chain(&net.transits).copied().collect();
+            let origin = origins[rng.gen_range(0..origins.len())];
+            let direct = hosts.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+            dep = dep.with_origin(origin, direct);
+        }
+        dep
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The tier-by-tier walk ranks exactly as the eager reference:
+        /// every `ranked_top(k)` and every `assign_with_key`, ties and
+        /// drained fall-throughs included, on grid-snapped Internets
+        /// where early-exit distances tie across hosts.
+        #[test]
+        fn tier_walk_matches_the_eager_ranking(
+            seed in 0u64..500,
+            dep_seed in 0u64..u64::MAX,
+            step in 1u32..=10,
+        ) {
+            let mut net = InternetGenerator::generate(&TopologyConfig::small(seed));
+            let g = snapped(&net.graph, f64::from(step));
+            let mut rng = StdRng::seed_from_u64(dep_seed);
+            let dep = random_deployment(&mut net, &g, &mut rng);
+            let mut cache = RouteCache::new();
+            let c = Catchment::compute(&g, &dep, &mut cache);
+            for loc in net.user_locations() {
+                let center = net.world.region(loc.region).center;
+                let user = GeoPoint::new(center.lat().round(), center.lon().round());
+                let src_idx = g.idx(loc.asn);
+                let serving = g.serving_pop(loc.asn, &user);
+                let reference: Vec<(Summary, CandidateKey)> = c
+                    .candidates(src_idx, &serving)
+                    .into_iter()
+                    .filter_map(|cand| {
+                        let a = c.materialize(src_idx, &user, &serving, cand.group, cand.first)?;
+                        Some((summary(&a), cand.key()))
+                    })
+                    .collect();
+                for k in [0, 1, 2, usize::MAX] {
+                    let walked: Vec<Summary> =
+                        c.ranked_top(loc.asn, &user, k).iter().map(summary).collect();
+                    let expected: Vec<Summary> =
+                        reference.iter().take(k).map(|(a, _)| a.clone()).collect();
+                    prop_assert_eq!(walked, expected, "ranked_top k = {}", k);
+                }
+                let keyed = c.assign_with_key(loc.asn, &user).map(|(a, key)| (summary(&a), key));
+                prop_assert_eq!(keyed, reference.first().cloned());
+            }
+        }
+    }
+
     #[test]
     fn materialize_matches_the_two_walk_construction() {
-        use crate::gen::{InternetGenerator, TopologyConfig};
         let mut compared = 0;
         for seed in [3, 17] {
             let mut net = InternetGenerator::generate(&TopologyConfig::small(seed));
