@@ -11,7 +11,7 @@ use crate::resilience::TrafficSource;
 use crate::stats::WeightedCdf;
 use netsim::{LastMile, LatencyModel, PathProfile};
 use serde::{Deserialize, Serialize};
-use topology::{AnycastDeployment, AsGraph, Catchment, RouteCache, SiteId, SiteScope};
+use topology::{AnycastDeployment, AsGraph, Catchment, RouteCache, SiteScope};
 
 /// Outcome of the local-sites study for one deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,30 +44,10 @@ pub fn local_site_study(
     let mut cache = RouteCache::new();
     let full = Catchment::compute(graph, deployment, &mut cache);
 
-    // Global-only counterfactual (dense re-ids).
-    let global_sites: Vec<topology::AnycastSite> = deployment
-        .global_sites()
-        .cloned()
-        .enumerate()
-        .map(|(i, mut s)| {
-            s.id = SiteId(i as u32);
-            s
-        })
-        .collect();
-    let counterfactual = if global_sites.is_empty() {
-        None
-    } else {
-        let mut dep = AnycastDeployment::new(
-            format!("{}-global-only", deployment.name),
-            global_sites,
-            deployment.withhold.clone(),
-        );
-        dep.origin_as = deployment.origin_as;
-        dep.direct_hosts = deployment.direct_hosts.clone();
-        Some(dep)
-    };
-    let counter_catchment =
-        counterfactual.as_ref().map(|dep| Catchment::compute(graph, dep, &mut cache));
+    // Global-only counterfactual.
+    let counter_catchment = deployment
+        .restricted(|s| s.scope == SiteScope::Global)
+        .map(|(dep, _)| Catchment::compute(graph, &dep, &mut cache));
 
     let mut local_weight = 0.0;
     let mut total_weight = 0.0;
@@ -102,7 +82,7 @@ pub fn local_site_study(
 mod tests {
     use super::*;
     use geo::GeoPoint;
-    use topology::{AnycastSite, AsKind, AsNode, Asn, OrgId};
+    use topology::{AnycastSite, AsKind, AsNode, Asn, OrgId, SiteId};
 
     /// One global site far away, one local site next door announced only
     /// to the neighborhood: the neighbor must be served locally and lose

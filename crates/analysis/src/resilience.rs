@@ -36,6 +36,31 @@ pub struct TrafficSource {
     pub load: f64,
 }
 
+/// User-weighted broadband latency of `users` over `deployment`'s
+/// catchment: one point per routed user, weighted by its load. Prices
+/// the pre-attack baseline here and every variant `te` weighs.
+pub(crate) fn latency_cdf(
+    graph: &AsGraph,
+    deployment: &AnycastDeployment,
+    model: &LatencyModel,
+    users: &[TrafficSource],
+    cache: &mut RouteCache,
+) -> WeightedCdf {
+    let catchment = Catchment::compute(graph, deployment, cache);
+    let pts = users
+        .iter()
+        .filter_map(|u| {
+            catchment.assign(u.asn, &u.location).map(|a| {
+                (
+                    model.median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband)),
+                    u.load,
+                )
+            })
+        })
+        .collect();
+    WeightedCdf::from_points(pts)
+}
+
 /// Attack description.
 #[derive(Debug, Clone)]
 pub struct AttackSpec {
@@ -172,14 +197,14 @@ pub struct AttackOutcome {
     pub rounds: usize,
 }
 
-/// Simulates `attack` against `deployment` with one uniform per-site
-/// capacity: every site gets the same limit in a [`SiteCapacities`]
-/// table.
+/// Simulates `attack` against `deployment`, every site with the same
+/// load limit.
 ///
-/// `users` carries the legitimate load (weight = users); `capacity` is
-/// each site's load limit in the same units (legit + attack combined).
-/// Local sites participate: they shield their neighborhoods, which is
-/// precisely the "ISP resilience" argument of §7.3.
+/// `users` carries the legitimate load (weight = users);
+/// `capacity_per_site` is each site's load limit in the same units
+/// (legit + attack combined). Local sites participate: they shield
+/// their neighborhoods, which is precisely the "ISP resilience"
+/// argument of §7.3.
 pub fn simulate_attack(
     graph: &AsGraph,
     deployment: &AnycastDeployment,
@@ -192,40 +217,8 @@ pub fn simulate_attack(
         capacity_per_site.is_finite() && capacity_per_site > 0.0,
         "sites need positive capacity"
     );
-    let caps = SiteCapacities::uniform(deployment.sites.len(), capacity_per_site);
-    simulate_attack_capacitated(graph, deployment, model, users, attack, &caps)
-}
-
-/// Simulates `attack` against `deployment` under per-site capacities
-/// (indexed by the deployment's original site ids).
-///
-/// # Panics
-///
-/// Panics when `caps` does not cover every site of the deployment.
-pub(crate) fn simulate_attack_capacitated(
-    graph: &AsGraph,
-    deployment: &AnycastDeployment,
-    model: &LatencyModel,
-    users: &[TrafficSource],
-    attack: &AttackSpec,
-    caps: &SiteCapacities,
-) -> AttackOutcome {
-    assert_eq!(
-        caps.len(),
-        deployment.sites.len(),
-        "capacity table must cover every site"
-    );
     let mut cache = RouteCache::new();
-
-    // Baseline latency with the full deployment.
-    let full = Catchment::compute(graph, deployment, &mut cache);
-    let mut latency_before_pts = Vec::new();
-    for u in users {
-        if let Some(a) = full.assign(u.asn, &u.location) {
-            let ms = model.median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband));
-            latency_before_pts.push((ms, u.load));
-        }
-    }
+    let latency_before = latency_cdf(graph, deployment, model, users, &mut cache);
 
     let mut withdrawn: Vec<SiteId> = Vec::new();
     let mut dead: HashSet<SiteId> = HashSet::default();
@@ -233,29 +226,10 @@ pub(crate) fn simulate_attack_capacitated(
     let total_users: f64 = users.iter().map(|u| u.load).sum();
     let (latency_after, unserved) = loop {
         rounds += 1;
-        // Remaining deployment.
-        let alive: Vec<topology::AnycastSite> = deployment
-            .sites
-            .iter()
-            .filter(|s| !dead.contains(&s.id))
-            .cloned()
-            .collect();
-        if alive.is_empty() {
+        // Remaining deployment, with the original id of each dense id.
+        let Some((dep, original)) = deployment.restricted(|s| !dead.contains(&s.id)) else {
             break (WeightedCdf::from_points(vec![]), 1.0);
-        }
-        // Re-id densely, remembering the original ids.
-        let original: Vec<SiteId> = alive.iter().map(|s| s.id).collect();
-        let sites: Vec<topology::AnycastSite> = alive
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut s)| {
-                s.id = SiteId(i as u32);
-                s
-            })
-            .collect();
-        let mut dep = AnycastDeployment::new(deployment.name.clone(), sites, deployment.withhold.clone());
-        dep.origin_as = deployment.origin_as;
-        dep.direct_hosts = deployment.direct_hosts.clone();
+        };
         let catchment = Catchment::compute(graph, &dep, &mut cache);
 
         // Load per (surviving) site.
@@ -278,11 +252,10 @@ pub(crate) fn simulate_attack_capacitated(
         }
 
         // Collapse every overloaded site this round (simultaneous, like
-        // a volumetric attack hitting all catchments at once). Capacity
-        // lookup is by *original* site id.
+        // a volumetric attack hitting all catchments at once).
         let mut failed_this_round: Vec<SiteId> = load
             .iter()
-            .filter(|(s, l)| **l > caps.capacity(original[s.0 as usize]))
+            .filter(|(_, l)| **l > capacity_per_site)
             .map(|(s, _)| *s)
             .collect();
         failed_this_round.sort();
@@ -304,7 +277,7 @@ pub(crate) fn simulate_attack_capacitated(
 
     AttackOutcome {
         withdrawn_sites: withdrawn,
-        latency_before: WeightedCdf::from_points(latency_before_pts),
+        latency_before,
         latency_after,
         unserved_user_fraction: unserved,
         rounds,
@@ -550,27 +523,6 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn non_finite_capacity_panics() {
         SiteCapacities::from_per_site(vec![1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn uniform_capacities_match_the_scalar_wrapper() {
-        let (net, dep, users) = setup(5);
-        let total: f64 = users.iter().map(|u| u.load).sum();
-        let attack = attack_from(&users, 4, total * 1.2);
-        let model = LatencyModel::default();
-        let cap = total * 0.7;
-        let scalar = simulate_attack(&net.graph, &dep, &model, &users, &attack, cap);
-        let table = simulate_attack_capacitated(
-            &net.graph,
-            &dep,
-            &model,
-            &users,
-            &attack,
-            &SiteCapacities::uniform(dep.sites.len(), cap),
-        );
-        assert_eq!(scalar.withdrawn_sites, table.withdrawn_sites);
-        assert_eq!(scalar.rounds, table.rounds);
-        assert!((scalar.unserved_user_fraction - table.unserved_user_fraction).abs() < 1e-12);
     }
 
     #[test]

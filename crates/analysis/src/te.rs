@@ -10,11 +10,11 @@
 //! alternative paths (tier-1s, other transits) whose interconnects may
 //! sit closer to a usable site.
 
-use crate::resilience::TrafficSource;
+use crate::resilience::{latency_cdf, TrafficSource};
 use crate::stats::WeightedCdf;
-use netsim::{LastMile, LatencyModel, PathProfile};
+use netsim::LatencyModel;
 use serde::{Deserialize, Serialize};
-use topology::{AnycastDeployment, AsGraph, Asn, Catchment, RouteCache};
+use topology::{AnycastDeployment, AsGraph, Asn, RouteCache};
 
 /// Result of a TE optimization run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -27,29 +27,6 @@ pub struct TeResult {
     pub after: WeightedCdf,
     /// Candidate evaluations performed.
     pub evaluations: usize,
-}
-
-/// User-weighted latency of a deployment variant.
-fn evaluate(
-    graph: &AsGraph,
-    deployment: &AnycastDeployment,
-    model: &LatencyModel,
-    users: &[TrafficSource],
-    cache: &mut RouteCache,
-) -> WeightedCdf {
-    let catchment = Catchment::compute(graph, deployment, cache);
-    let pts = users
-        .iter()
-        .filter_map(|u| {
-            catchment.assign(u.asn, &u.location).map(|a| {
-                (
-                    model.median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband)),
-                    u.load,
-                )
-            })
-        })
-        .collect();
-    WeightedCdf::from_points(pts)
 }
 
 /// Greedily withholds announcements from `candidates` (typically the
@@ -69,7 +46,7 @@ pub fn optimize_withholds(
     min_gain_ms: f64,
 ) -> TeResult {
     let mut cache = RouteCache::new();
-    let before = evaluate(graph, deployment, model, users, &mut cache);
+    let before = latency_cdf(graph, deployment, model, users, &mut cache);
     let baseline_weight = before.total_weight();
 
     let mut current = deployment.clone();
@@ -88,7 +65,7 @@ pub fn optimize_withholds(
             }
             let mut variant = current.clone();
             variant.withhold.push(cand);
-            let cdf = evaluate(graph, &variant, model, users, &mut cache);
+            let cdf = latency_cdf(graph, &variant, model, users, &mut cache);
             evaluations += 1;
             if cdf.total_weight() + 1e-9 < baseline_weight {
                 continue; // stranded users — never acceptable
@@ -119,6 +96,7 @@ pub fn optimize_withholds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::{LastMile, PathProfile};
     use topology::{
         AnycastSite, AsKind, AsNode, InternetGenerator, OrgId, SiteId, SiteScope,
         TopologyConfig,

@@ -10,10 +10,10 @@
 //! *how the two metrics differ on identical ground truth*, which is the
 //! methodological argument of §3 made concrete.
 
+use crate::resilience::TrafficSource;
 use crate::stats::WeightedCdf;
-use geo::GeoPoint;
 use netsim::{LastMile, LatencyModel, PathProfile};
-use topology::{AnycastDeployment, AsGraph, Asn, Catchment, RouteCache, SiteScope};
+use topology::{AnycastDeployment, AsGraph, Catchment, RouteCache, SiteScope};
 
 /// Unicast-inflation CDF over a set of weighted users, plus the CDF of
 /// the *unicast alternative's own* inflation above the geometric bound —
@@ -28,7 +28,7 @@ pub struct UnicastStudy {
     pub baseline_residual: WeightedCdf,
 }
 
-/// Runs the study over `(src, location, weight)` users.
+/// Runs the study over `users`, each weighted by its load.
 ///
 /// Per-site ("unicast") catchments are computed once and reused across
 /// every user; a per-user comparison would otherwise recompute each
@@ -37,11 +37,15 @@ pub fn unicast_study(
     graph: &AsGraph,
     deployment: &AnycastDeployment,
     model: &LatencyModel,
-    users: &[(Asn, GeoPoint, f64)],
+    users: &[TrafficSource],
     last_mile: LastMile,
 ) -> UnicastStudy {
     let mut cache = RouteCache::new();
     let catchment = Catchment::compute(graph, deployment, &mut cache);
+    // Built by hand rather than by `AnycastDeployment::restricted`: a
+    // site's unicast address is announced by its host alone, with no
+    // origin-AS hop and no origin-AS announcement over IXPs, so the
+    // one-site deployment drops `origin_as` and `direct_hosts`.
     let site_catchments: Vec<Catchment<'_>> = deployment
         .global_sites()
         .map(|site| {
@@ -62,21 +66,21 @@ pub fn unicast_study(
 
     let mut li_points = Vec::new();
     let mut residual_points = Vec::new();
-    for (src, loc, weight) in users {
-        let Some(anycast) = catchment.assign(*src, loc) else { continue };
+    for u in users {
+        let Some(anycast) = catchment.assign(u.asn, &u.location) else { continue };
         let anycast_ms = model.median_rtt_ms(&PathProfile::from_assignment(&anycast, last_mile));
         let best_unicast_ms = site_catchments
             .iter()
-            .filter_map(|c| c.assign(*src, loc))
+            .filter_map(|c| c.assign(u.asn, &u.location))
             .map(|a| model.median_rtt_ms(&PathProfile::from_assignment(&a, last_mile)))
             .fold(f64::INFINITY, f64::min);
         if !best_unicast_ms.is_finite() {
             continue;
         }
         // Li-et-al-style "unicast inflation", clamped at zero.
-        li_points.push(((anycast_ms - best_unicast_ms).max(0.0), *weight));
-        let bound = geo::km_to_rtt_lower_bound_ms(deployment.nearest_global_site_km(loc));
-        residual_points.push(((best_unicast_ms - bound).max(0.0), *weight));
+        li_points.push(((anycast_ms - best_unicast_ms).max(0.0), u.load));
+        let bound = geo::km_to_rtt_lower_bound_ms(deployment.nearest_global_site_km(&u.location));
+        residual_points.push(((best_unicast_ms - bound).max(0.0), u.load));
     }
     UnicastStudy {
         unicast_inflation: WeightedCdf::from_points(li_points),
@@ -110,11 +114,15 @@ mod tests {
     #[test]
     fn study_produces_both_cdfs() {
         let (net, dep) = setup();
-        let users: Vec<(Asn, GeoPoint, f64)> = net
+        let users: Vec<TrafficSource> = net
             .user_locations()
             .iter()
             .take(30)
-            .map(|l| (l.asn, net.world.region(l.region).center, 1.0))
+            .map(|l| TrafficSource {
+                asn: l.asn,
+                location: net.world.region(l.region).center,
+                load: 1.0,
+            })
             .collect();
         let study = unicast_study(&net.graph, &dep, &LatencyModel::default(), &users, LastMile::None);
         assert!(!study.unicast_inflation.is_empty());

@@ -17,6 +17,7 @@ use dynamics::{
     DynUser, DynamicsEngine, LoadLedger, RecomputeMode, RoutingEvent, Scenario, SwapDeployment,
     Timeline,
 };
+use geo::GeoPoint;
 use loadmgmt::{
     DistributedController, HysteresisController, LoadController, NullController,
     ThresholdController,
@@ -605,6 +606,34 @@ fn most_shedable_sites(eng: &DynamicsEngine<'_>) -> Vec<SiteId> {
     order.into_iter().map(|i| SiteId(i as u32)).collect()
 }
 
+/// The overload set-up every `dynload*` and `dynreplay` experiment
+/// shares: the busiest letter's most-shedable site, its location, and
+/// the [`crowd_caps`] table measured on a stress probe that scales
+/// demand within `radius_km` of the site by `factor` — and, with
+/// `fail_site`, then takes the site down, so the capacities brace the
+/// receivers for its dumped catchment, not just the surge.
+fn crowd_setup(
+    world: &World,
+    radius_km: f64,
+    factor: f64,
+    fail_site: bool,
+) -> (SiteId, GeoPoint, SiteCapacities) {
+    let letter = busiest_letter(world);
+    let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
+    let init = probe.site_loads();
+    let target = most_shedable_sites(&probe)[0];
+    let center = letter.deployment.site(target).location;
+    let mut stress = Scenario::new("stress").at(
+        SimTime::from_secs(1.0),
+        RoutingEvent::DemandScale { center, radius_km, factor },
+    );
+    if fail_site {
+        stress = stress.at(SimTime::from_secs(2.0), RoutingEvent::SiteDown(target));
+    }
+    probe.run(&stress);
+    (target, center, crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions()))
+}
+
 /// `dynload`: a flash crowd on the busiest letter's most-shedable
 /// catchment (most entry sessions, then most load) — demand within
 /// 6000 km doubles for eight minutes with a controller tick every
@@ -613,16 +642,8 @@ fn most_shedable_sites(eng: &DynamicsEngine<'_>) -> Vec<SiteId> {
 /// the latency price of shedding.
 pub(crate) fn dynload(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
-    let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
-    let init = probe.site_loads();
-    let hot = most_shedable_sites(&probe)[0];
-    let center = letter.deployment.site(hot).location;
     let (radius_km, factor) = (6_000.0, 2.0);
-    probe.run(&Scenario::new("stress").at(
-        SimTime::from_secs(1.0),
-        RoutingEvent::DemandScale { center, radius_km, factor },
-    ));
-    let caps = crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions());
+    let (hot, center, caps) = crowd_setup(world, radius_km, factor, false);
     let scenario = Scenario::flash_crowd(
         format!("{}-crowd", letter.deployment.name),
         center,
@@ -651,16 +672,8 @@ pub(crate) fn dynload(world: &World) -> Vec<Artifact> {
 /// shedding pays off most.
 pub(crate) fn dynload_surge(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
-    let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
-    let init = probe.site_loads();
-    let target = most_shedable_sites(&probe)[0];
-    let center = letter.deployment.site(target).location;
     let (radius_km, factor) = (3_000.0, 3.0);
-    probe.run(&Scenario::new("stress").at(
-        SimTime::from_secs(1.0),
-        RoutingEvent::DemandScale { center, radius_km, factor },
-    ));
-    let caps = crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions());
+    let (target, center, caps) = crowd_setup(world, radius_km, factor, false);
     let scenario = Scenario::flash_crowd(
         format!("{}-surge", letter.deployment.name),
         center,
@@ -690,22 +703,8 @@ pub(crate) fn dynload_surge(world: &World) -> Vec<Artifact> {
 /// clock moves.
 pub(crate) fn dynload_cascade(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
-    let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
-    let init = probe.site_loads();
-    let target = most_shedable_sites(&probe)[0];
-    let center = letter.deployment.site(target).location;
     let (radius_km, factor) = (3_000.0, 1.5);
-    // Stress probe: the crowd *and* the failure, so capacities brace
-    // receivers for the dumped catchment, not just the surge.
-    probe.run(
-        &Scenario::new("stress")
-            .at(
-                SimTime::from_secs(1.0),
-                RoutingEvent::DemandScale { center, radius_km, factor },
-            )
-            .at(SimTime::from_secs(2.0), RoutingEvent::SiteDown(target)),
-    );
-    let caps = crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions());
+    let (target, center, caps) = crowd_setup(world, radius_km, factor, true);
     let scenario = Scenario::new(format!("{}-cascade", letter.deployment.name))
         .at(
             SimTime::from_secs(60.0),
@@ -745,22 +744,8 @@ pub(crate) fn dynload_cascade(world: &World) -> Vec<Artifact> {
 /// and `dynreplaysum.csv` (per-policy stream totals).
 pub(crate) fn dynreplay(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
-    let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
-    let init = probe.site_loads();
-    let target = most_shedable_sites(&probe)[0];
-    let center = letter.deployment.site(target).location;
     let (radius_km, factor) = (6_000.0, 2.0);
-    // Stress probe: crowd plus the flap, so capacities brace the
-    // receiving sites for the dumped catchment on top of the surge.
-    probe.run(
-        &Scenario::new("stress")
-            .at(
-                SimTime::from_secs(1.0),
-                RoutingEvent::DemandScale { center, radius_km, factor },
-            )
-            .at(SimTime::from_secs(2.0), RoutingEvent::SiteDown(target)),
-    );
-    let caps = crowd_caps(&init, &probe.site_loads(), &probe.entry_sessions());
+    let (target, center, caps) = crowd_setup(world, radius_km, factor, true);
     let scenario = Scenario::new(format!("{}-replay", letter.deployment.name))
         .at(
             SimTime::from_secs(120.0),

@@ -32,12 +32,7 @@ fn user_sources(world: &World) -> Vec<TrafficSource> {
 /// `extunicast`: anycast vs best-unicast latency for a small letter, a
 /// large letter, and the largest CDN ring.
 pub(crate) fn extunicast(world: &World) -> Vec<Artifact> {
-    let users: Vec<(Asn, geo::GeoPoint, f64)> = world
-        .population
-        .locations
-        .iter()
-        .map(|l| (l.asn, world.internet.world.region(l.region).center, l.users))
-        .collect();
+    let users = user_sources(world);
     let mut series = Vec::new();
     let mut residuals = Vec::new();
     let targets: Vec<(String, &topology::AnycastDeployment)> = vec![

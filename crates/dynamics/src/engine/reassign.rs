@@ -18,38 +18,20 @@ use crate::timeline::{weighted_median, EpochRecord};
 use netsim::{LastMile, PathProfile};
 use par::{DetHashMap, DetHashSet};
 use std::sync::Arc;
-use topology::{
-    AnycastDeployment, AnycastSite, Asn, Catchment, ExportScope, OriginRoutes, SiteDrain, SiteId,
-};
+use topology::{AnycastDeployment, Asn, Catchment, ExportScope, OriginRoutes, SiteDrain, SiteId};
 
 const MS_PER_DAY: f64 = 86_400_000.0;
 
 impl<'g> DynamicsEngine<'g> {
     /// The deployment as currently announced: alive sites, re-id'd
-    /// densely, with lost peerings merged
-    /// into the withhold list. `None` when nothing is announced. The
-    /// second element maps dense ids back to original ids.
+    /// densely by [`AnycastDeployment::restricted`], with lost peerings
+    /// merged into the withhold list. `None` when nothing is announced.
+    /// The second element maps dense ids back to original ids.
     fn effective_deployment(&self) -> Option<(Arc<AnycastDeployment>, Vec<SiteId>)> {
-        let mut sites: Vec<AnycastSite> = Vec::new();
-        let mut orig: Vec<SiteId> = Vec::new();
-        for (i, s) in self.base.sites.iter().enumerate() {
-            if self.alive[i] {
-                orig.push(s.id);
-                let mut s = s.clone();
-                s.id = SiteId(sites.len() as u32);
-                sites.push(s);
-            }
-        }
-        if sites.is_empty() {
-            return None;
-        }
-        let mut withhold = self.base.withhold.clone();
-        withhold.extend(self.lost_peerings.iter().copied());
-        withhold.sort_unstable();
-        withhold.dedup();
-        let mut dep = AnycastDeployment::new(self.base.name.clone(), sites, withhold);
-        dep.origin_as = self.base.origin_as;
-        dep.direct_hosts = self.base.direct_hosts.clone();
+        let (mut dep, orig) = self.base.restricted(|s| self.alive[s.id.0 as usize])?;
+        dep.withhold.extend(self.lost_peerings.iter().copied());
+        dep.withhold.sort_unstable();
+        dep.withhold.dedup();
         // Active withhold sets — partial drains merged with controller
         // sheds — translated to dense ids (`orig` is ascending).
         // Holding drains have no withheld set: their site is simply

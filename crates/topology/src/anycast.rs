@@ -142,6 +142,35 @@ impl AnycastDeployment {
         self
     }
 
+    /// The deployment as announced by the sites `keep` accepts alone —
+    /// the one way every "what if only these sites announce?" variant
+    /// is built. Kept sites stay in their original order, re-id'd
+    /// densely from 0; name, withhold list, origin AS and direct hosts
+    /// are copied, and no site is draining. The second element maps
+    /// each new id to its original id (ascending). `None` when `keep`
+    /// accepts no site.
+    pub fn restricted(
+        &self,
+        keep: impl Fn(&AnycastSite) -> bool,
+    ) -> Option<(AnycastDeployment, Vec<SiteId>)> {
+        let (orig, sites): (Vec<SiteId>, Vec<AnycastSite>) = self
+            .sites
+            .iter()
+            .filter(|s| keep(s))
+            .enumerate()
+            .map(|(i, s)| (s.id, AnycastSite { id: SiteId(i as u32), ..s.clone() }))
+            .unzip();
+        if sites.is_empty() {
+            return None;
+        }
+        let dep = AnycastDeployment {
+            origin_as: self.origin_as,
+            direct_hosts: self.direct_hosts.clone(),
+            ..AnycastDeployment::new(self.name.clone(), sites, self.withhold.clone())
+        };
+        Some((dep, orig))
+    }
+
     /// Sites with global scope — the set Eq. 1/2 minimize over ("we only
     /// consider global sites, since we do not know which recursives can
     /// reach local sites").
@@ -1326,6 +1355,55 @@ mod tests {
                 prop_assert_eq!(keyed, reference.first().cloned());
             }
         }
+    }
+
+    #[test]
+    fn restricted_keeps_sites_in_order_and_copies_the_announcement() {
+        let sites = (0..5).map(|i| site(i, 10 + i, f64::from(i), SiteScope::Global)).collect();
+        let mut dep = AnycastDeployment::new("letter", sites, vec![Asn(7), Asn(9)])
+            .with_origin(Asn(99), vec![Asn(11)]);
+        dep.site_drains = vec![SiteDrain { site: SiteId(3), withheld: vec![Asn(1)] }];
+        let (sub, orig) = dep.restricted(|s| s.id.0 % 2 == 1).expect("two sites kept");
+        assert_eq!(orig, vec![SiteId(1), SiteId(3)]);
+        for (i, s) in sub.sites.iter().enumerate() {
+            assert_eq!(s.id, SiteId(i as u32));
+            assert_eq!((&s.name, s.host), (&dep.site(orig[i]).name, dep.site(orig[i]).host));
+        }
+        assert_eq!(sub.name, dep.name);
+        assert_eq!(sub.withhold, dep.withhold);
+        assert_eq!((sub.origin_as, &sub.direct_hosts), (Some(Asn(99)), &vec![Asn(11)]));
+        assert!(sub.site_drains.is_empty());
+        assert!(dep.restricted(|_| false).is_none());
+    }
+
+    /// Keeping every site reproduces the deployment's catchment exactly:
+    /// same site, path and candidate key for every source, so the
+    /// re-numbering preserves the ascending order the dynamics site diff
+    /// relies on.
+    #[test]
+    fn restricting_to_every_site_changes_no_assignment() {
+        let mut compared = 0;
+        for seed in [3, 17, 42] {
+            let mut net = InternetGenerator::generate(&TopologyConfig::small(seed));
+            let g = net.graph.clone();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dep = random_deployment(&mut net, &g, &mut rng);
+            dep.site_drains.clear();
+            let (all, orig) = dep.restricted(|_| true).expect("non-empty");
+            assert_eq!(orig, dep.sites.iter().map(|s| s.id).collect::<Vec<_>>());
+            let mut cache = RouteCache::new();
+            let before = Catchment::compute(&g, &dep, &mut cache);
+            let after = Catchment::compute(&g, &all, &mut cache);
+            for loc in net.user_locations() {
+                let user = net.world.region(loc.region).center;
+                let key = |c: &Catchment<'_>| {
+                    c.assign_with_key(loc.asn, &user).map(|(a, k)| (summary(&a), k))
+                };
+                assert_eq!(key(&before), key(&after));
+                compared += 1;
+            }
+        }
+        assert!(compared > 100, "only {compared} sources compared");
     }
 
     #[test]

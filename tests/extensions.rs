@@ -28,12 +28,7 @@ fn user_sources(w: &World) -> Vec<TrafficSource> {
 #[test]
 fn cdn_has_near_zero_unicast_inflation_letters_do_not() {
     let w = world();
-    let users: Vec<_> = w
-        .population
-        .locations
-        .iter()
-        .map(|l| (l.asn, w.internet.world.region(l.region).center, l.users))
-        .collect();
+    let users = user_sources(&w);
     let ring = w.cdn.largest_ring();
     let cdn = unicast_study(&w.internet.graph, &ring.deployment, &w.model, &users, LastMile::Broadband);
     // The CDN's anycast choice is already the best unicast choice for
