@@ -38,7 +38,7 @@ pub struct TrafficSource {
 
 /// User-weighted broadband latency of `users` over `deployment`'s
 /// catchment: one point per routed user, weighted by its load. Prices
-/// the pre-attack baseline here and every variant `te` weighs.
+/// the baseline and every variant `te` weighs.
 pub(crate) fn latency_cdf(
     graph: &AsGraph,
     deployment: &AnycastDeployment,
@@ -218,8 +218,8 @@ pub fn simulate_attack(
         "sites need positive capacity"
     );
     let mut cache = RouteCache::new();
-    let latency_before = latency_cdf(graph, deployment, model, users, &mut cache);
-
+    // Round 1 keeps every site, so its latencies are the pre-attack ones.
+    let mut latency_before = None;
     let mut withdrawn: Vec<SiteId> = Vec::new();
     let mut dead: HashSet<SiteId> = HashSet::default();
     let mut rounds = 0;
@@ -244,6 +244,9 @@ pub fn simulate_attack(
                     .median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband));
                 latency_pts.push((ms, u.load));
             }
+        }
+        if rounds == 1 {
+            latency_before = Some(WeightedCdf::from_points(latency_pts.clone()));
         }
         for s in &attack.sources {
             if let Some(a) = catchment.assign(s.asn, &s.location) {
@@ -277,7 +280,8 @@ pub fn simulate_attack(
 
     AttackOutcome {
         withdrawn_sites: withdrawn,
-        latency_before,
+        // A deployment with no sites never reaches a catchment.
+        latency_before: latency_before.unwrap_or_else(|| WeightedCdf::from_points(vec![])),
         latency_after,
         unserved_user_fraction: unserved,
         rounds,

@@ -17,8 +17,8 @@ use workload::{BrowseConfig, BrowseGenerator};
 const SHARD_USERS: usize = 10;
 
 /// Splits `users` into fixed-size shards, replays each shard's browsing
-/// workload through its own fresh resolver (workload and resolver seeds
-/// derived per shard), and merges the stats in shard index order.
+/// workload through its own fresh resolver, and merges the stats in
+/// shard index order into exactly sized series.
 fn sharded_campaign(
     world: &World,
     users: usize,
@@ -31,12 +31,27 @@ fn sharded_campaign(
     // bump commutative counters via the resolver's metric sheet, so the
     // recorded paths are thread-count-invariant.
     let span = obs::span!("campaign.resolver", users = users, days = days);
+    let stats = CampaignStats::merge(campaign_shards(world, users, days, seed, rtts, config));
+    span.add_items(stats.user_queries);
+    stats
+}
+
+/// The per-shard stats of [`sharded_campaign`], in shard index order
+/// (workload and resolver seeds derived per shard).
+fn campaign_shards(
+    world: &World,
+    users: usize,
+    days: f64,
+    seed: u64,
+    rtts: &UpstreamRtts,
+    config: &ResolverConfig,
+) -> Vec<CampaignStats> {
     let n_shards = users.div_ceil(SHARD_USERS).max(1);
     let base = users / n_shards;
     let extra = users % n_shards;
     let shard_sizes: Vec<usize> =
         (0..n_shards).map(|i| base + usize::from(i < extra)).collect();
-    let per_shard = par::ordered_map(&shard_sizes, |i, &n| {
+    par::ordered_map(&shard_sizes, |i, &n| {
         let shard_seed = par::seed_for(seed, i as u64);
         let mut generator = BrowseGenerator::new(
             BrowseConfig { users: n, ..BrowseConfig::default() },
@@ -50,13 +65,7 @@ fn sharded_campaign(
             StdRng::seed_from_u64(shard_seed),
         );
         resolver.drive(events.iter().map(|e| (e.t, &*e.query)), &world.zone)
-    });
-    let mut stats = CampaignStats::default();
-    for shard in per_shard {
-        stats.merge(shard);
-    }
-    span.add_items(stats.user_queries);
-    stats
+    })
 }
 
 /// Runs a resolver over a browsing workload and collects per-query
@@ -77,8 +86,8 @@ fn run_resolver_experiment(
         sharded_campaign(world, users, days, seed, &rtts, &ResolverConfig::default());
     let miss = stats.miss_rate();
     (
-        WeightedCdf::from_points(stats.latencies),
-        WeightedCdf::from_points(stats.root_waits),
+        WeightedCdf::from_values(stats.latencies),
+        WeightedCdf::from_values(stats.root_waits),
         miss,
     )
 }
@@ -246,4 +255,30 @@ pub fn redundancy_share(world: &World, days: f64) -> f64 {
         &ResolverConfig::default(),
     );
     stats.redundancy_share()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::world::WorldConfig;
+
+    #[test]
+    fn campaign_series_are_the_shards_in_order_and_exactly_sized() {
+        let world = World::build(&WorldConfig::small(5));
+        let rtts = UpstreamRtts::uniform(0.0, 18.0, 35.0);
+        let config = ResolverConfig::default();
+        let shards = campaign_shards(&world, 25, 3.0, 7, &rtts, &config);
+        assert_eq!(shards.len(), 3);
+        let merged = sharded_campaign(&world, 25, 3.0, 7, &rtts, &config);
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let concat = |series: fn(&CampaignStats) -> &[f64]| -> Vec<u64> {
+            shards.iter().flat_map(|s| bits(series(s))).collect()
+        };
+        assert_eq!(bits(&merged.latencies), concat(|s| &s.latencies));
+        assert_eq!(bits(&merged.root_waits), concat(|s| &s.root_waits));
+        assert_eq!(merged.latencies.len() as u64, merged.user_queries);
+        assert_eq!(merged.latencies.capacity(), merged.latencies.len());
+        assert_eq!(merged.root_waits.capacity(), merged.root_waits.len());
+    }
 }

@@ -151,14 +151,14 @@ pub struct Resolution {
 
 /// Aggregate outcome of replaying one query stream through a resolver —
 /// the per-shard unit of the deterministic parallel fig12/fig13
-/// campaign. Shards merge by concatenating the point vectors in shard
-/// order and summing the counters.
+/// campaign. Shards merge by concatenating the per-query series in
+/// shard order and summing the counters.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignStats {
-    /// Per-query (user latency ms, weight) points.
-    pub latencies: Vec<(f64, f64)>,
-    /// Per-query (root wait ms, weight) points.
-    pub root_waits: Vec<(f64, f64)>,
+    /// User latency of each query, ms, in stream order.
+    pub latencies: Vec<f64>,
+    /// Root wait of each query, ms, in stream order.
+    pub root_waits: Vec<f64>,
     /// User queries served.
     pub user_queries: u64,
     /// Awaited root queries emitted (the §4.3 miss-rate numerator).
@@ -170,14 +170,32 @@ pub struct CampaignStats {
 }
 
 impl CampaignStats {
-    /// Folds another shard's stats into this one.
-    pub fn merge(&mut self, other: CampaignStats) {
-        self.latencies.extend(other.latencies);
-        self.root_waits.extend(other.root_waits);
-        self.user_queries += other.user_queries;
-        self.awaited_root_queries += other.awaited_root_queries;
-        self.root_queries += other.root_queries;
-        self.redundant_root_queries += other.redundant_root_queries;
+    /// Merges shards in order: each series is their concatenation, in an
+    /// exactly sized buffer, and each counter their sum. Series merge one
+    /// at a time, and each shard's buffer is freed once copied, so at
+    /// most one series is held twice.
+    pub fn merge(mut shards: Vec<CampaignStats>) -> CampaignStats {
+        fn concat(
+            shards: &mut [CampaignStats],
+            series: fn(&mut CampaignStats) -> &mut Vec<f64>,
+        ) -> Vec<f64> {
+            let len = shards.iter_mut().map(|s| series(s).len()).sum();
+            let mut merged = Vec::with_capacity(len);
+            for shard in shards {
+                merged.extend_from_slice(&std::mem::take(series(shard)));
+            }
+            merged
+        }
+        let latencies = concat(&mut shards, |s| &mut s.latencies);
+        let root_waits = concat(&mut shards, |s| &mut s.root_waits);
+        let mut merged = CampaignStats { latencies, root_waits, ..CampaignStats::default() };
+        for shard in &shards {
+            merged.user_queries += shard.user_queries;
+            merged.awaited_root_queries += shard.awaited_root_queries;
+            merged.root_queries += shard.root_queries;
+            merged.redundant_root_queries += shard.redundant_root_queries;
+        }
+        merged
     }
 
     /// Root cache miss rate: awaited root queries / user queries.
@@ -387,13 +405,16 @@ impl RecursiveResolver {
     /// resolver's lifetime counters), so a shard built on a fresh
     /// resolver reports exactly its own stream.
     ///
-    /// Observability: the replay buffers its metrics into a local
-    /// [`obs::MetricSheet`] (this is the per-shard hot loop of the
-    /// fig12/fig13 campaigns) and flushes once at the end —
-    /// `resolver.user_queries`, `resolver.cache_hits`,
-    /// `resolver.root_queries`, `resolver.redundant_root_queries`, and
-    /// the `resolver.user_latency_ms` / `resolver.root_wait_ms`
-    /// histograms.
+    /// The series are sized from `events`' size hint when it is exact,
+    /// so a slice-backed stream leaves no spare capacity.
+    ///
+    /// Observability: this is the per-shard hot loop of the fig12/fig13
+    /// campaigns, so it only counts locally and publishes one
+    /// [`obs::MetricSheet`] at the end — `resolver.user_queries`,
+    /// `resolver.cache_hits`, `resolver.root_queries`,
+    /// `resolver.redundant_root_queries`, and the
+    /// `resolver.user_latency_ms` / `resolver.root_wait_ms` histograms
+    /// (the latter of the nonzero waits only).
     pub fn drive<'q>(
         &mut self,
         events: impl IntoIterator<Item = (SimTime, &'q QueryName)>,
@@ -401,21 +422,24 @@ impl RecursiveResolver {
     ) -> CampaignStats {
         let users_before = self.user_queries;
         let awaited_before = self.awaited_root_queries;
-        let mut stats = CampaignStats::default();
-        let mut sheet = obs::MetricSheet::new();
+        let events = events.into_iter();
+        let exact = match events.size_hint() {
+            (lo, Some(hi)) if lo == hi => lo,
+            _ => 0,
+        };
+        let mut stats = CampaignStats {
+            latencies: Vec::with_capacity(exact),
+            root_waits: Vec::with_capacity(exact),
+            ..CampaignStats::default()
+        };
+        let mut cache_hits = 0;
         let mut upstream = Vec::new();
         for (t, q) in events {
             upstream.clear();
             let (latency, root_wait, cache_hit) = self.resolve_into(t, q, zone, &mut upstream);
-            stats.latencies.push((latency, 1.0));
-            stats.root_waits.push((root_wait, 1.0));
-            sheet.record("resolver.user_latency_ms", latency);
-            if root_wait > 0.0 {
-                sheet.record("resolver.root_wait_ms", root_wait);
-            }
-            if cache_hit {
-                sheet.counter_add("resolver.cache_hits", 1);
-            }
+            stats.latencies.push(latency);
+            stats.root_waits.push(root_wait);
+            cache_hits += u64::from(cache_hit);
             for ev in &upstream {
                 if let ResolverEvent::RootQuery { redundant, .. } = ev {
                     stats.root_queries += 1;
@@ -427,6 +451,15 @@ impl RecursiveResolver {
         }
         stats.user_queries = self.user_queries - users_before;
         stats.awaited_root_queries = self.awaited_root_queries - awaited_before;
+        let mut sheet = obs::MetricSheet::new();
+        sheet.record_all("resolver.user_latency_ms", stats.latencies.iter().copied());
+        sheet.record_all(
+            "resolver.root_wait_ms",
+            stats.root_waits.iter().copied().filter(|w| *w > 0.0),
+        );
+        if cache_hits > 0 {
+            sheet.counter_add("resolver.cache_hits", cache_hits);
+        }
         sheet.counter_add("resolver.user_queries", stats.user_queries);
         sheet.counter_add("resolver.awaited_root_queries", stats.awaited_root_queries);
         sheet.counter_add("resolver.root_queries", stats.root_queries);

@@ -3,7 +3,7 @@
 
 use anycast_dns::query::JUNK_SUFFIXES;
 use anycast_dns::resolver::{
-    letter_weights, RecursiveResolver, ResolverConfig, ResolverEvent, UpstreamRtts,
+    letter_weights, CampaignStats, RecursiveResolver, ResolverConfig, ResolverEvent, UpstreamRtts,
 };
 use anycast_dns::{Letter, QueryName, RootZone};
 use netsim::SimTime;
@@ -68,10 +68,13 @@ proptest! {
         let mut looped = mk();
         let (mut root, mut redundant, mut awaited) = (0u64, 0u64, 0u64);
         prop_assert_eq!(stats.latencies.len(), stream.len());
+        // The slice iterator's size hint is exact: no regrown buffers.
+        prop_assert_eq!(stats.latencies.capacity(), stream.len());
+        prop_assert_eq!(stats.root_waits.capacity(), stream.len());
         for (i, (t, q)) in stream.iter().enumerate() {
             let res = looped.resolve(*t, q, &zone);
-            prop_assert_eq!(stats.latencies[i].0.to_bits(), res.user_latency_ms.to_bits());
-            prop_assert_eq!(stats.root_waits[i].0.to_bits(), res.root_wait_ms.to_bits());
+            prop_assert_eq!(stats.latencies[i].to_bits(), res.user_latency_ms.to_bits());
+            prop_assert_eq!(stats.root_waits[i].to_bits(), res.root_wait_ms.to_bits());
             for ev in &res.events {
                 if let ResolverEvent::RootQuery { awaited: a, redundant: r, .. } = ev {
                     root += 1;
@@ -84,6 +87,61 @@ proptest! {
         prop_assert_eq!(stats.root_queries, root);
         prop_assert_eq!(stats.redundant_root_queries, redundant);
         prop_assert_eq!(stats.awaited_root_queries, awaited);
+    }
+
+    #[test]
+    fn merge_concatenates_shards_in_order(
+        seed in 0u64..1_000_000,
+        cuts in proptest::collection::vec(0usize..300, 0..6),
+    ) {
+        // Shards of one stream, each on its own resolver, as the fig12
+        // campaign runs them; the merge must be their concatenation in
+        // shard order, exactly sized, with summed counters.
+        let zone = RootZone::generate(1, 50);
+        let stream = mixed_stream(seed, &zone, 300);
+        let mut cuts = cuts;
+        cuts.extend([0, stream.len()]);
+        cuts.sort_unstable();
+        let shards: Vec<CampaignStats> = cuts
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                let mut resolver = RecursiveResolver::new(
+                    ResolverConfig::default(),
+                    UpstreamRtts::uniform(0.0, 18.0, 35.0),
+                    StdRng::seed_from_u64(seed + i as u64),
+                );
+                resolver.drive(stream[w[0]..w[1]].iter().map(|(t, q)| (*t, q)), &zone)
+            })
+            .collect();
+        let concat = |series: fn(&CampaignStats) -> &Vec<f64>| -> Vec<u64> {
+            shards.iter().flat_map(|s| series(s).iter().map(|v| v.to_bits())).collect()
+        };
+        let (latencies, root_waits) = (concat(|s| &s.latencies), concat(|s| &s.root_waits));
+        let sum = |counter: fn(&CampaignStats) -> u64| shards.iter().map(counter).sum::<u64>();
+        let sums = [
+            sum(|s| s.user_queries),
+            sum(|s| s.awaited_root_queries),
+            sum(|s| s.root_queries),
+            sum(|s| s.redundant_root_queries),
+        ];
+
+        let merged = CampaignStats::merge(shards.clone());
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&merged.latencies), latencies);
+        prop_assert_eq!(bits(&merged.root_waits), root_waits);
+        prop_assert_eq!(merged.latencies.capacity(), merged.latencies.len());
+        prop_assert_eq!(merged.root_waits.capacity(), merged.root_waits.len());
+        prop_assert_eq!(
+            [
+                merged.user_queries,
+                merged.awaited_root_queries,
+                merged.root_queries,
+                merged.redundant_root_queries,
+            ],
+            sums
+        );
     }
 
     #[test]

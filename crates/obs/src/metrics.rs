@@ -55,10 +55,9 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = BUCKET_BOUNDS
-            .iter()
-            .position(|b| v <= *b)
-            .unwrap_or(BUCKET_BOUNDS.len());
+        // The first bound at or above `v`; NaN is below no bound and
+        // lands in the overflow bucket.
+        let idx = BUCKET_BOUNDS.partition_point(|b| v.is_nan() || v > *b);
         self.counts[idx] += n;
         self.total += n;
         self.min = self.min.min(v);
@@ -188,6 +187,21 @@ mod tests {
         assert_eq!(batched.min(), looped.min());
         assert_eq!(batched.max(), looped.max(), "a zero count must not move extrema");
         assert_eq!(batched.nonzero_buckets(), looped.nonzero_buckets());
+    }
+
+    #[test]
+    fn bucket_search_matches_a_scan() {
+        let scan =
+            |v: f64| BUCKET_BOUNDS.iter().position(|b| v <= *b).unwrap_or(BUCKET_BOUNDS.len());
+        let probes = BUCKET_BOUNDS
+            .iter()
+            .flat_map(|b| [b.next_down(), *b, b.next_up()])
+            .chain([f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1e9, f64::INFINITY, f64::NAN]);
+        for v in probes {
+            let mut h = Histogram::default();
+            h.record(v);
+            assert_eq!(h.counts[scan(v)], 1, "value {v}");
+        }
     }
 
     #[test]

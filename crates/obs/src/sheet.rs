@@ -21,10 +21,10 @@ use std::collections::BTreeMap;
 /// // Two shards record disjoint interleavings of the same workload…
 /// let mut shard0 = MetricSheet::new();
 /// shard0.counter_add("doc.queries", 2);
-/// shard0.record("doc.latency_ms", 4.0);
+/// shard0.record_all("doc.latency_ms", [4.0]);
 /// let mut shard1 = MetricSheet::new();
 /// shard1.counter_add("doc.queries", 3);
-/// shard1.record("doc.latency_ms", 40.0);
+/// shard1.record_all("doc.latency_ms", [40.0]);
 ///
 /// // …and the merged sheet is the same whichever order they merge in.
 /// let mut fwd = MetricSheet::new();
@@ -55,17 +55,25 @@ impl MetricSheet {
         *self.counters.entry(name).or_default() += n;
     }
 
-    /// Records one observation into the sheet's histogram `name`.
-    pub fn record(&mut self, name: &'static str, v: f64) {
-        self.hists.entry(name).or_default().record(v);
-    }
-
     /// Records `n` identical observations of `v` into the sheet's
     /// histogram `name` — one bucket update however large the batch
     /// (see `Histogram::record_n`). A zero count is a no-op.
     pub fn record_n(&mut self, name: &'static str, v: f64, n: u64) {
         if n > 0 {
             self.hists.entry(name).or_default().record_n(v, n);
+        }
+    }
+
+    /// Records every value of `values` into the sheet's histogram
+    /// `name` with one name lookup. An empty `values` leaves the sheet
+    /// untouched: a histogram name appears only once it has a value.
+    pub fn record_all(&mut self, name: &'static str, values: impl IntoIterator<Item = f64>) {
+        let mut batch = Histogram::default();
+        for v in values {
+            batch.record(v);
+        }
+        if batch.count() > 0 {
+            self.hists.entry(name).or_default().merge(&batch);
         }
     }
 
@@ -121,13 +129,29 @@ mod tests {
     fn merge_combines_counters_and_histograms() {
         let mut a = MetricSheet::new();
         a.counter_add("sheettest.m", 1);
-        a.record("sheettest.h", 1.0);
+        a.record_all("sheettest.h", [1.0]);
         let mut b = MetricSheet::new();
         b.counter_add("sheettest.m", 2);
-        b.record("sheettest.h", 100.0);
+        b.record_all("sheettest.h", [100.0]);
         a.merge(b);
         assert_eq!(a.counter("sheettest.m"), 3);
         assert_eq!(a.hists["sheettest.h"].count(), 2);
         assert_eq!(a.hists["sheettest.h"].max(), Some(100.0));
+    }
+
+    #[test]
+    fn record_all_equals_one_record_per_value() {
+        let values = [0.05, 3.0, 3.0, 700.0, 2e4];
+        let mut batched = MetricSheet::new();
+        batched.record_all("sheettest.all", values);
+        batched.record_all("sheettest.none", []);
+        let mut l = Histogram::default();
+        for v in values {
+            l.record(v);
+        }
+        let b = &batched.hists["sheettest.all"];
+        assert_eq!((b.count(), b.min(), b.max()), (l.count(), l.min(), l.max()));
+        assert_eq!(b.nonzero_buckets(), l.nonzero_buckets());
+        assert!(!batched.hists.contains_key("sheettest.none"), "no values, no name");
     }
 }

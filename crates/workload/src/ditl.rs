@@ -310,7 +310,6 @@ impl DitlDataset {
                         }
                         emit_rows(
                             &mut rows,
-                            &mut sheet,
                             &mut rng,
                             rec,
                             &ip_shares,
@@ -334,7 +333,6 @@ impl DitlDataset {
                 let victim: &Recursive = &population.recursives[victim_idx];
                 if victim.id != rec.id {
                     if let Some((letter, ranked, _, true)) = per_letter.first().map(|x| (x.0, &x.1, x.2, x.3)) {
-                        sheet.counter_add("ditl.rows.spoofed", 1);
                         rows.push(DitlRow {
                             letter,
                             src: victim.prefix.host(rng.gen_range(1..=250)),
@@ -349,6 +347,7 @@ impl DitlDataset {
                     }
                 }
             }
+            tally_rows(&rows, &mut sheet);
             (rows, sheet)
         });
         // Merge worker sheets in shard index order (the same order the
@@ -399,12 +398,50 @@ fn class_counter(class: QueryClass) -> &'static str {
     }
 }
 
+/// Counts one shard's rows into its sheet: per query class, TCP and
+/// IPv6 among the unspoofed rows, spoofed rows, and the histogram of the
+/// unspoofed rows' daily volume. As with one call per row, a counter or
+/// histogram is created only once some row counts toward it.
+fn tally_rows(rows: &[DitlRow], sheet: &mut obs::MetricSheet) {
+    const CLASSES: [QueryClass; 5] = [
+        QueryClass::ValidTld,
+        QueryClass::ChromiumProbe,
+        QueryClass::JunkSuffix,
+        QueryClass::Typo,
+        QueryClass::Ptr,
+    ];
+    let mut by_class = [0u64; CLASSES.len()];
+    let (mut tcp, mut ipv6, mut spoofed) = (0, 0, 0);
+    for row in rows {
+        if row.spoofed {
+            spoofed += 1;
+            continue;
+        }
+        by_class[CLASSES.iter().position(|c| *c == row.class).expect("every class")] += 1;
+        tcp += u64::from(row.tcp);
+        ipv6 += u64::from(row.ipv6);
+    }
+    let counts = CLASSES.into_iter().map(class_counter).zip(by_class).chain([
+        ("ditl.rows.tcp", tcp),
+        ("ditl.rows.ipv6", ipv6),
+        ("ditl.rows.spoofed", spoofed),
+    ]);
+    for (name, n) in counts {
+        if n > 0 {
+            sheet.counter_add(name, n);
+        }
+    }
+    sheet.record_all(
+        "ditl.row_queries_per_day",
+        rows.iter().filter(|r| !r.spoofed).map(|r| r.queries_per_day),
+    );
+}
+
 /// Emits the UDP/TCP and v4/v6 row splits for one
 /// (recursive, letter, site, class) volume.
 #[allow(clippy::too_many_arguments)]
 fn emit_rows(
     rows: &mut Vec<DitlRow>,
-    sheet: &mut obs::MetricSheet,
     rng: &mut StdRng,
     rec: &Recursive,
     ip_shares: &[(u8, f64)],
@@ -424,8 +461,6 @@ fn emit_rows(
         let udp = v4 - tcp;
         let src = rec.prefix.host(*host);
         if udp > 1e-9 {
-            sheet.counter_add(class_counter(class), 1);
-            sheet.record("ditl.row_queries_per_day", udp);
             rows.push(DitlRow {
                 letter,
                 src,
@@ -439,9 +474,6 @@ fn emit_rows(
             });
         }
         if tcp > 1e-9 {
-            sheet.counter_add(class_counter(class), 1);
-            sheet.counter_add("ditl.rows.tcp", 1);
-            sheet.record("ditl.row_queries_per_day", tcp);
             let mut samples: Vec<f64> = (0..config.tcp_samples)
                 .map(|_| model.sample_rtt_ms(profile, rng))
                 .collect();
@@ -460,9 +492,6 @@ fn emit_rows(
             });
         }
         if v6 > 1e-9 {
-            sheet.counter_add(class_counter(class), 1);
-            sheet.counter_add("ditl.rows.ipv6", 1);
-            sheet.record("ditl.row_queries_per_day", v6);
             rows.push(DitlRow {
                 letter,
                 src,
