@@ -97,7 +97,18 @@ impl WeightedCdf {
     pub fn from_values(values: impl IntoIterator<Item = f64>) -> Self {
         let mut values: Vec<f64> = values.into_iter().collect();
         values.retain(|v| v.is_finite());
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+        // Equal finite values are equal bits, except −0.0 and +0.0: the
+        // total order puts every −0.0 first, so when there is one the
+        // zero block is rewritten in input order, as a stable sort would
+        // leave it.
+        let zeros: Vec<f64> = if values.iter().any(|v| *v == 0.0 && v.is_sign_negative()) {
+            values.iter().copied().filter(|&v| v == 0.0).collect()
+        } else {
+            Vec::new()
+        };
+        values.sort_unstable_by(f64::total_cmp);
+        let first_zero = values.partition_point(|&v| v < 0.0);
+        values[first_zero..first_zero + zeros.len()].copy_from_slice(&zeros);
         // v · 1 is v, bit for bit.
         let weighted_sum = values.iter().sum();
         Self::new(Points::Unit(values), weighted_sum)
@@ -384,6 +395,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `from_values` sorts with a total order and then restores the
+    /// input order of the zeros: a quantile in the zero block returns
+    /// the sign a stable sort would have put there.
+    #[test]
+    fn mixed_zeros_keep_their_input_order() {
+        let values = [0.0, -0.0, 2.0, -0.0, 0.0, -1.0, 0.0, -0.0];
+        let points = values.iter().map(|&v| (v, 1.0)).collect();
+        let reference = ScanCdf::from_points(points);
+        let cdf = WeightedCdf::from_values(values);
+        let want: Vec<u64> =
+            [-1.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 2.0].iter().map(|v: &f64| v.to_bits()).collect();
+        let got: Vec<u64> = (0..values.len()).map(|i| cdf.points.value(i).to_bits()).collect();
+        assert_eq!(got, want);
+        assert_eq!(bits(&cdf.curve(64)), bits(&reference.curve(64)));
+        assert_eq!(cdf.mean().to_bits(), reference.mean().to_bits());
     }
 
     #[test]

@@ -398,7 +398,8 @@ impl<'g> DynamicsEngine<'g> {
     ///
     /// # Panics
     ///
-    /// Panics when `counts` does not cover `base` or any count is zero.
+    /// Panics when `counts` does not cover `base`, any count is zero, or
+    /// a source's query volume is negative or not finite.
     pub fn new_expanded(
         graph: &'g AsGraph,
         deployment: Arc<AnycastDeployment>,
@@ -415,6 +416,11 @@ impl<'g> DynamicsEngine<'g> {
         let mut cohorts = Vec::with_capacity(base.len());
         for (u, &k) in base.iter().zip(counts) {
             assert!(k >= 1, "every source expands to at least one user");
+            assert!(
+                u.queries_per_day >= 0.0 && u.queries_per_day.is_finite(),
+                "query volume must be non-negative and finite, got {}",
+                u.queries_per_day
+            );
             let start = qpd.len() as u32;
             let share_w = u.weight / k as f64;
             if k == 1 {
@@ -422,8 +428,7 @@ impl<'g> DynamicsEngine<'g> {
             } else {
                 let share_q = u.queries_per_day / k as f64;
                 for _ in 0..k {
-                    let r =
-                        (par::seed_for(seed, qpd.len() as u64) >> 11) as f64 / (1u64 << 53) as f64;
+                    let r = par::unit_f64(par::seed_for(seed, qpd.len() as u64));
                     qpd.push(share_q * (0.75 + 0.5 * r));
                 }
             }

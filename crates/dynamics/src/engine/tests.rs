@@ -199,6 +199,19 @@ fn set_controller_without_capacities_panics() {
 }
 
 #[test]
+fn a_negative_or_non_finite_query_volume_panics() {
+    let (net, dep, users) = world(3);
+    for bad in [-1.0, f64::NAN, f64::INFINITY] {
+        let mut users = users.clone();
+        users[0].queries_per_day = bad;
+        let built = std::panic::catch_unwind(|| {
+            engine(&net, &dep, &users, RecomputeMode::Incremental);
+        });
+        assert!(built.is_err(), "a query volume of {bad} must be rejected");
+    }
+}
+
+#[test]
 fn flap_recovers_to_initial_state() {
     let (net, dep, users) = world(4);
     let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental);

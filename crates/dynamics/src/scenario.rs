@@ -29,7 +29,7 @@ pub struct Scenario {
 /// scenario seeded by `seed` — [`par::seed_for`]'s per-index stream
 /// mapped onto the unit interval.
 pub(crate) fn jitter_frac(seed: u64, index: u64) -> f64 {
-    (par::seed_for(seed, index) >> 11) as f64 / (1u64 << 53) as f64
+    par::unit_f64(par::seed_for(seed, index))
 }
 
 impl Scenario {

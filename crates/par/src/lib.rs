@@ -86,6 +86,24 @@ pub fn seed_for(campaign_seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Maps 64 random bits (say, a [`seed_for`] output) to a uniform `f64`
+/// in `[0, 1)`: the top 53 bits over 2⁵³.
+///
+/// The shifted value is below 2⁵³, so converting it through `i64` is
+/// exact and gives the same bits as the unsigned conversion, which
+/// baseline x86-64 has no single instruction for.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(anycast_par::unit_f64(0), 0.0);
+/// assert!(anycast_par::unit_f64(u64::MAX) < 1.0);
+/// ```
+#[inline]
+pub fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as i64 as f64 / (1u64 << 53) as f64
+}
+
 /// Maps `f` over `items` on up to [`threads`] worker threads and
 /// returns the results **in item order** — bit-identical for any
 /// thread count, including 1.
@@ -183,6 +201,17 @@ mod tests {
         for t in [1, 2, 4, 8, 16] {
             let got = ordered_map_with(t, &items, |_, x| x * 3 + 1);
             assert_eq!(got, reference, "threads={t}");
+        }
+    }
+
+    #[test]
+    fn unit_f64_equals_the_unsigned_conversion() {
+        let boundaries = [0, (1 << 11) - 1, 1 << 11, 1 << 63, u64::MAX];
+        let random = (0..10_000).map(|i| seed_for(7, i));
+        for bits in boundaries.into_iter().chain(random) {
+            let unsigned = (bits >> 11) as f64 / (1u64 << 53) as f64;
+            assert_eq!(unit_f64(bits).to_bits(), unsigned.to_bits(), "bits {bits:#x}");
+            assert!((0.0..1.0).contains(&unit_f64(bits)));
         }
     }
 

@@ -2,15 +2,16 @@
 //! query counts for each replay window.
 //!
 //! A schedule never materializes a query list. For window `w` and user
-//! `u` it computes `expected = qpd[u] · factor[u] · window/day` and
-//! stochastically rounds it with one `par::seed_for(seed, w·N + u)`
-//! draw — `floor(expected + u01)` — so the count is a pure function of
-//! `(seed, window, user, current qpd)`. Demand surges fold in for free:
-//! `qpd` is read from the engine's live per-user query volumes each
-//! window, so a `DemandScale` event doubles next window's draw without
-//! any schedule state. That statelessness is what makes replay
-//! shardable: any thread can serve any cohort slice of any window
-//! independently.
+//! `u` it computes `expected = qpd[u] · f · window/day`, where `f` is
+//! the rate factor of `u`'s class (DNS or CDN), and stochastically
+//! rounds it with one `par::seed_for(seed, w·N + u)` draw,
+//! `floor(expected + par::unit_f64(..))`, so the count is a pure
+//! function of `(seed, window, user, current qpd)`. Demand surges fold
+//! in for free: `qpd` is read from the engine's live per-user query
+//! volumes each window, so a `DemandScale` event doubles next window's
+//! draw without any schedule state. That statelessness is what makes
+//! replay shardable: any thread can serve any cohort slice of any
+//! window independently.
 
 /// Milliseconds in a day — the denominator turning a per-day query
 /// volume into a per-window expectation.
@@ -20,12 +21,6 @@ pub(crate) const DAY_MS: f64 = 86_400_000.0;
 /// draw (DNS vs CDN), keeping it independent of the per-window count
 /// stream drawn from the unsalted seed.
 const CLASS_SALT: u64 = 0x5245_504c_4159; // "REPLAY"
-
-/// Maps 64 random bits to a uniform `f64` in `[0, 1)`.
-#[inline]
-fn u01(bits: u64) -> f64 {
-    (bits >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Tuning knobs for a replay run.
 #[derive(Debug, Clone, Copy)]
@@ -69,8 +64,8 @@ impl Default for ReplayConfig {
     }
 }
 
-/// Precomputed per-user replay rates: each user's class (DNS or CDN)
-/// and the factor converting their daily query volume into the volume
+/// Precomputed replay rates: each user's class (DNS or CDN) and, per
+/// class, the factor converting a daily query volume into the volume
 /// the anycast service actually sees.
 ///
 /// DNS users get `amortized_root_rate(1, uncacheable, miss)` — the
@@ -82,8 +77,9 @@ pub(crate) struct QuerySchedule {
     seed: u64,
     /// `window_ms / DAY_MS`, folded once.
     window_frac: f64,
-    /// Per-user rate factor (multiplies the live `queries_per_day`).
-    factor: Vec<f64>,
+    /// Rate factor (multiplies the live `queries_per_day`) indexed by
+    /// `is_dns as usize`: the CDN factor, then the DNS one.
+    class_factor: [f64; 2],
     /// Per-user class: `true` = DNS (amortized), `false` = CDN.
     is_dns: Vec<bool>,
 }
@@ -96,70 +92,128 @@ impl QuerySchedule {
     ///
     /// # Panics
     ///
-    /// Panics when a share lies outside `[0, 1]` or the window is not
-    /// positive.
+    /// Panics when a share lies outside `[0, 1]`, the window is not
+    /// positive and finite, or the connections per query are negative
+    /// or not finite.
     pub(crate) fn new(population: usize, cfg: &ReplayConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.dns_user_share),
             "dns_user_share must be a fraction"
         );
-        assert!(cfg.window_ms > 0.0, "window must be positive");
         assert!(
-            cfg.cdn_conns_per_query >= 0.0,
-            "connections per query must be non-negative"
+            cfg.window_ms > 0.0 && cfg.window_ms.is_finite(),
+            "window must be positive and finite"
+        );
+        assert!(
+            cfg.cdn_conns_per_query >= 0.0 && cfg.cdn_conns_per_query.is_finite(),
+            "connections per query must be non-negative and finite"
         );
         let dns_factor =
             dns::resolver::amortized_root_rate(1.0, cfg.dns_uncacheable_share, cfg.dns_miss_rate);
-        let mut factor = Vec::with_capacity(population);
-        let mut is_dns = Vec::with_capacity(population);
-        for u in 0..population {
-            let dns_user = u01(par::seed_for(cfg.seed ^ CLASS_SALT, u as u64)) < cfg.dns_user_share;
-            is_dns.push(dns_user);
-            factor.push(if dns_user { dns_factor } else { cfg.cdn_conns_per_query });
+        let is_dns = (0..population)
+            .map(|u| par::unit_f64(par::seed_for(cfg.seed ^ CLASS_SALT, u as u64)) < cfg.dns_user_share)
+            .collect();
+        Self {
+            seed: cfg.seed,
+            window_frac: cfg.window_ms / DAY_MS,
+            class_factor: [cfg.cdn_conns_per_query, dns_factor],
+            is_dns,
         }
-        Self { seed: cfg.seed, window_frac: cfg.window_ms / DAY_MS, factor, is_dns }
     }
 
     /// Batched counts for one cohort's member range — the replay hot
     /// path. `queries_per_day` is the cohort's slice of the engine's
     /// live per-user query volumes starting at user id `start`; returns
-    /// the cohort's `(dns, cdn)` query totals for the window. Iterates
-    /// matched slices so the per-user cost is one `seed_for` plus a few
-    /// multiplies.
+    /// the cohort's `(dns, cdn)` query totals for the window.
+    ///
+    /// The per-user cost is one `seed_for` plus a few multiplies: the
+    /// factor is a load indexed by the class, the DNS total a masked
+    /// sum (the CDN one is the rest), and both conversions go through
+    /// `i64`, which baseline x86-64 converts in one instruction.
+    /// `expected + u` lies in `[0, 2⁶³)` wherever the volumes are
+    /// non-negative and a user's expectation stays below 2⁶³ − 1
+    /// queries per window, and there `as i64 as u64` equals `as u64`
+    /// (DESIGN.md decision 14).
     #[inline]
     pub(crate) fn window_counts(&self, window: u64, start: u32, queries_per_day: &[f64]) -> (u64, u64) {
         let lo = start as usize;
-        let hi = lo + queries_per_day.len();
-        let factor = &self.factor[lo..hi];
-        let is_dns = &self.is_dns[lo..hi];
+        let is_dns = &self.is_dns[lo..lo + queries_per_day.len()];
         let base = window
-            .wrapping_mul(self.factor.len() as u64)
+            .wrapping_mul(self.is_dns.len() as u64)
             .wrapping_add(lo as u64);
+        let mut total = 0u64;
         let mut dns = 0u64;
-        let mut cdn = 0u64;
-        for i in 0..queries_per_day.len() {
-            let expected = queries_per_day[i] * factor[i] * self.window_frac;
-            let n = (expected + u01(par::seed_for(self.seed, base.wrapping_add(i as u64)))) as u64;
-            if is_dns[i] {
-                dns += n;
-            } else {
-                cdn += n;
-            }
+        for (i, (&qpd, &dns_user)) in queries_per_day.iter().zip(is_dns).enumerate() {
+            let expected = qpd * self.class_factor[dns_user as usize] * self.window_frac;
+            let u = par::unit_f64(par::seed_for(self.seed, base.wrapping_add(i as u64)));
+            let n = (expected + u) as i64 as u64;
+            total += n;
+            dns += n & (dns_user as u64).wrapping_neg();
         }
-        (dns, cdn)
+        (dns, total - dns)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// The per-user reference the batched [`QuerySchedule::window_counts`]
-    /// is checked against, and the accessors the tests read.
+    /// The per-user schedule [`QuerySchedule::window_counts`] replaced,
+    /// kept as its bit-for-bit reference: a factor per user, the
+    /// unsigned conversions, and a branch on the class.
+    struct Reference {
+        seed: u64,
+        window_frac: f64,
+        factor: Vec<f64>,
+        is_dns: Vec<bool>,
+    }
+
+    fn u01(bits: u64) -> f64 {
+        (bits >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    impl Reference {
+        fn new(population: usize, cfg: &ReplayConfig) -> Self {
+            let dns_factor =
+                dns::resolver::amortized_root_rate(1.0, cfg.dns_uncacheable_share, cfg.dns_miss_rate);
+            let mut factor = Vec::with_capacity(population);
+            let mut is_dns = Vec::with_capacity(population);
+            for u in 0..population {
+                let dns_user = u01(par::seed_for(cfg.seed ^ CLASS_SALT, u as u64)) < cfg.dns_user_share;
+                is_dns.push(dns_user);
+                factor.push(if dns_user { dns_factor } else { cfg.cdn_conns_per_query });
+            }
+            Self { seed: cfg.seed, window_frac: cfg.window_ms / DAY_MS, factor, is_dns }
+        }
+
+        fn queries_in_window(&self, window: u64, u: usize, queries_per_day: f64) -> u64 {
+            let expected = queries_per_day * self.factor[u] * self.window_frac;
+            let slot = window
+                .wrapping_mul(self.factor.len() as u64)
+                .wrapping_add(u as u64);
+            (expected + u01(par::seed_for(self.seed, slot))) as u64
+        }
+
+        fn window_counts(&self, window: u64, start: usize, queries_per_day: &[f64]) -> (u64, u64) {
+            let (mut dns, mut cdn) = (0u64, 0u64);
+            for (i, &q) in queries_per_day.iter().enumerate() {
+                let n = self.queries_in_window(window, start + i, q);
+                if self.is_dns[start + i] {
+                    dns += n;
+                } else {
+                    cdn += n;
+                }
+            }
+            (dns, cdn)
+        }
+    }
+
+    /// The accessors the tests read.
     impl QuerySchedule {
         /// Expanded population the schedule was built for.
         fn population(&self) -> usize {
-            self.factor.len()
+            self.is_dns.len()
         }
 
         /// Whether user `u` is DNS-classed (resolver-amortized).
@@ -168,14 +222,76 @@ mod tests {
         }
 
         /// Query count for one `(window, user)` slot given the user's
-        /// *current* daily query volume: stochastic rounding of the
-        /// expectation, seed-pure per slot.
+        /// *current* daily query volume.
         fn queries_in_window(&self, window: u64, u: usize, queries_per_day: f64) -> u64 {
-            let expected = queries_per_day * self.factor[u] * self.window_frac;
-            let slot = window
-                .wrapping_mul(self.factor.len() as u64)
-                .wrapping_add(u as u64);
-            (expected + u01(par::seed_for(self.seed, slot))) as u64
+            let (dns, cdn) = self.window_counts(window, u as u32, &[queries_per_day]);
+            dns + cdn
+        }
+    }
+
+    /// A daily volume: zero, a subnormal, or a value up to 1e12.
+    fn volume((code, bits, frac): (u32, u64, f64)) -> f64 {
+        match code {
+            0 => 0.0,
+            1 => f64::from_bits(bits),
+            2 => frac,
+            3 => frac * 1e4,
+            4 => 1e12,
+            _ => frac * 1e12,
+        }
+    }
+
+    /// A share of 0, of 1, or anything between.
+    fn share((code, frac): (u32, f64)) -> f64 {
+        match code {
+            0 => 0.0,
+            1 => 1.0,
+            _ => frac,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every batched count equals the per-user reference's to the
+        /// bit, and so does the class split.
+        #[test]
+        fn window_counts_match_the_per_user_reference(
+            seed in 0u64..u64::MAX,
+            population in 1usize..400,
+            cohort in (0.0f64..1.0, 0.0f64..1.0),
+            windows in proptest::collection::vec(0u64..u64::MAX, 1..4),
+            volumes in proptest::collection::vec((0u32..6, 0u64..1 << 52, 0.0f64..1.0), 400),
+            window in (0u32..2, 1.0f64..1e9),
+            shares in proptest::collection::vec((0u32..4, 0.0f64..1.0), 3),
+            cdn_conns in (0u32..3, 0.0f64..8.0),
+        ) {
+            let cfg = ReplayConfig {
+                seed,
+                window_ms: if window.0 == 0 { 60_000.0 } else { window.1 },
+                horizon_ms: window.1,
+                dns_user_share: share(shares[0]),
+                dns_uncacheable_share: share(shares[1]),
+                dns_miss_rate: share(shares[2]),
+                cdn_conns_per_query: match cdn_conns.0 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => cdn_conns.1,
+                },
+            };
+            let schedule = QuerySchedule::new(population, &cfg);
+            let reference = Reference::new(population, &cfg);
+            prop_assert_eq!(&schedule.is_dns, &reference.is_dns);
+            let start = ((population as f64 * cohort.0) as usize).min(population - 1);
+            let len = ((population - start) as f64 * cohort.1) as usize;
+            let qpd: Vec<f64> = volumes[..len].iter().copied().map(volume).collect();
+            for w in windows {
+                prop_assert_eq!(
+                    schedule.window_counts(w, start as u32, &qpd),
+                    reference.window_counts(w, start, &qpd),
+                    "window {}, users {}..{}", w, start, start + len
+                );
+            }
         }
     }
 
@@ -231,19 +347,10 @@ mod tests {
 
     #[test]
     fn batched_counts_match_the_single_slot_path() {
-        let s = QuerySchedule::new(64, &ReplayConfig::default());
+        let cfg = ReplayConfig::default();
         let qpd: Vec<f64> = (0..32).map(|i| 50.0 + i as f64 * 7.0).collect();
-        let (dns, cdn) = s.window_counts(3, 16, &qpd);
-        let (mut want_dns, mut want_cdn) = (0u64, 0u64);
-        for (i, &q) in qpd.iter().enumerate() {
-            let u = 16 + i;
-            let n = s.queries_in_window(3, u, q);
-            if s.is_dns(u) {
-                want_dns += n;
-            } else {
-                want_cdn += n;
-            }
-        }
-        assert_eq!((dns, cdn), (want_dns, want_cdn));
+        let want = Reference::new(64, &cfg).window_counts(3, 16, &qpd);
+        assert!(want.0 > 0 && want.1 > 0, "both classes draw queries");
+        assert_eq!(QuerySchedule::new(64, &cfg).window_counts(3, 16, &qpd), want);
     }
 }

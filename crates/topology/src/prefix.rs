@@ -119,7 +119,7 @@ impl IpToAsnService {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        par::unit_f64(z)
     }
 }
 

@@ -52,7 +52,7 @@ impl Geolocator {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
-        let u1 = ((z >> 11) as f64) / (1u64 << 53) as f64;
+        let u1 = par::unit_f64(z);
         let u2 = ((z & 0xffff_ffff) as f64) / u32::MAX as f64;
         let gross = u1 < self.error.gross_prob;
         let dist_km = if gross {
