@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--seed N] [--scale F] [--population N] [--year 2018|2020] [--threads N] [--verbose] [--out DIR] [ids…|all]
+//! repro [--seed N] [--scale F] [--population N] [--year 2018|2020] [--threads 0-256] [--verbose] [--out DIR] [ids…|all]
 //! ```
 //!
 //! Experiments run concurrently on the deterministic parallel layer
@@ -22,7 +22,7 @@
 //! at the end; the default run is silent apart from the artifacts.
 
 use anycast_core::cli::{parse_args, Command, RunArgs, USAGE};
-use anycast_core::experiments::{run, ALL_IDS, DESCRIPTIONS};
+use anycast_core::experiments::{run, ALL_IDS, EXPERIMENTS};
 use anycast_core::{Artifact, World, WorldConfig};
 
 fn main() {
@@ -143,9 +143,9 @@ fn print_list() {
             "core paper artifacts"
         }
     };
-    let width = 2 + DESCRIPTIONS.iter().map(|(id, _)| id.len()).max().unwrap_or(0);
+    let width = 2 + EXPERIMENTS.iter().map(|(id, ..)| id.len()).max().unwrap_or(0);
     let mut current = "";
-    for (id, desc) in DESCRIPTIONS {
+    for (id, desc, _) in EXPERIMENTS {
         let f = family(id);
         if f != current {
             if !current.is_empty() {

@@ -6,7 +6,12 @@ use crate::experiments::ALL_IDS;
 
 /// The usage line `--help` prints.
 pub const USAGE: &str = "repro [--seed N] [--scale F] [--population N] [--year 2018|2020] \
-                         [--threads N] [--verbose] [--list] [--out DIR] [ids…|all]";
+                         [--threads 0-256] [--verbose] [--list] [--out DIR] [ids…|all]";
+
+/// The largest `--threads` value. Parallel maps start one scoped thread
+/// per item up to the thread count, and some map over thousands of
+/// items, so a larger value could ask the OS for thousands of threads.
+const MAX_THREADS: usize = 256;
 
 /// What one `repro` invocation asks for.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +33,7 @@ pub struct RunArgs {
     pub scale: f64,
     /// `--year`, 2018 or 2020 (default 2018).
     pub year: u16,
-    /// `--threads` (default 0: available parallelism).
+    /// `--threads`, at most 256 (default 0: available parallelism).
     pub threads: usize,
     /// `--population`: the dynamics engines' expanded user count.
     pub population: Option<usize>,
@@ -74,8 +79,12 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, St
                     .ok_or(msg)?;
             }
             "--threads" => {
-                let msg = "--threads needs a non-negative integer";
-                run.threads = value(msg)?.parse().map_err(|_| msg)?;
+                let msg = "--threads needs an integer in 0..=256 (0: one per core)";
+                run.threads = value(msg)?
+                    .parse()
+                    .ok()
+                    .filter(|t: &usize| *t <= MAX_THREADS)
+                    .ok_or(msg)?;
             }
             "--population" => {
                 let msg = "--population needs a positive integer";

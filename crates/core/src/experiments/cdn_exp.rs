@@ -6,9 +6,11 @@ use crate::world::World;
 use analysis::{cdn_inflation, median, WeightedCdf};
 use cdn::pageload::{PageLoadStudy, PAGE_LOAD_RTTS};
 
-/// Fig. 4a: CDN latency per RTT / per page load, by ring, from the
-/// probe panel.
-pub(crate) fn fig4a(world: &World) -> Vec<Artifact> {
+/// Fig. 4: (a) CDN latency per RTT / per page load, by ring, from the
+/// probe panel; (b) per-⟨region, AS⟩ latency change when moving from
+/// each ring to the next larger one (client-side measurements, fixed
+/// population).
+pub(crate) fn fig4(world: &World) -> Vec<Artifact> {
     let mut per_rtt = Vec::new();
     let mut per_page = Vec::new();
     for ring in &world.cdn.rings {
@@ -30,6 +32,18 @@ pub(crate) fn fig4a(world: &World) -> Vec<Artifact> {
         per_rtt.push((ring.name.clone(), WeightedCdf::from_points(medians)));
         per_page.push((ring.name.clone(), WeightedCdf::from_points(pages)));
     }
+    let mut changes = Vec::new();
+    for pair in world.cdn.rings.windows(2) {
+        let (small, big) = (&pair[0], &pair[1]);
+        let deltas = world
+            .client_measurements
+            .ring_transition_deltas(&small.name, &big.name);
+        let pts: Vec<(f64, f64)> = deltas
+            .iter()
+            .map(|d| (d * PAGE_LOAD_RTTS as f64, 1.0))
+            .collect();
+        changes.push((format!("{} - {}", small.name, big.name), WeightedCdf::from_points(pts)));
+    }
     vec![
         Artifact::Cdf {
             id: "fig4a".into(),
@@ -43,30 +57,13 @@ pub(crate) fn fig4a(world: &World) -> Vec<Artifact> {
             xlabel: "latency per RTT (ms)".into(),
             series: per_rtt,
         },
+        Artifact::Cdf {
+            id: "fig4b".into(),
+            title: "Latency change per page load when moving to the next ring".into(),
+            xlabel: "latency change per page load, smaller − bigger (ms)".into(),
+            series: changes,
+        },
     ]
-}
-
-/// Fig. 4b: per-⟨region, AS⟩ latency change when moving from each ring
-/// to the next larger one (client-side measurements, fixed population).
-pub(crate) fn fig4b(world: &World) -> Vec<Artifact> {
-    let mut series = Vec::new();
-    for pair in world.cdn.rings.windows(2) {
-        let (small, big) = (&pair[0], &pair[1]);
-        let deltas = world
-            .client_measurements
-            .ring_transition_deltas(&small.name, &big.name);
-        let pts: Vec<(f64, f64)> = deltas
-            .iter()
-            .map(|d| (d * PAGE_LOAD_RTTS as f64, 1.0))
-            .collect();
-        series.push((format!("{} - {}", small.name, big.name), WeightedCdf::from_points(pts)));
-    }
-    vec![Artifact::Cdf {
-        id: "fig4b".into(),
-        title: "Latency change per page load when moving to the next ring".into(),
-        xlabel: "latency change per page load, smaller − bigger (ms)".into(),
-        series,
-    }]
 }
 
 /// Fig. 5: CDN geographic (a) and latency (b) inflation per RTT, per

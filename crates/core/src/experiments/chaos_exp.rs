@@ -18,7 +18,7 @@
 //! delta-debugs the storm down to a minimal failing incident list and
 //! emits it as a replayable reproducer artifact.
 
-use super::dynamics_exp::{busiest_letter, dyn_users, hottest_site};
+use super::dynamics_exp::{busiest_letter, expanded_engine, heaviest_neighbors, hottest_site};
 use crate::artifact::Artifact;
 use crate::world::World;
 use analysis::SiteCapacities;
@@ -26,10 +26,9 @@ use chaos::{
     generate, minimize, run_storm, ChaosOptions, ChaosReport, Reproducer, StormConfig,
     StormRegime,
 };
-use dynamics::{DynamicsEngine, RecomputeMode};
+use dynamics::RecomputeMode;
 use netsim::SimTime;
 use std::sync::Arc;
-use topology::{AnycastDeployment, Asn};
 
 /// Incidents per storm. Each expands to 1–2 scheduled events plus
 /// engine-scheduled drain follow-ups, so the two storms together
@@ -40,42 +39,6 @@ const INCIDENTS_PER_STORM: usize = 800;
 /// cohort (`DynamicsEngine::verify_full_recompute`), cheap enough to
 /// run every 4th epoch.
 const ORACLE_EVERY: u64 = 4;
-
-/// The columnar engine at `dyn_population` scale in the requested mode
-/// (the chaos harness itself only asks for `Incremental`).
-fn storm_engine<'w>(
-    world: &'w World,
-    deployment: &Arc<AnycastDeployment>,
-    mode: RecomputeMode,
-) -> DynamicsEngine<'w> {
-    let base = dyn_users(world);
-    let counts = dynamics::expand_counts(
-        &base.iter().map(|u| u.weight).collect::<Vec<_>>(),
-        world.config.dyn_population(),
-        world.config.seed,
-    );
-    DynamicsEngine::new_expanded(
-        &world.internet.graph,
-        Arc::clone(deployment),
-        world.model.clone(),
-        &base,
-        &counts,
-        world.config.seed,
-        mode,
-    )
-}
-
-/// The heaviest transit ASes that host no site — peering-flap targets
-/// whose loss actually reroutes user weight.
-fn storm_neighbors(probe: &DynamicsEngine<'_>, deployment: &AnycastDeployment) -> Vec<Asn> {
-    probe
-        .transit_loads()
-        .into_iter()
-        .map(|(asn, _)| asn)
-        .filter(|asn| !deployment.sites.iter().any(|s| s.host == *asn))
-        .take(3)
-        .collect()
-}
 
 fn summary_row(storm: &str, regime: StormRegime, incidents: usize, r: &ChaosReport) -> Vec<String> {
     vec![
@@ -100,9 +63,9 @@ pub(crate) fn dynchaos(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let dep = &letter.deployment;
     let seed = world.config.seed;
-    let probe = storm_engine(world, dep, RecomputeMode::Incremental);
+    let probe = expanded_engine(world, Arc::clone(dep), RecomputeMode::Incremental);
     let population = probe.population();
-    let neighbors = storm_neighbors(&probe, dep);
+    let neighbors = heaviest_neighbors(&probe, dep);
     let hot = hottest_site(&probe);
     let centers: Vec<_> = dep.sites.iter().map(|s| s.location).collect();
     let caps = SiteCapacities::from_headroom(&probe.site_loads(), 1.25, 1.0);
@@ -152,7 +115,7 @@ pub(crate) fn dynchaos(world: &World) -> Vec<Artifact> {
     {
         let caps = caps.clone();
         let factory = move |mode: RecomputeMode| {
-            let eng = storm_engine(world, dep, mode);
+            let eng = expanded_engine(world, Arc::clone(dep), mode);
             if with_load {
                 eng.with_capacities(caps.clone())
                     .with_controller(Box::new(loadmgmt::HysteresisController::default()))

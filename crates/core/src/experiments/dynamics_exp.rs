@@ -349,13 +349,9 @@ pub(crate) fn dynring(world: &World) -> Vec<Artifact> {
 pub(crate) fn dynpeer(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut eng = engine(world, Arc::clone(&letter.deployment));
-    // The heaviest host-adjacent AS that is not itself announcing the
-    // prefix: the session whose loss reroutes the most user weight.
-    let neighbor = eng
-        .transit_loads()
-        .into_iter()
-        .map(|(asn, _)| asn)
-        .find(|asn| !letter.deployment.sites.iter().any(|s| s.host == *asn))
+    let neighbor = heaviest_neighbors(&eng, &letter.deployment)
+        .first()
+        .copied()
         .unwrap_or_else(|| world.internet.graph.node_at(0).asn);
     let scenario = Scenario::peering_flap(
         format!("{}-peerloss", letter.deployment.name),
@@ -386,7 +382,7 @@ pub(crate) fn dynpeer(world: &World) -> Vec<Artifact> {
 /// invalidation visited group slices, not the population.
 pub(crate) fn dynscale(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
-    let mut eng = expanded_engine(world, Arc::clone(&letter.deployment));
+    let mut eng = expanded_engine(world, Arc::clone(&letter.deployment), RecomputeMode::Incremental);
     let population = eng.population();
     let target = hottest_site(&eng);
     let scenario = Scenario::site_flap(
@@ -420,10 +416,25 @@ pub(crate) fn dynscale(world: &World) -> Vec<Artifact> {
     arts
 }
 
+/// Up to three heaviest host-adjacent ASes that host no site of
+/// `deployment`: the sessions whose loss reroutes the most user weight.
+pub(super) fn heaviest_neighbors(eng: &DynamicsEngine<'_>, deployment: &AnycastDeployment) -> Vec<Asn> {
+    eng.transit_loads()
+        .into_iter()
+        .map(|(asn, _)| asn)
+        .filter(|asn| !deployment.sites.iter().any(|s| s.host == *asn))
+        .take(3)
+        .collect()
+}
+
 /// The columnar engine at [`crate::world::WorldConfig::dyn_population`]
-/// scale: the world's weighted locations deterministically expanded to
-/// per-user rows (1M at scale 1.0, or `repro --population N`).
-fn expanded_engine<'w>(world: &'w World, deployment: Arc<AnycastDeployment>) -> DynamicsEngine<'w> {
+/// scale in `mode`: the world's weighted locations deterministically
+/// expanded to per-user rows (1M at scale 1.0, or `repro --population N`).
+pub(super) fn expanded_engine<'w>(
+    world: &'w World,
+    deployment: Arc<AnycastDeployment>,
+    mode: RecomputeMode,
+) -> DynamicsEngine<'w> {
     let base = dyn_users(world);
     let counts = dynamics::expand_counts(
         &base.iter().map(|u| u.weight).collect::<Vec<_>>(),
@@ -437,7 +448,7 @@ fn expanded_engine<'w>(world: &'w World, deployment: Arc<AnycastDeployment>) -> 
         &base,
         &counts,
         world.config.seed,
-        RecomputeMode::Incremental,
+        mode,
     )
 }
 
@@ -528,7 +539,7 @@ fn load_family_artifacts(
     let mut population = 0usize;
     for policy in LOAD_POLICIES {
         let mut eng =
-            expanded_engine(world, Arc::clone(deployment)).with_capacities(caps.clone());
+            expanded_engine(world, Arc::clone(deployment), RecomputeMode::Incremental).with_capacities(caps.clone());
         if let Some(c) = controller_for(policy) {
             eng = eng.with_controller(c);
         }
@@ -619,7 +630,7 @@ fn crowd_setup(
     fail_site: bool,
 ) -> (SiteId, GeoPoint, SiteCapacities) {
     let letter = busiest_letter(world);
-    let mut probe = expanded_engine(world, Arc::clone(&letter.deployment));
+    let mut probe = expanded_engine(world, Arc::clone(&letter.deployment), RecomputeMode::Incremental);
     let init = probe.site_loads();
     let target = most_shedable_sites(&probe)[0];
     let center = letter.deployment.site(target).location;
@@ -771,7 +782,7 @@ pub(crate) fn dynreplay(world: &World) -> Vec<Artifact> {
             "null" => Box::new(NullController),
             _ => Box::new(DistributedController::default()),
         };
-        let mut eng = expanded_engine(world, Arc::clone(&letter.deployment))
+        let mut eng = expanded_engine(world, Arc::clone(&letter.deployment), RecomputeMode::Incremental)
             .with_capacities(caps.clone())
             .with_controller(controller);
         let outcome = replay(&mut eng, &scenario, &cfg);

@@ -67,7 +67,7 @@ fn bad_value(flag: usize, pick: usize) -> &'static str {
     let bad: &[&str] = match FLAGS[flag] {
         "--seed" => &["nan", "-1", "0.5", "", "18446744073709551616", "1e3"],
         "--scale" => &["nan", "-1", "0", "1.5", "inf", "", "x"],
-        "--threads" => &["nan", "-1", "0.5", "", "x"],
+        "--threads" => &["nan", "-1", "0.5", "", "x", "257", "100000", "18446744073709551615"],
         "--population" => &["nan", "-1", "0", "0.5", "", "x"],
         _ => &["nan", "-1", "2019", "0", "", "x"], // --year
     };
@@ -87,6 +87,7 @@ proptest! {
         if let Ok(Command::Run(run)) = parse_args(argv(&tokens)) {
             prop_assert!(run.scale > 0.0 && run.scale <= 1.0, "scale {}", run.scale);
             prop_assert!(run.year == 2018 || run.year == 2020, "year {}", run.year);
+            prop_assert!(run.threads <= 256, "threads {}", run.threads);
             prop_assert!(run.population.is_none_or(|p| p >= 1));
             prop_assert!(!run.ids.is_empty());
             prop_assert!(run.ids.iter().all(|id| ALL_IDS.contains(&id.as_str())));

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Routes selected under the three-phase model are valley-free:
+    /// Routes selected under the three-spread model are valley-free:
     /// reconstructing any source's path and re-deriving the per-hop
     /// relationships never shows a provider/peer edge followed by
     /// another non-customer edge (when read in export direction).
