@@ -228,9 +228,9 @@ pub struct SiteAssignment {
 ///
 /// An entry is keyed by `(origin, scope, W ∩ adj(origin))`: the
 /// withhold list cut down to the origin's own neighbors.
-/// [`RouteComputer::routes_from_origin`] consults the list only through
-/// `blocked(from, to) = from == origin && to ∈ W`, so entries that are
-/// not adjacent to the origin cannot change its routes. A withhold
+/// [`RouteComputer::routes_from_origin`] consults the list only when
+/// the origin offers its own route to a neighbor in `W`, so entries that
+/// are not adjacent to the origin cannot change its routes. A withhold
 /// change toward one neighbor therefore misses the cache only for the
 /// origins adjacent to it; every other origin keeps its `Arc`, which
 /// incremental layers read as "routes unchanged".
