@@ -26,8 +26,6 @@ pub struct CdnConfig {
     /// "extensive peering" §7.1 credits for low inflation. The ablation
     /// bench sweeps this down to show inflation rise.
     pub eyeball_peering_prob: f64,
-    /// Probability of peering with each hoster AS.
-    pub hoster_peering_prob: f64,
     /// Scale factor applied to ring sizes (tests use < 1).
     pub scale: f64,
 }
@@ -37,7 +35,6 @@ impl Default for CdnConfig {
         Self {
             ring_sizes: RING_SIZES.to_vec(),
             eyeball_peering_prob: 0.62,
-            hoster_peering_prob: 0.15,
             scale: 1.0,
         }
     }
@@ -71,6 +68,9 @@ pub struct Cdn {
     pub rings: Vec<Ring>,
 }
 
+/// Probability of peering with each hoster AS.
+const HOSTER_PEERING_PROB: f64 = 0.15;
+
 impl Cdn {
     /// Builds the CDN over `internet`: places front-end PoPs at the most
     /// populous regions (Fig. 1: "front-ends in areas of user
@@ -103,7 +103,7 @@ impl Cdn {
             peer_all_tier1: true,
             peer_all_transit: true,
             eyeball_peering_prob: config.eyeball_peering_prob,
-            hoster_peering_prob: config.hoster_peering_prob,
+            hoster_peering_prob: HOSTER_PEERING_PROB,
             prefixes: 16,
         });
         let pops = internet.graph.node(asn).pops.clone();

@@ -240,7 +240,7 @@ pub(crate) fn exttld(world: &World) -> Vec<Artifact> {
     use dns::resolver::{RecursiveResolver, ResolverConfig, ResolverEvent, UpstreamRtts};
     use rand::SeedableRng as _;
     use topology::RouteCache;
-    use workload::{BrowseConfig, BrowseGenerator};
+    use workload::BrowseGenerator;
 
     // A representative recursive: the busiest eyeball's resolver farm,
     // with topology-derived RTTs to every letter and every TLD platform.
@@ -281,11 +281,7 @@ pub(crate) fn exttld(world: &World) -> Vec<Artifact> {
     // Drive a day of browsing through the resolver and attribute waits.
     let users = 60usize;
     let days = 3.0;
-    let mut generator = BrowseGenerator::new(
-        BrowseConfig { users, ..BrowseConfig::default() },
-        &world.zone,
-        world.config.seed ^ 0x71d,
-    );
+    let mut generator = BrowseGenerator::new(users, &world.zone, world.config.seed ^ 0x71d);
     let events = generator.generate(days);
     let mut resolver = RecursiveResolver::new(
         ResolverConfig::default(),
@@ -320,7 +316,7 @@ pub(crate) fn exttld(world: &World) -> Vec<Artifact> {
     let meds: Vec<f64> =
         pings.iter().filter_map(|(_, r)| analysis::median(r)).collect();
     let cdn_rtt = analysis::median(&meds).unwrap_or(f64::NAN);
-    let pages_per_day = 80.0; // BrowseConfig default
+    let pages_per_day = workload::browse::PAGES_PER_USER_PER_DAY;
     let cdn_per_page = cdn_rtt * cdn::PAGE_LOAD_RTTS as f64;
 
     let rows = vec![

@@ -9,7 +9,7 @@ use dns::resolver::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use workload::{BrowseConfig, BrowseGenerator};
+use workload::BrowseGenerator;
 
 /// User-population shard size for the parallel resolver campaigns. The
 /// shard count depends only on the user count — never on the thread
@@ -53,11 +53,7 @@ fn campaign_shards(
         (0..n_shards).map(|i| base + usize::from(i < extra)).collect();
     par::ordered_map(&shard_sizes, |i, &n| {
         let shard_seed = par::seed_for(seed, i as u64);
-        let mut generator = BrowseGenerator::new(
-            BrowseConfig { users: n, ..BrowseConfig::default() },
-            &world.zone,
-            shard_seed,
-        );
+        let mut generator = BrowseGenerator::new(n, &world.zone, shard_seed);
         let events = generator.generate(days);
         let mut resolver = RecursiveResolver::new(
             config.clone(),

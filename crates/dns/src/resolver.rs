@@ -88,8 +88,6 @@ pub struct ResolverConfig {
     /// to the lowest-RTT letter). Müller et al. observed recursives query
     /// all letters while favoring fast ones.
     pub letter_exploration: f64,
-    /// Timeout before retrying a dead authoritative server, ms.
-    pub auth_timeout_ms: f64,
 }
 
 impl Default for ResolverConfig {
@@ -98,7 +96,6 @@ impl Default for ResolverConfig {
             bind_redundant_query_bug: true,
             auth_timeout_prob: 0.06,
             letter_exploration: 0.6,
-            auth_timeout_ms: 800.0,
         }
     }
 }
@@ -365,6 +362,9 @@ pub struct RecursiveResolver {
     rng: StdRng,
 }
 
+/// Timeout before retrying a dead authoritative server, ms.
+const AUTH_TIMEOUT_MS: f64 = 800.0;
+
 impl RecursiveResolver {
     /// A fresh (cold-cache) resolver.
     pub fn new(config: ResolverConfig, rtts: UpstreamRtts, rng: StdRng) -> Self {
@@ -580,7 +580,7 @@ impl RecursiveResolver {
                 let timed_out = self.rng.gen_bool(self.config.auth_timeout_prob);
                 events.push(ResolverEvent::AuthQuery { t: t.plus_ms(latency), timed_out });
                 if timed_out {
-                    latency += self.config.auth_timeout_ms;
+                    latency += AUTH_TIMEOUT_MS;
                     // Retry against another NS succeeds.
                     events.push(ResolverEvent::AuthQuery {
                         t: t.plus_ms(latency),

@@ -76,38 +76,33 @@ impl PathProfile {
 /// RTT model parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
-    /// Multiplier on great-circle fiber time for physical conduit
-    /// indirection. 1.0 = fiber laid along great circles.
-    pub(crate) fiber_stretch: f64,
-    /// Per-segment forwarding overhead, ms.
-    pub(crate) per_hop_ms: f64,
     /// Scale (σ) of the lognormal jitter multiplier.
     pub(crate) jitter_sigma: f64,
     /// Probability a sample is a congestion spike.
     pub(crate) spike_prob: f64,
-    /// Mean size of a spike, ms (exponential).
-    pub(crate) spike_mean_ms: f64,
 }
 
 impl Default for LatencyModel {
     fn default() -> Self {
-        Self {
-            fiber_stretch: 1.4,
-            per_hop_ms: 0.3,
-            jitter_sigma: 0.08,
-            spike_prob: 0.02,
-            spike_mean_ms: 40.0,
-        }
+        Self { jitter_sigma: 0.08, spike_prob: 0.02 }
     }
 }
+
+/// Multiplier on great-circle fiber time for physical conduit
+/// indirection. 1.0 = fiber laid along great circles.
+const FIBER_STRETCH: f64 = 1.4;
+/// Per-segment forwarding overhead, ms.
+const PER_HOP_MS: f64 = 0.3;
+/// Mean size of a spike, ms (exponential).
+const SPIKE_MEAN_MS: f64 = 40.0;
 
 impl LatencyModel {
     /// Deterministic median RTT of a path, ms. What the paper's
     /// "median latency over ⟨root, resolver /24, anycast site⟩"
     /// aggregation converges to.
     pub fn median_rtt_ms(&self, p: &PathProfile) -> f64 {
-        self.fiber_stretch * 2.0 * p.path_km / SPEED_OF_LIGHT_FIBER_KM_PER_MS
-            + self.per_hop_ms * p.hops as f64
+        FIBER_STRETCH * 2.0 * p.path_km / SPEED_OF_LIGHT_FIBER_KM_PER_MS
+            + PER_HOP_MS * p.hops as f64
             + p.last_mile.median_ms()
     }
 
@@ -119,7 +114,7 @@ impl LatencyModel {
         let mut rtt = base * (self.jitter_sigma * z).exp();
         if rng.gen_bool(self.spike_prob) {
             let u: f64 = rng.gen_range(1e-9..1.0);
-            rtt += -self.spike_mean_ms * u.ln();
+            rtt += -SPIKE_MEAN_MS * u.ln();
         }
         rtt.max(0.05)
     }
@@ -159,7 +154,7 @@ mod tests {
     #[test]
     fn median_respects_paper_lower_bound_for_direct_paths() {
         // A direct great-circle path's modeled RTT must not beat the
-        // 2cf/3 achievability bound Eq. 2 assumes (fiber_stretch 1.25 <
+        // 2cf/3 achievability bound Eq. 2 assumes (FIBER_STRETCH 1.4 <
         // 1.5 covers the bound only together with hop overhead; check at
         // a realistic distance).
         let m = LatencyModel::default();

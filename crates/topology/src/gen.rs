@@ -38,19 +38,10 @@ pub struct TopologyConfig {
     pub n_tier1: usize,
     /// Transit providers per continent (Antarctica gets 1).
     pub transits_per_continent: usize,
-    /// Expected eyeball ASes per region.
-    pub eyeballs_per_region: f64,
     /// Hoster ASes per continent.
     pub hosters_per_continent: usize,
-    /// Probability an eyeball buys transit from a second provider.
-    pub eyeball_multihome_prob: f64,
     /// How many of the most-populous regions host an IXP.
     pub ixp_region_count: usize,
-    /// Probability two IXP-present ASes peer at that IXP.
-    pub ixp_peering_prob: f64,
-    /// Probability an eyeball AS is a sibling of the previous one
-    /// (same organization, for Fig. 6's org merge).
-    pub sibling_prob: f64,
 }
 
 impl TopologyConfig {
@@ -61,12 +52,8 @@ impl TopologyConfig {
             world_scale: 1.0,
             n_tier1: 9,
             transits_per_continent: 5,
-            eyeballs_per_region: 2.5,
             hosters_per_continent: 26,
-            eyeball_multihome_prob: 0.35,
             ixp_region_count: 40,
-            ixp_peering_prob: 0.10,
-            sibling_prob: 0.08,
         }
     }
 
@@ -270,6 +257,16 @@ fn alloc_prefixes(next: &mut u32, n: usize) -> Vec<Prefix24> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InternetGenerator;
 
+/// Expected eyeball ASes per region.
+const EYEBALLS_PER_REGION: f64 = 2.5;
+/// Probability an eyeball buys transit from a second provider.
+const EYEBALL_MULTIHOME_PROB: f64 = 0.35;
+/// Probability two IXP-present ASes peer at that IXP.
+const IXP_PEERING_PROB: f64 = 0.10;
+/// Probability an eyeball AS is a sibling of the previous one
+/// (same organization, for Fig. 6's org merge).
+const SIBLING_PROB: f64 = 0.08;
+
 impl InternetGenerator {
     /// Generates the Internet described by `config`.
     pub fn generate(config: &TopologyConfig) -> Internet {
@@ -423,13 +420,13 @@ impl InternetGenerator {
         for region in world.regions() {
             // Heavier regions host more eyeball ASes.
             let weight_boost = (region.population_weight / 20.0).min(2.0);
-            let lambda = config.eyeballs_per_region * (0.5 + weight_boost);
+            let lambda = EYEBALLS_PER_REGION * (0.5 + weight_boost);
             let n = poisson_like(&mut rng, lambda).max(1);
             for _ in 0..n {
                 let asn = Asn(next_eyeball_asn);
                 next_eyeball_asn += 1;
                 // Sibling orgs: occasionally reuse the previous org.
-                let org = if rng.gen_bool(config.sibling_prob) && last_org.is_some() {
+                let org = if rng.gen_bool(SIBLING_PROB) && last_org.is_some() {
                     last_org.expect("checked")
                 } else {
                     let o = OrgId(next_org);
@@ -493,7 +490,7 @@ impl InternetGenerator {
                     local_transits = transits.clone();
                 }
                 local_transits.shuffle(&mut rng);
-                let n_up = if rng.gen_bool(config.eyeball_multihome_prob) { 2 } else { 1 };
+                let n_up = if rng.gen_bool(EYEBALL_MULTIHOME_PROB) { 2 } else { 1 };
                 for &up in local_transits.iter().take(n_up.min(local_transits.len())) {
                     let x = graph.serving_pop(up, &pops[0]);
                     graph.add_provider_link(up, asn, vec![x]);
@@ -575,7 +572,7 @@ impl InternetGenerator {
                     if graph.connected(a, b) {
                         continue;
                     }
-                    if rng.gen_bool(config.ixp_peering_prob) {
+                    if rng.gen_bool(IXP_PEERING_PROB) {
                         graph.add_peer_link(a, b, vec![*loc]);
                     }
                 }

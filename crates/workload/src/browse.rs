@@ -13,41 +13,21 @@ use dns::zone::RootZone;
 use netsim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Third-party assets come from the most popular sites only.
 const THIRD_PARTY_UNIVERSE: usize = 400;
 
-/// Browsing workload parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BrowseConfig {
-    /// Number of users sharing the resolver.
-    pub users: usize,
-    /// Mean page visits per user per day.
-    pub pages_per_user_per_day: f64,
-    /// Mean DNS lookups per page (page + third-party assets).
-    pub lookups_per_page: f64,
-    /// Size of the site universe users draw from (Zipf).
-    pub site_universe: usize,
-    /// Browser restarts per user per day (each fires 3 Chromium probes).
-    pub restarts_per_user_per_day: f64,
-    /// Junk-suffix queries per user per day (OS/software leakage).
-    pub junk_per_user_per_day: f64,
-}
-
-impl Default for BrowseConfig {
-    fn default() -> Self {
-        Self {
-            users: 100,
-            pages_per_user_per_day: 80.0,
-            lookups_per_page: 8.0,
-            site_universe: 4000,
-            restarts_per_user_per_day: 2.0,
-            junk_per_user_per_day: 3.0,
-        }
-    }
-}
+/// Mean page visits per user per day.
+pub const PAGES_PER_USER_PER_DAY: f64 = 80.0;
+/// Mean DNS lookups per page (page + third-party assets).
+const LOOKUPS_PER_PAGE: f64 = 8.0;
+/// Size of the site universe users draw from (Zipf).
+const SITE_UNIVERSE: usize = 4000;
+/// Browser restarts per user per day (each fires 3 Chromium probes).
+const RESTARTS_PER_USER_PER_DAY: f64 = 2.0;
+/// Junk-suffix queries per user per day (OS/software leakage).
+const JUNK_PER_USER_PER_DAY: f64 = 3.0;
 
 /// One user query arriving at the resolver.
 #[derive(Debug, Clone)]
@@ -62,7 +42,8 @@ pub struct BrowseEvent {
 /// Generates browsing query streams.
 #[derive(Debug)]
 pub struct BrowseGenerator {
-    config: BrowseConfig,
+    /// Number of users sharing the resolver.
+    users: usize,
     rng: StdRng,
     /// Site universe in Zipf rank order, names built once.
     sites: Vec<Site>,
@@ -137,10 +118,10 @@ fn scan_rank(n: usize, mut x: f64) -> usize {
 }
 
 impl BrowseGenerator {
-    /// Creates a generator over `zone`'s TLDs.
-    pub fn new(config: BrowseConfig, zone: &RootZone, seed: u64) -> Self {
+    /// Creates a generator for `users` users over `zone`'s TLDs.
+    pub fn new(users: usize, zone: &RootZone, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xb205_e000_0000_0001);
-        let sites = (0..config.site_universe)
+        let sites = (0..SITE_UNIVERSE)
             .map(|i| {
                 let tld = &zone.tld(zone.sample_tld(&mut rng)).name;
                 Site {
@@ -151,13 +132,13 @@ impl BrowseGenerator {
             })
             .collect();
         let junk = JUNK_SUFFIXES.iter().map(|s| Arc::new(QueryName::junk(*s))).collect();
-        let prefix = (1..=config.site_universe)
+        let prefix = (1..=SITE_UNIVERSE)
             .scan(0.0, |sum, k| {
                 *sum += 1.0 / k as f64;
                 Some(*sum)
             })
             .collect();
-        Self { config, rng, sites, junk, prefix }
+        Self { users, rng, sites, junk, prefix }
     }
 
     /// Generates `days` of queries, time-ordered.
@@ -165,16 +146,15 @@ impl BrowseGenerator {
         let mut events: Vec<BrowseEvent> = Vec::new();
         let day_ms = 86_400_000.0;
         let horizon = days * day_ms;
-        let cfg = self.config.clone();
-        let n_third = cfg.site_universe.min(THIRD_PARTY_UNIVERSE);
+        let users = self.users as f64;
 
         // Page visits (all users pooled — the resolver can't tell apart).
-        let total_pages = (cfg.users as f64 * cfg.pages_per_user_per_day * days) as usize;
+        let total_pages = (users * PAGES_PER_USER_PER_DAY * days) as usize;
         for _ in 0..total_pages {
             let t0 = self.rng.gen_range(0.0..horizon);
             // Zipf site choice.
-            let site_idx = self.zipf(cfg.site_universe);
-            let n_lookups = 1 + self.poisson_ish(cfg.lookups_per_page - 1.0);
+            let site_idx = self.zipf(SITE_UNIVERSE);
+            let n_lookups = 1 + self.poisson_ish(LOOKUPS_PER_PAGE - 1.0);
             for k in 0..n_lookups {
                 // First lookup is the site itself; the rest are assets on
                 // a mix of its own subdomains and popular third parties.
@@ -182,7 +162,7 @@ impl BrowseGenerator {
                     Arc::clone(&self.sites[site_idx].name)
                 } else if self.rng.gen_bool(0.6) {
                     // Third-party asset: another (usually popular) site.
-                    let third = self.zipf(n_third);
+                    let third = self.zipf(THIRD_PARTY_UNIVERSE);
                     Arc::clone(&self.sites[third].cdn)
                 } else {
                     self.sites[site_idx].static_name(k)
@@ -192,7 +172,7 @@ impl BrowseGenerator {
         }
 
         // Chromium startup probes: 3 random labels per restart.
-        let restarts = (cfg.users as f64 * cfg.restarts_per_user_per_day * days) as usize;
+        let restarts = (users * RESTARTS_PER_USER_PER_DAY * days) as usize;
         for _ in 0..restarts {
             let t0 = self.rng.gen_range(0.0..horizon);
             for k in 0..3 {
@@ -207,7 +187,7 @@ impl BrowseGenerator {
         }
 
         // Junk-suffix leakage.
-        let junk = (cfg.users as f64 * cfg.junk_per_user_per_day * days) as usize;
+        let junk = (users * JUNK_PER_USER_PER_DAY * days) as usize;
         for _ in 0..junk {
             let t = SimTime(self.rng.gen_range(0.0..horizon));
             let query = Arc::clone(&self.junk[self.rng.gen_range(0..self.junk.len())]);
@@ -244,11 +224,7 @@ mod tests {
 
     fn gen_day() -> Vec<BrowseEvent> {
         let zone = RootZone::generate(1, 200);
-        let mut g = BrowseGenerator::new(
-            BrowseConfig { users: 20, ..Default::default() },
-            &zone,
-            7,
-        );
+        let mut g = BrowseGenerator::new(20, &zone, 7);
         g.generate(1.0)
     }
 
@@ -309,7 +285,7 @@ mod tests {
     fn certified_zipf_matches_the_rank_order_scan() {
         let zone = RootZone::generate(1, 50);
         for n in [1, 2, 400, 4000] {
-            let mut g = BrowseGenerator::new(BrowseConfig::default(), &zone, n as u64);
+            let mut g = BrowseGenerator::new(100, &zone, n as u64);
             // `H_n` as the draw before the tables summed it.
             let h_n: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
             assert_eq!(g.prefix[n - 1].to_bits(), h_n.to_bits(), "n {n}");
@@ -328,7 +304,7 @@ mod tests {
     #[test]
     fn draws_near_a_prefix_sum_take_the_scan() {
         let zone = RootZone::generate(1, 50);
-        let g = BrowseGenerator::new(BrowseConfig::default(), &zone, 1);
+        let g = BrowseGenerator::new(100, &zone, 1);
         for n in [1, 2, 400, 4000] {
             let prefix = &g.prefix[..n];
             for k in 0..n {
@@ -376,7 +352,7 @@ mod tests {
     fn generation_is_deterministic() {
         let zone = RootZone::generate(1, 200);
         let mk = || {
-            BrowseGenerator::new(BrowseConfig { users: 5, ..Default::default() }, &zone, 3)
+            BrowseGenerator::new(5, &zone, 3)
                 .generate(0.5)
         };
         let a = mk();

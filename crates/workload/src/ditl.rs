@@ -35,68 +35,53 @@ use topology::{Catchment, Ipv4Addr24, Prefix24, RouteCache, SiteAssignment, Site
 pub struct DitlConfig {
     /// Seed for all campaign randomness.
     pub seed: u64,
-    /// Median daily valid-TLD root queries per user (paper: ≈1).
-    pub valid_per_user_median: f64,
-    /// Lognormal σ of the per-recursive per-user rate.
-    pub valid_sigma: f64,
-    /// Fraction of recursives with pathological re-query behaviour.
-    pub buggy_recursive_prob: f64,
-    /// Multiplier range applied to buggy recursives' valid volume.
-    pub bug_multiplier: (f64, f64),
-    /// Median daily Chromium-probe queries per user.
-    pub chromium_per_user: f64,
-    /// Median daily junk-suffix queries per user at the reference size.
-    pub junk_per_user_median: f64,
-    /// Superlinear concentration of junk at large recursives:
-    /// junk/user ∝ (users / 1000)^exponent.
-    pub junk_user_exponent: f64,
-    /// Typo queries as a fraction of valid volume.
-    pub typo_fraction: f64,
-    /// PTR volume as a fraction of (valid + invalid).
-    pub ptr_fraction: f64,
-    /// Fraction of queries carried over TCP.
-    pub tcp_fraction: f64,
-    /// Probability a /24 splits across two sites (App. B.2 observed <20%
-    /// of /24s not fully on their favorite site).
-    pub flap_prob: f64,
-    /// Share of a flapping /24's queries that go to the second site.
-    pub flap_share: f64,
-    /// Fraction of valid volume with spoofed source addresses.
-    pub spoof_fraction: f64,
-    /// Fraction of volume arriving over IPv6 (excluded by §2.1).
-    pub v6_fraction: f64,
-    /// Fraction of volume from private-space sources (excluded by §2.1).
-    pub private_fraction: f64,
-    /// Letter-preference exploration (matches the resolver policy).
+    /// Letter-preference exploration (defaults to the resolver policy's).
     pub letter_exploration: f64,
-    /// TCP RTT samples drawn per (letter, resolver, site) row.
-    pub tcp_samples: u32,
 }
 
 impl Default for DitlConfig {
     fn default() -> Self {
         Self {
             seed: 2018,
-            valid_per_user_median: 0.55,
-            valid_sigma: 1.2,
-            buggy_recursive_prob: 0.05,
-            bug_multiplier: (10.0, 80.0),
-            chromium_per_user: 2.0,
-            junk_per_user_median: 1.2,
-            junk_user_exponent: 0.35,
-            typo_fraction: 0.02,
-            ptr_fraction: 0.04,
-            tcp_fraction: 0.06,
-            flap_prob: 0.15,
-            flap_share: 0.2,
-            spoof_fraction: 0.01,
-            v6_fraction: 0.12,
-            private_fraction: 0.07,
-            letter_exploration: 0.6,
-            tcp_samples: 15,
+            letter_exploration: dns::resolver::ResolverConfig::default().letter_exploration,
         }
     }
 }
+
+/// Median daily valid-TLD root queries per user (paper: ≈1).
+const VALID_PER_USER_MEDIAN: f64 = 0.55;
+/// Lognormal σ of the per-recursive per-user rate.
+const VALID_SIGMA: f64 = 1.2;
+/// Fraction of recursives with pathological re-query behaviour.
+const BUGGY_RECURSIVE_PROB: f64 = 0.05;
+/// Multiplier range applied to buggy recursives' valid volume.
+const BUG_MULTIPLIER: std::ops::Range<f64> = 10.0..80.0;
+/// Median daily Chromium-probe queries per user.
+const CHROMIUM_PER_USER: f64 = 2.0;
+/// Median daily junk-suffix queries per user at the reference size.
+const JUNK_PER_USER_MEDIAN: f64 = 1.2;
+/// Superlinear concentration of junk at large recursives:
+/// junk/user ∝ (users / 1000)^exponent.
+const JUNK_USER_EXPONENT: f64 = 0.35;
+/// Typo queries as a fraction of valid volume.
+const TYPO_FRACTION: f64 = 0.02;
+/// PTR volume as a fraction of (valid + invalid).
+const PTR_FRACTION: f64 = 0.04;
+/// Fraction of queries carried over TCP.
+const TCP_FRACTION: f64 = 0.06;
+/// Probability a /24 splits across two sites (App. B.2 observed <20%
+/// of /24s not fully on their favorite site).
+const FLAP_PROB: f64 = 0.15;
+/// Share of a flapping /24's queries that go to the second site.
+const FLAP_SHARE: f64 = 0.2;
+/// Fraction of valid volume with spoofed source addresses.
+const SPOOF_FRACTION: f64 = 0.01;
+/// Fraction of volume arriving over IPv6 (excluded by §2.1).
+const V6_FRACTION: f64 = 0.12;
+/// Fraction of volume from private-space sources (excluded by §2.1).
+const PRIVATE_FRACTION: f64 = 0.07;
+/// TCP RTT samples drawn per (letter, resolver, site) row.
+const TCP_SAMPLES: u32 = 15;
 
 impl DitlConfig {
     /// Share of a median user's daily root-relevant demand that a
@@ -108,13 +93,8 @@ impl DitlConfig {
     /// always reaching a root; the cacheable remainder pays only the
     /// long-run miss rate (see `dns::resolver::amortized_root_rate`).
     pub fn uncacheable_share(&self) -> f64 {
-        let valid = self.valid_per_user_median * (1.0 + self.typo_fraction);
-        let total = valid + self.chromium_per_user + self.junk_per_user_median;
-        if total > 0.0 {
-            self.chromium_per_user / total
-        } else {
-            0.0
-        }
+        let valid = VALID_PER_USER_MEDIAN * (1.0 + TYPO_FRACTION);
+        CHROMIUM_PER_USER / (valid + CHROMIUM_PER_USER + JUNK_PER_USER_MEDIAN)
     }
 }
 
@@ -250,16 +230,16 @@ impl DitlDataset {
                 let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                 median * (sigma * z).exp()
             };
-            let mut valid = rec.users * ln(&mut rng, config.valid_per_user_median, config.valid_sigma);
-            if rng.gen_bool(config.buggy_recursive_prob) {
-                valid *= rng.gen_range(config.bug_multiplier.0..config.bug_multiplier.1);
+            let mut valid = rec.users * ln(&mut rng, VALID_PER_USER_MEDIAN, VALID_SIGMA);
+            if rng.gen_bool(BUGGY_RECURSIVE_PROB) {
+                valid *= rng.gen_range(BUG_MULTIPLIER);
             }
-            let chromium = rec.users * ln(&mut rng, config.chromium_per_user, 0.6);
+            let chromium = rec.users * ln(&mut rng, CHROMIUM_PER_USER, 0.6);
             let junk = rec.users
-                * ln(&mut rng, config.junk_per_user_median, 0.9)
-                * (rec.users / 1000.0).max(0.05).powf(config.junk_user_exponent);
-            let typo = valid * config.typo_fraction;
-            let ptr = (valid + chromium + junk) * config.ptr_fraction;
+                * ln(&mut rng, JUNK_PER_USER_MEDIAN, 0.9)
+                * (rec.users / 1000.0).max(0.05).powf(JUNK_USER_EXPONENT);
+            let typo = valid * TYPO_FRACTION;
+            let ptr = (valid + chromium + junk) * PTR_FRACTION;
             let classes = [
                 (QueryClass::ValidTld, valid),
                 (QueryClass::ChromiumProbe, chromium),
@@ -269,8 +249,8 @@ impl DitlDataset {
             ];
 
             // --- site flapping ------------------------------------------
-            let flapping = rng.gen_bool(config.flap_prob);
-            let flap_share = config.flap_share * rng.gen_range(0.25..2.25);
+            let flapping = rng.gen_bool(FLAP_PROB);
+            let flap_share = FLAP_SHARE * rng.gen_range(0.25..2.25);
 
             // --- IP split inside the /24 --------------------------------
             let ip_shares: Vec<(u8, f64)> = {
@@ -319,7 +299,6 @@ impl DitlDataset {
                             v,
                             &profile,
                             model,
-                            config,
                         );
                     }
                 }
@@ -328,7 +307,7 @@ impl DitlDataset {
             // --- spoofed traffic: valid-class volume whose source is a
             // random other recursive's /24 (route/latency are the
             // attacker's, making the victim look badly routed).
-            if config.spoof_fraction > 0.0 && n_recursives > 1 {
+            if n_recursives > 1 {
                 let victim_idx = rng.gen_range(0..n_recursives);
                 let victim: &Recursive = &population.recursives[victim_idx];
                 if victim.id != rec.id {
@@ -341,7 +320,7 @@ impl DitlDataset {
                             site: ranked[0].site,
                             class: QueryClass::ValidTld,
                             tcp: false,
-                            queries_per_day: valid * config.spoof_fraction,
+                            queries_per_day: valid * SPOOF_FRACTION,
                             tcp_rtt_median_ms: None,
                         });
                     }
@@ -362,7 +341,7 @@ impl DitlDataset {
 
         // --- private-space background noise, spread over letters -------
         let total: f64 = rows.iter().map(|r| r.queries_per_day).sum();
-        let private_total = total * config.private_fraction / (1.0 - config.private_fraction);
+        let private_total = total * PRIVATE_FRACTION / (1.0 - PRIVATE_FRACTION);
         let n_private = 40.min(captured_letters.len() * 4).max(1);
         obs::counter_add("ditl.rows.private_noise", n_private as u64);
         for i in 0..n_private {
@@ -451,13 +430,12 @@ fn emit_rows(
     volume: f64,
     profile: &PathProfile,
     model: &LatencyModel,
-    config: &DitlConfig,
 ) {
     for (host, share) in ip_shares {
         let v = volume * share;
-        let v6 = v * config.v6_fraction;
+        let v6 = v * V6_FRACTION;
         let v4 = v - v6;
-        let tcp = v4 * config.tcp_fraction;
+        let tcp = v4 * TCP_FRACTION;
         let udp = v4 - tcp;
         let src = rec.prefix.host(*host);
         if udp > 1e-9 {
@@ -474,7 +452,7 @@ fn emit_rows(
             });
         }
         if tcp > 1e-9 {
-            let mut samples: Vec<f64> = (0..config.tcp_samples)
+            let mut samples: Vec<f64> = (0..TCP_SAMPLES)
                 .map(|_| model.sample_rtt_ms(profile, rng))
                 .collect();
             samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

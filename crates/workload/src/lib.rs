@@ -27,7 +27,7 @@ pub mod pcap;
 pub mod users;
 
 pub use atlas::AtlasPanel;
-pub use browse::{BrowseConfig, BrowseGenerator};
+pub use browse::BrowseGenerator;
 pub use ditl::{DitlConfig, DitlDataset};
 pub use geoloc::{GeolocError, Geolocator};
 pub use users::{ApnicUserCounts, CdnUserCounts, UserConfig, UserPopulation};

@@ -15,10 +15,10 @@ use crate::ditl::{DitlDataset, DitlRow};
 use dns::letters::Letter;
 use dns::query::QueryClass;
 use netsim::{Capture, SimTime};
+use par::{DetHashMap, DetHashSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use topology::{Ipv4Addr24, Prefix24, SiteId};
 
 /// One captured DNS query packet.
@@ -41,8 +41,6 @@ pub struct DnsPacketRecord {
 pub struct PcapConfig {
     /// Number of recursive /24s to sample.
     pub sample_recursives: usize,
-    /// Capture window length, hours (DITL: 48).
-    pub window_hours: f64,
     /// Mean path-change events per (recursive, letter) per window —
     /// the route dynamics affinity analysis measures. Wei & Heidemann
     /// found instability rare; the default keeps it so.
@@ -57,13 +55,15 @@ impl Default for PcapConfig {
     fn default() -> Self {
         Self {
             sample_recursives: 50,
-            window_hours: 48.0,
             path_changes_per_window: 0.15,
             max_packets: 400_000,
             seed: 1,
         }
     }
 }
+
+/// Capture window length, hours (DITL: 48).
+const WINDOW_HOURS: f64 = 48.0;
 
 /// Expands a sampled subset of a DITL dataset into a packet capture.
 ///
@@ -81,11 +81,11 @@ pub fn sample_capture(dataset: &DitlDataset, config: &PcapConfig) -> Capture<Dns
         .iter()
         .filter(|r| !r.src.prefix.is_private() && !r.ipv6 && !r.spoofed)
         .map(|r| r.src.prefix)
-        .collect::<HashSet<_>>()
+        .collect::<DetHashSet<_>>()
         .into_iter()
         .collect();
     prefixes.sort();
-    let keep: HashSet<Prefix24> = {
+    let keep: DetHashSet<Prefix24> = {
         let mut v = prefixes;
         // Deterministic shuffle-and-truncate.
         for i in (1..v.len()).rev() {
@@ -101,7 +101,7 @@ pub fn sample_capture(dataset: &DitlDataset, config: &PcapConfig) -> Capture<Dns
         .collect();
 
     // Expected packet count → optional uniform downscale.
-    let window_days = config.window_hours / 24.0;
+    let window_days = WINDOW_HOURS / 24.0;
     let expected: f64 = rows.iter().map(|r| r.queries_per_day * window_days).sum();
     let scale = if expected > config.max_packets as f64 {
         config.max_packets as f64 / expected
@@ -111,8 +111,8 @@ pub fn sample_capture(dataset: &DitlDataset, config: &PcapConfig) -> Capture<Dns
 
     // Path-change schedule per (prefix, letter): instants where the
     // /24's site toward that letter flips between observed sites.
-    let mut flips: std::collections::HashMap<(Prefix24, Letter), Vec<f64>> = Default::default();
-    let window_ms = config.window_hours * 3_600_000.0;
+    let mut flips: DetHashMap<(Prefix24, Letter), Vec<f64>> = DetHashMap::default();
+    let window_ms = WINDOW_HOURS * 3_600_000.0;
     for row in &rows {
         let key = (row.src.prefix, row.letter);
         flips.entry(key).or_insert_with(|| {
@@ -124,7 +124,7 @@ pub fn sample_capture(dataset: &DitlDataset, config: &PcapConfig) -> Capture<Dns
     }
     // Alternate site per (prefix, letter): the other site the dataset saw
     // for this pair, if any.
-    let mut alt: std::collections::HashMap<(Prefix24, Letter), Vec<SiteId>> = Default::default();
+    let mut alt: DetHashMap<(Prefix24, Letter), Vec<SiteId>> = DetHashMap::default();
     for row in &rows {
         let e = alt.entry((row.src.prefix, row.letter)).or_default();
         if !e.contains(&row.site) {
@@ -165,8 +165,7 @@ pub fn sample_capture(dataset: &DitlDataset, config: &PcapConfig) -> Capture<Dns
         }
     }
     packets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    let mut capture =
-        Capture::with_window(SimTime::ZERO, SimTime(config.window_hours * 3_600_000.0));
+    let mut capture = Capture::with_window(SimTime::ZERO, SimTime(window_ms));
     for (t, p) in packets {
         capture.push(t, p);
     }

@@ -69,31 +69,25 @@ pub struct LocationUsers {
 pub struct UserConfig {
     /// Total users worldwide ("over a billion" at paper scale).
     pub total_users: f64,
-    /// Fraction of each location's users on public DNS.
-    pub public_dns_share: f64,
-    /// Fraction of users that are Microsoft users (observable by the
-    /// CDN-side counting).
-    pub cdn_user_share: f64,
-    /// NAT shrink factor: unique IPs per user as the CDN counts them.
-    pub nat_ip_factor: f64,
-    /// Fraction of recursives the CDN instrumentation never observes.
-    pub cdn_blind_spot: f64,
-    /// Multiplicative noise σ (lognormal) on APNIC per-AS estimates.
-    pub apnic_noise_sigma: f64,
 }
 
 impl Default for UserConfig {
     fn default() -> Self {
-        Self {
-            total_users: 1.0e9,
-            public_dns_share: 0.15,
-            cdn_user_share: 0.75,
-            nat_ip_factor: 0.6,
-            cdn_blind_spot: 0.2,
-            apnic_noise_sigma: 0.5,
-        }
+        Self { total_users: 1.0e9 }
     }
 }
+
+/// Fraction of each location's users on public DNS.
+const PUBLIC_DNS_SHARE: f64 = 0.15;
+/// Fraction of users that are Microsoft users (observable by the
+/// CDN-side counting).
+const CDN_USER_SHARE: f64 = 0.75;
+/// NAT shrink factor: unique IPs per user as the CDN counts them.
+const NAT_IP_FACTOR: f64 = 0.6;
+/// Fraction of recursives the CDN instrumentation never observes.
+const CDN_BLIND_SPOT: f64 = 0.2;
+/// Multiplicative noise σ (lognormal) on APNIC per-AS estimates.
+const APNIC_NOISE_SIGMA: f64 = 0.5;
 
 /// The synthesized ground-truth population.
 #[derive(Debug, Clone)]
@@ -102,7 +96,6 @@ pub struct UserPopulation {
     pub locations: Vec<LocationUsers>,
     /// All recursive deployments.
     pub recursives: Vec<Recursive>,
-    config: UserConfig,
 }
 
 impl UserPopulation {
@@ -193,8 +186,8 @@ impl UserPopulation {
                 let own = by_asn[asn];
                 let public = nearest_public(&public_ids, &region.center);
                 let via = vec![
-                    (own, users * (1.0 - config.public_dns_share)),
-                    (public, users * config.public_dns_share),
+                    (own, users * (1.0 - PUBLIC_DNS_SHARE)),
+                    (public, users * PUBLIC_DNS_SHARE),
                 ];
                 locations.push(LocationUsers { region: region.id, asn: *asn, users, via });
             }
@@ -206,11 +199,7 @@ impl UserPopulation {
             }
         }
 
-        Self {
-            locations,
-            recursives,
-            config: config.clone(),
-        }
+        Self { locations, recursives }
     }
 
     /// Total ground-truth users.
@@ -228,11 +217,10 @@ impl UserPopulation {
         use rand::SeedableRng as _;
         let mut by_ip: HashMap<Ipv4Addr24, f64> = HashMap::default();
         for rec in &self.recursives {
-            if rng.gen_bool(self.config.cdn_blind_spot) {
+            if rng.gen_bool(CDN_BLIND_SPOT) {
                 continue; // never observed by the CDN
             }
-            let observed_users =
-                rec.users * self.config.cdn_user_share * self.config.nat_ip_factor;
+            let observed_users = rec.users * CDN_USER_SHARE * NAT_IP_FACTOR;
             // Microsoft sees 1..4 resolver IPs in this /24; each query IP
             // is re-observed with p=0.35, others are fresh host bytes —
             // resolver farms use different egress IPs toward roots than
@@ -267,7 +255,7 @@ impl UserPopulation {
             // A user-prefix of the location's AS acts as a forwarder.
             let Some(node) = recursive_node(&self.recursives, loc) else { continue };
             let _ = node;
-            let users = loc.users * self.config.cdn_user_share * self.config.nat_ip_factor * 0.05;
+            let users = loc.users * CDN_USER_SHARE * NAT_IP_FACTOR * 0.05;
             let prefix = self
                 .recursives
                 .iter()
@@ -299,7 +287,7 @@ impl UserPopulation {
                 let u2: f64 = rng.gen_range(0.0..1.0);
                 (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
             };
-            let noise = (self.config.apnic_noise_sigma * z).exp();
+            let noise = (APNIC_NOISE_SIGMA * z).exp();
             by_asn.insert(asn, truth[&asn] * noise);
         }
         ApnicUserCounts { by_asn }
