@@ -23,8 +23,9 @@
 //! that cannot be fully understood must not half-replay.
 
 use crate::harness::ChaosOptions;
-use crate::storm::{Incident, IncidentKind, PolicyName};
+use crate::storm::{Incident, IncidentKind};
 use geo::GeoPoint;
+use loadmgmt::PolicyName;
 use netsim::SimTime;
 use std::fmt::Write as _;
 use std::path::Path;

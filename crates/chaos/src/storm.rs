@@ -18,68 +18,18 @@
 
 use dynamics::{RoutingEvent, Scenario, ScheduledEvent};
 use geo::GeoPoint;
-use loadmgmt::{
-    DistributedController, HysteresisController, LoadController, NullController,
-    ThresholdController,
-};
+use loadmgmt::PolicyName;
 use netsim::SimTime;
 use topology::{Asn, SiteId};
 
-/// A `loadmgmt` policy by name — the unit of controller churn: a storm
-/// can switch the live policy mid-run ([`IncidentKind::PolicySwitch`]),
-/// exactly as an operator would under fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyName {
-    /// [`NullController`]: observes, never acts.
-    Null,
-    /// [`ThresholdController`]: naive shed-over-capacity.
-    Threshold,
-    /// [`HysteresisController`]: high/low watermark shedding.
-    Hysteresis,
-    /// [`DistributedController`]: Sinha-style bounded spillover.
-    Distributed,
-}
-
-impl PolicyName {
-    /// Every policy, in switch-rotation order.
-    pub(crate) const ALL: [PolicyName; 4] = [
-        PolicyName::Hysteresis,
-        PolicyName::Distributed,
-        PolicyName::Threshold,
-        PolicyName::Null,
-    ];
-
-    /// Stable lowercase name, used in reproducer files.
-    pub(crate) fn as_str(&self) -> &'static str {
-        match self {
-            PolicyName::Null => "null",
-            PolicyName::Threshold => "threshold",
-            PolicyName::Hysteresis => "hysteresis",
-            PolicyName::Distributed => "distributed",
-        }
-    }
-
-    /// Parses [`PolicyName::as_str`] back.
-    pub(crate) fn parse(s: &str) -> Option<Self> {
-        match s {
-            "null" => Some(PolicyName::Null),
-            "threshold" => Some(PolicyName::Threshold),
-            "hysteresis" => Some(PolicyName::Hysteresis),
-            "distributed" => Some(PolicyName::Distributed),
-            _ => None,
-        }
-    }
-
-    /// A fresh controller implementing the policy.
-    pub fn controller(&self) -> Box<dyn LoadController> {
-        match self {
-            PolicyName::Null => Box::new(NullController),
-            PolicyName::Threshold => Box::new(ThresholdController),
-            PolicyName::Hysteresis => Box::new(HysteresisController::default()),
-            PolicyName::Distributed => Box::new(DistributedController::default()),
-        }
-    }
-}
+/// Every policy a [`IncidentKind::PolicySwitch`] picks from, in
+/// switch-rotation order.
+const POLICY_ROTATION: [PolicyName; 4] = [
+    PolicyName::Hysteresis,
+    PolicyName::Distributed,
+    PolicyName::Threshold,
+    PolicyName::Null,
+];
 
 /// One self-contained operational episode. Every kind either returns
 /// the deployment to its pre-incident announced state (flap, drain,
@@ -378,7 +328,7 @@ pub fn generate(cfg: &StormConfig) -> Vec<Incident> {
                     hold_ms,
                 },
                 80..=87 => IncidentKind::PolicySwitch {
-                    policy: PolicyName::ALL[pick(s, 10, PolicyName::ALL.len() as u64) as usize],
+                    policy: POLICY_ROTATION[pick(s, 10, POLICY_ROTATION.len() as u64) as usize],
                 },
                 _ => IncidentKind::Tick,
             },
@@ -512,13 +462,5 @@ mod tests {
         let n_switch =
             incidents.iter().filter(|i| matches!(i.kind, IncidentKind::PolicySwitch { .. })).count();
         assert_eq!(switches.len(), n_switch);
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in PolicyName::ALL {
-            assert_eq!(PolicyName::parse(p.as_str()), Some(p));
-        }
-        assert_eq!(PolicyName::parse("bogus"), None);
     }
 }

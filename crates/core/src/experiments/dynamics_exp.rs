@@ -18,10 +18,7 @@ use dynamics::{
     Timeline,
 };
 use geo::GeoPoint;
-use loadmgmt::{
-    DistributedController, HysteresisController, LoadController, NullController,
-    ThresholdController,
-};
+use loadmgmt::PolicyName;
 use netsim::SimTime;
 use replay::{replay, ReplayConfig};
 use std::sync::Arc;
@@ -453,19 +450,15 @@ pub(super) fn expanded_engine<'w>(
 }
 
 /// The load-management policies every `dynload*` experiment compares,
-/// in fixed CSV row order. `none` is the measured baseline: capacities
-/// are configured (so `overload_site_s` accrues) but nothing acts.
-const LOAD_POLICIES: [&str; 4] = ["none", "threshold", "hysteresis", "distributed"];
-
-fn controller_for(policy: &str) -> Option<Box<dyn LoadController>> {
-    match policy {
-        "none" => None,
-        "threshold" => Some(Box::new(ThresholdController)),
-        "hysteresis" => Some(Box::new(HysteresisController::default())),
-        "distributed" => Some(Box::new(DistributedController::default())),
-        other => unreachable!("unknown load policy {other}"),
-    }
-}
+/// in fixed CSV row order. `None` ("none") is the measured baseline:
+/// capacities are configured (so `overload_site_s` accrues) but no
+/// controller is attached.
+const LOAD_POLICIES: [Option<PolicyName>; 4] = [
+    None,
+    Some(PolicyName::Threshold),
+    Some(PolicyName::Hysteresis),
+    Some(PolicyName::Distributed),
+];
 
 /// Capacity table for an overload scenario, derived from the measured
 /// pre-control stress state so the comparison is well-posed at any
@@ -535,13 +528,13 @@ fn load_family_artifacts(
     scenario: &Scenario,
     caps: &SiteCapacities,
 ) -> Vec<Artifact> {
-    let mut runs: Vec<(&str, Timeline, LoadLedger)> = Vec::new();
+    let mut runs: Vec<(Option<PolicyName>, Timeline, LoadLedger)> = Vec::new();
     let mut population = 0usize;
     for policy in LOAD_POLICIES {
         let mut eng =
             expanded_engine(world, Arc::clone(deployment), RecomputeMode::Incremental).with_capacities(caps.clone());
-        if let Some(c) = controller_for(policy) {
-            eng = eng.with_controller(c);
+        if let Some(p) = policy {
+            eng = eng.with_controller(p.controller());
         }
         let t = eng.run(scenario);
         population = eng.population();
@@ -551,7 +544,7 @@ fn load_family_artifacts(
         .iter()
         .map(|(policy, t, ledger)| {
             vec![
-                (*policy).to_string(),
+                policy.map_or("none", |p| p.as_str()).to_string(),
                 format!("{:.3}", ledger.overload_site_s()),
                 format!("{:.3}", ledger.overload_user_s()),
                 format!("{:.3}", ledger.shed_users),
@@ -568,7 +561,7 @@ fn load_family_artifacts(
         .collect();
     let dist = runs
         .into_iter()
-        .find(|(p, _, _)| *p == "distributed")
+        .find(|(p, _, _)| *p == Some(PolicyName::Distributed))
         .map(|(_, t, _)| t)
         .expect("distributed policy always runs");
     vec![
@@ -747,12 +740,13 @@ pub(crate) fn dynload_cascade(world: &World) -> Vec<Artifact> {
 /// 15-minute DITL-style query stream (DNS users amortized through
 /// resolver caches, CDN users paying per-connection RTT) replays
 /// through a flash crowd *and* a site flap on the busiest letter,
-/// once with a [`NullController`] (observe-only baseline) and once
-/// with the [`DistributedController`]. The same seed drives the same
-/// query stream in both runs, so every difference in the per-window
-/// served-RTT percentiles and `overload_user_s` is the controller's
-/// doing. Emits `dynreplay.csv` (per-policy per-window serving stats)
-/// and `dynreplaysum.csv` (per-policy stream totals).
+/// once with a [`loadmgmt::NullController`] (observe-only baseline)
+/// and once with the [`loadmgmt::DistributedController`]. The same
+/// seed drives the same query stream in both runs, so every difference
+/// in the per-window served-RTT percentiles and `overload_user_s` is
+/// the controller's doing. Emits `dynreplay.csv` (per-policy
+/// per-window serving stats) and `dynreplaysum.csv` (per-policy stream
+/// totals).
 pub(crate) fn dynreplay(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let (radius_km, factor) = (6_000.0, 2.0);
@@ -777,18 +771,14 @@ pub(crate) fn dynreplay(world: &World) -> Vec<Artifact> {
     };
     let mut window_rows: Vec<Vec<String>> = Vec::new();
     let mut sum_rows: Vec<Vec<String>> = Vec::new();
-    for policy in ["null", "distributed"] {
-        let controller: Box<dyn LoadController> = match policy {
-            "null" => Box::new(NullController),
-            _ => Box::new(DistributedController::default()),
-        };
+    for policy in [PolicyName::Null, PolicyName::Distributed] {
         let mut eng = expanded_engine(world, Arc::clone(&letter.deployment), RecomputeMode::Incremental)
             .with_capacities(caps.clone())
-            .with_controller(controller);
+            .with_controller(policy.controller());
         let outcome = replay(&mut eng, &scenario, &cfg);
         for w in &outcome.windows {
             window_rows.push(vec![
-                policy.to_string(),
+                policy.as_str().to_string(),
                 format!("{:.0}", w.t_ms / 1_000.0),
                 w.generated.to_string(),
                 w.dns_queries.to_string(),
@@ -804,7 +794,7 @@ pub(crate) fn dynreplay(world: &World) -> Vec<Artifact> {
         let ledger = eng.load_ledger();
         let last_p50 = outcome.windows.last().map_or(0.0, |w| w.p50_ms);
         sum_rows.push(vec![
-            policy.to_string(),
+            policy.as_str().to_string(),
             outcome.generated.to_string(),
             outcome.served.to_string(),
             outcome.degraded.to_string(),
@@ -854,4 +844,19 @@ pub(crate) fn dynreplay(world: &World) -> Vec<Artifact> {
             rows: sum_rows,
         },
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `ReplayConfig::default()` hard-codes the uncacheable share it
+    /// cites from the DITL junk mix; `dynreplay` replaces it with the
+    /// mix itself, and the two must not drift apart.
+    #[test]
+    fn replay_uncacheable_default_matches_the_ditl_mix() {
+        let ditl = workload::DitlConfig::default().uncacheable_share();
+        let replay = ReplayConfig::default().dns_uncacheable_share;
+        assert!((ditl - replay).abs() < 0.005, "DITL mix {ditl}, replay default {replay}");
+    }
 }

@@ -359,6 +359,53 @@ impl LoadController for DistributedController {
     }
 }
 
+/// A policy by name: the one map from the names in experiment tables,
+/// storms and reproducer files to the controllers above.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyName {
+    /// [`NullController`]: observes, never acts.
+    Null,
+    /// [`ThresholdController`]: naive shed-over-capacity.
+    Threshold,
+    /// [`HysteresisController`]: high/low watermark shedding.
+    Hysteresis,
+    /// [`DistributedController`]: Sinha-style bounded spillover.
+    Distributed,
+}
+
+impl PolicyName {
+    /// Stable lowercase name, as [`LoadController::name`] reports it.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            PolicyName::Null => "null",
+            PolicyName::Threshold => "threshold",
+            PolicyName::Hysteresis => "hysteresis",
+            PolicyName::Distributed => "distributed",
+        }
+    }
+
+    /// Parses [`PolicyName::as_str`] back.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "null" => Some(PolicyName::Null),
+            "threshold" => Some(PolicyName::Threshold),
+            "hysteresis" => Some(PolicyName::Hysteresis),
+            "distributed" => Some(PolicyName::Distributed),
+            _ => None,
+        }
+    }
+
+    /// A fresh controller implementing the policy.
+    pub fn controller(&self) -> Box<dyn LoadController> {
+        match self {
+            PolicyName::Null => Box::new(NullController),
+            PolicyName::Threshold => Box::new(ThresholdController),
+            PolicyName::Hysteresis => Box::new(HysteresisController::default()),
+            PolicyName::Distributed => Box::new(DistributedController::default()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,5 +563,15 @@ mod tests {
     #[should_panic(expected = "fraction")]
     fn hysteresis_rejects_a_silly_watermark() {
         HysteresisController::new(1.5);
+    }
+
+    #[test]
+    fn policy_names_round_trip_and_match_their_controllers() {
+        use PolicyName::*;
+        for p in [Null, Threshold, Hysteresis, Distributed] {
+            assert_eq!(PolicyName::parse(p.as_str()), Some(p));
+            assert_eq!(p.controller().name(), p.as_str());
+        }
+        assert_eq!(PolicyName::parse("bogus"), None);
     }
 }
