@@ -22,7 +22,7 @@ pub fn favorite_site_miss_fractions(clean: &CleanDitl) -> Vec<(Letter, WeightedC
     // (letter, prefix) → (site → volume, distinct source IPs).
     struct Acc {
         by_site: HashMap<SiteId, f64>,
-        ips: std::collections::HashSet<u8>,
+        ips: par::DetHashSet<u8>,
     }
     let mut acc: HashMap<(Letter, Prefix24), Acc> = HashMap::default();
     for row in &clean.rows {

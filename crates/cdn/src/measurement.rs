@@ -14,7 +14,7 @@ use netsim::{LastMile, LatencyModel, PathProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use topology::gen::Internet;
 use topology::{Asn, Catchment, RouteCache};
 
@@ -94,7 +94,7 @@ impl ClientMeasurements {
     /// ring: `latency(small) − latency(big)` (positive ⇒ the bigger ring
     /// is faster), the quantity Fig. 4b plots.
     pub fn ring_transition_deltas(&self, small: &str, big: &str) -> Vec<f64> {
-        let index = |ring: &str| -> HashMap<(RegionId, Asn), f64> {
+        let index = |ring: &str| -> BTreeMap<(RegionId, Asn), f64> {
             self.rows
                 .iter()
                 .filter(|r| r.ring == ring)

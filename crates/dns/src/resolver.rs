@@ -25,7 +25,6 @@ use netsim::SimTime;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Negative-cache TTL for NXDOMAIN answers (SOA-minimum style), ms.
@@ -323,7 +322,8 @@ impl Hasher for CacheHasher {
 }
 
 /// A resolver cache, hashed with [`CacheHasher`].
-type CacheMap<K, V> = HashMap<K, V, BuildHasherDefault<CacheHasher>>;
+#[allow(clippy::disallowed_types)] // fixed hasher; nothing iterates it (above)
+type CacheMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<CacheHasher>>;
 
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
@@ -840,7 +840,7 @@ mod tests {
             rtts,
             StdRng::seed_from_u64(4),
         );
-        let mut counts: HashMap<Letter, u32> = HashMap::new();
+        let mut counts: std::collections::HashMap<Letter, u32> = Default::default();
         // Distinct junk labels force a root query each time.
         for i in 0..2000u32 {
             let q = QueryName::junk(format!("x{i}"));

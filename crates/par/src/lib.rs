@@ -20,7 +20,6 @@
 
 #![deny(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -36,10 +35,12 @@ pub(crate) type DetState = BuildHasherDefault<std::collections::hash_map::Defaul
 /// A `HashMap` with run-to-run deterministic iteration order (given a
 /// deterministic insertion sequence). Use for any map whose iteration
 /// feeds an artifact, especially float accumulations.
-pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
+#[allow(clippy::disallowed_types)] // the one sanctioned std map: fixed hasher keys
+pub type DetHashMap<K, V> = std::collections::HashMap<K, V, DetState>;
 
 /// A `HashSet` with run-to-run deterministic iteration order.
-pub type DetHashSet<T> = HashSet<T, DetState>;
+#[allow(clippy::disallowed_types)] // the one sanctioned std set: fixed hasher keys
+pub type DetHashSet<T> = std::collections::HashSet<T, DetState>;
 
 /// Process-wide thread-count override; 0 means "use
 /// `available_parallelism`". Set from the `--threads` CLI flag.

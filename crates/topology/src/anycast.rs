@@ -24,7 +24,7 @@ use geo::GeoPoint;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use par::DetHashMap;
 use std::sync::Arc;
 
 /// Identifier of a site within one deployment.
@@ -243,10 +243,10 @@ pub struct SiteAssignment {
 #[derive(Debug, Default)]
 pub struct RouteCache {
     /// Canonical (sorted, deduplicated) withhold list → interned key.
-    withhold_keys: HashMap<Box<[Asn]>, u32>,
+    withhold_keys: DetHashMap<Box<[Asn]>, u32>,
     /// Interned key → canonical withhold list (for cache misses).
     withhold_lists: Vec<Arc<[Asn]>>,
-    map: HashMap<(Asn, ExportScope, u32), Arc<OriginRoutes>>,
+    map: DetHashMap<(Asn, ExportScope, u32), Arc<OriginRoutes>>,
 }
 
 impl RouteCache {
@@ -506,7 +506,7 @@ impl<'g> Catchment<'g> {
         cache: &mut RouteCache,
     ) -> Self {
         // Group sites by (host, scope): one BGP computation per group.
-        let mut grouped: HashMap<(Asn, ExportScope), Vec<SiteId>> = HashMap::new();
+        let mut grouped: DetHashMap<(Asn, ExportScope), Vec<SiteId>> = DetHashMap::default();
         for site in &deployment.sites {
             let scope = match site.scope {
                 SiteScope::Global => ExportScope::Global,

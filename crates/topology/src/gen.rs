@@ -25,7 +25,7 @@ use geo::{GeoPoint, WorldMap};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use par::DetHashMap;
 
 /// Generation parameters.
 #[derive(Debug, Clone)]
@@ -326,7 +326,7 @@ impl InternetGenerator {
 
         // ---- Transit providers ---------------------------------------------
         let mut transits: Vec<Asn> = Vec::new();
-        let mut transit_continent: HashMap<Asn, geo::Continent> = HashMap::new();
+        let mut transit_continent: DetHashMap<Asn, geo::Continent> = DetHashMap::default();
         let mut next_transit_asn = 1000u32;
         for continent in geo::Continent::ALL {
             let regions: Vec<&geo::Region> =
@@ -724,7 +724,7 @@ mod tests {
     #[test]
     fn sibling_orgs_exist() {
         let net = InternetGenerator::generate(&TopologyConfig::small(11));
-        let mut orgs: HashMap<OrgId, usize> = HashMap::new();
+        let mut orgs: DetHashMap<OrgId, usize> = DetHashMap::default();
         for n in net.graph.nodes() {
             *orgs.entry(n.org).or_default() += 1;
         }

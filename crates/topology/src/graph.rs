@@ -11,7 +11,7 @@ use crate::asn::{AsKind, Asn, OrgId};
 use crate::prefix::Prefix24;
 use geo::GeoPoint;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use par::DetHashMap;
 
 /// Relationship of a neighbor *to* the local AS.
 ///
@@ -90,7 +90,7 @@ pub struct Adjacency {
 #[derive(Debug, Clone, Default)]
 pub struct AsGraph {
     nodes: Vec<AsNode>,
-    index: HashMap<Asn, usize>,
+    index: DetHashMap<Asn, usize>,
     links: Vec<Link>,
     adj: Vec<Vec<Adjacency>>,
 }

@@ -19,7 +19,7 @@
 
 use crate::asn::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use par::DetHashMap;
 
 /// An inferred relationship for an (unordered) AS pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ pub(crate) enum InferredRel {
 #[derive(Debug, Clone, Default)]
 pub struct InferredRelationships {
     /// The classified pairs.
-    pub(crate) pairs: HashMap<(Asn, Asn), InferredRel>,
+    pub(crate) pairs: DetHashMap<(Asn, Asn), InferredRel>,
 }
 
 impl InferredRelationships {
@@ -75,9 +75,9 @@ fn canonical(a: Asn, b: Asn) -> ((Asn, Asn), bool) {
 pub fn infer_relationships(paths: &[Vec<Asn>], peer_vote_ratio: f64) -> InferredRelationships {
     // Degrees from the observed paths themselves (as Gao does — the
     // inference has no oracle access to the real graph).
-    let mut degree: HashMap<Asn, usize> = HashMap::new();
+    let mut degree: DetHashMap<Asn, usize> = DetHashMap::default();
     {
-        let mut neighbors: HashMap<Asn, std::collections::HashSet<Asn>> = HashMap::new();
+        let mut neighbors: DetHashMap<Asn, par::DetHashSet<Asn>> = DetHashMap::default();
         for path in paths {
             for w in path.windows(2) {
                 neighbors.entry(w[0]).or_default().insert(w[1]);
@@ -90,7 +90,7 @@ pub fn infer_relationships(paths: &[Vec<Asn>], peer_vote_ratio: f64) -> Inferred
     }
 
     // Votes per canonical pair: (first-provides-second, second-provides-first).
-    let mut votes: HashMap<(Asn, Asn), (u32, u32)> = HashMap::new();
+    let mut votes: DetHashMap<(Asn, Asn), (u32, u32)> = DetHashMap::default();
     for path in paths {
         if path.len() < 2 {
             continue;
@@ -121,7 +121,7 @@ pub fn infer_relationships(paths: &[Vec<Asn>], peer_vote_ratio: f64) -> Inferred
         }
     }
 
-    let mut pairs = HashMap::new();
+    let mut pairs = DetHashMap::default();
     for ((a, b), (fwd, rev)) in votes {
         let total = (fwd + rev) as f64;
         let minority = fwd.min(rev) as f64;

@@ -12,7 +12,7 @@
 
 use crate::asn::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use par::DetHashMap;
 
 /// A /24 prefix, stored as the upper 24 bits of an IPv4 address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -87,7 +87,7 @@ impl std::fmt::Display for Ipv4Addr24 {
 /// than random per-query noise.
 #[derive(Debug, Clone)]
 pub struct IpToAsnService {
-    map: HashMap<Prefix24, Asn>,
+    map: DetHashMap<Prefix24, Asn>,
     /// Fraction of prefixes the service cannot map (paper: 0.6%).
     miss_rate: f64,
 }

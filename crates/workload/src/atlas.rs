@@ -58,7 +58,7 @@ impl AtlasPanel {
             .collect();
         let total: f64 = weights.iter().sum();
         let mut probes = Vec::new();
-        let mut used = std::collections::HashSet::new();
+        let mut used = par::DetHashSet::default();
         let mut attempts = 0;
         while probes.len() < n && attempts < n * 30 {
             attempts += 1;

@@ -9,7 +9,7 @@
 
 use geo::GeoPoint;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use par::DetHashMap;
 use topology::Prefix24;
 
 /// Geolocation error profile.
@@ -32,7 +32,7 @@ impl Default for GeolocError {
 /// The geolocation database.
 #[derive(Debug, Clone)]
 pub struct Geolocator {
-    truth: HashMap<Prefix24, GeoPoint>,
+    truth: DetHashMap<Prefix24, GeoPoint>,
     error: GeolocError,
 }
 
