@@ -175,7 +175,7 @@ impl World {
             let stage = obs::span!("world.population");
             let population = UserPopulation::synthesize(
                 &mut internet,
-                &UserConfig { total_users: 1.0e9 * config.scale, ..UserConfig::default() },
+                &UserConfig { total_users: 1.0e9 * config.scale },
             );
             stage.add_items(population.locations.len() as u64);
             population

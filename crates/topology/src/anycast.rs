@@ -21,10 +21,10 @@ use crate::bgp::{ExportScope, OriginRoutes, RouteClass, RouteComputer};
 use crate::graph::{nearest, AsGraph};
 use crate::waypoints;
 use geo::GeoPoint;
+use par::DetHashMap;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use par::DetHashMap;
 use std::sync::Arc;
 
 /// Identifier of a site within one deployment.

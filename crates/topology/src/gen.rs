@@ -22,10 +22,10 @@ use crate::graph::{nearest, AsGraph, AsNode};
 use crate::prefix::Prefix24;
 use geo::region::RegionId;
 use geo::{GeoPoint, WorldMap};
+use par::DetHashMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use par::DetHashMap;
 
 /// Generation parameters.
 #[derive(Debug, Clone)]

@@ -10,8 +10,8 @@
 use crate::asn::{AsKind, Asn, OrgId};
 use crate::prefix::Prefix24;
 use geo::GeoPoint;
-use serde::{Deserialize, Serialize};
 use par::DetHashMap;
+use serde::{Deserialize, Serialize};
 
 /// Relationship of a neighbor *to* the local AS.
 ///

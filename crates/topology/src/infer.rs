@@ -18,8 +18,8 @@
 //!    allows at most one peer edge, adjacent to the top).
 
 use crate::asn::Asn;
-use serde::{Deserialize, Serialize};
 use par::DetHashMap;
+use serde::{Deserialize, Serialize};
 
 /// An inferred relationship for an (unordered) AS pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

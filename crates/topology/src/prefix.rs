@@ -11,8 +11,8 @@
 //! covering 98.6% of query volume).
 
 use crate::asn::Asn;
-use serde::{Deserialize, Serialize};
 use par::DetHashMap;
+use serde::{Deserialize, Serialize};
 
 /// A /24 prefix, stored as the upper 24 bits of an IPv4 address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

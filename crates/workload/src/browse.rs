@@ -351,10 +351,7 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let zone = RootZone::generate(1, 200);
-        let mk = || {
-            BrowseGenerator::new(5, &zone, 3)
-                .generate(0.5)
-        };
+        let mk = || BrowseGenerator::new(5, &zone, 3).generate(0.5);
         let a = mk();
         let b = mk();
         assert_eq!(a.len(), b.len());

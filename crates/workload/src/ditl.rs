@@ -496,7 +496,7 @@ mod tests {
         let letters = LetterSet::build(&mut net, 2018, 0.15);
         let pop = UserPopulation::synthesize(
             &mut net,
-            &UserConfig { total_users: 1.0e6, ..Default::default() },
+            &UserConfig { total_users: 1.0e6 },
         );
         DitlDataset::generate(
             &net,

@@ -8,8 +8,8 @@
 //! carry the same imperfection the paper's do.
 
 use geo::GeoPoint;
-use serde::{Deserialize, Serialize};
 use par::DetHashMap;
+use serde::{Deserialize, Serialize};
 use topology::Prefix24;
 
 /// Geolocation error profile.

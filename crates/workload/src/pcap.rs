@@ -217,7 +217,7 @@ mod tests {
         let letters = LetterSet::build(&mut net, 2018, 0.15);
         let pop = UserPopulation::synthesize(
             &mut net,
-            &UserConfig { total_users: 2.0e5, ..Default::default() },
+            &UserConfig { total_users: 2.0e5 },
         );
         DitlDataset::generate(&net, &letters, &pop, &LatencyModel::default(), &DitlConfig::default())
     }

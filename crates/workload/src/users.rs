@@ -339,7 +339,7 @@ mod tests {
 
     fn population() -> (Internet, UserPopulation) {
         let mut net = InternetGenerator::generate(&TopologyConfig::small(61));
-        let cfg = UserConfig { total_users: 1.0e6, ..Default::default() };
+        let cfg = UserConfig { total_users: 1.0e6 };
         let pop = UserPopulation::synthesize(&mut net, &cfg);
         (net, pop)
     }

@@ -14,7 +14,7 @@ proptest! {
         let mut net = InternetGenerator::generate(&TopologyConfig::small(seed));
         let pop = UserPopulation::synthesize(
             &mut net,
-            &UserConfig { total_users: total, ..UserConfig::default() },
+            &UserConfig { total_users: total },
         );
         // Locations sum to the configured total…
         let loc_total = pop.total_users();
@@ -29,7 +29,7 @@ proptest! {
         let mut net = InternetGenerator::generate(&TopologyConfig::small(seed));
         let pop = UserPopulation::synthesize(
             &mut net,
-            &UserConfig { total_users: 1e6, ..UserConfig::default() },
+            &UserConfig { total_users: 1e6 },
         );
         let cdn_total: f64 = pop.cdn_user_counts(seed).by_ip.values().sum();
         prop_assert!(cdn_total < 1e6, "CDN counts must undercount ({cdn_total})");
