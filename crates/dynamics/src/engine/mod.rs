@@ -97,7 +97,7 @@ struct UserState {
     /// session a `PeeringDown` against that neighbor would sever.
     via: Option<Asn>,
     /// Entry point of the current path into the origin AS — the anchor
-    /// of `materialize`'s nearest-site tie-break, stored so the
+    /// of `Catchment::pick_site`'s nearest-site tie-break, stored so the
     /// site-diff rule can test whether an added site would beat the
     /// stored one without re-materializing the path.
     entry: Option<GeoPoint>,

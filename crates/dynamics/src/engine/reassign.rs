@@ -113,7 +113,7 @@ impl<'g> DynamicsEngine<'g> {
             // change is its hosted-site list (the site up/down and
             // deployment-swap shape) is diffed site-by-site: its own
             // users re-rank only when their stored site was removed or
-            // an added site beats it on `materialize`'s
+            // an added site beats it on `Catchment::pick_site`'s
             // nearest-to-entry tie-break, and it challenges other
             // groups' users only when sites were added (shrinking a
             // group cannot improve it). Everything else invalidates
@@ -216,7 +216,7 @@ impl<'g> DynamicsEngine<'g> {
                         // An added site takes over exactly when it
                         // beats the stored one on (distance to the
                         // stored entry point, site id) —
-                        // `materialize`'s tie-break. Comparing
+                        // `Catchment::pick_site`'s tie-break. Comparing
                         // original ids is order-isomorphic to the
                         // dense comparison because dense re-ids
                         // preserve ascending order.

@@ -25,7 +25,7 @@ use par::DetHashMap;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifier of a site within one deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -451,10 +451,12 @@ impl CandidateKey {
     }
 }
 
-/// One ranked candidate during the decision process: a group, the
-/// comparison key, and the first hop the early-exit tie-break selected.
+/// One ranked candidate during the decision process: a group (and its
+/// index in the catchment), the comparison key, and the first hop the
+/// early-exit tie-break selected.
 #[derive(Clone, Copy)]
 struct Cand<'a> {
+    gi: usize,
     group: &'a OriginGroup,
     class: RouteClass,
     len: u32,
@@ -475,6 +477,11 @@ impl Cand<'_> {
     }
 }
 
+/// Key of one intra-origin site pick: the group's index, the entry
+/// point's coordinate bits, and the entry session's neighbor — the last
+/// only when the deployment has staged drains, the one thing it decides.
+type PickKey = (usize, u64, u64, Option<Asn>);
+
 /// Computed catchments of one deployment over one graph. `Send + Sync`:
 /// the deterministic parallel layer shards assignment work across
 /// threads against one shared catchment.
@@ -483,6 +490,17 @@ pub struct Catchment<'g> {
     graph: &'g AsGraph,
     deployment: Arc<AnycastDeployment>,
     groups: Vec<OriginGroup>,
+    /// Memo of [`Catchment::pick_site`]: the nearest eligible site (and
+    /// its distance) per [`PickKey`]. The scan reads only the group's
+    /// sites, their locations, the deployment's drains, the entry and
+    /// `via`; the first three are fixed for this catchment's lifetime
+    /// and the last two are the key, so an entry is the scan's answer
+    /// whichever thread filled it. Paths enter a host AS at one of its
+    /// few PoPs or interconnects, so most picks repeat one already made.
+    /// Misses are computed outside the lock. No hit or miss count is
+    /// recorded: which thread misses first depends on scheduling, so
+    /// such a count in `metrics.json` would vary with `--threads`.
+    site_picks: Mutex<DetHashMap<PickKey, Option<(SiteId, f64)>>>,
 }
 
 impl<'g> Catchment<'g> {
@@ -544,7 +562,7 @@ impl<'g> Catchment<'g> {
                 });
             }
         }
-        Self { graph, deployment, groups }
+        Self { graph, deployment, groups, site_picks: Mutex::default() }
     }
 
     /// The deployment this catchment was computed for.
@@ -563,9 +581,8 @@ impl<'g> Catchment<'g> {
     /// Entry 0 is the steady-state choice; callers model transient
     /// load-balancing across intermediate ASes (Appendix B.2) by
     /// occasionally taking entry 1. Only as many (class, length) tiers
-    /// are ranked, and only as many candidates materialized, as it takes
-    /// to fill `k`: the early-exit ranking was most of an assignment's
-    /// cost, and campaign generators only need the top one or two.
+    /// are priced, and only as many candidates materialized, as it takes
+    /// to fill `k`; campaign generators only need the top one or two.
     pub fn ranked_top(&self, src: Asn, user_loc: &GeoPoint, k: usize) -> Vec<SiteAssignment> {
         let mut out = Vec::new();
         if k == 0 {
@@ -578,7 +595,7 @@ impl<'g> Catchment<'g> {
         // next-ranked group instead of truncating the result — matching
         // `assign_with_key`.
         self.walk_ranked(src_idx, &serving, |c| {
-            out.extend(self.materialize(src_idx, user_loc, &serving, c.group, c.first));
+            out.extend(self.materialize(src_idx, user_loc, &serving, c.gi, c.first));
             out.len() == k
         });
         out
@@ -598,7 +615,7 @@ impl<'g> Catchment<'g> {
         let mut best = None;
         self.walk_ranked(src_idx, &serving, |c| {
             best = self
-                .materialize(src_idx, user_loc, &serving, c.group, c.first)
+                .materialize(src_idx, user_loc, &serving, c.gi, c.first)
                 .map(|a| (a, c.key()));
             best.is_some()
         });
@@ -638,35 +655,42 @@ impl<'g> Catchment<'g> {
     /// `true`: the shared core of [`Catchment::ranked_top`] and
     /// [`Catchment::assign_with_key`].
     ///
-    /// Class and length need no geometry, so the groups are first sorted
-    /// into (class, length) tiers, and early exit is computed one tier at
-    /// a time, best tier first. A walk that stops in the first tier never
-    /// prices the others. The order is the one stable sort over the
-    /// whole comparator would give: the comparator is lexicographic, and
-    /// both sorts keep group order among equals.
+    /// Class and length need no geometry, so the reachable groups are
+    /// listed with their (class, length) tier in group order, and tiers
+    /// are selected one at a time, best first: each selection is one
+    /// pass over the list, and only the selected tier's early exits are
+    /// priced. A walk that stops in the first tier never prices or
+    /// orders the others; the next tier is selected only when every
+    /// candidate of this one failed `visit`. The order is the one stable
+    /// sort over the whole comparator would give: the comparator is
+    /// lexicographic, and a tier keeps group order among equals.
     fn walk_ranked<'s>(
         &'s self,
         src_idx: usize,
         serving: &GeoPoint,
         mut visit: impl FnMut(Cand<'s>) -> bool,
     ) {
-        let mut reach: Vec<(Reverse<RouteClass>, u32, usize)> = self
+        type Tier = (Reverse<RouteClass>, u32);
+        let reach: Vec<(Tier, usize)> = self
             .groups
             .iter()
             .enumerate()
             .filter_map(|(i, g)| {
                 let r = g.routes.route_at(src_idx)?;
-                Some((Reverse(r.class), r.path_len, i))
+                Some(((Reverse(r.class), r.path_len), i))
             })
             .collect();
-        // Group indices are distinct, so this is the stable sort by
-        // (class desc, length asc) over group order.
-        reach.sort_unstable();
         let mut tier: Vec<Cand<'s>> = Vec::new();
-        for same in reach.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let mut above: Option<Tier> = None;
+        while let Some(best) =
+            reach.iter().map(|&(t, _)| t).filter(|&t| above.is_none_or(|a| t > a)).min()
+        {
             tier.clear();
             tier.extend(
-                same.iter().filter_map(|&(.., i)| self.early_exit(&self.groups[i], src_idx, serving)),
+                reach
+                    .iter()
+                    .filter(|&&(t, _)| t == best)
+                    .filter_map(|&(_, i)| self.early_exit(i, src_idx, serving)),
             );
             tier.sort_by(|a, b| {
                 a.exit_km
@@ -679,20 +703,18 @@ impl<'g> Catchment<'g> {
                     return;
                 }
             }
+            above = Some(best);
         }
     }
 
-    /// `group` as a candidate for the source at `src_idx`: its route and
-    /// the early-exit first hop, or `None` when the group is unreachable.
-    fn early_exit<'s>(
-        &self,
-        group: &'s OriginGroup,
-        src_idx: usize,
-        serving: &GeoPoint,
-    ) -> Option<Cand<'s>> {
+    /// Group `gi` as a candidate for the source at `src_idx`: its route
+    /// and the early-exit first hop, or `None` when the group is
+    /// unreachable.
+    fn early_exit(&self, gi: usize, src_idx: usize, serving: &GeoPoint) -> Option<Cand<'_>> {
+        let group = &self.groups[gi];
         let route = group.routes.route_at(src_idx)?;
         if route.class == RouteClass::Origin {
-            return Some(Cand { group, class: route.class, len: route.path_len, exit_km: 0.0, first: None });
+            return Some(Cand { gi, group, class: route.class, len: route.path_len, exit_km: 0.0, first: None });
         }
         // Early-exit: among equally-best first hops, the source picks
         // the one whose interconnect is nearest its serving PoP.
@@ -701,7 +723,7 @@ impl<'g> Catchment<'g> {
         let (fh, exit_km) = nearest(route.first_hops.iter().copied(), |fh| {
             self.graph.nearest_interconnect(fh.link, serving).1
         })?;
-        Some(Cand { group, class: route.class, len: route.path_len, exit_km, first: Some(fh) })
+        Some(Cand { gi, group, class: route.class, len: route.path_len, exit_km, first: Some(fh) })
     }
 
     /// The eager ranking [`Catchment::walk_ranked`] replaced, kept as its
@@ -709,19 +731,19 @@ impl<'g> Catchment<'g> {
     #[cfg(test)]
     fn candidates(&self, src_idx: usize, serving: &GeoPoint) -> Vec<Cand<'_>> {
         let mut cands: Vec<Cand<'_>> = Vec::new();
-        for group in &self.groups {
+        for (gi, group) in self.groups.iter().enumerate() {
             let Some(route) = group.routes.route_at(src_idx) else {
                 continue;
             };
             if route.class == RouteClass::Origin {
-                cands.push(Cand { group, class: route.class, len: route.path_len, exit_km: 0.0, first: None });
+                cands.push(Cand { gi, group, class: route.class, len: route.path_len, exit_km: 0.0, first: None });
                 continue;
             }
             let best = nearest(route.first_hops.iter().copied(), |fh| {
                 self.graph.nearest_interconnect(fh.link, serving).1
             });
             if let Some((fh, exit_km)) = best {
-                cands.push(Cand { group, class: route.class, len: route.path_len, exit_km, first: Some(fh) });
+                cands.push(Cand { gi, group, class: route.class, len: route.path_len, exit_km, first: Some(fh) });
             }
         }
         // BGP decision: class desc, then path length asc, then early-exit
@@ -736,22 +758,25 @@ impl<'g> Catchment<'g> {
         cands
     }
 
-    /// Builds the full assignment for one candidate group: reconstruct the
-    /// AS path, pick the intra-origin site nearest the entry point (the
-    /// host's internal anycast/early-exit — for a CDN this is "ingress PoP
-    /// to nearest front-end in the ring"), and resolve waypoints. Sites
-    /// mid-drain ([`AnycastDeployment::site_drains`]) are skipped for
-    /// paths entering through a withheld neighbor session; returns `None`
-    /// when that leaves the group with no eligible site (the caller falls
-    /// through to the next-ranked candidate).
+    /// Builds the full assignment for candidate group `gi`: reconstruct
+    /// the AS path, pick the intra-origin site nearest the entry point
+    /// (the host's internal anycast/early-exit — for a CDN this is
+    /// "ingress PoP to nearest front-end in the ring";
+    /// [`Catchment::pick_site`], memoized per entry), and resolve
+    /// waypoints. Sites mid-drain ([`AnycastDeployment::site_drains`])
+    /// are skipped for paths entering through a withheld neighbor
+    /// session; returns `None` when that leaves the group with no
+    /// eligible site (the caller falls through to the next-ranked
+    /// candidate).
     fn materialize(
         &self,
         src_idx: usize,
         user_loc: &GeoPoint,
         serving: &GeoPoint,
-        group: &OriginGroup,
+        gi: usize,
         first: Option<crate::bgp::FirstHop>,
     ) -> Option<SiteAssignment> {
+        let group = &self.groups[gi];
         let (nodes, links) = match first {
             Some(fh) => group.routes.path_via(src_idx, fh)?,
             None => (vec![src_idx], vec![]), // src is the origin
@@ -767,22 +792,7 @@ impl<'g> Catchment<'g> {
         // origin AS (the user's serving PoP when the user sits inside it).
         let (mut points, walked_km) = waypoints::walk(self.graph, &links, user_loc, *serving);
         let entry = *points.last().expect("the walk starts at the user");
-        // Intra-origin site selection: nearest *eligible* hosted site to
-        // the entry. A site is ineligible when its staged drain withholds
-        // this path's entry session. Group sites are in ascending id
-        // order, so the first nearest site is the lowest id among ties.
-        let eligible = |s: SiteId| match (via, self.deployment.drain_of(s)) {
-            (Some(v), Some(d)) => d.withheld.binary_search(&v).is_err(),
-            _ => true,
-        };
-        let (site_id, site_km) = nearest(
-            group
-                .sites
-                .iter()
-                .copied()
-                .filter(|&s| self.deployment.site_drains.is_empty() || eligible(s)),
-            |&s| self.deployment.site(s).location.distance_km(&entry),
-        )?;
+        let (site_id, site_km) = self.pick_site(gi, &entry, via)?;
         points.push(self.deployment.site(site_id).location);
         let path_km = walked_km + site_km;
         let mut as_path: Vec<Asn> =
@@ -800,6 +810,37 @@ impl<'g> Catchment<'g> {
         };
         Some(SiteAssignment { site: site_id, class, as_path, waypoints: points, path_km, entry })
     }
+
+    /// Intra-origin site selection for group `gi`: the nearest
+    /// *eligible* hosted site to `entry` and its distance, or `None`
+    /// when every hosted site withholds the entry session `via`. Served
+    /// from the catchment's memo, scanning the group's sites only on a
+    /// miss.
+    fn pick_site(&self, gi: usize, entry: &GeoPoint, via: Option<Asn>) -> Option<(SiteId, f64)> {
+        let drained = !self.deployment.site_drains.is_empty();
+        let key = (gi, entry.lat().to_bits(), entry.lon().to_bits(), via.filter(|_| drained));
+        if let Some(&pick) = self.picks().get(&key) {
+            return pick;
+        }
+        // A site is ineligible when its staged drain withholds this
+        // path's entry session. Group sites are in ascending id order,
+        // so the first nearest site is the lowest id among ties.
+        let eligible = |s: SiteId| match (via, self.deployment.drain_of(s)) {
+            (Some(v), Some(d)) => d.withheld.binary_search(&v).is_err(),
+            _ => true,
+        };
+        let pick = nearest(
+            self.groups[gi].sites.iter().copied().filter(|&s| !drained || eligible(s)),
+            |&s| self.deployment.site(s).location.distance_km(entry),
+        );
+        self.picks().insert(key, pick);
+        pick
+    }
+
+    /// The site-pick memo, locked. Nothing panics while holding it.
+    fn picks(&self) -> MutexGuard<'_, DetHashMap<PickKey, Option<(SiteId, f64)>>> {
+        self.site_picks.lock().expect("no thread panics holding the site-pick memo")
+    }
 }
 
 #[cfg(test)]
@@ -811,6 +852,7 @@ mod tests {
     use crate::Relationship;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn node(asn: u32, kind: AsKind, pops: Vec<GeoPoint>) -> AsNode {
@@ -1334,16 +1376,7 @@ mod tests {
             for loc in net.user_locations() {
                 let center = net.world.region(loc.region).center;
                 let user = GeoPoint::new(center.lat().round(), center.lon().round());
-                let src_idx = g.idx(loc.asn);
-                let serving = g.serving_pop(loc.asn, &user);
-                let reference: Vec<(Summary, CandidateKey)> = c
-                    .candidates(src_idx, &serving)
-                    .into_iter()
-                    .filter_map(|cand| {
-                        let a = c.materialize(src_idx, &user, &serving, cand.group, cand.first)?;
-                        Some((summary(&a), cand.key()))
-                    })
-                    .collect();
+                let reference = eager(&c, loc.asn, &user);
                 for k in [0, 1, 2, usize::MAX] {
                     let walked: Vec<Summary> =
                         c.ranked_top(loc.asn, &user, k).iter().map(summary).collect();
@@ -1355,6 +1388,101 @@ mod tests {
                 prop_assert_eq!(keyed, reference.first().cloned());
             }
         }
+
+        /// A warm site-pick memo answers as a cold one and as the scan:
+        /// every source queried twice in shuffled order against one
+        /// catchment gets, bit for bit, the `assign_with_key` and
+        /// `ranked_top(1, 2, MAX)` of a fresh catchment and of the eager
+        /// reference with the memo emptied before every pick; so do four
+        /// threads sharing one catchment. Snapping the grid makes entries
+        /// of different sessions coincide, and staged drains make the
+        /// withheld `via` decide the pick at some of them.
+        #[test]
+        fn warm_site_picks_match_the_scan(
+            seed in 0u64..500,
+            dep_seed in 0u64..u64::MAX,
+            step in 1u32..=10,
+        ) {
+            let mut net = InternetGenerator::generate(&TopologyConfig::small(seed));
+            let g = snapped(&net.graph, f64::from(step));
+            let mut rng = StdRng::seed_from_u64(dep_seed);
+            let dep = random_deployment(&mut net, &g, &mut rng);
+            let mut cache = RouteCache::new();
+            let warm = Catchment::compute(&g, &dep, &mut cache);
+            let scan = Catchment::compute(&g, &dep, &mut cache);
+            let sources: Vec<(Asn, GeoPoint)> = net
+                .user_locations()
+                .iter()
+                .map(|loc| {
+                    let center = net.world.region(loc.region).center;
+                    (loc.asn, GeoPoint::new(center.lat().round(), center.lon().round()))
+                })
+                .collect();
+            let expected: Vec<Picks> = sources
+                .iter()
+                .map(|(asn, user)| {
+                    let ranked = eager(&scan, *asn, user);
+                    let top = |k: usize| ranked.iter().take(k).map(|(a, _)| a.clone()).collect();
+                    (ranked.first().cloned(), [top(1), top(2), top(usize::MAX)])
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..sources.len()).chain(0..sources.len()).collect();
+            order.shuffle(&mut rng);
+            for &i in &order {
+                let (asn, user) = sources[i];
+                let got = picks(&warm, asn, &user);
+                let fresh = Catchment::compute(&g, &dep, &mut cache);
+                prop_assert_eq!(&got, &picks(&fresh, asn, &user));
+                prop_assert_eq!(&got, &expected[i], "source {}", i);
+            }
+            let shared = Catchment::compute(&g, &dep, &mut cache);
+            let per_thread: Vec<Vec<Picks>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..4)
+                    .map(|t| {
+                        let (shared, sources) = (&shared, &sources);
+                        scope.spawn(move || {
+                            // Each thread starts a quarter further along.
+                            let n = sources.len();
+                            let mut got = vec![None; n];
+                            for j in 0..n {
+                                let i = (j + t * n / 4) % n;
+                                got[i] = Some(picks(shared, sources[i].0, &sources[i].1));
+                            }
+                            got.into_iter().map(|p| p.expect("every source")).collect()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+            });
+            for got in per_thread {
+                prop_assert_eq!(&got, &expected);
+            }
+        }
+    }
+
+    /// The eager reference: every reachable candidate in the order of
+    /// [`Catchment::candidates`], materialized with the memo emptied
+    /// before each pick, so that every pick is the scan's.
+    fn eager(c: &Catchment<'_>, src: Asn, user: &GeoPoint) -> Vec<(Summary, CandidateKey)> {
+        let src_idx = c.graph.idx(src);
+        let serving = c.graph.serving_pop(src, user);
+        c.candidates(src_idx, &serving)
+            .into_iter()
+            .filter_map(|cand| {
+                c.picks().clear();
+                let a = c.materialize(src_idx, user, &serving, cand.gi, cand.first)?;
+                Some((summary(&a), cand.key()))
+            })
+            .collect()
+    }
+
+    /// `assign_with_key`, then `ranked_top` at k = 1, 2 and `usize::MAX`.
+    type Picks = (Option<(Summary, CandidateKey)>, [Vec<Summary>; 3]);
+
+    fn picks(c: &Catchment<'_>, src: Asn, user: &GeoPoint) -> Picks {
+        let keyed = c.assign_with_key(src, user).map(|(a, key)| (summary(&a), key));
+        let top = |k: usize| c.ranked_top(src, user, k).iter().map(summary).collect();
+        (keyed, [top(1), top(2), top(usize::MAX)])
     }
 
     #[test]
@@ -1457,7 +1585,7 @@ mod tests {
                             .expect("routed");
                         assert_eq!((fh, cand.exit_km.to_bits()), (old_fh, old_km.to_bits()));
                     }
-                    let new = c.materialize(src_idx, &user, &serving, cand.group, cand.first);
+                    let new = c.materialize(src_idx, &user, &serving, cand.gi, cand.first);
                     let old = two_walk(&c, src_idx, &user, cand.group, cand.first);
                     assert_eq!(new.is_some(), old.is_some());
                     let (Some(a), Some((site, points, km, entry))) = (new, old) else { continue };
