@@ -59,7 +59,7 @@ impl WorldConfig {
             atlas_probes: 1000,
             log_samples: 25,
             client_samples: 15,
-            cdn_eyeball_peering: 0.62,
+            cdn_eyeball_peering: CdnConfig::default().eyeball_peering_prob,
             dyn_population: None,
         }
     }

@@ -285,3 +285,28 @@ fn dynload_family_is_thread_count_invariant_and_ledgered() {
         );
     }
 }
+
+/// The chaos campaign shares each epoch's catchment, and its site-pick
+/// memo, across the rank threads more than any other id: `dynchaos` at
+/// smoke scale is byte-identical across thread counts, and both storms
+/// ran their 800 incidents under the oracle without a violation.
+#[test]
+fn dynchaos_is_thread_count_invariant() {
+    let base = std::env::temp_dir().join("anycast-dynchaos-det");
+    let (d1, d8) = (base.join("t1"), base.join("t8"));
+    for d in [&d1, &d8] {
+        let _ = std::fs::remove_dir_all(d);
+        std::fs::create_dir_all(d).expect("mkdir");
+    }
+    run_repro_ids(&d1, 1, &[], &["dynchaos"]);
+    run_repro_ids(&d8, 8, &[], &["dynchaos"]);
+    for name in ["dynchaos.csv", "metrics.json"] {
+        let a = std::fs::read(d1.join(name)).unwrap_or_else(|_| panic!("{name} at t1"));
+        let b = std::fs::read(d8.join(name)).unwrap_or_else(|_| panic!("{name} at t8"));
+        assert_eq!(a, b, "{name} differs between --threads 1 and 8");
+    }
+    let metrics = std::fs::read_to_string(d1.join("metrics.json")).expect("metrics at t1");
+    assert_eq!(extract_counter(&metrics, "chaos.incidents"), 1600);
+    assert!(extract_counter(&metrics, "chaos.oracle_checks") > 0, "the oracle must run");
+    assert_eq!(extract_counter(&metrics, "chaos.violations"), 0);
+}
