@@ -64,7 +64,9 @@ pub struct Ring {
 pub struct Cdn {
     /// The CDN's AS.
     pub asn: Asn,
-    /// Rings, ascending by size.
+    /// Rings, ascending by size. Each ring is a prefix of the next, so
+    /// a front-end has the same site id in every ring that holds it —
+    /// the identity the dynamics engine's ring swaps rely on.
     pub rings: Vec<Ring>,
 }
 
@@ -151,40 +153,6 @@ impl Cdn {
     pub fn ring_index(&self, name: &str) -> Option<usize> {
         self.rings.iter().position(|r| r.name == name)
     }
-
-    /// A stable *universe id* for every site of `ring`: its id in the
-    /// largest ring. Because rings nest, every site of every ring is
-    /// present there, so the universe id identifies one physical
-    /// front-end across all rings — the identity the dynamics engine's
-    /// deployment swaps re-key per-user state through.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a site of `ring` has no counterpart in the largest
-    /// ring (the ring is not from this CDN).
-    pub fn ring_universe(&self, ring: &Ring) -> Vec<u32> {
-        site_remap(&ring.deployment, &self.largest_ring().deployment)
-            .iter()
-            .map(|m| m.expect("rings nest inside the largest ring").0)
-            .collect()
-    }
-}
-
-/// A stable `SiteId → SiteId` mapping between two deployments of one
-/// CDN AS: entry `i` is the id in `to` of the site `from.sites[i]`
-/// (matched by host AS and physical location), or `None` when that
-/// front-end is not part of `to`. For nested rings this is how a
-/// promotion/demotion carries per-site state across the swap.
-pub(crate) fn site_remap(from: &AnycastDeployment, to: &AnycastDeployment) -> Vec<Option<SiteId>> {
-    from.sites
-        .iter()
-        .map(|s| {
-            to.sites
-                .iter()
-                .find(|t| t.host == s.host && t.location.distance_km(&s.location) < 1e-6)
-                .map(|t| t.id)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -212,6 +180,8 @@ mod tests {
         }
         assert_eq!(cdn.rings[0].name, "R28");
         assert_eq!(cdn.largest_ring().name, "R110");
+        assert_eq!(cdn.ring_index("R74"), Some(2));
+        assert_eq!(cdn.ring_index("R9"), None);
     }
 
     #[test]
@@ -232,53 +202,6 @@ mod tests {
         let top = net.world.top_regions_by_population(1)[0].center;
         let fe0 = cdn.rings[0].deployment.sites[0].location;
         assert!(fe0.distance_km(&top) < 1.0);
-    }
-
-    #[test]
-    fn site_remap_is_identity_on_the_nested_prefix() {
-        let (_, cdn) = build_small();
-        let small = &cdn.rings[1].deployment;
-        let big = &cdn.rings[3].deployment;
-        // Promotion direction: every site of the smaller ring maps to
-        // the same index of the larger one (prefix nesting).
-        let up = site_remap(small, big);
-        assert_eq!(up.len(), small.sites.len());
-        for (i, m) in up.iter().enumerate() {
-            assert_eq!(*m, Some(SiteId(i as u32)));
-        }
-        // Demotion direction: the shared prefix maps back, the tail of
-        // the larger ring maps to nothing.
-        let down = site_remap(big, small);
-        for (i, m) in down.iter().enumerate() {
-            if i < small.sites.len() {
-                assert_eq!(*m, Some(SiteId(i as u32)));
-            } else {
-                assert_eq!(*m, None, "site {i} is not in the smaller ring");
-            }
-        }
-    }
-
-    #[test]
-    fn ring_universe_is_consistent_across_rings() {
-        let (_, cdn) = build_small();
-        for ring in &cdn.rings {
-            let uni = cdn.ring_universe(ring);
-            assert_eq!(uni.len(), ring.deployment.sites.len());
-            // Universe ids are unique within a ring…
-            let mut sorted = uni.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), uni.len());
-            // …and two rings agree on the identity of a shared site.
-            let largest = cdn.largest_ring();
-            for (i, &u) in uni.iter().enumerate() {
-                let a = &ring.deployment.sites[i];
-                let b = &largest.deployment.sites[u as usize];
-                assert!(a.location.distance_km(&b.location) < 1e-9);
-            }
-        }
-        assert_eq!(cdn.ring_index("R74"), Some(2));
-        assert_eq!(cdn.ring_index("R9"), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use anycast_chaos::{
 };
 use analysis::SiteCapacities;
 use cdn::{Cdn, CdnConfig};
-use dynamics::{DynUser, DynamicsEngine, EpochStepper, RecomputeMode, SwapDeployment};
+use dynamics::{DynUser, DynamicsEngine, EpochStepper, RecomputeMode};
 use netsim::{LatencyModel, SimTime};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use topology::gen::Internet;
@@ -270,14 +270,7 @@ fn swap_storm_over_cdn_rings_survives() {
             .collect();
         (net, cdn, users)
     });
-    let swap_set: Vec<SwapDeployment> = cdn
-        .rings
-        .iter()
-        .map(|r| SwapDeployment {
-            deployment: Arc::clone(&r.deployment),
-            universe: cdn.ring_universe(r),
-        })
-        .collect();
+    let swap_set: Vec<_> = cdn.rings.iter().map(|r| Arc::clone(&r.deployment)).collect();
     let factory = move |mode: RecomputeMode| {
         DynamicsEngine::new(
             &net.graph,

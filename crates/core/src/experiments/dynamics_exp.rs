@@ -14,8 +14,7 @@ use crate::artifact::Artifact;
 use crate::world::World;
 use analysis::SiteCapacities;
 use dynamics::{
-    DynUser, DynamicsEngine, LoadLedger, RecomputeMode, RoutingEvent, Scenario, SwapDeployment,
-    Timeline,
+    DynUser, DynamicsEngine, LoadLedger, RecomputeMode, RoutingEvent, Scenario, Timeline,
 };
 use geo::GeoPoint;
 use loadmgmt::PolicyName;
@@ -301,25 +300,19 @@ pub(crate) fn dynoutage(world: &World) -> Vec<Artifact> {
 
 /// `dynring`: the CDN's ring maintenance cycle — the serving ring is
 /// promoted R74 → R95 one minute in, held there for half an hour, then
-/// demoted back. Both swaps land as single batched epochs: the engine
-/// re-keys every per-user assignment across the nested-ring site remap
-/// and recomputes only users the added sites actually win (promotion)
-/// or users whose site left the ring (demotion), so the per-epoch
-/// `reused` column stays high even though the whole deployment object
-/// was replaced. The timeline's `shifted` and `inflation_ms` columns
-/// give the per-epoch users-moved and latency deltas of the cycle.
+/// demoted back. Both swaps land as single batched epochs: the rings
+/// are nested, so every per-user assignment on a surviving site carries
+/// over under its id, and the engine recomputes only users the added
+/// sites actually win (promotion) or users whose site left the ring
+/// (demotion), so the per-epoch `reused` column stays high even
+/// though the whole deployment object was replaced. The timeline's
+/// `shifted` and `inflation_ms` columns give the per-epoch users-moved
+/// and latency deltas of the cycle.
 pub(crate) fn dynring(world: &World) -> Vec<Artifact> {
     let cdn = &world.cdn;
     let from = cdn.ring_index("R74").expect("paper ring R74 present");
     let to = cdn.ring_index("R95").expect("paper ring R95 present");
-    let swap_set: Vec<SwapDeployment> = cdn
-        .rings
-        .iter()
-        .map(|r| SwapDeployment {
-            deployment: Arc::clone(&r.deployment),
-            universe: cdn.ring_universe(r),
-        })
-        .collect();
+    let swap_set = cdn.rings.iter().map(|r| Arc::clone(&r.deployment)).collect();
     let mut eng =
         engine(world, Arc::clone(&cdn.rings[from].deployment)).with_swap_set(swap_set, from);
     let scenario = Scenario::ring_swap(

@@ -128,7 +128,7 @@ fn dynamics_csvs_are_thread_count_invariant_and_incremental_saves_work() {
     );
     assert!(
         extract_counter(&metrics, "dynamics.swap.users_rekeyed") > 0,
-        "swaps must carry assignments across the site-id remap"
+        "swaps must carry assignments on surviving sites"
     );
 
     // Even the whole-deployment swap epochs reuse assignments: the

@@ -124,8 +124,8 @@ impl<'g> DynamicsEngine<'g> {
     /// mid-maintenance); a `SiteUp` on one completes it early. Stale
     /// generation-stamped drain follow-ups are recorded no-ops — and
     /// follow-ups are matched by generation stamp *alone*, because a
-    /// swap may have re-keyed (or removed) the site id a queued
-    /// follow-up was scheduled under.
+    /// swap may have removed the site id a queued follow-up was
+    /// scheduled under.
     fn apply_batch(&mut self, batch: &[RoutingEvent]) -> BatchOutcome {
         let n_sites = self.base.sites.len();
         let check = |s: SiteId| {

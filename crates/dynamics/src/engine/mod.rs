@@ -25,7 +25,7 @@
 //! * `apply` — one batched epoch: precedence, cancellation, and the
 //!   commit-or-abort decision;
 //! * `drain` — the staged-drain state machine;
-//! * `swap` — deployment swaps and their site-id remap;
+//! * `swap` — deployment swaps between nested rings;
 //! * `control` — closed-loop controller rounds and the overload and
 //!   headroom readings;
 //! * `reassign` — the effective deployment and the
@@ -55,8 +55,8 @@ use netsim::{LatencyModel, SimClock, SimTime};
 use par::DetHashMap;
 use std::sync::Arc;
 use topology::{
-    AnycastDeployment, AsGraph, Asn, CandidateKey, Catchment, ExportScope, OriginRoutes,
-    RouteCache, SiteId,
+    AnycastDeployment, AnycastSite, AsGraph, Asn, CandidateKey, Catchment, ExportScope,
+    OriginRoutes, RouteCache, SiteId,
 };
 
 /// How the engine reacts to an event.
@@ -138,23 +138,6 @@ pub struct RecomputeMismatch {
     pub kind: MismatchKind,
     /// Human-readable evidence.
     pub detail: String,
-}
-
-/// One entry of the engine's deployment swap set: an alternative
-/// deployment the engine may switch to mid-scenario via
-/// [`RoutingEvent::RingPromote`] / [`RoutingEvent::RingDemote`], plus
-/// a stable *universe id* per site. Universe ids identify one physical site across the whole set
-/// (for nested CDN rings: the site's index in the largest ring, see
-/// `cdn::Cdn::ring_universe`); a swap re-keys every piece of per-site
-/// state through them.
-#[derive(Debug, Clone)]
-pub struct SwapDeployment {
-    /// The deployment this entry swaps in.
-    pub deployment: Arc<AnycastDeployment>,
-    /// Universe id of each site, indexed by the deployment's site ids.
-    /// Must be unique within the entry; ids shared across entries mark
-    /// the same physical site.
-    pub universe: Vec<u32>,
 }
 
 /// Snapshot of one origin group of the current catchment: the shared
@@ -282,9 +265,10 @@ pub struct DynamicsEngine<'g> {
     /// Generation stamp handed to the next drain, so stage and end
     /// events of dead drains are recognizably stale.
     next_gen: u64,
-    /// Deployments the engine may swap between mid-scenario. Empty
-    /// (the default) makes any swap event a hard error.
-    swap_set: Vec<SwapDeployment>,
+    /// Deployments the engine may swap between mid-scenario, nested
+    /// prefixes of one site list. Empty (the default) makes any swap
+    /// event a hard error.
+    swap_set: Vec<Arc<AnycastDeployment>>,
     /// Index of the currently effective swap-set entry.
     current_swap: usize,
     /// Attached closed-loop load controller (`None` — the default —
@@ -514,8 +498,8 @@ impl<'g> DynamicsEngine<'g> {
     /// # Panics
     ///
     /// Panics when `caps` does not cover every site of the deployment,
-    /// or when a swap set is registered (the capacity table is keyed
-    /// by site id, which a deployment swap redefines).
+    /// or when a swap set is registered (swaps and capacities are
+    /// mutually exclusive: the site count changes with the ring).
     pub fn with_capacities(mut self, caps: SiteCapacities) -> Self {
         assert_eq!(
             caps.len(),
@@ -536,39 +520,42 @@ impl<'g> DynamicsEngine<'g> {
 
     /// Registers the deployments this engine may swap between via
     /// [`RoutingEvent::RingPromote`] / [`RoutingEvent::RingDemote`]
-    /// events. `current` indexes the
-    /// entry the engine was constructed over. When a swap fires, every
-    /// piece of per-site state — announcement flags, active drains,
-    /// per-user assignments, the group snapshot — is re-keyed through
-    /// the entries' shared universe ids (see [`SwapDeployment`]).
+    /// events. `current` indexes the entry the engine was constructed
+    /// over. The entries are nested prefixes of one site list, as the
+    /// CDN's rings are: site `i` is the same front-end in every entry
+    /// that has it, so a swap keeps every surviving site's id and only
+    /// resizes the per-site state to the new site count.
     ///
     /// # Panics
     ///
-    /// Panics when `current` is out of range, when entry `current`'s
-    /// deployment is not the engine's own handle, when a universe list
-    /// does not cover its deployment's sites or repeats an id, or when
-    /// per-site capacities are configured (swaps and capacities are
-    /// mutually exclusive: the capacity table is keyed by site id).
-    pub fn with_swap_set(mut self, set: Vec<SwapDeployment>, current: usize) -> Self {
+    /// Panics when `current` is out of range, when entry `current` is
+    /// not the engine's own deployment handle, when two entries
+    /// disagree on the host or location (bit for bit) of a site id they
+    /// share, or when per-site capacities are configured (swaps and
+    /// capacities are mutually exclusive: the site count changes with
+    /// the ring).
+    pub fn with_swap_set(mut self, set: Vec<Arc<AnycastDeployment>>, current: usize) -> Self {
         assert!(current < set.len(), "current swap index {current} out of range");
         assert!(
-            Arc::ptr_eq(&set[current].deployment, &self.base),
+            Arc::ptr_eq(&set[current], &self.base),
             "swap set entry {current} must be the engine's own deployment"
         );
         assert!(
             self.capacities.is_none(),
             "deployment swaps do not support per-site capacities"
         );
-        for (i, e) in set.iter().enumerate() {
-            assert_eq!(
-                e.universe.len(),
-                e.deployment.sites.len(),
-                "universe of swap entry {i} must cover its sites"
-            );
-            let mut uni = e.universe.clone();
-            uni.sort_unstable();
-            uni.dedup();
-            assert_eq!(uni.len(), e.universe.len(), "universe ids of swap entry {i} must be unique");
+        let widest = set.iter().max_by_key(|d| d.sites.len()).expect("current is in range");
+        let bits =
+            |s: &AnycastSite| (s.host, s.location.lat().to_bits(), s.location.lon().to_bits());
+        for (i, d) in set.iter().enumerate() {
+            for (a, b) in d.sites.iter().zip(&widest.sites) {
+                assert!(
+                    bits(a) == bits(b),
+                    "swap entries must be nested prefixes: entry {i} and {} disagree on {}",
+                    widest.name,
+                    a.id
+                );
+            }
         }
         self.swap_set = set;
         self.current_swap = current;

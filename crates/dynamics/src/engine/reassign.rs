@@ -76,14 +76,9 @@ impl<'g> DynamicsEngine<'g> {
         // Snapshot its origin groups in original site ids.
         let mut new_groups: DetHashMap<(Asn, ExportScope), GroupSnap> = DetHashMap::default();
         if let Some(c) = &catchment {
-            for (host, scope) in c.group_keys() {
-                let routes = c.group_routes(host, scope).expect("listed group");
-                let mut sites: Vec<SiteId> = c
-                    .group_sites(host, scope)
-                    .expect("listed group")
-                    .iter()
-                    .map(|s| dense_to_orig[s.0 as usize])
-                    .collect();
+            for (host, scope, routes, sites) in c.groups() {
+                let mut sites: Vec<SiteId> =
+                    sites.iter().map(|s| dense_to_orig[s.0 as usize]).collect();
                 sites.sort_unstable();
                 let drains: Vec<(SiteId, Vec<Asn>)> = sites
                     .iter()
@@ -92,7 +87,10 @@ impl<'g> DynamicsEngine<'g> {
                         (!w.is_empty()).then_some((*s, w))
                     })
                     .collect();
-                new_groups.insert((host, scope), GroupSnap { routes, sites, drains });
+                new_groups.insert(
+                    (host, scope),
+                    GroupSnap { routes: Arc::clone(routes), sites, drains },
+                );
             }
         }
 

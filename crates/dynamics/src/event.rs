@@ -72,8 +72,8 @@ pub enum RoutingEvent {
     /// Ring promotion: the engine's effective deployment is replaced by
     /// entry `to` of its registered swap set
     /// (`DynamicsEngine::with_swap_set`) — one batched epoch of site
-    /// additions and removals with a single recompute, re-keying
-    /// per-user state across the site-id remap. Named for the CDN
+    /// additions and removals with a single recompute; surviving sites
+    /// keep their ids (the rings are nested). Named for the CDN
     /// operation it scripts (R74 → R95). A same-`SimTime`
     /// promote+demote pair targeting one ring cancels into a recorded
     /// no-op.

@@ -5,11 +5,10 @@
 //! answers "what happens while that answer is changing?". A
 //! [`Scenario`] scripts routing events — site failures and recoveries,
 //! load-aware gradual maintenance drains, peering losses, and ring
-//! promotions/demotions that swap the whole effective
-//! deployment (see [`SwapDeployment`]) — onto `netsim`'s simulated
-//! clock; the [`DynamicsEngine`]
-//! replays them over a deployment and emits a per-epoch [`Timeline`]:
-//! users shifted, latency inflation, stylized convergence time,
+//! promotions/demotions that swap the whole effective deployment
+//! between nested rings (see [`DynamicsEngine::with_swap_set`]) — onto
+//! `netsim`'s simulated clock; the [`DynamicsEngine`] replays them
+//! over a deployment and emits a per-epoch [`Timeline`]: users shifted, latency inflation, stylized convergence time,
 //! queries landing degraded, capacity headroom, and how much per-user
 //! work the engine's incremental recomputation saved over a full
 //! sweep.
@@ -55,7 +54,6 @@ pub mod timeline;
 pub use columnar::expand_counts;
 pub use engine::{
     DynUser, DynamicsEngine, EpochStepper, LoadLedger, MismatchKind, RecomputeMode, ServingCohort,
-    SwapDeployment,
 };
 pub use event::{RoutingEvent, ScheduledEvent};
 pub use scenario::Scenario;

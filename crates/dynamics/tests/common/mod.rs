@@ -7,7 +7,7 @@
 
 #![allow(dead_code)] // each test binary uses the subset it needs
 
-use anycast_dynamics::{DynUser, SwapDeployment};
+use anycast_dynamics::DynUser;
 use cdn::{Cdn, CdnConfig};
 use std::sync::{Arc, Mutex, MutexGuard};
 use topology::gen::Internet;
@@ -70,12 +70,6 @@ pub fn cdn_world(seed: u64) -> (Internet, Cdn, Vec<DynUser>) {
 }
 
 /// One swap slot per ring of `cdn`, in ring order.
-pub fn swap_set(cdn: &Cdn) -> Vec<SwapDeployment> {
-    cdn.rings
-        .iter()
-        .map(|r| SwapDeployment {
-            deployment: Arc::clone(&r.deployment),
-            universe: cdn.ring_universe(r),
-        })
-        .collect()
+pub fn swap_set(cdn: &Cdn) -> Vec<Arc<AnycastDeployment>> {
+    cdn.rings.iter().map(|r| Arc::clone(&r.deployment)).collect()
 }

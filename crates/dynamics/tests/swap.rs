@@ -272,3 +272,49 @@ fn swap_set_after_capacities_panics() {
     .with_capacities(caps)
     .with_swap_set(swap_set(&cdn), r74);
 }
+
+/// The other order of the exclusion: capacities after a swap set.
+#[test]
+#[should_panic(expected = "capacities")]
+fn capacities_after_swap_set_panics() {
+    let (net, cdn, users) = cdn_world();
+    let r74 = cdn.ring_index("R74").unwrap();
+    let n = cdn.rings[r74].deployment.sites.len();
+    let caps = analysis::SiteCapacities::uniform(n, 1e9);
+    let _ = DynamicsEngine::new(
+        &net.graph,
+        Arc::clone(&cdn.rings[r74].deployment),
+        LatencyModel::default(),
+        users,
+        RecomputeMode::Incremental,
+    )
+    .with_swap_set(swap_set(&cdn), r74)
+    .with_capacities(caps);
+}
+
+/// Swap entries must be nested prefixes of one site list: an entry
+/// that puts a different front-end under a shared site id is rejected
+/// at registration, before any swap could carry state to the wrong
+/// site.
+#[test]
+#[should_panic(expected = "nested prefixes")]
+fn non_nested_swap_set_panics() {
+    let (net, cdn, users) = cdn_world();
+    let r74 = cdn.ring_index("R74").unwrap();
+    let r95 = &cdn.rings[cdn.ring_index("R95").unwrap()].deployment;
+    // R95 with its first two front-ends' locations exchanged.
+    let mut sites = r95.sites.clone();
+    let (a, b) = (sites[0].location, sites[1].location);
+    sites[0].location = b;
+    sites[1].location = a;
+    let shuffled = Arc::new(topology::AnycastDeployment::new("R95-shuffled", sites, vec![]));
+    let own = Arc::clone(&cdn.rings[r74].deployment);
+    let _ = DynamicsEngine::new(
+        &net.graph,
+        Arc::clone(&own),
+        LatencyModel::default(),
+        users,
+        RecomputeMode::Incremental,
+    )
+    .with_swap_set(vec![own, shuffled], 0);
+}

@@ -622,31 +622,17 @@ impl<'g> Catchment<'g> {
         best
     }
 
-    /// The origin groups of this catchment, as `(host, scope)` keys in
-    /// their internal (deterministic) order. One BGP computation backs
-    /// each group; incremental layers diff successive catchments at this
-    /// granularity.
-    pub fn group_keys(&self) -> Vec<(Asn, ExportScope)> {
-        self.groups.iter().map(|g| (g.host, g.scope)).collect()
-    }
-
-    /// Shared handle to the origin routes backing group `(host, scope)`,
-    /// if such a group exists. `Arc::ptr_eq` on two catchments' handles
-    /// proves the underlying BGP computation was reused unchanged.
-    pub fn group_routes(&self, host: Asn, scope: ExportScope) -> Option<Arc<OriginRoutes>> {
-        self.groups
-            .iter()
-            .find(|g| g.host == host && g.scope == scope)
-            .map(|g| Arc::clone(&g.routes))
-    }
-
-    /// The sites announced by group `(host, scope)`, if such a group
-    /// exists.
-    pub fn group_sites(&self, host: Asn, scope: ExportScope) -> Option<&[SiteId]> {
-        self.groups
-            .iter()
-            .find(|g| g.host == host && g.scope == scope)
-            .map(|g| g.sites.as_slice())
+    /// The origin groups of this catchment in their internal
+    /// (deterministic) order, as `(host, scope, routes, sites)`: the
+    /// group's key, the shared origin routes backing it, and the sites
+    /// it announces. One BGP computation backs each group; incremental
+    /// layers diff successive catchments at this granularity, and
+    /// `Arc::ptr_eq` on two catchments' routes proves the underlying
+    /// BGP computation was reused unchanged.
+    pub fn groups(
+        &self,
+    ) -> impl Iterator<Item = (Asn, ExportScope, &Arc<OriginRoutes>, &[SiteId])> + '_ {
+        self.groups.iter().map(|g| (g.host, g.scope, &g.routes, g.sites.as_slice()))
     }
 
     /// Hands the reachable candidate groups for one source to `visit` in
@@ -1206,18 +1192,23 @@ mod tests {
         let (g, dep) = inflation_world();
         let mut cache = RouteCache::new();
         let c = Catchment::compute(&g, &dep, &mut cache);
-        let keys = c.group_keys();
+        let keys: Vec<(Asn, ExportScope)> = c.groups().map(|(h, s, _, _)| (h, s)).collect();
         assert_eq!(keys.len(), 2);
         assert!(keys.contains(&(Asn(10), ExportScope::Global)));
         assert!(keys.contains(&(Asn(21), ExportScope::Global)));
-        assert_eq!(c.group_sites(Asn(10), ExportScope::Global).unwrap(), &[SiteId(0)]);
-        assert!(c.group_routes(Asn(10), ExportScope::Global).is_some());
-        assert!(c.group_routes(Asn(10), ExportScope::Local).is_none());
+        let group = |c: &Catchment, scope| {
+            c.groups()
+                .find(|&(h, s, _, _)| h == Asn(10) && s == scope)
+                .map(|(_, _, routes, sites)| (Arc::clone(routes), sites.to_vec()))
+        };
+        assert_eq!(group(&c, ExportScope::Global).unwrap().1, [SiteId(0)]);
+        assert!(group(&c, ExportScope::Global).is_some());
+        assert!(group(&c, ExportScope::Local).is_none());
         // Recomputing over the same cache reuses the same routes Arc.
         let c2 = Catchment::compute(&g, &dep, &mut cache);
         assert!(Arc::ptr_eq(
-            &c.group_routes(Asn(10), ExportScope::Global).unwrap(),
-            &c2.group_routes(Asn(10), ExportScope::Global).unwrap()
+            &group(&c, ExportScope::Global).unwrap().0,
+            &group(&c2, ExportScope::Global).unwrap().0
         ));
     }
 

@@ -4,6 +4,7 @@
 //! renamed design doc or a deleted crate breaks readers long before
 //! anyone notices — so CI runs this as its docs-integrity step.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// The documentation set under the link contract: the top-level docs
@@ -132,6 +133,107 @@ fn every_backticked_repo_path_exists() {
     }
     assert!(checked > 0, "no backticked repo paths found — the extractor is broken");
     assert!(missing.is_empty(), "docs cite missing repo paths:\n  {}", missing.join("\n  "));
+}
+
+/// The workspace crates as `(import name, directory)`, read from the
+/// root manifest's `[workspace.dependencies]` path entries, so a crate
+/// added there is covered without editing this test.
+fn workspace_crates(root: &Path) -> Vec<(String, PathBuf)> {
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("read Cargo.toml");
+    manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[workspace.dependencies]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| {
+            let (key, rest) = l.split_once(" = ")?;
+            let dir = rest.split("path = \"").nth(1)?.split('"').next()?;
+            dir.starts_with("crates/").then(|| (key.trim().replace('-', "_"), root.join(dir)))
+        })
+        .collect()
+}
+
+/// Every identifier word in the `.rs` files under `dir`, recursively.
+fn source_words(dir: &Path, words: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("readable source entry").path();
+        if path.is_dir() {
+            source_words(&path, words);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+            words.extend(
+                text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .filter(|w| !w.is_empty())
+                    .map(str::to_string),
+            );
+        }
+    }
+}
+
+/// Every `a::b::c` path inside the inline code spans of `text` (fenced
+/// blocks skipped).
+fn cited_rust_paths(text: &str) -> Vec<String> {
+    let mut prose = String::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    prose
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .flat_map(|span| span.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':')))
+        .filter(|token| token.contains("::"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every backticked `crate::…::name` path in the docs whose first
+/// segment is a workspace crate names something that crate's `src/`
+/// still spells: its last segment appears there as a word. This is a
+/// cheap name check, not name resolution — it cannot tell which module
+/// holds the word — but it catches a cited function or type that was
+/// renamed or deleted, or never existed.
+#[test]
+fn every_backticked_crate_path_names_a_word_of_its_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates = workspace_crates(root);
+    assert!(crates.len() > 10, "too few workspace crates parsed: {crates:?}");
+    let mut words: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for (name, dir) in &crates {
+        source_words(&dir.join("src"), words.entry(name).or_default());
+    }
+    let mut stale = Vec::new();
+    let mut checked = 0usize;
+    for file in doc_files() {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        for path in cited_rust_paths(&text) {
+            let segments: Vec<&str> = path.split("::").collect();
+            let (Some(known), Some(&last)) = (words.get(segments[0]), segments.last()) else {
+                continue;
+            };
+            if last.is_empty() {
+                continue;
+            }
+            checked += 1;
+            if !known.contains(last) {
+                stale.push(format!("{} -> {path}", file.display()));
+            }
+        }
+    }
+    assert!(checked > 0, "no backticked crate paths found — the extractor is broken");
+    assert!(
+        stale.is_empty(),
+        "docs cite names their crate does not have:\n  {}",
+        stale.join("\n  ")
+    );
 }
 
 /// The handbook set is part of the repo's contract: auto-discovery
