@@ -8,9 +8,12 @@
 //! many IPs; the two datasets see different ones); aggregating both sides
 //! to /24 first raises DITL volume coverage from 8.4% to 72.2%
 //! (Table 4). The APNIC variant joins by origin AS instead.
+//!
+//! Every row of the cleaned dataset counts with its full volume, so when
+//! the B.1 counterfactual keeps invalid traffic, that traffic is
+//! amortized too — the point of Fig. 8.
 
 use crate::preprocess::CleanDitl;
-use dns::query::QueryClass;
 use serde::{Deserialize, Serialize};
 use par::DetHashMap as HashMap;
 use topology::{Asn, IpToAsnService, Ipv4Addr24, Prefix24};
@@ -61,21 +64,12 @@ pub struct JoinedData {
     pub stats: JoinStats,
 }
 
-/// Whether a row contributes to user-perceived latency (what Fig. 3
-/// amortizes). When the B.1 counterfactual keeps invalid traffic in the
-/// dataset, those rows count too — that is the point of Fig. 8.
-fn row_volume(class: QueryClass, q: f64) -> f64 {
-    let _ = class;
-    q
-}
-
 /// Joins at /24 granularity (the paper's DITL∩CDN dataset).
 pub fn join_by_prefix(clean: &CleanDitl, counts: &CdnUserCounts) -> JoinedData {
     let users_by_prefix = counts.by_prefix();
     let mut queries: HashMap<Prefix24, f64> = HashMap::default();
     for row in &clean.rows {
-        *queries.entry(row.src.prefix).or_default() +=
-            row_volume(row.class, row.queries_per_day);
+        *queries.entry(row.src.prefix).or_default() += row.queries_per_day;
     }
     join_maps(
         queries.into_iter().map(|(k, v)| (JoinKey::Prefix(k), v)).collect(),
@@ -87,7 +81,7 @@ pub fn join_by_prefix(clean: &CleanDitl, counts: &CdnUserCounts) -> JoinedData {
 pub fn join_by_ip(clean: &CleanDitl, counts: &CdnUserCounts) -> JoinedData {
     let mut queries: HashMap<Ipv4Addr24, f64> = HashMap::default();
     for row in &clean.rows {
-        *queries.entry(row.src).or_default() += row_volume(row.class, row.queries_per_day);
+        *queries.entry(row.src).or_default() += row.queries_per_day;
     }
     join_maps(
         queries.into_iter().map(|(k, v)| (JoinKey::Ip(k), v)).collect(),
@@ -107,7 +101,7 @@ pub fn join_by_asn(
     let mut total = 0.0;
     let mut mapped = 0.0;
     for row in &clean.rows {
-        let v = row_volume(row.class, row.queries_per_day);
+        let v = row.queries_per_day;
         total += v;
         if let Some(asn) = ip_to_asn.lookup(row.src.prefix) {
             mapped += v;
@@ -161,6 +155,7 @@ mod tests {
     use super::*;
     use crate::preprocess::FilterStats;
     use dns::letters::Letter;
+    use dns::query::QueryClass;
     use topology::SiteId;
     use workload::ditl::DitlRow;
 

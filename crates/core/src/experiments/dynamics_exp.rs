@@ -368,8 +368,8 @@ pub(crate) fn dynpeer(world: &World) -> Vec<Artifact> {
 /// hottest site flaps three times. Per-event metrics must match the
 /// unexpanded engine's fractions — the expansion splits each source's
 /// weight evenly — while the run summary's invalidation ledger
-/// (`slice_users` vs `scan_equivalent_users`) proves that epoch
-/// invalidation visited group slices, not the population.
+/// (`slice_users` vs `scan_equivalent_users`) shows that epoch
+/// invalidation checked only the cohorts of groups the flap touched.
 pub(crate) fn dynscale(world: &World) -> Vec<Artifact> {
     let letter = busiest_letter(world);
     let mut eng = expanded_engine(world, Arc::clone(&letter.deployment), RecomputeMode::Incremental);

@@ -155,9 +155,9 @@ fn dynamics_csvs_are_thread_count_invariant_and_incremental_saves_work() {
 
 /// The columnar expanded-population experiment obeys the same
 /// contract: `dynscale` at a 30k `--population` override is
-/// byte-identical across thread counts, and the slice-invalidation
-/// counters prove epoch invalidation walked index slices instead of
-/// scanning the whole population.
+/// byte-identical across thread counts, and the invalidation counters
+/// show epoch invalidation checked fewer users than a scan of the
+/// whole population.
 #[test]
 fn dynscale_is_thread_count_invariant_and_slices_beat_scans() {
     let base = std::env::temp_dir().join("anycast-dynscale-det");

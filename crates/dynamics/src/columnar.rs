@@ -1,4 +1,4 @@
-//! The cohort table and group index behind million-user populations.
+//! The cohort table behind million-user populations.
 //!
 //! The engine's unit of state is the *expansion cohort*, not the user.
 //! Every user expanded from one weighted location shares its
@@ -7,25 +7,20 @@
 //! stores and re-ranks one `UserState` row per cohort, and an epoch's
 //! cost scales with cohorts, never with the expanded population. The
 //! only per-user data is each member's query volume, which replay
-//! draws from. This module holds the two pieces of that design:
-//!
-//! * `Cohort` — the expansion unit. [`expand_counts`] fans the ~2k
-//!   weighted locations out to per-user counts, and each cohort owns a
-//!   *contiguous* user-id range, so per-user data is sliced per cohort;
-//! * `GroupIndex` — the inverted index `(host, scope) → cohort ids`,
-//!   maintained incrementally as cohorts change winning origin group,
-//!   so an epoch's invalidation set is a handful of slice iterations
-//!   instead of a full-population scan.
+//! draws from. This module holds the expansion unit, `Cohort`:
+//! [`expand_counts`] fans the ~2k weighted locations out to per-user
+//! counts, and each cohort owns a *contiguous* user-id range, so
+//! per-user data is sliced per cohort. An epoch's invalidation reads
+//! each cohort's group from its stored key in one pass over the
+//! cohort table, so it too costs O(cohorts).
 //!
 //! Everything here is deterministic: [`expand_counts`] seeds its
-//! apportionment tie-breaks via [`par::seed_for`], and the index is a
-//! [`DetHashMap`] of sorted vectors, so iteration order is a pure
-//! function of the update sequence — byte-identical at any `--threads`
+//! apportionment tie-breaks via [`par::seed_for`], so the expansion is
+//! a pure function of its inputs — byte-identical at any `--threads`
 //! value.
 
 use geo::GeoPoint;
-use par::DetHashMap;
-use topology::{Asn, ExportScope};
+use topology::Asn;
 
 /// One expansion cohort: the contiguous user-id range `start..end`
 /// expanded from one weighted location. Assignment state is uniform
@@ -108,72 +103,6 @@ pub fn expand_counts(weights: &[f64], target: usize, seed: u64) -> Vec<u32> {
     counts
 }
 
-/// The inverted index of the columnar core: which cohorts currently
-/// store each `(host, scope)` origin group as their winning key, plus
-/// the cohorts with no stored key at all. Maintained incrementally as
-/// assignments change, so an epoch's invalidation visits only the
-/// member lists of groups the epoch could have touched.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GroupIndex {
-    /// Sorted cohort ids per stored winning group. Entries whose member
-    /// list empties are removed outright.
-    pub(crate) groups: DetHashMap<(Asn, ExportScope), Vec<u32>>,
-    /// Sorted cohort ids with no stored candidate key (unserved since
-    /// the last full wipe).
-    pub(crate) unkeyed: Vec<u32>,
-}
-
-impl GroupIndex {
-    /// An index where every cohort of a population of `n_cohorts` is
-    /// unkeyed — the state before the first assignment.
-    pub(crate) fn all_unkeyed(n_cohorts: usize) -> Self {
-        Self { groups: DetHashMap::default(), unkeyed: (0..n_cohorts as u32).collect() }
-    }
-
-    /// Moves cohort `c` from group `from` to group `to` (`None` = the
-    /// unkeyed bucket on either side). No-op when `from == to`.
-    pub(crate) fn move_cohort(
-        &mut self,
-        c: u32,
-        from: Option<(Asn, ExportScope)>,
-        to: Option<(Asn, ExportScope)>,
-    ) {
-        if from == to {
-            return;
-        }
-        match from {
-            None => {
-                if let Ok(pos) = self.unkeyed.binary_search(&c) {
-                    self.unkeyed.remove(pos);
-                }
-            }
-            Some(g) => {
-                if let Some(members) = self.groups.get_mut(&g) {
-                    if let Ok(pos) = members.binary_search(&c) {
-                        members.remove(pos);
-                    }
-                    if members.is_empty() {
-                        self.groups.remove(&g);
-                    }
-                }
-            }
-        }
-        match to {
-            None => {
-                if let Err(pos) = self.unkeyed.binary_search(&c) {
-                    self.unkeyed.insert(pos, c);
-                }
-            }
-            Some(g) => {
-                let members = self.groups.entry(g).or_default();
-                if let Err(pos) = members.binary_search(&c) {
-                    members.insert(pos, c);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,32 +143,5 @@ mod tests {
             let quota = 1.0 + w / total * extra;
             assert!((c as f64 - quota).abs() <= 1.0, "count {c} too far from quota {quota}");
         }
-    }
-
-    #[test]
-    fn group_index_moves_preserve_membership_and_drop_empties() {
-        let g1 = (Asn(10), ExportScope::Global);
-        let g2 = (Asn(20), ExportScope::Local);
-        let mut idx = GroupIndex::all_unkeyed(4);
-        // Total cohorts tracked (keyed + unkeyed).
-        let cohort_count =
-            |idx: &GroupIndex| idx.unkeyed.len() + idx.groups.values().map(Vec::len).sum::<usize>();
-        assert_eq!(idx.unkeyed, vec![0, 1, 2, 3]);
-        idx.move_cohort(2, None, Some(g1));
-        idx.move_cohort(0, None, Some(g1));
-        idx.move_cohort(3, None, Some(g2));
-        assert_eq!(idx.unkeyed, vec![1]);
-        assert_eq!(idx.groups[&g1], vec![0, 2], "member lists stay sorted");
-        assert_eq!(cohort_count(&idx), 4);
-        // Group-to-group move; the emptied entry disappears.
-        idx.move_cohort(3, Some(g2), Some(g1));
-        assert!(!idx.groups.contains_key(&g2));
-        assert_eq!(idx.groups[&g1], vec![0, 2, 3]);
-        // Back to unkeyed; same-group moves are no-ops.
-        idx.move_cohort(2, Some(g1), None);
-        idx.move_cohort(0, Some(g1), Some(g1));
-        assert_eq!(idx.unkeyed, vec![1, 2]);
-        assert_eq!(idx.groups[&g1], vec![0, 3]);
-        assert_eq!(cohort_count(&idx), 4);
     }
 }

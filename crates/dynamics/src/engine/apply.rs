@@ -50,17 +50,11 @@ impl<'g> DynamicsEngine<'g> {
         let label = labels.join(" + ");
         // Snapshot the assignment state only when an abort is
         // possible.
-        let snap = (!escalated.is_empty() && self.capacities.is_some()).then(|| {
-            (
-                self.states.clone(),
-                self.groups.clone(),
-                self.index.clone(),
-                self.orphans.clone(),
-            )
-        });
+        let snap = (!escalated.is_empty() && self.capacities.is_some())
+            .then(|| (self.states.clone(), self.groups.clone(), self.orphans.clone()));
         let mut rec = self.reassign(&label, false);
         let mut committed = true;
-        if let Some((states, groups, index, orphans)) = snap {
+        if let Some((states, groups, orphans)) = snap {
             let violation = {
                 let caps = self.capacities.as_ref().expect("snapshot implies capacities");
                 let loads = self.site_loads();
@@ -68,15 +62,17 @@ impl<'g> DynamicsEngine<'g> {
                     .map(|(site, load)| (site, load, caps.capacity(site)))
             };
             if let Some((site, load, cap)) = violation {
-                // Roll back: restore the assignment state, cancel
-                // every drain that escalated this epoch, and
-                // recompute. The restored routing inputs equal the
-                // pre-epoch ones, so the (deterministic) recompute
-                // provably reproduces the pre-epoch assignment
-                // byte-for-byte.
+                // Roll back: restore the pre-epoch assignment state,
+                // cancel every drain that escalated this epoch — the
+                // whole drain, not just this stage — and recompute.
+                // The routing inputs then equal those of a run in
+                // which the drain never started, so the
+                // (deterministic) recompute reproduces the pre-drain
+                // assignment byte-for-byte. Users an earlier committed
+                // stage moved move back, and the abort record's
+                // `shifted` counts them.
                 self.states = states;
                 self.groups = groups;
-                self.index = index;
                 self.orphans = orphans;
                 for &s in &escalated {
                     self.abort_drain(s);

@@ -12,10 +12,11 @@
 //! *cohort* (the contiguous user-id range fanned out from one weighted
 //! source — see [`crate::columnar`]), whether the epoch could
 //! possibly have changed its BGP choice.
-//! Candidate cohorts come from the inverted group index, not a
-//! population scan; only challenged cohorts are re-ranked, and the
-//! result is stored once, in the cohort's state row. Everybody else
-//! reuses their stored assignment verbatim.
+//! Candidate cohorts come from one pass over the cohort table, which
+//! reads each cohort's group from its stored key; only challenged
+//! cohorts are re-ranked, and the result is stored once, in the
+//! cohort's state row. Everybody else reuses their stored assignment
+//! verbatim.
 //!
 //! This module holds the engine and every type it uses, its
 //! constructors, builders and accessors, and [`DynamicsEngine::run`].
@@ -44,7 +45,7 @@ mod tests;
 
 pub use stepper::EpochStepper;
 
-use crate::columnar::{Cohort, GroupIndex};
+use crate::columnar::Cohort;
 use crate::event::RoutingEvent;
 use crate::scenario::Scenario;
 use crate::timeline::{EpochRecord, Timeline};
@@ -232,17 +233,14 @@ pub struct DynamicsEngine<'g> {
     /// the oracle all read and compare it, so an epoch's cost scales
     /// with cohorts, never with the expanded population.
     states: Vec<UserState>,
-    /// Inverted index `(host, scope) → cohort ids` over the *stored*
-    /// winning keys, maintained incrementally so epoch invalidation is
-    /// slice iteration, not a full-population scan.
-    index: GroupIndex,
     /// Cohorts whose site a deployment swap removed while their stored
     /// key survived — the rule-0 set, re-ranked unconditionally at the
     /// next recompute. Sorted; always cleared by `reassign`.
     orphans: Vec<u32>,
-    /// Running totals behind `dynamics.invalidation.*`: users covered
-    /// by index slices the invalidation actually visited, vs the
-    /// population a per-user scan would have walked.
+    /// Running totals behind `dynamics.invalidation.*`: users in the
+    /// cohorts whose group (or the unkeyed bucket, or the orphan list)
+    /// the invalidation rules opened for a check, vs the population a
+    /// per-user scan would have walked.
     slice_users_total: u64,
     population_total: u64,
     total_weight: f64,
@@ -441,7 +439,6 @@ impl<'g> DynamicsEngine<'g> {
             cohorts,
             queries_per_day: qpd,
             states: vec![UNSERVED; n_cohorts],
-            index: GroupIndex::all_unkeyed(n_cohorts),
             orphans: Vec::new(),
             slice_users_total: 0,
             population_total: 0,
@@ -670,10 +667,11 @@ impl<'g> DynamicsEngine<'g> {
     }
 
     /// Running invalidation ledger: `(slice_users, population)` summed
-    /// over every non-init recompute — how many users sat in index
-    /// slices the invalidation actually visited, vs how many a
+    /// over every non-init recompute — how many users sat in cohorts
+    /// whose stored group (or the unkeyed bucket, or the orphan list)
+    /// the invalidation rules opened for a check, vs how many a
     /// per-user scan would have walked. `slice_users < population`
-    /// is the engine's proof of sub-linear epoch work.
+    /// shows that groups the epoch did not touch were skipped.
     pub fn invalidation_ledger(&self) -> (u64, u64) {
         (self.slice_users_total, self.population_total)
     }

@@ -14,13 +14,25 @@ use super::{
     DynamicsEngine, GroupSnap, MismatchKind, RecomputeMismatch, RecomputeMode, ReassignPlan,
     UserState, UNSERVED,
 };
-use crate::timeline::{weighted_median, EpochRecord};
+use crate::timeline::EpochRecord;
+use analysis::WeightedCdf;
 use netsim::{LastMile, PathProfile};
-use par::{DetHashMap, DetHashSet};
+use par::DetHashMap;
 use std::sync::Arc;
 use topology::{AnycastDeployment, Asn, Catchment, ExportScope, OriginRoutes, SiteDrain, SiteId};
 
 const MS_PER_DAY: f64 = 86_400_000.0;
+
+/// What the group diff found for one stored `(host, scope)` group that
+/// the epoch touched.
+enum GroupChange {
+    /// Removed, or its routes or drain footprint changed: every cohort
+    /// keyed under it re-ranks.
+    Invalidated,
+    /// Only the hosted-site list changed (both lists sorted): the
+    /// site-diff rule decides per cohort.
+    Sites { added: Vec<SiteId>, removed: Vec<SiteId> },
+}
 
 impl<'g> DynamicsEngine<'g> {
     /// The deployment as currently announced: alive sites, re-id'd
@@ -94,161 +106,158 @@ impl<'g> DynamicsEngine<'g> {
             }
         }
 
-        // Who must be re-ranked? Selection walks the *group index*,
-        // not the population: cohorts of a group the epoch provably
-        // did not touch are skipped without visiting their slices, so
-        // `slice_users` — the user count under slices actually
-        // visited — is the honest measure of invalidation work.
-        let n_cohorts = self.cohorts.len();
-        let mut slice_users = 0u64;
-        let affected: Vec<u32> = if is_init || self.mode == RecomputeMode::Full {
-            slice_users = population as u64;
-            (0..n_cohorts as u32).collect()
+        // Who must be re-ranked?
+        let (affected, slice_users) = if is_init || self.mode == RecomputeMode::Full {
+            ((0..self.cohorts.len() as u32).collect(), population as u64)
         } else {
-            // Diff the group sets. A group whose routes Arc, hosted
-            // sites, and drain footprint all survived unchanged ranks
-            // and materializes exactly as before. A group whose ONLY
-            // change is its hosted-site list (the site up/down and
-            // deployment-swap shape) is diffed site-by-site: its own
-            // users re-rank only when their stored site was removed or
-            // an added site beats it on `Catchment::pick_site`'s
-            // nearest-to-entry tie-break, and it challenges other
-            // groups' users only when sites were added (shrinking a
-            // group cannot improve it). Everything else invalidates
-            // its own users wholesale and may challenge others.
-            let mut invalidated: DetHashSet<(Asn, ExportScope)> = DetHashSet::default();
-            let mut site_diffed: DetHashMap<(Asn, ExportScope), (Vec<SiteId>, Vec<SiteId>)> =
-                DetHashMap::default();
-            let mut challengers: Vec<((Asn, ExportScope), Arc<OriginRoutes>)> = Vec::new();
-            for (k, old) in &self.groups {
-                match new_groups.get(k) {
-                    None => {
-                        invalidated.insert(*k);
-                    }
-                    Some(new) => {
-                        if Arc::ptr_eq(&old.routes, &new.routes) && old.drains == new.drains {
-                            if old.sites != new.sites {
-                                let added: Vec<SiteId> = new
-                                    .sites
-                                    .iter()
-                                    .copied()
-                                    .filter(|s| old.sites.binary_search(s).is_err())
-                                    .collect();
-                                let removed: Vec<SiteId> = old
-                                    .sites
-                                    .iter()
-                                    .copied()
-                                    .filter(|s| new.sites.binary_search(s).is_err())
-                                    .collect();
-                                if !added.is_empty() {
-                                    challengers.push((*k, Arc::clone(&new.routes)));
-                                }
-                                site_diffed.insert(*k, (added, removed));
+            self.invalidated_cohorts(&new_groups)
+        };
+        ReassignPlan { catchment, dense_to_orig, new_groups, affected, slice_users }
+    }
+
+    /// The cohorts an incremental recompute must re-rank, ascending,
+    /// and the users in the cohorts the invalidation rules opened for a
+    /// check (`dynamics.invalidation.slice_users`). One ascending pass
+    /// over the cohort table applies rules 0–3 and the site-diff rule
+    /// to each cohort's stored key, reading its group from that key; a
+    /// cohort of a group the epoch provably did not touch is skipped
+    /// without a check.
+    fn invalidated_cohorts(
+        &self,
+        new_groups: &DetHashMap<(Asn, ExportScope), GroupSnap>,
+    ) -> (Vec<u32>, u64) {
+        // Diff the group sets. A group whose routes Arc, hosted sites, and
+        // drain footprint all survived unchanged ranks and materializes
+        // exactly as before. A group whose ONLY change is its hosted-site
+        // list (the site up/down and deployment-swap shape) is diffed
+        // site-by-site: its own users re-rank only when their stored site
+        // was removed or an added site beats it on
+        // `Catchment::pick_site`'s nearest-to-entry tie-break, and it
+        // challenges other groups' users only when sites were added
+        // (shrinking a group cannot improve it). Everything else
+        // invalidates its own users wholesale and may challenge others.
+        let mut touched: Vec<((Asn, ExportScope), GroupChange)> = Vec::new();
+        let mut challengers: Vec<((Asn, ExportScope), Arc<OriginRoutes>)> = Vec::new();
+        for (k, old) in &self.groups {
+            match new_groups.get(k) {
+                None => touched.push((*k, GroupChange::Invalidated)),
+                Some(new) => {
+                    if Arc::ptr_eq(&old.routes, &new.routes) && old.drains == new.drains {
+                        if old.sites != new.sites {
+                            let added: Vec<SiteId> = new
+                                .sites
+                                .iter()
+                                .copied()
+                                .filter(|s| old.sites.binary_search(s).is_err())
+                                .collect();
+                            let removed: Vec<SiteId> = old
+                                .sites
+                                .iter()
+                                .copied()
+                                .filter(|s| new.sites.binary_search(s).is_err())
+                                .collect();
+                            if !added.is_empty() {
+                                challengers.push((*k, Arc::clone(&new.routes)));
                             }
-                        } else {
-                            invalidated.insert(*k);
-                            challengers.push((*k, Arc::clone(&new.routes)));
+                            touched.push((*k, GroupChange::Sites { added, removed }));
                         }
+                    } else {
+                        touched.push((*k, GroupChange::Invalidated));
+                        challengers.push((*k, Arc::clone(&new.routes)));
                     }
                 }
             }
-            for (k, new) in &new_groups {
-                if !self.groups.contains_key(k) {
-                    challengers.push((*k, Arc::clone(&new.routes)));
-                }
+        }
+        for (k, new) in new_groups {
+            if !self.groups.contains_key(k) {
+                challengers.push((*k, Arc::clone(&new.routes)));
             }
-            let base = &self.base;
-            let mut out: Vec<u32> = Vec::new();
-            // Rule 0: a stored key with no site only arises when a
-            // swap removed the cohort's site — nothing else would
-            // re-rank them. The swap recorded exactly those cohorts.
-            for &c in &self.orphans {
-                slice_users += u64::from(self.cohorts[c as usize].len());
+        }
+        // No touched group, no challenger and no orphan: no rule applies
+        // to anyone.
+        if touched.is_empty() && challengers.is_empty() && self.orphans.is_empty() {
+            return (Vec::new(), 0);
+        }
+        touched.sort_unstable_by_key(|(k, _)| *k);
+        let base = &self.base;
+        let mut orphans = self.orphans.iter().copied().peekable();
+        let mut out: Vec<u32> = Vec::new();
+        let mut slice_users = 0u64;
+        for (c, (cohort, st)) in self.cohorts.iter().zip(&self.states).enumerate() {
+            let c = c as u32;
+            let src = cohort.src_idx as usize;
+            // Rule 0: a stored key with no site only arises when a swap
+            // removed the cohort's site — nothing else would re-rank them.
+            // The swap recorded exactly those cohorts, in ascending order.
+            if orphans.next_if_eq(&c).is_some() {
+                slice_users += u64::from(cohort.len());
                 out.push(c);
+                continue;
             }
-            // Rule 3: unserved cohorts re-rank when an added or
-            // changed group now has any route at their source. With no
-            // challengers the bucket is provably untouched and its
-            // slices are never visited.
-            if !challengers.is_empty() {
-                for &c in &self.index.unkeyed {
-                    let cohort = &self.cohorts[c as usize];
+            // Rule 3: unserved cohorts re-rank when an added or changed
+            // group now has any route at their source. With no challengers
+            // they are provably untouched and never checked.
+            let Some(key) = st.key else {
+                if !challengers.is_empty() {
                     slice_users += u64::from(cohort.len());
-                    let src = cohort.src_idx as usize;
                     if challengers.iter().any(|(_, r)| r.route_at(src).is_some()) {
                         out.push(c);
                     }
                 }
+                continue;
+            };
+            // Rules 1 and 2, per cohort of a stored-key group: a cohort
+            // whose group is not invalidated, not site-diffed, and
+            // challenged by nobody else is skipped without a check.
+            let gk = key.group();
+            let change =
+                touched.binary_search_by_key(&gk, |(k, _)| *k).ok().map(|i| &touched[i].1);
+            if change.is_none() && challengers.iter().all(|(ck, _)| *ck == gk) {
+                continue;
             }
-            // Rules 1 and 2, per *stored-key group slice*: a group
-            // that is not invalidated, not site-diffed, and challenged
-            // by nobody else is skipped wholesale — this is where
-            // epoch cost decouples from population.
-            for (gk, members) in &self.index.groups {
-                let inv = invalidated.contains(gk);
-                let sd = site_diffed.get(gk);
-                let challenged = challengers.iter().any(|(ck, _)| ck != gk);
-                if !inv && sd.is_none() && !challenged {
+            slice_users += u64::from(cohort.len());
+            let s = match (change, st.site) {
+                (Some(GroupChange::Invalidated), _) | (_, None) => {
+                    out.push(c);
                     continue;
                 }
-                for &c in members {
-                    // A swap-orphaned cohort keeps its stored key, so
-                    // it still sits in this slice; rule 0 already
-                    // collected (and counted) it.
-                    if self.orphans.binary_search(&c).is_ok() {
-                        continue;
-                    }
-                    let cohort = &self.cohorts[c as usize];
-                    slice_users += u64::from(cohort.len());
-                    let st = &self.states[c as usize];
-                    let key = st.key.expect("keyed slice member");
-                    let Some(s) = st.site.filter(|_| !inv) else {
-                        out.push(c);
-                        continue;
-                    };
-                    if let Some((added, removed)) = sd {
-                        if removed.binary_search(&s).is_ok() {
-                            out.push(c);
-                            continue;
-                        }
-                        // An added site takes over exactly when it
-                        // beats the stored one on (distance to the
-                        // stored entry point, site id) —
-                        // `Catchment::pick_site`'s tie-break. Comparing
-                        // original ids is order-isomorphic to the
-                        // dense comparison because dense re-ids
-                        // preserve ascending order.
-                        let e = st.entry.expect("served member has an entry");
-                        let ds = base.sites[s.0 as usize].location.distance_km(&e);
-                        if added.iter().any(|&a| {
-                            let da = base.sites[a.0 as usize].location.distance_km(&e);
-                            da < ds || (da == ds && a < s)
-                        }) {
-                            out.push(c);
-                            continue;
-                        }
-                    }
-                    // The cohort's own group never challenges its own
-                    // members here: the site-diff rule above already
-                    // decided for them.
-                    let src = cohort.src_idx as usize;
-                    if challengers.iter().any(|(ck, r)| {
-                        *ck != *gk
-                            && r.route_at(src)
-                                .is_some_and(|nr| key.challenged_by(nr.class, nr.path_len))
-                    }) {
-                        out.push(c);
-                    }
+                (_, Some(s)) => s,
+            };
+            if let Some(GroupChange::Sites { added, removed }) = change {
+                if removed.binary_search(&s).is_ok() {
+                    out.push(c);
+                    continue;
+                }
+                // An added site takes over exactly when it beats the
+                // stored one on (distance to the stored entry point, site
+                // id) — `Catchment::pick_site`'s tie-break. Comparing
+                // original ids is order-isomorphic to the dense comparison
+                // because dense re-ids preserve ascending order.
+                let e = st.entry.expect("served cohort has an entry");
+                let ds = base.sites[s.0 as usize].location.distance_km(&e);
+                if added.iter().any(|&a| {
+                    let da = base.sites[a.0 as usize].location.distance_km(&e);
+                    da < ds || (da == ds && a < s)
+                }) {
+                    out.push(c);
+                    continue;
                 }
             }
-            // The three sources are disjoint; the sort restores the
-            // ascending cohort order every downstream accumulation
-            // (and therefore byte-level determinism) depends on.
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
-        ReassignPlan { catchment, dense_to_orig, new_groups, affected, slice_users }
+            // The cohort's own group never challenges it here: the
+            // site-diff rule above already decided for it.
+            if challengers.iter().any(|(ck, r)| {
+                *ck != gk
+                    && r.route_at(src)
+                        .is_some_and(|nr| key.challenged_by(nr.class, nr.path_len))
+            }) {
+                out.push(c);
+            }
+        }
+        debug_assert!(orphans.peek().is_none(), "orphans sorted, each a cohort id");
+        // Ascending and duplicate-free by construction: the order every
+        // downstream accumulation (and therefore byte-level determinism)
+        // depends on.
+        (out, slice_users)
     }
 
     /// Phase 2 of a recompute: re-rank the planned cohorts on the
@@ -292,8 +301,7 @@ impl<'g> DynamicsEngine<'g> {
     }
 
     /// Phase 3 of a recompute: store each rank result in the per-cohort
-    /// state table, re-home each cohort in the group index, adopt the
-    /// new group snapshot, emit the recompute counters, and build the
+    /// state table, adopt the new group snapshot, emit the recompute counters, and build the
     /// epoch's record from the committed state.
     fn commit_plan(
         &mut self,
@@ -314,7 +322,6 @@ impl<'g> DynamicsEngine<'g> {
                 shifted += cohort.weight;
                 shifted_qpd += cohort.queries_per_day;
             }
-            self.index.move_cohort(ci, old.key.map(|k| k.group()), new.key.map(|k| k.group()));
             self.states[ci as usize] = new;
         }
         self.groups = new_groups;
@@ -365,7 +372,8 @@ impl<'g> DynamicsEngine<'g> {
                 latency_pts.push((st.latency_ms, c.weight));
             }
         }
-        let median_ms = weighted_median(&mut latency_pts);
+        let cdf = WeightedCdf::from_points(latency_pts);
+        let median_ms = (!cdf.is_empty()).then(|| cdf.median());
         let frac = |w: f64| if self.total_weight > 0.0 { w / self.total_weight } else { 0.0 };
         let shifted_frac = frac(shifted);
         let convergence_ms = convergence::convergence_ms(shifted, shifted_frac);

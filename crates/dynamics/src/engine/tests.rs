@@ -433,6 +433,51 @@ fn overloading_drain_aborts_and_rolls_back_byte_identically() {
     );
 }
 
+/// An abort cancels the whole drain, not just the stage that
+/// overloaded: users an earlier committed stage moved move back, so
+/// the abort record's `shifted` is the weight that stage moved and
+/// the final assignment equals the pre-drain one.
+#[test]
+fn a_later_stage_abort_restores_the_pre_drain_state() {
+    let (net, dep, users) = world(4);
+    let mut probe = engine(&net, &dep, &users, RecomputeMode::Incremental);
+    let target = hottest_site(&probe);
+    let init_loads = probe.site_loads();
+    let scenario =
+        Scenario::gradual_drain("gd", target, SimTime::from_secs(10.0), 30_000.0, 3, 120_000.0);
+    // Step the drain without capacities to read the loads each stage
+    // leaves behind.
+    let mut stepper = EpochStepper::new(&probe, &scenario);
+    assert!(stepper.step(&mut probe));
+    let stage1_loads = probe.site_loads();
+    let stage1_shifted = stepper.records()[1].shifted;
+    assert!(stepper.step(&mut probe));
+    let stage2_loads = probe.site_loads();
+    // Capacities that fit stage 1 exactly (the check is strict).
+    let caps: Vec<f64> =
+        init_loads.iter().zip(&stage1_loads).map(|(a, b)| a.max(*b).max(0.5)).collect();
+    assert!(stage1_shifted > 0.0, "stage 1 must move somebody");
+    assert!(
+        stage2_loads.iter().zip(&caps).any(|(l, c)| l > c),
+        "stage 2 must push some site past its capacity"
+    );
+
+    let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental)
+        .with_capacities(SiteCapacities::from_per_site(caps));
+    let before = e.user_snapshot();
+    let t = e.run(&scenario);
+    assert_eq!(t.records.len(), 3, "init, the committed stage 1, the aborted stage 2");
+    assert_eq!(t.records[1].event, format!("drain-start {target}"));
+    assert_eq!(t.records[1].shifted, stage1_shifted, "stage 1 commits");
+    let abort = &t.records[2];
+    assert_eq!(abort.event, format!("drain-stage {target} => drain-abort {target}"));
+    assert_eq!(
+        abort.shifted, stage1_shifted,
+        "the abort moves stage 1's users back to their pre-drain sites"
+    );
+    assert_eq!(e.user_snapshot(), before, "an abort restores the pre-drain assignment");
+}
+
 #[test]
 fn capacity_edge_exact_fit_completes_and_one_user_less_aborts() {
     let (net, dep, users) = world(4);
@@ -559,12 +604,12 @@ fn expanded_population_preserves_metrics_and_invalidates_sublinearly() {
     for r in &tb.records {
         assert_eq!(r.recomputed + r.reused, target_pop as u64, "at {}", r.event);
     }
-    // ...and the slice walk never visited the whole population on
-    // these single-site flaps.
+    // ...and invalidation never checked the whole population on these
+    // single-site flaps.
     let (slice, pop) = big.invalidation_ledger();
     assert_eq!(pop, (target_pop * (tb.records.len() - 1)) as u64);
     assert!(slice < pop, "slice {slice} must undercut population {pop}");
-    assert!(slice > 0, "the flapped site's own slices are visited");
+    assert!(slice > 0, "the flapped site's own group is checked");
 }
 
 #[test]

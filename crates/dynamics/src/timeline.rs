@@ -148,41 +148,9 @@ impl Timeline {
     }
 }
 
-/// Weighted median of `(value, weight)` points: the smallest value at
-/// which the cumulative weight reaches half the total. `None` on empty
-/// input or non-positive total weight. Sorting is by `total_cmp`, so
-/// the result is deterministic for any input order.
-pub(crate) fn weighted_median(points: &mut Vec<(f64, f64)>) -> Option<f64> {
-    let total: f64 = points.iter().map(|(_, w)| w).sum();
-    if points.is_empty() || total <= 0.0 {
-        return None;
-    }
-    points.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut acc = 0.0;
-    for (v, w) in points.iter() {
-        acc += w;
-        if acc >= total / 2.0 {
-            return Some(*v);
-        }
-    }
-    Some(points.last().expect("non-empty").0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn weighted_median_basic() {
-        assert_eq!(weighted_median(&mut vec![]), None);
-        assert_eq!(weighted_median(&mut vec![(5.0, 1.0)]), Some(5.0));
-        // Heavy tail wins regardless of input order.
-        assert_eq!(
-            weighted_median(&mut vec![(1.0, 1.0), (100.0, 10.0), (2.0, 1.0)]),
-            Some(100.0)
-        );
-        assert_eq!(weighted_median(&mut vec![(3.0, 0.0)]), None);
-    }
 
     #[test]
     fn rows_are_deterministically_formatted() {

@@ -164,7 +164,7 @@ proptest! {
         prop_assert_eq!(si.len(), POPULATION, "user rows are conserved");
         prop_assert_eq!(si, sf, "incremental rows equal the oracle's");
         // Sampled spot-check against the engine's own ledger: the
-        // slice walk never claims more work than a scan.
+        // invalidation never claims to check more users than a scan.
         let (slice, scan) = inc.invalidation_ledger();
         prop_assert!(slice <= scan, "slice {} cannot exceed scan {}", slice, scan);
     }

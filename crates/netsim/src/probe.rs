@@ -7,7 +7,7 @@
 
 use crate::latency::{LatencyModel, PathProfile};
 use rand::Rng;
-use topology::{AsGraph, Asn, SiteAssignment};
+use topology::{Asn, SiteAssignment};
 
 /// One traceroute hop as it would appear after IP-level post-processing.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +37,6 @@ pub fn ping<R: Rng>(
 /// `ixp_unmapped_prob` is the chance a border interface belongs to IXP or
 /// unannounced space and therefore resolves to no AS.
 pub fn traceroute<R: Rng>(
-    graph: &AsGraph,
     assignment: &SiteAssignment,
     model: &LatencyModel,
     ixp_unmapped_prob: f64,
@@ -58,7 +57,6 @@ pub fn traceroute<R: Rng>(
         // The first hop (the probe's own AS) always maps; border
         // interfaces deeper in may be IXP/unannounced space.
         let mapped = i == 0 || !rng.gen_bool(ixp_unmapped_prob);
-        let _ = graph; // graph retained in the signature for symmetry/future use
         hops.push(TracerouteHop { asn: mapped.then_some(*asn), rtt_ms: rtt });
     }
     hops
@@ -71,22 +69,7 @@ mod tests {
     use geo::GeoPoint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use topology::{AsGraph, AsKind, AsNode, OrgId, RouteClass};
-
-    fn tiny_graph() -> AsGraph {
-        let mut g = AsGraph::new();
-        for i in 1..=3u32 {
-            g.add_as(AsNode {
-                asn: Asn(i),
-                kind: AsKind::Transit,
-                org: OrgId(i),
-                name: format!("as{i}"),
-                pops: vec![GeoPoint::new(0.0, i as f64)],
-                prefixes: vec![],
-            });
-        }
-        g
-    }
+    use topology::RouteClass;
 
     fn assignment() -> SiteAssignment {
         SiteAssignment {
@@ -113,9 +96,8 @@ mod tests {
 
     #[test]
     fn traceroute_has_one_hop_per_as() {
-        let g = tiny_graph();
         let mut rng = StdRng::seed_from_u64(2);
-        let hops = traceroute(&g, &assignment(), &LatencyModel::default(), 0.0, &mut rng);
+        let hops = traceroute(&assignment(), &LatencyModel::default(), 0.0, &mut rng);
         assert_eq!(hops.len(), 3);
         assert_eq!(hops[0].asn, Some(Asn(1)));
         assert_eq!(hops[2].asn, Some(Asn(3)));
@@ -123,22 +105,19 @@ mod tests {
 
     #[test]
     fn rtt_grows_along_the_path_in_expectation() {
-        let g = tiny_graph();
         let model = LatencyModel { jitter_sigma: 0.0, spike_prob: 0.0, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(3);
-        let hops = traceroute(&g, &assignment(), &model, 0.0, &mut rng);
+        let hops = traceroute(&assignment(), &model, 0.0, &mut rng);
         assert!(hops[0].rtt_ms < hops[1].rtt_ms);
         assert!(hops[1].rtt_ms < hops[2].rtt_ms);
     }
 
     #[test]
     fn unmapped_interfaces_appear_with_high_prob() {
-        let g = tiny_graph();
         let mut rng = StdRng::seed_from_u64(4);
         let mut unmapped = 0;
         for _ in 0..200 {
-            let hops =
-                traceroute(&g, &assignment(), &LatencyModel::default(), 0.5, &mut rng);
+            let hops = traceroute(&assignment(), &LatencyModel::default(), 0.5, &mut rng);
             unmapped += hops.iter().filter(|h| h.asn.is_none()).count();
             assert!(hops[0].asn.is_some(), "probe's own AS always maps");
         }

@@ -48,7 +48,7 @@ pub enum RouteClass {
 }
 
 /// How far an announcement is allowed to propagate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ExportScope {
     /// Normal announcement: propagates per Gao–Rexford export rules.
     Global,

@@ -547,8 +547,7 @@ impl InternetGenerator {
         // ASes with a PoP near an IXP may peer pairwise there. Restricted
         // to (eyeball|hoster) × (eyeball|hoster|transit) — tier-1s don't
         // peer openly.
-        for (region, loc) in &ixps {
-            let _ = region;
+        for (_, loc) in &ixps {
             let mut present: Vec<Asn> = graph
                 .nodes()
                 .iter()

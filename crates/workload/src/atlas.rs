@@ -137,8 +137,7 @@ impl AtlasPanel {
             let Some(assignment) = catchment.assign(probe.asn, &loc) else {
                 continue;
             };
-            let hops =
-                traceroute(&internet.graph, &assignment, model, ixp_unmapped_prob, &mut rng);
+            let hops = traceroute(&assignment, model, ixp_unmapped_prob, &mut rng);
             out.push((*probe, hops));
         }
         out

@@ -253,8 +253,9 @@ impl UserPopulation {
                 continue;
             }
             // A user-prefix of the location's AS acts as a forwarder.
-            let Some(node) = recursive_node(&self.recursives, loc) else { continue };
-            let _ = node;
+            if recursive_node(&self.recursives, loc).is_none() {
+                continue;
+            }
             let users = loc.users * CDN_USER_SHARE * NAT_IP_FACTOR * 0.05;
             let prefix = self
                 .recursives

@@ -1,8 +1,10 @@
 //! Docs integrity: every relative markdown link in the repo's
 //! documentation resolves to a real file, and so does every repo path
-//! the docs cite in backticks. Docs rot silently — a moved handbook, a
-//! renamed design doc or a deleted crate breaks readers long before
-//! anyone notices — so CI runs this as its docs-integrity step.
+//! the docs cite in backticks; every crate path and type name they
+//! cite names something the sources define. Docs rot silently — a
+//! moved handbook, a renamed design doc or a deleted crate breaks
+//! readers long before anyone notices — so CI runs this as its
+//! docs-integrity step.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -80,9 +82,9 @@ fn every_relative_doc_link_resolves() {
 /// Roots of the repo paths the docs cite in backticks.
 const PATH_ROOTS: [&str; 6] = ["crates/", "results/", "docs/", "tests/", "perfbench/", "vendored/"];
 
-/// The first word of every inline code span in `text` (fenced blocks
-/// skipped) that starts with one of [`PATH_ROOTS`].
-fn cited_paths(text: &str) -> Vec<String> {
+/// The contents of every inline code span in `text`, fenced blocks
+/// skipped.
+fn code_spans(text: &str) -> Vec<String> {
     let mut prose = String::new();
     let mut fenced = false;
     for line in text.lines() {
@@ -93,10 +95,14 @@ fn cited_paths(text: &str) -> Vec<String> {
             prose.push('\n');
         }
     }
-    prose
-        .split('`')
-        .skip(1)
-        .step_by(2)
+    prose.split('`').skip(1).step_by(2).map(str::to_string).collect()
+}
+
+/// The first word of every inline code span in `text` that starts
+/// with one of [`PATH_ROOTS`].
+fn cited_paths(text: &str) -> Vec<String> {
+    code_spans(text)
+        .iter()
         .filter_map(|span| span.split_whitespace().next())
         .filter(|word| PATH_ROOTS.iter().any(|r| word.starts_with(r)))
         .map(str::to_string)
@@ -171,23 +177,10 @@ fn source_words(dir: &Path, words: &mut BTreeSet<String>) {
     }
 }
 
-/// Every `a::b::c` path inside the inline code spans of `text` (fenced
-/// blocks skipped).
+/// Every `a::b::c` path inside the inline code spans of `text`.
 fn cited_rust_paths(text: &str) -> Vec<String> {
-    let mut prose = String::new();
-    let mut fenced = false;
-    for line in text.lines() {
-        if line.trim_start().starts_with("```") {
-            fenced = !fenced;
-        } else if !fenced {
-            prose.push_str(line);
-            prose.push('\n');
-        }
-    }
-    prose
-        .split('`')
-        .skip(1)
-        .step_by(2)
+    code_spans(text)
+        .iter()
         .flat_map(|span| span.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':')))
         .filter(|token| token.contains("::"))
         .map(str::to_string)
@@ -234,6 +227,151 @@ fn every_backticked_crate_path_names_a_word_of_its_crate() {
         "docs cite names their crate does not have:\n  {}",
         stale.join("\n  ")
     );
+}
+
+/// Names the docs cite that no workspace source defines: std types and
+/// traits, and JavaScript's `Date`.
+const FOREIGN_TYPES: [&str; 11] = [
+    "Arc", "BTreeMap", "Date", "DefaultHasher", "Display", "Err", "HashMap", "HashSet",
+    "Iterator", "Mutex", "RandomState",
+];
+
+/// Splits Rust source into identifier and single-punctuation tokens,
+/// dropping comments, string and char literals (whose braces would
+/// otherwise confuse the enum-body walk below).
+fn rust_tokens(src: &str) -> Vec<String> {
+    let chars: Vec<char> = src.chars().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        if c == '/' && chars.get(i + 1) == Some(&'/') {
+            while i < chars.len() && chars[i] != '\n' {
+                i += 1;
+            }
+        } else if c == '/' && chars.get(i + 1) == Some(&'*') {
+            i += 2;
+            while i + 1 < chars.len() && !(chars[i] == '*' && chars[i + 1] == '/') {
+                i += 1;
+            }
+            i += 2;
+        } else if c == '"' {
+            i += 1;
+            while i < chars.len() && chars[i] != '"' {
+                i += if chars[i] == '\\' { 2 } else { 1 };
+            }
+            i += 1;
+        } else if c == '\'' {
+            // A char literal ('x', '\'', '\u{..}'); otherwise a lifetime.
+            let escaped = chars.get(i + 1) == Some(&'\\');
+            let body = i + if escaped { 3 } else { 2 };
+            match chars.get(body..).and_then(|r| r.iter().take(8).position(|&d| d == '\'')) {
+                Some(k) if escaped || k == 0 => i = body + k + 1,
+                _ => i += 1,
+            }
+        } else if c.is_alphanumeric() || c == '_' {
+            let start = i;
+            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
+                i += 1;
+            }
+            out.push(chars[start..i].iter().collect());
+        } else {
+            if !c.is_whitespace() {
+                out.push(c.to_string());
+            }
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Every struct, enum, union, trait, type alias and enum variant name
+/// defined in the `.rs` files under `dir`, recursively.
+fn defined_type_names(dir: &Path, names: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("readable source entry").path();
+        if path.is_dir() {
+            defined_type_names(&path, names);
+            continue;
+        }
+        if !path.extension().is_some_and(|e| e == "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let toks = rust_tokens(&text);
+        for (i, tok) in toks.iter().enumerate() {
+            if !["struct", "enum", "union", "trait", "type"].contains(&tok.as_str()) {
+                continue;
+            }
+            let Some(name) = toks.get(i + 1) else { continue };
+            names.insert(name.clone());
+            if tok != "enum" {
+                continue;
+            }
+            // Variants: identifiers at brace depth 1 of the enum body
+            // that open the body or follow a comma or an attribute.
+            let Some(open) = toks[i..].iter().position(|t| t == "{" || t == ";") else { continue };
+            let mut depth = 0i32;
+            for j in i + open..toks.len() {
+                match toks[j].as_str() {
+                    "{" | "(" | "[" => depth += 1,
+                    "}" | ")" | "]" => depth -= 1,
+                    t if depth == 1
+                        && t.starts_with(|c: char| c.is_ascii_uppercase())
+                        && ["{", ",", "]"].contains(&toks[j - 1].as_str()) =>
+                    {
+                        names.insert(t.to_string());
+                    }
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// The leading name of an inline code span that cites a type: a
+/// CamelCase identifier, alone (`Type`) or qualified (`Type::name`).
+fn cited_type(span: &str) -> Option<&str> {
+    let span = span.trim();
+    let name = span.split("::").next()?;
+    let camel = name.starts_with(|c: char| c.is_ascii_uppercase())
+        && name.chars().all(|c| c.is_ascii_alphanumeric())
+        && name.chars().any(|c| c.is_ascii_lowercase());
+    (camel && (span == name || span[name.len()..].starts_with("::"))).then_some(name)
+}
+
+/// Every type the docs cite in backticks, bare (`Type`) or qualified
+/// (`Type::name`), is defined somewhere in the repo's Rust sources or
+/// is a std (or JavaScript) name of [`FOREIGN_TYPES`], so a deleted or
+/// renamed type cannot stay cited. ROADMAP.md is left out: it names
+/// types that are planned or gone on purpose.
+#[test]
+fn every_backticked_type_name_is_defined() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut defined: BTreeSet<String> = FOREIGN_TYPES.iter().map(|s| s.to_string()).collect();
+    for dir in ["crates", "src", "tests", "examples", "vendored", "perfbench/src"] {
+        defined_type_names(&root.join(dir), &mut defined);
+    }
+    assert!(defined.contains("DynamicsEngine") && defined.contains("SiteDown"), "parser broken");
+    let mut unknown = Vec::new();
+    let mut checked = 0usize;
+    for file in doc_files().into_iter().filter(|f| !f.ends_with("ROADMAP.md")) {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        for span in code_spans(&text) {
+            let Some(name) = cited_type(&span) else { continue };
+            checked += 1;
+            if !defined.contains(name) {
+                unknown.push(format!("{} -> {}", file.display(), span.trim()));
+            }
+        }
+    }
+    assert!(checked > 100, "only {checked} backticked type names found — the extractor is broken");
+    assert!(unknown.is_empty(), "docs cite undefined types:\n  {}", unknown.join("\n  "));
 }
 
 /// The handbook set is part of the repo's contract: auto-discovery

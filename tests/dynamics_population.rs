@@ -1,6 +1,6 @@
 //! The columnar engine's population claims, checked in counts at 10k,
-//! 100k and 1M expanded users: slice invalidation visits fewer users
-//! than a scan would (`dynscale`), the closed loop acts (`dynload`),
+//! 100k and 1M expanded users: invalidation checks fewer users than a
+//! scan would (`dynscale`), the closed loop acts (`dynload`),
 //! and the epoch work is set by catchment structure, not by the
 //! population: the cohort count and the distributed controller's
 //! rounds are the same at every population.
@@ -48,7 +48,7 @@ fn slice_invalidation_and_controller_work_are_population_independent() {
         let (slice, scan) = (metric(rows, "slice_users"), metric(rows, "scan_equivalent_users"));
         assert!(
             0 < slice && slice < scan,
-            "slice invalidation visited {slice} of {scan} scan-equivalent users at {population}"
+            "invalidation checked {slice} of {scan} scan-equivalent users at {population}"
         );
         let cohorts = metric(rows, "cohorts");
 
