@@ -240,7 +240,7 @@ mod tests {
     use super::*;
     use crate::preprocess::FilterStats;
     use dns::query::QueryClass;
-    use topology::{AnycastSite, SiteScope};
+    use topology::{AnycastSite, ExportScope};
     use workload::ditl::DitlRow;
     use workload::geoloc::{GeolocError, Geolocator};
 
@@ -264,8 +264,8 @@ mod tests {
         c.deployment = std::sync::Arc::new(AnycastDeployment::new(
             "C-fixture",
             vec![
-                AnycastSite { id: SiteId(0), name: "near".into(), host, location: near, scope: SiteScope::Global },
-                AnycastSite { id: SiteId(1), name: "far".into(), host, location: far, scope: SiteScope::Global },
+                AnycastSite { id: SiteId(0), name: "near".into(), host, location: near, scope: ExportScope::Global },
+                AnycastSite { id: SiteId(1), name: "far".into(), host, location: far, scope: ExportScope::Global },
             ],
             vec![],
         ));
@@ -335,7 +335,7 @@ mod tests {
                 name: "s".into(),
                 host,
                 location: site,
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             }],
             vec![],
         ));
@@ -386,8 +386,8 @@ mod tests {
         c.deployment = std::sync::Arc::new(AnycastDeployment::new(
             "C-fixture",
             vec![
-                AnycastSite { id: SiteId(0), name: "near".into(), host, location: near, scope: SiteScope::Global },
-                AnycastSite { id: SiteId(1), name: "far".into(), host, location: far, scope: SiteScope::Global },
+                AnycastSite { id: SiteId(0), name: "near".into(), host, location: near, scope: ExportScope::Global },
+                AnycastSite { id: SiteId(1), name: "far".into(), host, location: far, scope: ExportScope::Global },
             ],
             vec![],
         ));

@@ -11,7 +11,7 @@ use crate::resilience::TrafficSource;
 use crate::stats::WeightedCdf;
 use netsim::{LastMile, LatencyModel, PathProfile};
 use serde::{Deserialize, Serialize};
-use topology::{AnycastDeployment, AsGraph, Catchment, RouteCache, SiteScope};
+use topology::{AnycastDeployment, AsGraph, Catchment, ExportScope, RouteCache};
 
 /// Outcome of the local-sites study for one deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,7 +46,7 @@ pub fn local_site_study(
 
     // Global-only counterfactual.
     let counter_catchment = deployment
-        .restricted(|s| s.scope == SiteScope::Global)
+        .restricted(|s| s.scope == ExportScope::Global)
         .map(|(dep, _)| Catchment::compute(graph, &dep, &mut cache));
 
     let mut local_weight = 0.0;
@@ -56,7 +56,7 @@ pub fn local_site_study(
     for u in users {
         let Some(a) = full.assign(u.asn, &u.location) else { continue };
         total_weight += u.load;
-        if deployment.site(a.site).scope != SiteScope::Local {
+        if deployment.site(a.site).scope != ExportScope::Local {
             continue;
         }
         local_weight += u.load;
@@ -116,14 +116,14 @@ mod tests {
                     name: "global".into(),
                     host: Asn(11),
                     location: p(60.0),
-                    scope: SiteScope::Global,
+                    scope: ExportScope::Global,
                 },
                 AnycastSite {
                     id: SiteId(1),
                     name: "local".into(),
                     host: Asn(10),
                     location: p(0.5),
-                    scope: SiteScope::Local,
+                    scope: ExportScope::Local,
                 },
             ],
             vec![],
@@ -153,7 +153,7 @@ mod tests {
                 name: "g".into(),
                 host: Asn(1),
                 location: p,
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             }],
             vec![],
         );

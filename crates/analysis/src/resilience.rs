@@ -291,7 +291,7 @@ pub fn simulate_attack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topology::{InternetGenerator, SiteScope, TopologyConfig};
+    use topology::{ExportScope, InternetGenerator, TopologyConfig};
 
     fn setup(n_sites: usize) -> (topology::gen::Internet, AnycastDeployment, Vec<TrafficSource>) {
         let mut net = InternetGenerator::generate(&TopologyConfig::small(111));
@@ -304,7 +304,7 @@ mod tests {
                 name: format!("s{i}"),
                 host: *h,
                 location: net.graph.node(*h).pops[0],
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             })
             .collect();
         let dep = AnycastDeployment::new("ddos-test", sites, vec![]);

@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use netsim::{LastMile, PathProfile};
     use topology::{
-        AnycastSite, AsKind, AsNode, InternetGenerator, OrgId, SiteId, SiteScope,
+        AnycastSite, AsKind, AsNode, ExportScope, InternetGenerator, OrgId, SiteId,
         TopologyConfig,
     };
 
@@ -114,7 +114,7 @@ mod tests {
                 name: format!("s{i}"),
                 host: *h,
                 location: net.graph.node(*h).pops[0],
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             })
             .collect();
         let dep = AnycastDeployment::new("te-test", sites, vec![]);
@@ -176,7 +176,7 @@ mod tests {
                 name: "s0".into(),
                 host: Asn(100),
                 location: p(0.0),
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             }],
             vec![],
         );

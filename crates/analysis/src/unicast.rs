@@ -13,7 +13,7 @@
 use crate::resilience::TrafficSource;
 use crate::stats::WeightedCdf;
 use netsim::{LastMile, LatencyModel, PathProfile};
-use topology::{AnycastDeployment, AsGraph, Catchment, RouteCache, SiteScope};
+use topology::{AnycastDeployment, AsGraph, Catchment, ExportScope, RouteCache};
 
 /// Unicast-inflation CDF over a set of weighted users, plus the CDF of
 /// the *unicast alternative's own* inflation above the geometric bound —
@@ -56,7 +56,7 @@ pub fn unicast_study(
                     name: site.name.clone(),
                     host: site.host,
                     location: site.location,
-                    scope: SiteScope::Global,
+                    scope: ExportScope::Global,
                 }],
                 deployment.withhold.clone(),
             );
@@ -104,7 +104,7 @@ mod tests {
                 name: format!("s{i}"),
                 host: *h,
                 location: net.graph.node(*h).pops[0],
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             })
             .collect();
         let dep = AnycastDeployment::new("unicast-test", sites, vec![]);

@@ -11,7 +11,7 @@ use geo::region::RegionId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use topology::gen::{ContentAsSpec, Internet};
-use topology::{AnycastDeployment, AnycastSite, Asn, SiteId, SiteScope};
+use topology::{AnycastDeployment, AnycastSite, Asn, ExportScope, SiteId};
 
 /// Paper ring sizes: R28, R47, R74, R95, R110 (§2.2, Fig. 1).
 pub(crate) const RING_SIZES: [usize; 5] = [28, 47, 74, 95, 110];
@@ -127,7 +127,7 @@ impl Cdn {
                         name: format!("fe-{i}"),
                         host: asn,
                         location: *loc,
-                        scope: SiteScope::Global,
+                        scope: ExportScope::Global,
                     })
                     .collect();
                 Ring {
@@ -190,7 +190,7 @@ mod tests {
         for ring in &cdn.rings {
             for site in &ring.deployment.sites {
                 assert_eq!(site.host, cdn.asn);
-                assert_eq!(site.scope, SiteScope::Global);
+                assert_eq!(site.scope, ExportScope::Global);
             }
         }
     }

@@ -22,7 +22,7 @@ use netsim::{LatencyModel, SimTime};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use topology::gen::Internet;
 use topology::{
-    AnycastDeployment, AnycastSite, Asn, InternetGenerator, SiteId, SiteScope, TopologyConfig,
+    AnycastDeployment, AnycastSite, Asn, ExportScope, InternetGenerator, SiteId, TopologyConfig,
 };
 
 /// Serializes every storm in this binary (see module docs).
@@ -46,7 +46,7 @@ fn world() -> &'static (Internet, Arc<AnycastDeployment>, Vec<DynUser>) {
                 name: format!("s{i}"),
                 host: *h,
                 location: net.graph.node(*h).pops[0],
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             })
             .collect();
         let dep = AnycastDeployment::new("chaos-world", sites, vec![]);

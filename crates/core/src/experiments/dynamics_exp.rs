@@ -301,11 +301,11 @@ pub(crate) fn dynoutage(world: &World) -> Vec<Artifact> {
 /// `dynring`: the CDN's ring maintenance cycle — the serving ring is
 /// promoted R74 → R95 one minute in, held there for half an hour, then
 /// demoted back. Both swaps land as single batched epochs: the rings
-/// are nested, so every per-user assignment on a surviving site carries
-/// over under its id, and the engine recomputes only users the added
-/// sites actually win (promotion) or users whose site left the ring
-/// (demotion), so the per-epoch `reused` column stays high even
-/// though the whole deployment object was replaced. The timeline's
+/// are nested, so a swap only changes which front-ends announce, every
+/// per-user assignment on a surviving site carries over under its id,
+/// and the engine recomputes only users the added sites actually win
+/// (promotion) or users whose site left the ring (demotion), so the
+/// per-epoch `reused` column stays high. The timeline's
 /// `shifted` and `inflation_ms` columns give the per-epoch users-moved
 /// and latency deltas of the cycle.
 pub(crate) fn dynring(world: &World) -> Vec<Artifact> {

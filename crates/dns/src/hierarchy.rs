@@ -27,7 +27,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use topology::gen::{ContentAsSpec, Internet};
 use std::sync::Arc;
-use topology::{AnycastDeployment, AnycastSite, Catchment, RouteCache, SiteId, SiteScope};
+use topology::{AnycastDeployment, AnycastSite, Catchment, ExportScope, RouteCache, SiteId};
 
 /// One TLD operator platform: an anycast deployment serving a set of
 /// TLD indices.
@@ -84,7 +84,7 @@ impl DnsHierarchy {
                 name: format!("com-site-{i}"),
                 host: registry_asn,
                 location: *loc,
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             })
             .collect();
         let com_platform = platforms.len();
@@ -127,7 +127,7 @@ impl DnsHierarchy {
                     name: format!("cc-{}-{i}", continent.name()),
                     host,
                     location: loc,
-                    scope: SiteScope::Global,
+                    scope: ExportScope::Global,
                 });
             }
             let idx = platforms.len();
@@ -160,7 +160,7 @@ impl DnsHierarchy {
                 name: format!("tail-{i}"),
                 host: *h,
                 location: internet.graph.node(*h).pops[0],
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             })
             .collect();
         let tail_platform = platforms.len();

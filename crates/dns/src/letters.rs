@@ -20,7 +20,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use topology::gen::Internet;
-use topology::{AnycastDeployment, AnycastSite, AsKind, Asn, SiteId, SiteScope};
+use topology::{AnycastDeployment, AnycastSite, AsKind, Asn, ExportScope, SiteId};
 
 /// A root letter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -280,7 +280,7 @@ fn operator_peering_prob(strategy: DeployStrategy) -> f64 {
 /// Places one letter's sites over the Internet per its strategy.
 fn build_deployment(internet: &mut Internet, meta: &LetterMeta, rng: &mut StdRng) -> AnycastDeployment {
     let mut sites: Vec<AnycastSite> = Vec::new();
-    let push = |sites: &mut Vec<AnycastSite>, host: Asn, loc: GeoPoint, scope: SiteScope| {
+    let push = |sites: &mut Vec<AnycastSite>, host: Asn, loc: GeoPoint, scope: ExportScope| {
         let id = SiteId(sites.len() as u32);
         sites.push(AnycastSite {
             id,
@@ -310,7 +310,7 @@ fn build_deployment(internet: &mut Internet, meta: &LetterMeta, rng: &mut StdRng
             for i in 0..meta.global_sites {
                 let host = pool[i % pool.len()];
                 let loc = internet.graph.node(host).pops[0];
-                push(&mut sites, host, jitter(loc, 0.5, rng), SiteScope::Global);
+                push(&mut sites, host, jitter(loc, 0.5, rng), ExportScope::Global);
             }
         }
         DeployStrategy::Legacy => {
@@ -327,7 +327,7 @@ fn build_deployment(internet: &mut Internet, meta: &LetterMeta, rng: &mut StdRng
                 let host = hosts[i % hosts.len()];
                 let pops = internet.graph.node(host).pops.clone();
                 let loc = pops[(i / hosts.len()) % pops.len()];
-                push(&mut sites, host, jitter(loc, 0.3, rng), SiteScope::Global);
+                push(&mut sites, host, jitter(loc, 0.3, rng), ExportScope::Global);
             }
         }
         DeployStrategy::OpenHosting => {
@@ -340,7 +340,7 @@ fn build_deployment(internet: &mut Internet, meta: &LetterMeta, rng: &mut StdRng
             for i in 0..meta.global_sites {
                 let host = hosters[i % hosters.len()];
                 let loc = internet.graph.node(host).pops[0];
-                push(&mut sites, host, jitter(loc, 0.4, rng), SiteScope::Global);
+                push(&mut sites, host, jitter(loc, 0.4, rng), ExportScope::Global);
             }
         }
         DeployStrategy::CdnPartner => {
@@ -367,7 +367,7 @@ fn build_deployment(internet: &mut Internet, meta: &LetterMeta, rng: &mut StdRng
             let pops = internet.graph.node(partner).pops.clone();
             let n_partner = (meta.global_sites as f64 * 0.85).round() as usize;
             for i in 0..n_partner.min(pops.len()) {
-                push(&mut sites, partner, pops[i], SiteScope::Global);
+                push(&mut sites, partner, pops[i], ExportScope::Global);
             }
             let mut hosters = internet.hosters.clone();
             hosters.shuffle(rng);
@@ -375,7 +375,7 @@ fn build_deployment(internet: &mut Internet, meta: &LetterMeta, rng: &mut StdRng
             while sites.len() < meta.global_sites {
                 let host = hosters[i % hosters.len()];
                 let loc = internet.graph.node(host).pops[0];
-                push(&mut sites, host, jitter(loc, 0.3, rng), SiteScope::Global);
+                push(&mut sites, host, jitter(loc, 0.3, rng), ExportScope::Global);
                 i += 1;
             }
         }
@@ -390,7 +390,7 @@ fn build_deployment(internet: &mut Internet, meta: &LetterMeta, rng: &mut StdRng
     for i in 0..meta.local_sites {
         let host = hosters[i % hosters.len()];
         let loc = internet.graph.node(host).pops[0];
-        push(&mut sites, host, jitter(loc, 0.3, rng), SiteScope::Local);
+        push(&mut sites, host, jitter(loc, 0.3, rng), ExportScope::Local);
     }
 
     // The letter's own operator AS: collocated at every site, appended
@@ -550,7 +550,7 @@ mod tests {
         let set = LetterSet::build(&mut net, 2018, 0.3);
         let e = set.get(Letter::E);
         let locals =
-            e.deployment.sites.iter().filter(|s| s.scope == SiteScope::Local).count();
+            e.deployment.sites.iter().filter(|s| s.scope == ExportScope::Local).count();
         assert_eq!(locals, e.meta.local_sites);
         assert!(locals > 0, "E root has many local sites");
     }

@@ -51,10 +51,10 @@ impl<'g> DynamicsEngine<'g> {
         // Snapshot the assignment state only when an abort is
         // possible.
         let snap = (!escalated.is_empty() && self.capacities.is_some())
-            .then(|| (self.states.clone(), self.groups.clone(), self.orphans.clone()));
+            .then(|| (self.states.clone(), self.groups.clone()));
         let mut rec = self.reassign(&label, false);
         let mut committed = true;
-        if let Some((states, groups, orphans)) = snap {
+        if let Some((states, groups)) = snap {
             let violation = {
                 let caps = self.capacities.as_ref().expect("snapshot implies capacities");
                 let loads = self.site_loads();
@@ -73,7 +73,6 @@ impl<'g> DynamicsEngine<'g> {
                 // `shifted` counts them.
                 self.states = states;
                 self.groups = groups;
-                self.orphans = orphans;
                 for &s in &escalated {
                     self.abort_drain(s);
                 }
@@ -123,7 +122,7 @@ impl<'g> DynamicsEngine<'g> {
     /// swap may have removed the site id a queued follow-up was
     /// scheduled under.
     fn apply_batch(&mut self, batch: &[RoutingEvent]) -> BatchOutcome {
-        let n_sites = self.base.sites.len();
+        let n_sites = self.deployment().sites.len();
         let check = |s: SiteId| {
             assert!((s.0 as usize) < n_sites, "event targets {s} outside the deployment");
             s

@@ -215,6 +215,9 @@ struct ReassignPlan<'g> {
 #[derive(Debug)]
 pub struct DynamicsEngine<'g> {
     graph: &'g AsGraph,
+    /// The deployment routed over, restricted to the announcing sites:
+    /// the engine's own, or the widest swap-set entry once a swap set
+    /// is registered.
     base: Arc<AnycastDeployment>,
     model: LatencyModel,
     mode: RecomputeMode,
@@ -233,20 +236,17 @@ pub struct DynamicsEngine<'g> {
     /// the oracle all read and compare it, so an epoch's cost scales
     /// with cohorts, never with the expanded population.
     states: Vec<UserState>,
-    /// Cohorts whose site a deployment swap removed while their stored
-    /// key survived — the rule-0 set, re-ranked unconditionally at the
-    /// next recompute. Sorted; always cleared by `reassign`.
-    orphans: Vec<u32>,
     /// Running totals behind `dynamics.invalidation.*`: users in the
-    /// cohorts whose group (or the unkeyed bucket, or the orphan list)
-    /// the invalidation rules opened for a check, vs the population a
-    /// per-user scan would have walked.
+    /// cohorts whose group (or the unkeyed bucket) the invalidation
+    /// rules opened for a check, vs the population a per-user scan
+    /// would have walked.
     slice_users_total: u64,
     population_total: u64,
     total_weight: f64,
     cache: RouteCache,
     clock: SimClock,
-    /// Announcement state per original site id (`false` = down/drained).
+    /// Announcement state per site of `base` (`false` = down, drained,
+    /// or outside the current swap-set entry).
     alive: Vec<bool>,
     /// Neighbor ASes the deployment currently has no sessions toward
     /// (merged into the effective withhold list). Sorted.
@@ -381,7 +381,7 @@ impl<'g> DynamicsEngine<'g> {
     /// # Panics
     ///
     /// Panics when `counts` does not cover `base`, any count is zero, or
-    /// a source's query volume is negative or not finite.
+    /// a source's weight or query volume is negative or not finite.
     pub fn new_expanded(
         graph: &'g AsGraph,
         deployment: Arc<AnycastDeployment>,
@@ -398,6 +398,11 @@ impl<'g> DynamicsEngine<'g> {
         let mut cohorts = Vec::with_capacity(base.len());
         for (u, &k) in base.iter().zip(counts) {
             assert!(k >= 1, "every source expands to at least one user");
+            assert!(
+                u.weight >= 0.0 && u.weight.is_finite(),
+                "user weight must be non-negative and finite, got {}",
+                u.weight
+            );
             assert!(
                 u.queries_per_day >= 0.0 && u.queries_per_day.is_finite(),
                 "query volume must be non-negative and finite, got {}",
@@ -439,7 +444,6 @@ impl<'g> DynamicsEngine<'g> {
             cohorts,
             queries_per_day: qpd,
             states: vec![UNSERVED; n_cohorts],
-            orphans: Vec::new(),
             slice_users_total: 0,
             population_total: 0,
             total_weight,
@@ -498,14 +502,14 @@ impl<'g> DynamicsEngine<'g> {
     /// or when a swap set is registered (swaps and capacities are
     /// mutually exclusive: the site count changes with the ring).
     pub fn with_capacities(mut self, caps: SiteCapacities) -> Self {
+        assert!(
+            self.swap_set.is_empty(),
+            "deployment swaps do not support per-site capacities"
+        );
         assert_eq!(
             caps.len(),
             self.base.sites.len(),
             "capacity table must cover every site"
-        );
-        assert!(
-            self.swap_set.is_empty(),
-            "deployment swaps do not support per-site capacities"
         );
         self.capacities = Some(caps);
         let h = self.current_headroom();
@@ -520,17 +524,19 @@ impl<'g> DynamicsEngine<'g> {
     /// events. `current` indexes the entry the engine was constructed
     /// over. The entries are nested prefixes of one site list, as the
     /// CDN's rings are: site `i` is the same front-end in every entry
-    /// that has it, so a swap keeps every surviving site's id and only
-    /// resizes the per-site state to the new site count.
+    /// that has it. From here on the engine routes over the widest
+    /// entry, with the sites beyond the current ring not announcing, so
+    /// a swap only changes which sites announce.
     ///
     /// # Panics
     ///
     /// Panics when `current` is out of range, when entry `current` is
-    /// not the engine's own deployment handle, when two entries
-    /// disagree on the host or location (bit for bit) of a site id they
-    /// share, or when per-site capacities are configured (swaps and
-    /// capacities are mutually exclusive: the site count changes with
-    /// the ring).
+    /// not the engine's own deployment handle, when an entry disagrees
+    /// with the widest one on the host, scope or location (bit for
+    /// bit) of a site id they share or on the withhold list, origin AS
+    /// or direct hosts, or when per-site capacities are configured
+    /// (swaps and capacities are mutually exclusive: the site count
+    /// changes with the ring).
     pub fn with_swap_set(mut self, set: Vec<Arc<AnycastDeployment>>, current: usize) -> Self {
         assert!(current < set.len(), "current swap index {current} out of range");
         assert!(
@@ -542,8 +548,12 @@ impl<'g> DynamicsEngine<'g> {
             "deployment swaps do not support per-site capacities"
         );
         let widest = set.iter().max_by_key(|d| d.sites.len()).expect("current is in range");
-        let bits =
-            |s: &AnycastSite| (s.host, s.location.lat().to_bits(), s.location.lon().to_bits());
+        let bits = |s: &AnycastSite| {
+            (s.host, s.scope, s.location.lat().to_bits(), s.location.lon().to_bits())
+        };
+        fn announcement(d: &AnycastDeployment) -> (&[Asn], Option<Asn>, &[Asn]) {
+            (&d.withhold, d.origin_as, &d.direct_hosts)
+        }
         for (i, d) in set.iter().enumerate() {
             for (a, b) in d.sites.iter().zip(&widest.sites) {
                 assert!(
@@ -553,7 +563,17 @@ impl<'g> DynamicsEngine<'g> {
                     a.id
                 );
             }
+            assert!(
+                announcement(d) == announcement(widest),
+                "swap entries must share one announcement: entry {i} and {} differ in \
+                 withhold, origin AS or direct hosts",
+                widest.name
+            );
         }
+        let n_sites = widest.sites.len();
+        self.base = Arc::clone(widest);
+        self.alive.resize(n_sites, false);
+        self.ctrl_withheld.resize(n_sites, Vec::new());
         self.swap_set = set;
         self.current_swap = current;
         self
@@ -668,10 +688,10 @@ impl<'g> DynamicsEngine<'g> {
 
     /// Running invalidation ledger: `(slice_users, population)` summed
     /// over every non-init recompute — how many users sat in cohorts
-    /// whose stored group (or the unkeyed bucket, or the orphan list)
-    /// the invalidation rules opened for a check, vs how many a
-    /// per-user scan would have walked. `slice_users < population`
-    /// shows that groups the epoch did not touch were skipped.
+    /// whose stored group (or the unkeyed bucket) the invalidation
+    /// rules opened for a check, vs how many a per-user scan would
+    /// have walked. `slice_users < population` shows that groups the
+    /// epoch did not touch were skipped.
     pub fn invalidation_ledger(&self) -> (u64, u64) {
         (self.slice_users_total, self.population_total)
     }
@@ -681,16 +701,18 @@ impl<'g> DynamicsEngine<'g> {
         self.init_record.as_ref().expect("set in new()")
     }
 
-    /// The base deployment the engine was built over.
+    /// The currently effective deployment: the swap-set entry last
+    /// swapped to, or the deployment the engine was built over when no
+    /// swap set is registered.
     pub fn deployment(&self) -> &AnycastDeployment {
-        &self.base
+        self.swap_set.get(self.current_swap).unwrap_or(&self.base)
     }
 
     /// Current user weight landing on each site, indexed by original
     /// site id. Scenario builders use this to aim events at the
     /// hottest (or coldest) site deterministically.
     pub fn site_loads(&self) -> Vec<f64> {
-        let mut loads = vec![0.0; self.base.sites.len()];
+        let mut loads = vec![0.0; self.deployment().sites.len()];
         for (c, st) in self.cohorts.iter().zip(&self.states) {
             if let Some(s) = st.site {
                 loads[s.0 as usize] += c.weight;
@@ -728,7 +750,7 @@ impl<'g> DynamicsEngine<'g> {
     /// Cost is O(cohorts), independent of the expanded population.
     pub fn entry_sessions(&self) -> Vec<Vec<(Asn, f64)>> {
         let mut maps: Vec<DetHashMap<Asn, f64>> =
-            vec![DetHashMap::default(); self.base.sites.len()];
+            vec![DetHashMap::default(); self.deployment().sites.len()];
         for (c, st) in self.cohorts.iter().zip(&self.states) {
             if let (Some(s), Some(via)) = (st.site, st.via) {
                 *maps[s.0 as usize].entry(via).or_default() += c.weight;

@@ -5,7 +5,7 @@
 //! oracle.
 //!
 //! Why reusing every other cohort's stored assignment is sound — the
-//! invalidation rules 0–3, the site-diff refinement, and how drains,
+//! invalidation rules 1–3, the site-diff refinement, and how drains,
 //! withholds and swaps keep the argument — is argued once, in
 //! `docs/DYNAMICS.md` §4 and §5.
 
@@ -74,7 +74,7 @@ impl<'g> DynamicsEngine<'g> {
     /// Phase 1 of a recompute: the new catchment over the effective
     /// deployment, its origin-group snapshot in original site ids, and
     /// the affected-cohort selection (the group diff and invalidation
-    /// rules 0–3). Mutates only the route cache; every assignment
+    /// rules 1–3). Mutates only the route cache; every assignment
     /// write waits for [`DynamicsEngine::commit_plan`].
     fn plan_reassign(&mut self, is_init: bool) -> ReassignPlan<'g> {
         let population = self.queries_per_day.len();
@@ -118,7 +118,7 @@ impl<'g> DynamicsEngine<'g> {
     /// The cohorts an incremental recompute must re-rank, ascending,
     /// and the users in the cohorts the invalidation rules opened for a
     /// check (`dynamics.invalidation.slice_users`). One ascending pass
-    /// over the cohort table applies rules 0–3 and the site-diff rule
+    /// over the cohort table applies rules 1–3 and the site-diff rule
     /// to each cohort's stored key, reading its group from that key; a
     /// cohort of a group the epoch provably did not touch is skipped
     /// without a check.
@@ -173,31 +173,22 @@ impl<'g> DynamicsEngine<'g> {
                 challengers.push((*k, Arc::clone(&new.routes)));
             }
         }
-        // No touched group, no challenger and no orphan: no rule applies
-        // to anyone.
-        if touched.is_empty() && challengers.is_empty() && self.orphans.is_empty() {
+        // No touched group and no challenger: no rule applies to anyone.
+        if touched.is_empty() && challengers.is_empty() {
             return (Vec::new(), 0);
         }
         touched.sort_unstable_by_key(|(k, _)| *k);
         let base = &self.base;
-        let mut orphans = self.orphans.iter().copied().peekable();
         let mut out: Vec<u32> = Vec::new();
         let mut slice_users = 0u64;
         for (c, (cohort, st)) in self.cohorts.iter().zip(&self.states).enumerate() {
             let c = c as u32;
             let src = cohort.src_idx as usize;
-            // Rule 0: a stored key with no site only arises when a swap
-            // removed the cohort's site — nothing else would re-rank them.
-            // The swap recorded exactly those cohorts, in ascending order.
-            if orphans.next_if_eq(&c).is_some() {
-                slice_users += u64::from(cohort.len());
-                out.push(c);
-                continue;
-            }
             // Rule 3: unserved cohorts re-rank when an added or changed
             // group now has any route at their source. With no challengers
-            // they are provably untouched and never checked.
-            let Some(key) = st.key else {
+            // they are provably untouched and never checked. A stored key
+            // and a stored site are set together.
+            let (Some(key), Some(s)) = (st.key, st.site) else {
                 if !challengers.is_empty() {
                     slice_users += u64::from(cohort.len());
                     if challengers.iter().any(|(_, r)| r.route_at(src).is_some()) {
@@ -216,13 +207,10 @@ impl<'g> DynamicsEngine<'g> {
                 continue;
             }
             slice_users += u64::from(cohort.len());
-            let s = match (change, st.site) {
-                (Some(GroupChange::Invalidated), _) | (_, None) => {
-                    out.push(c);
-                    continue;
-                }
-                (_, Some(s)) => s,
-            };
+            if matches!(change, Some(GroupChange::Invalidated)) {
+                out.push(c);
+                continue;
+            }
             if let Some(GroupChange::Sites { added, removed }) = change {
                 if removed.binary_search(&s).is_ok() {
                     out.push(c);
@@ -253,7 +241,6 @@ impl<'g> DynamicsEngine<'g> {
                 out.push(c);
             }
         }
-        debug_assert!(orphans.peek().is_none(), "orphans sorted, each a cohort id");
         // Ascending and duplicate-free by construction: the order every
         // downstream accumulation (and therefore byte-level determinism)
         // depends on.
@@ -325,7 +312,6 @@ impl<'g> DynamicsEngine<'g> {
             self.states[ci as usize] = new;
         }
         self.groups = new_groups;
-        self.orphans.clear();
 
         // The recompute ledger stays in *user* units: an affected
         // cohort recomputes once but stands in for all its members.

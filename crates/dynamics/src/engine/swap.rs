@@ -1,11 +1,8 @@
-//! Deployment swaps (ring promotion and demotion): replace the effective
-//! deployment with another nested ring and resize every piece of
-//! per-site state to its site count. `docs/DYNAMICS.md` §5 has the
-//! semantics.
+//! Deployment swaps (ring promotion and demotion). The engine routes
+//! over the widest swap-set entry, so a swap only changes which of its
+//! sites announce. `docs/DYNAMICS.md` §5 has the semantics.
 
 use super::{BatchOutcome, DynamicsEngine};
-use std::sync::Arc;
-use topology::SiteId;
 
 impl<'g> DynamicsEngine<'g> {
     /// Display name of swap-set entry `t`.
@@ -13,20 +10,18 @@ impl<'g> DynamicsEngine<'g> {
         self.swap_set[t as usize].name.clone()
     }
 
-    /// Replaces the effective deployment with swap-set entry `to`. The
-    /// entries are nested prefixes of one site list, so a site keeps
-    /// its id and survives exactly when the id is below the new site
-    /// count. Per-site state — announcement flags, active drains,
-    /// per-user assignments, and the group snapshot — is cut or
-    /// extended to the new ring. A drain of a site that leaves the
-    /// deployment is cancelled and ledgered as aborted; a user whose
-    /// site leaves keeps the stored candidate key with `site: None`,
-    /// the marker the group diff's rule 0 re-ranks.
+    /// Makes swap-set entry `to` the effective deployment. The entries
+    /// are nested prefixes of the widest one, which the engine routes
+    /// over, so a site keeps its id and belongs to the new ring exactly
+    /// when the id is below the new site count. Arrivals announce,
+    /// departures stop announcing, and survivors keep their flags (a
+    /// downed site stays down across the swap). A drain of a departing
+    /// site is cancelled and ledgered as aborted. Stored assignments
+    /// are left alone: the next recompute's group diff sees a departed
+    /// site as a removal, and the site-diff rule re-ranks its users.
     pub(super) fn apply_swap(&mut self, to: usize, out: &mut BatchOutcome) {
-        let old_len = self.base.sites.len();
-        let new_dep = Arc::clone(&self.swap_set[to]);
-        let new_len = new_dep.sites.len();
-        let survives = |s: SiteId| (s.0 as usize) < new_len;
+        let old_len = self.deployment().sites.len();
+        let new_len = self.swap_set[to].sites.len();
 
         // Ledger classification is by what actually happened to the
         // site count — robust to mislabeled events — so
@@ -40,7 +35,7 @@ impl<'g> DynamicsEngine<'g> {
         // Drains: survivors keep their state and generation stamp; a
         // drain of a departing site is cancelled and ledgered.
         self.drains.retain(|d| {
-            if survives(d.site) {
+            if (d.site.0 as usize) < new_len {
                 return true;
             }
             obs::counter_add("dynamics.drain.aborted", 1);
@@ -51,47 +46,24 @@ impl<'g> DynamicsEngine<'g> {
             false
         });
 
-        // Announcement flags: survivors keep theirs (a downed site
-        // stays down across the swap), new arrivals announce. A site
-        // that leaves forfeits its state — re-entering on a later swap
-        // starts alive. Controller withholds cannot coexist with swaps
-        // (a controller requires capacities, which exclude swap sets),
-        // so that table only changes size.
-        self.alive.resize(new_len, true);
-        self.ctrl_withheld.resize(new_len, Vec::new());
-
-        // Per-user assignments: surviving cohorts keep their stored
-        // site; a cohort whose site left the deployment keeps its
-        // stored key with the site cleared — the rule-0 orphan marker
-        // — and joins the orphan set the next recompute re-ranks
-        // unconditionally.
-        let mut kept_users = 0u64;
-        for (c, cohort) in self.cohorts.iter().enumerate() {
-            let Some(s) = self.states[c].site else {
-                continue;
-            };
-            if survives(s) {
-                kept_users += u64::from(cohort.len());
-            } else {
-                self.states[c].site = None;
-                // `reassign` cleared `orphans` last epoch and one
-                // swap applies per epoch, so a plain push keeps the
-                // set sorted and duplicate-free.
-                self.orphans.push(c as u32);
-            }
+        // A site that leaves forfeits its state: re-entering on a later
+        // swap starts alive. Controller withholds cannot coexist with
+        // swaps (a controller requires capacities, which exclude swap
+        // sets), so `ctrl_withheld` stays empty.
+        if new_len > old_len {
+            self.alive[old_len..new_len].fill(true);
+        } else {
+            self.alive[new_len..old_len].fill(false);
         }
+
+        let kept_users: u64 = self
+            .cohorts
+            .iter()
+            .zip(&self.states)
+            .filter(|(_, st)| st.site.is_some_and(|s| (s.0 as usize) < new_len))
+            .map(|(c, _)| u64::from(c.len()))
+            .sum();
         obs::counter_add("dynamics.swap.users_rekeyed", kept_users);
-
-        // Group snapshot: drop departed sites from hosted-site lists
-        // and drain footprints. After a pure demotion the surviving
-        // group then compares equal to the freshly computed one, so
-        // the following recompute re-ranks exactly the rule-0 users.
-        for snap in self.groups.values_mut() {
-            snap.sites.retain(|&s| survives(s));
-            snap.drains.retain(|(s, _)| survives(*s));
-        }
-
-        self.base = new_dep;
         self.current_swap = to;
     }
 }

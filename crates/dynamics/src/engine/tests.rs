@@ -1,5 +1,5 @@
 use super::*;
-use topology::{AnycastSite, InternetGenerator, SiteScope, TopologyConfig};
+use topology::{AnycastSite, ExportScope, InternetGenerator, TopologyConfig};
 
 fn world(n_sites: usize) -> (topology::gen::Internet, Arc<AnycastDeployment>, Vec<DynUser>) {
     let mut net = InternetGenerator::generate(&TopologyConfig::small(111));
@@ -12,7 +12,7 @@ fn world(n_sites: usize) -> (topology::gen::Internet, Arc<AnycastDeployment>, Ve
             name: format!("s{i}"),
             host: *h,
             location: net.graph.node(*h).pops[0],
-            scope: SiteScope::Global,
+            scope: ExportScope::Global,
         })
         .collect();
     let dep = AnycastDeployment::new("dyn-test", sites, vec![]);
@@ -202,12 +202,17 @@ fn set_controller_without_capacities_panics() {
 fn a_negative_or_non_finite_query_volume_panics() {
     let (net, dep, users) = world(3);
     for bad in [-1.0, f64::NAN, f64::INFINITY] {
-        let mut users = users.clone();
-        users[0].queries_per_day = bad;
-        let built = std::panic::catch_unwind(|| {
-            engine(&net, &dep, &users, RecomputeMode::Incremental);
-        });
-        assert!(built.is_err(), "a query volume of {bad} must be rejected");
+        for (field, set) in [
+            ("query volume", (|u, v| u.queries_per_day = v) as fn(&mut DynUser, f64)),
+            ("weight", |u, v| u.weight = v),
+        ] {
+            let mut users = users.clone();
+            set(&mut users[0], bad);
+            let built = std::panic::catch_unwind(|| {
+                engine(&net, &dep, &users, RecomputeMode::Incremental);
+            });
+            assert!(built.is_err(), "a {field} of {bad} must be rejected");
+        }
     }
 }
 

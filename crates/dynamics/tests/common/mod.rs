@@ -12,7 +12,7 @@ use cdn::{Cdn, CdnConfig};
 use std::sync::{Arc, Mutex, MutexGuard};
 use topology::gen::Internet;
 use topology::{
-    AnycastDeployment, AnycastSite, InternetGenerator, SiteId, SiteScope, TopologyConfig,
+    AnycastDeployment, AnycastSite, ExportScope, InternetGenerator, SiteId, TopologyConfig,
 };
 
 /// `par::set_threads` is process-global; tests that flip it must not
@@ -52,7 +52,7 @@ pub fn flat_world(
             name: format!("s{i}"),
             host: *h,
             location: net.graph.node(*h).pops[0],
-            scope: SiteScope::Global,
+            scope: ExportScope::Global,
         })
         .collect();
     let dep = AnycastDeployment::new(name, sites, vec![]);

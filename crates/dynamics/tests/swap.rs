@@ -12,7 +12,7 @@ use common::swap_set;
 use netsim::{LatencyModel, SimTime};
 use std::sync::Arc;
 use topology::gen::Internet;
-use topology::SiteId;
+use topology::{Asn, ExportScope, SiteId};
 
 /// A small world with the five nested rings (scale 0.12: sizes
 /// 3/6/9/11/13, matching the determinism suite's scale).
@@ -157,6 +157,32 @@ fn demotion_cancels_drain_of_departing_site() {
     assert_eq!(e.current_swap(), r74);
 }
 
+/// A demotion re-ranks exactly the users whose front-end left the
+/// ring: the group diff sees each departed site as a removal, and the
+/// site-diff rule re-ranks its users and nobody else.
+#[test]
+fn demotion_recomputes_exactly_the_users_of_departed_sites() {
+    let (net, cdn, users) = cdn_world();
+    let r74 = cdn.ring_index("R74").unwrap();
+    let r95 = cdn.ring_index("R95").unwrap();
+    let n74 = cdn.rings[r74].deployment.sites.len();
+    let mut e = engine(&net, &cdn, r95, &users, RecomputeMode::Incremental);
+    let departed = e
+        .user_snapshot()
+        .iter()
+        .filter(|(site, _, _)| site.is_some_and(|s| s.0 as usize >= n74))
+        .count() as u64;
+    assert!(departed > 0, "R95's extra sites must serve someone at this scale");
+
+    let scenario = Scenario::new("demote")
+        .at(SimTime::from_secs(30.0), RoutingEvent::RingDemote { to: r74 as u32 });
+    let t = e.run(&scenario);
+
+    let rec = &t.records[1];
+    assert_eq!(rec.event, "demote R74");
+    assert_eq!(rec.recomputed, departed);
+}
+
 /// A same-`SimTime` promote+demote pair targeting one ring cancels
 /// into a recorded no-op epoch: nothing recomputes, nothing moves.
 #[test]
@@ -292,23 +318,13 @@ fn capacities_after_swap_set_panics() {
     .with_capacities(caps);
 }
 
-/// Swap entries must be nested prefixes of one site list: an entry
-/// that puts a different front-end under a shared site id is rejected
-/// at registration, before any swap could carry state to the wrong
-/// site.
-#[test]
-#[should_panic(expected = "nested prefixes")]
-fn non_nested_swap_set_panics() {
+/// Registers the swap set `[R74, R95]` on an R74 engine, with R95
+/// changed by `alter` first.
+fn register_altered_r95(alter: impl FnOnce(&mut topology::AnycastDeployment)) {
     let (net, cdn, users) = cdn_world();
-    let r74 = cdn.ring_index("R74").unwrap();
-    let r95 = &cdn.rings[cdn.ring_index("R95").unwrap()].deployment;
-    // R95 with its first two front-ends' locations exchanged.
-    let mut sites = r95.sites.clone();
-    let (a, b) = (sites[0].location, sites[1].location);
-    sites[0].location = b;
-    sites[1].location = a;
-    let shuffled = Arc::new(topology::AnycastDeployment::new("R95-shuffled", sites, vec![]));
-    let own = Arc::clone(&cdn.rings[r74].deployment);
+    let own = Arc::clone(&cdn.rings[cdn.ring_index("R74").unwrap()].deployment);
+    let mut r95 = (*cdn.rings[cdn.ring_index("R95").unwrap()].deployment).clone();
+    alter(&mut r95);
     let _ = DynamicsEngine::new(
         &net.graph,
         Arc::clone(&own),
@@ -316,5 +332,54 @@ fn non_nested_swap_set_panics() {
         users,
         RecomputeMode::Incremental,
     )
-    .with_swap_set(vec![own, shuffled], 0);
+    .with_swap_set(vec![own, Arc::new(r95)], 0);
+}
+
+/// Swap entries must be nested prefixes of one site list: an entry
+/// that puts a different front-end under a shared site id is rejected
+/// at registration, before any swap could carry state to the wrong
+/// site.
+#[test]
+#[should_panic(expected = "nested prefixes")]
+fn non_nested_swap_set_panics() {
+    // R95 with its first two front-ends' locations exchanged.
+    register_altered_r95(|d| {
+        let (a, b) = (d.sites[0].location, d.sites[1].location);
+        d.sites[0].location = b;
+        d.sites[1].location = a;
+    });
+}
+
+/// The engine routes over the widest entry, so a shared site must
+/// carry the same announcement scope in every entry.
+#[test]
+#[should_panic(expected = "nested prefixes")]
+fn swap_set_disagreeing_on_a_site_scope_panics() {
+    register_altered_r95(|d| {
+        d.sites[0].scope = match d.sites[0].scope {
+            ExportScope::Global => ExportScope::Local,
+            ExportScope::Local => ExportScope::Global,
+        };
+    });
+}
+
+/// Every entry must withhold the same sessions as the widest one.
+#[test]
+#[should_panic(expected = "share one announcement")]
+fn swap_set_disagreeing_on_withhold_panics() {
+    register_altered_r95(|d| d.withhold.push(Asn(1)));
+}
+
+/// Every entry must announce from the same origin AS as the widest one.
+#[test]
+#[should_panic(expected = "share one announcement")]
+fn swap_set_disagreeing_on_origin_as_panics() {
+    register_altered_r95(|d| d.origin_as = if d.origin_as.is_some() { None } else { Some(Asn(1)) });
+}
+
+/// Every entry must name the same direct hosts as the widest one.
+#[test]
+#[should_panic(expected = "share one announcement")]
+fn swap_set_disagreeing_on_direct_hosts_panics() {
+    register_altered_r95(|d| d.direct_hosts.push(Asn(1)));
 }

@@ -37,16 +37,6 @@ impl std::fmt::Display for SiteId {
     }
 }
 
-/// Whether a site's announcement is globally visible or NO_EXPORT-scoped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SiteScope {
-    /// Globally reachable site.
-    Global,
-    /// Local site: only the host AS's direct neighbors learn the route
-    /// (§2.1 — "local sites serve small geographic areas or certain ASes").
-    Local,
-}
-
 /// One anycast site.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnycastSite {
@@ -59,7 +49,7 @@ pub struct AnycastSite {
     /// Physical location of the site.
     pub location: GeoPoint,
     /// Announcement scope.
-    pub scope: SiteScope,
+    pub scope: ExportScope,
 }
 
 /// One site's staged withhold set: the neighbor sessions this site no
@@ -175,7 +165,7 @@ impl AnycastDeployment {
     /// consider global sites, since we do not know which recursives can
     /// reach local sites").
     pub fn global_sites(&self) -> impl Iterator<Item = &AnycastSite> {
-        self.sites.iter().filter(|s| s.scope == SiteScope::Global)
+        self.sites.iter().filter(|s| s.scope == ExportScope::Global)
     }
 
     /// Number of global sites (the counts in Fig. 2's legend).
@@ -372,23 +362,14 @@ impl RouteCache {
     ) {
         let mut keys: Vec<(Asn, ExportScope, &'d [Asn])> = Vec::new();
         for dep in deployments {
-            let mut origins: Vec<(Asn, ExportScope)> = dep
-                .sites
-                .iter()
-                .map(|s| {
-                    let scope = match s.scope {
-                        SiteScope::Global => ExportScope::Global,
-                        SiteScope::Local => ExportScope::Local,
-                    };
-                    (s.host, scope)
-                })
-                .collect();
+            let mut origins: Vec<(Asn, ExportScope)> =
+                dep.sites.iter().map(|s| (s.host, s.scope)).collect();
             if let Some(origin) = dep.origin_as {
                 if graph.get(origin).is_some() {
                     origins.push((origin, ExportScope::Global));
                 }
             }
-            origins.sort_by_key(|(a, s)| (*a, matches!(s, ExportScope::Local)));
+            origins.sort_unstable();
             origins.dedup();
             keys.extend(origins.into_iter().map(|(a, s)| (a, s, dep.withhold.as_slice())));
         }
@@ -526,14 +507,10 @@ impl<'g> Catchment<'g> {
         // Group sites by (host, scope): one BGP computation per group.
         let mut grouped: DetHashMap<(Asn, ExportScope), Vec<SiteId>> = DetHashMap::default();
         for site in &deployment.sites {
-            let scope = match site.scope {
-                SiteScope::Global => ExportScope::Global,
-                SiteScope::Local => ExportScope::Local,
-            };
-            grouped.entry((site.host, scope)).or_default().push(site.id);
+            grouped.entry((site.host, site.scope)).or_default().push(site.id);
         }
         let mut keys: Vec<_> = grouped.keys().copied().collect();
-        keys.sort_by_key(|(a, s)| (*a, matches!(s, ExportScope::Local)));
+        keys.sort_unstable();
         // One parallel fan-out over every missing origin, then all the
         // `get` calls below are cache hits.
         cache.prefill(
@@ -856,7 +833,7 @@ mod tests {
         GeoPoint::new(0.0, lon)
     }
 
-    fn site(id: u32, host: u32, lon: f64, scope: SiteScope) -> AnycastSite {
+    fn site(id: u32, host: u32, lon: f64, scope: ExportScope) -> AnycastSite {
         AnycastSite {
             id: SiteId(id),
             name: format!("site{id}"),
@@ -882,8 +859,8 @@ mod tests {
         let dep = AnycastDeployment::new(
             "letter",
             vec![
-                site(0, 10, 10.0, SiteScope::Global),
-                site(1, 21, 1.0, SiteScope::Global),
+                site(0, 10, 10.0, ExportScope::Global),
+                site(1, 21, 1.0, ExportScope::Global),
             ],
             vec![],
         );
@@ -973,7 +950,7 @@ mod tests {
         g.add_peer_link(Asn(10), Asn(20), vec![p(2.5)]);
         let dep = AnycastDeployment::new(
             "local-only",
-            vec![site(0, 10, 0.0, SiteScope::Local)],
+            vec![site(0, 10, 0.0, ExportScope::Local)],
             vec![],
         );
         let mut cache = RouteCache::new();
@@ -999,8 +976,8 @@ mod tests {
         let dep = AnycastDeployment::new(
             "ring",
             vec![
-                site(0, 100, 0.0, SiteScope::Global),
-                site(1, 100, 60.0, SiteScope::Global),
+                site(0, 100, 0.0, ExportScope::Global),
+                site(1, 100, 60.0, ExportScope::Global),
             ],
             vec![],
         );
@@ -1021,7 +998,7 @@ mod tests {
         g.add_peer_link(Asn(1), Asn(100), vec![p(60.0), p(0.0)]);
         let dep = AnycastDeployment::new(
             "small-ring",
-            vec![site(0, 100, 0.0, SiteScope::Global)],
+            vec![site(0, 100, 0.0, ExportScope::Global)],
             vec![],
         );
         let mut cache = RouteCache::new();
@@ -1040,7 +1017,7 @@ mod tests {
         g.add_as(node(100, AsKind::Content, vec![p(0.0), p(30.0)]));
         let dep = AnycastDeployment::new(
             "ring",
-            vec![site(0, 100, 0.0, SiteScope::Global), site(1, 100, 30.0, SiteScope::Global)],
+            vec![site(0, 100, 0.0, ExportScope::Global), site(1, 100, 30.0, ExportScope::Global)],
             vec![],
         );
         let mut cache = RouteCache::new();
@@ -1073,7 +1050,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dense")]
     fn non_dense_site_ids_panic() {
-        AnycastDeployment::new("bad", vec![site(1, 10, 0.0, SiteScope::Global)], vec![]);
+        AnycastDeployment::new("bad", vec![site(1, 10, 0.0, ExportScope::Global)], vec![]);
     }
 
     #[test]
@@ -1122,8 +1099,8 @@ mod tests {
         let mut dep = AnycastDeployment::new(
             "ring",
             vec![
-                site(0, 100, 0.0, SiteScope::Global),
-                site(1, 100, 60.0, SiteScope::Global),
+                site(0, 100, 0.0, ExportScope::Global),
+                site(1, 100, 60.0, ExportScope::Global),
             ],
             vec![],
         );
@@ -1178,7 +1155,7 @@ mod tests {
         g.add_as(node(100, AsKind::Content, vec![p(0.0), p(30.0)]));
         let mut dep = AnycastDeployment::new(
             "ring",
-            vec![site(0, 100, 0.0, SiteScope::Global), site(1, 100, 30.0, SiteScope::Global)],
+            vec![site(0, 100, 0.0, ExportScope::Global), site(1, 100, 30.0, ExportScope::Global)],
             vec![],
         );
         dep.site_drains = vec![SiteDrain { site: SiteId(1), withheld: vec![Asn(100)] }];
@@ -1318,7 +1295,7 @@ mod tests {
                     name: format!("s{}", sites.len()),
                     host,
                     location: pops[rng.gen_range(0..pops.len())],
-                    scope: if rng.gen_bool(0.3) { SiteScope::Local } else { SiteScope::Global },
+                    scope: if rng.gen_bool(0.3) { ExportScope::Local } else { ExportScope::Global },
                 });
             }
         }
@@ -1478,7 +1455,7 @@ mod tests {
 
     #[test]
     fn restricted_keeps_sites_in_order_and_copies_the_announcement() {
-        let sites = (0..5).map(|i| site(i, 10 + i, f64::from(i), SiteScope::Global)).collect();
+        let sites = (0..5).map(|i| site(i, 10 + i, f64::from(i), ExportScope::Global)).collect();
         let mut dep = AnycastDeployment::new("letter", sites, vec![Asn(7), Asn(9)])
             .with_origin(Asn(99), vec![Asn(11)]);
         dep.site_drains = vec![SiteDrain { site: SiteId(3), withheld: vec![Asn(1)] }];
@@ -1539,7 +1516,7 @@ mod tests {
                     name: format!("s{i}"),
                     host: hosts[i / 2],
                     location: net.graph.node(hosts[i / 2]).pops[0],
-                    scope: SiteScope::Global,
+                    scope: ExportScope::Global,
                 })
                 .collect();
             let mut dep = AnycastDeployment::new("two-walk", sites, vec![]);

@@ -42,7 +42,7 @@ pub mod waypoints;
 
 pub use anycast::{
     AnycastDeployment, AnycastSite, CandidateKey, Catchment, RouteCache, SiteAssignment, SiteDrain,
-    SiteId, SiteScope,
+    SiteId,
 };
 pub use asn::{AsKind, Asn, OrgId};
 pub use bgp::{ExportScope, OriginRoutes, RouteClass};

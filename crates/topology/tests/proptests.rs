@@ -4,7 +4,7 @@
 use anycast_topology::bgp::{ExportScope, RouteComputer};
 use anycast_topology::gen::{InternetGenerator, TopologyConfig};
 use anycast_topology::{
-    AnycastDeployment, AnycastSite, Catchment, RouteCache, RouteClass, SiteId, SiteScope,
+    AnycastDeployment, AnycastSite, Catchment, RouteCache, RouteClass, SiteId,
 };
 use proptest::prelude::*;
 
@@ -144,7 +144,7 @@ proptest! {
                 name: format!("s{i}"),
                 host: *h,
                 location: net.graph.node(*h).pops[0],
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             })
             .collect();
         let dep = AnycastDeployment::new("prop", sites, vec![]);

@@ -148,7 +148,7 @@ impl AtlasPanel {
 mod tests {
     use super::*;
     use topology::{InternetGenerator, TopologyConfig};
-    use topology::{AnycastSite, SiteId, SiteScope};
+    use topology::{AnycastSite, ExportScope, SiteId};
 
     fn setup() -> (Internet, AtlasPanel) {
         let net = InternetGenerator::generate(&TopologyConfig::small(81));
@@ -198,7 +198,7 @@ mod tests {
                 name: "s0".into(),
                 host,
                 location: loc,
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             }],
             vec![],
         );
@@ -222,7 +222,7 @@ mod tests {
                 name: "s0".into(),
                 host,
                 location: loc,
-                scope: SiteScope::Global,
+                scope: ExportScope::Global,
             }],
             vec![],
         );
