@@ -42,29 +42,15 @@ pub fn favorite_site_miss_fractions(clean: &CleanDitl) -> Vec<(Letter, WeightedC
             continue;
         }
         let favorite = a.by_site.values().fold(0.0f64, |m, v| m.max(*v));
-        per_letter.entry(letter).or_default().push((1.0 - favorite / total, 1.0));
+        // Eq. 3 is exactly 0 for a perfectly affine /24; never below.
+        per_letter.entry(letter).or_default().push(((1.0 - favorite / total).max(0.0), 1.0));
     }
     let mut out: Vec<(Letter, WeightedCdf)> = per_letter
         .into_iter()
-        .map(|(l, pts)| (l, WeightedCdf::from_points_with_zeros(pts)))
+        .map(|(l, pts)| (l, WeightedCdf::from_points(pts)))
         .collect();
     out.sort_by_key(|(l, _)| *l);
     out
-}
-
-trait CdfExt {
-    fn from_points_with_zeros(points: Vec<(f64, f64)>) -> WeightedCdf;
-}
-
-impl CdfExt for WeightedCdf {
-    /// Eq. 3 produces exact zeros for perfectly-affine /24s; keep them
-    /// (the standard constructor already does, this alias just documents
-    /// the intent).
-    fn from_points_with_zeros(points: Vec<(f64, f64)>) -> WeightedCdf {
-        WeightedCdf::from_points(
-            points.into_iter().map(|(v, w)| (v.max(0.0), w)).collect(),
-        )
-    }
 }
 
 #[cfg(test)]

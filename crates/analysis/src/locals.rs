@@ -44,10 +44,11 @@ pub fn local_site_study(
     let mut cache = RouteCache::new();
     let full = Catchment::compute(graph, deployment, &mut cache);
 
-    // Global-only counterfactual.
-    let counter_catchment = deployment
-        .restricted(|s| s.scope == ExportScope::Global)
-        .map(|(dep, _)| Catchment::compute(graph, &dep, &mut cache));
+    // Global-only counterfactual: every local site withdrawn.
+    let mut global_only = deployment.clone();
+    global_only.withdrawn =
+        deployment.sites.iter().filter(|s| s.scope == ExportScope::Local).map(|s| s.id).collect();
+    let counter_catchment = Catchment::compute(graph, &global_only, &mut cache);
 
     let mut local_weight = 0.0;
     let mut total_weight = 0.0;
@@ -62,12 +63,9 @@ pub fn local_site_study(
         local_weight += u.load;
         let ms = model.median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband));
         with_pts.push((ms, u.load));
-        if let Some(cc) = &counter_catchment {
-            if let Some(ca) = cc.assign(u.asn, &u.location) {
-                let cms =
-                    model.median_rtt_ms(&PathProfile::from_assignment(&ca, LastMile::Broadband));
-                without_pts.push((cms, u.load));
-            }
+        if let Some(ca) = counter_catchment.assign(u.asn, &u.location) {
+            let cms = model.median_rtt_ms(&PathProfile::from_assignment(&ca, LastMile::Broadband));
+            without_pts.push((cms, u.load));
         }
     }
 
@@ -161,5 +159,43 @@ mod tests {
         let study = local_site_study(&g, &dep, &LatencyModel::default(), &users);
         assert_eq!(study.locally_served_fraction, 0.0);
         assert!(study.latency_with_locals.is_empty());
+    }
+
+    /// A deployment of local sites only leaves nothing in the
+    /// global-only counterfactual: every site withdrawn, no user
+    /// routed there, and no saving to report.
+    #[test]
+    fn locals_only_deployment_has_an_empty_counterfactual() {
+        let p = GeoPoint::new(0.0, 0.0);
+        let mut g = topology::AsGraph::new();
+        for asn in [1, 2] {
+            g.add_as(AsNode {
+                asn: Asn(asn),
+                kind: AsKind::Hoster,
+                org: OrgId(asn),
+                name: format!("h{asn}"),
+                pops: vec![p],
+                prefixes: vec![],
+            });
+        }
+        g.add_peer_link(Asn(1), Asn(2), vec![p]);
+        let local = |id: u32, host: u32| AnycastSite {
+            id: SiteId(id),
+            name: format!("l{id}"),
+            host: Asn(host),
+            location: p,
+            scope: ExportScope::Local,
+        };
+        let dep = AnycastDeployment::new("locals-only", vec![local(0, 1), local(1, 2)], vec![])
+            .with_origin(Asn(2), vec![]);
+        let users = vec![
+            TrafficSource { asn: Asn(1), location: p, load: 1.0 },
+            TrafficSource { asn: Asn(2), location: p, load: 2.0 },
+        ];
+        let study = local_site_study(&g, &dep, &LatencyModel::default(), &users);
+        assert_eq!(study.locally_served_fraction, 1.0);
+        assert_eq!(study.latency_with_locals.total_weight(), 3.0);
+        assert!(study.latency_without_locals.is_empty());
+        assert_eq!(study.median_saving_ms(), 0.0);
     }
 }

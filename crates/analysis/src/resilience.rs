@@ -21,7 +21,7 @@ use crate::stats::WeightedCdf;
 use geo::GeoPoint;
 use netsim::{LastMile, LatencyModel, PathProfile};
 use serde::{Deserialize, Serialize};
-use par::{DetHashMap as HashMap, DetHashSet as HashSet};
+use par::DetHashMap as HashMap;
 use topology::{AnycastDeployment, AsGraph, Asn, Catchment, RouteCache, SiteId};
 
 /// A weighted traffic source: who sends, from where, how much.
@@ -72,10 +72,9 @@ pub struct AttackSpec {
 /// load-coupled simulation in the repo (DDoS cascades here, load-aware
 /// drains in `dynamics`).
 ///
-/// Capacities are indexed by [`SiteId`] in the deployment's *original*
-/// (dense) ids and expressed in the same units as the traffic sources'
-/// load (user weight). Queries never allocate, so engines can consult
-/// them per epoch.
+/// Capacities are indexed by [`SiteId`] and expressed in the same
+/// units as the traffic sources' load (user weight). Queries never
+/// allocate, so engines can consult them per epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteCapacities {
     caps: Vec<f64>,
@@ -221,15 +220,15 @@ pub fn simulate_attack(
     // Round 1 keeps every site, so its latencies are the pre-attack ones.
     let mut latency_before = None;
     let mut withdrawn: Vec<SiteId> = Vec::new();
-    let mut dead: HashSet<SiteId> = HashSet::default();
+    // The deployment as still announced: the collapsed sites withdrawn.
+    let mut dep = deployment.clone();
     let mut rounds = 0;
     let total_users: f64 = users.iter().map(|u| u.load).sum();
     let (latency_after, unserved) = loop {
         rounds += 1;
-        // Remaining deployment, with the original id of each dense id.
-        let Some((dep, original)) = deployment.restricted(|s| !dead.contains(&s.id)) else {
+        if dep.withdrawn.len() == dep.sites.len() {
             break (WeightedCdf::from_points(vec![]), 1.0);
-        };
+        }
         let catchment = Catchment::compute(graph, &dep, &mut cache);
 
         // Load per (surviving) site.
@@ -266,11 +265,9 @@ pub fn simulate_attack(
             let unserved = if total_users > 0.0 { 1.0 - served / total_users } else { 0.0 };
             break (WeightedCdf::from_points(latency_pts), unserved.max(0.0));
         }
-        for s in failed_this_round {
-            let orig = original[s.0 as usize];
-            dead.insert(orig);
-            withdrawn.push(orig);
-        }
+        withdrawn.extend(&failed_this_round);
+        dep.withdrawn.extend(failed_this_round);
+        dep.withdrawn.sort_unstable();
         if rounds > deployment.sites.len() + 1 {
             // Every round kills at least one site, so this is unreachable;
             // guard against accounting bugs.
@@ -346,21 +343,27 @@ mod tests {
         assert_eq!(outcome.rounds, 1);
     }
 
+    /// Once every site has collapsed the cascade ends in a round with
+    /// nothing announced: everyone unserved and no survivor latency,
+    /// also when the attack alone did it (no legitimate users). The
+    /// failure orders and round counts are pinned.
     #[test]
     fn overwhelming_attack_kills_everything() {
-        let (net, dep, users) = setup(3);
-        let total: f64 = users.iter().map(|u| u.load).sum();
-        let attack = attack_from(&users, 10, total * 100.0);
-        let outcome = simulate_attack(
-            &net.graph,
-            &dep,
-            &LatencyModel::default(),
-            &users,
-            &attack,
-            total, // capacity below attack volume no matter the split
-        );
-        assert_eq!(outcome.withdrawn_sites.len(), 3);
-        assert!((outcome.unserved_user_fraction - 1.0).abs() < 1e-9);
+        let order = |ids: &[u32]| ids.iter().copied().map(SiteId).collect::<Vec<_>>();
+        for (n, withdrawn) in [(3, order(&[0, 1, 2])), (6, order(&[0, 5, 2, 3, 1, 4]))] {
+            let (net, dep, users) = setup(n);
+            let total: f64 = users.iter().map(|u| u.load).sum();
+            let attack = attack_from(&users, 10, total * 100.0);
+            for legit in [&users[..], &[]] {
+                let model = LatencyModel::default();
+                // Capacity below the attack volume, however it splits.
+                let outcome = simulate_attack(&net.graph, &dep, &model, legit, &attack, total);
+                assert_eq!(outcome.withdrawn_sites, withdrawn);
+                assert_eq!(outcome.unserved_user_fraction, 1.0);
+                assert!(outcome.latency_after.is_empty());
+                assert_eq!(outcome.rounds, n, "{n} sites, {} legitimate users", legit.len());
+            }
+        }
     }
 
     #[test]

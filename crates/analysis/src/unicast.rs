@@ -42,10 +42,10 @@ pub fn unicast_study(
 ) -> UnicastStudy {
     let mut cache = RouteCache::new();
     let catchment = Catchment::compute(graph, deployment, &mut cache);
-    // Built by hand rather than by `AnycastDeployment::restricted`: a
-    // site's unicast address is announced by its host alone, with no
-    // origin-AS hop and no origin-AS announcement over IXPs, so the
-    // one-site deployment drops `origin_as` and `direct_hosts`.
+    // A one-site deployment of its own rather than the anycast one with
+    // every other site withdrawn: a site's unicast address is announced
+    // by its host alone, with no origin-AS hop and no origin-AS
+    // announcement over IXPs, so it drops `origin_as` and `direct_hosts`.
     let site_catchments: Vec<Catchment<'_>> = deployment
         .global_sites()
         .map(|site| {

@@ -70,11 +70,12 @@ impl ServerSideLogs {
                     continue;
                 };
                 let profile = PathProfile::from_assignment(&assignment, LastMile::Broadband);
-                let mut rtts: Vec<f64> = (0..samples_per_location)
-                    .map(|_| model.sample_rtt_ms(&profile, &mut rng))
-                    .collect();
-                rtts.sort_by(|a, b| a.partial_cmp(b).expect("finite rtts"));
-                let median_rtt_ms = rtts[rtts.len() / 2];
+                let median_rtt_ms = netsim::median_ping_ms(
+                    model,
+                    &profile,
+                    samples_per_location as usize,
+                    &mut rng,
+                );
                 obs::record("cdn.log_rtt_ms", median_rtt_ms);
                 records.push(ServerLogRecord {
                     ring: ring.name.clone(),

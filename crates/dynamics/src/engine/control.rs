@@ -109,7 +109,7 @@ impl<'g> DynamicsEngine<'g> {
         caps.min_headroom_frac(&self.site_loads(), self.announced_sites())
     }
 
-    /// Original ids of the sites currently announced (alive) — the
+    /// Ids of the sites currently announced (alive) — the
     /// survivors a drain's load check protects.
     pub(super) fn announced_sites(&self) -> Vec<SiteId> {
         self.base

@@ -85,10 +85,10 @@ pub struct DynUser {
     pub queries_per_day: f64,
 }
 
-/// A cohort's current assignment, in *original* deployment site ids —
-/// the rank-result type the re-rank step produces and the engine
-/// stores once per cohort (every member of an expansion cohort shares
-/// one `(source AS, location)` pair and therefore one assignment).
+/// A cohort's current assignment — the rank-result type the re-rank
+/// step produces and the engine stores once per cohort (every member
+/// of an expansion cohort shares one `(source AS, location)` pair and
+/// therefore one assignment).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct UserState {
     site: Option<SiteId>,
@@ -142,12 +142,12 @@ pub struct RecomputeMismatch {
 }
 
 /// Snapshot of one origin group of the current catchment: the shared
-/// route table and the hosted sites in original ids, sorted.
+/// route table and the announcing hosted sites, sorted.
 #[derive(Debug, Clone)]
 struct GroupSnap {
     routes: Arc<OriginRoutes>,
     sites: Vec<SiteId>,
-    /// Active drain footprint of the group's sites (original ids and
+    /// Active drain footprint of the group's sites (site ids and
     /// withheld sessions, sorted by site): per-session eligibility
     /// state the routes `Arc` cannot see, so it must take part in the
     /// group diff.
@@ -194,13 +194,12 @@ struct BatchOutcome {
 }
 
 /// The planning half of one recompute: the new catchment, its origin
-/// groups snapshotted in original site ids, and the affected-cohort
-/// selection the group diff produced. Everything here is decided
-/// before any assignment state is written — the seam between the
-/// `plan → rank → commit` phases of [`DynamicsEngine::reassign`].
+/// group snapshot, and the affected-cohort selection the group diff
+/// produced. Everything here is decided before any assignment state
+/// is written — the seam between the `plan → rank → commit` phases of
+/// [`DynamicsEngine::reassign`].
 struct ReassignPlan<'g> {
-    catchment: Option<Catchment<'g>>,
-    dense_to_orig: Vec<SiteId>,
+    catchment: Catchment<'g>,
     new_groups: DetHashMap<(Asn, ExportScope), GroupSnap>,
     affected: Vec<u32>,
     slice_users: u64,
@@ -215,9 +214,9 @@ struct ReassignPlan<'g> {
 #[derive(Debug)]
 pub struct DynamicsEngine<'g> {
     graph: &'g AsGraph,
-    /// The deployment routed over, restricted to the announcing sites:
-    /// the engine's own, or the widest swap-set entry once a swap set
-    /// is registered.
+    /// The deployment routed over, every site included (`alive` says
+    /// which announce): the engine's own, or the widest swap-set entry
+    /// once a swap set is registered.
     base: Arc<AnycastDeployment>,
     model: LatencyModel,
     mode: RecomputeMode,
@@ -272,7 +271,7 @@ pub struct DynamicsEngine<'g> {
     /// Attached closed-loop load controller (`None` — the default —
     /// reproduces today's behavior byte-for-byte).
     controller: Option<Box<dyn LoadController>>,
-    /// Controller-withheld sessions per original site id, each sorted
+    /// Controller-withheld sessions per site id, each sorted
     /// by ASN and carrying the user weight the session had when
     /// withheld (the release-projection estimate).
     ctrl_withheld: Vec<Vec<(Asn, f64)>>,
@@ -342,7 +341,7 @@ pub struct ServingCohort {
     pub start: u32,
     /// One past the last member's user id.
     pub end: u32,
-    /// Serving site (original deployment id), or `None` while unserved.
+    /// Serving site, or `None` while unserved.
     pub site: Option<SiteId>,
     /// Anycast RTT every member currently pays, ms (0 while unserved).
     pub latency_ms: f64,
@@ -644,10 +643,10 @@ impl<'g> DynamicsEngine<'g> {
         &self.load_ledger
     }
 
-    /// The current per-user assignment — serving site (original id),
-    /// latency, and geographic path length, in user index order. The
-    /// rollback oracle of the drain-abort tests: an aborted drain must
-    /// leave this byte-identical to the pre-drain snapshot.
+    /// The current per-user assignment — serving site, latency, and
+    /// geographic path length, in user index order. The rollback
+    /// oracle of the drain-abort tests: an aborted drain must leave
+    /// this byte-identical to the pre-drain snapshot.
     pub fn user_snapshot(&self) -> Vec<(Option<SiteId>, f64, f64)> {
         let mut out = Vec::with_capacity(self.queries_per_day.len());
         for (c, st) in self.cohorts.iter().zip(&self.states) {
@@ -708,9 +707,9 @@ impl<'g> DynamicsEngine<'g> {
         self.swap_set.get(self.current_swap).unwrap_or(&self.base)
     }
 
-    /// Current user weight landing on each site, indexed by original
-    /// site id. Scenario builders use this to aim events at the
-    /// hottest (or coldest) site deterministically.
+    /// Current user weight landing on each site, indexed by site id.
+    /// Scenario builders use this to aim events at the hottest (or
+    /// coldest) site deterministically.
     pub fn site_loads(&self) -> Vec<f64> {
         let mut loads = vec![0.0; self.deployment().sites.len()];
         for (c, st) in self.cohorts.iter().zip(&self.states) {

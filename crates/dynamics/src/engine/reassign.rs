@@ -35,27 +35,27 @@ enum GroupChange {
 }
 
 impl<'g> DynamicsEngine<'g> {
-    /// The deployment as currently announced: alive sites, re-id'd
-    /// densely by [`AnycastDeployment::restricted`], with lost peerings
-    /// merged into the withhold list. `None` when nothing is announced.
-    /// The second element maps dense ids back to original ids.
-    fn effective_deployment(&self) -> Option<(Arc<AnycastDeployment>, Vec<SiteId>)> {
-        let (mut dep, orig) = self.base.restricted(|s| self.alive[s.id.0 as usize])?;
+    /// The deployment as currently announced: every site of `base`,
+    /// the ones not alive withdrawn, lost peerings merged into the
+    /// withhold list, and the active withhold sets — partial drains
+    /// merged with controller sheds — as site drains. Holding drains
+    /// have no withheld set: their site is simply withdrawn.
+    fn effective_deployment(&self) -> Arc<AnycastDeployment> {
+        let mut dep = (*self.base).clone();
         dep.withhold.extend(self.lost_peerings.iter().copied());
         dep.withhold.sort_unstable();
         dep.withhold.dedup();
-        // Active withhold sets — partial drains merged with controller
-        // sheds — translated to dense ids (`orig` is ascending).
-        // Holding drains have no withheld set: their site is simply
-        // absent.
-        for (dense, &s) in orig.iter().enumerate() {
-            let withheld = self.withheld_sessions(s);
-            if withheld.is_empty() {
+        for s in &self.base.sites {
+            if !self.alive[s.id.0 as usize] {
+                dep.withdrawn.push(s.id);
                 continue;
             }
-            dep.site_drains.push(SiteDrain { site: SiteId(dense as u32), withheld });
+            let withheld = self.withheld_sessions(s.id);
+            if !withheld.is_empty() {
+                dep.site_drains.push(SiteDrain { site: s.id, withheld });
+            }
         }
-        Some((Arc::new(dep), orig))
+        Arc::new(dep)
     }
 
     /// Recomputes the catchment over the effective deployment, re-ranks
@@ -72,38 +72,29 @@ impl<'g> DynamicsEngine<'g> {
     }
 
     /// Phase 1 of a recompute: the new catchment over the effective
-    /// deployment, its origin-group snapshot in original site ids, and
-    /// the affected-cohort selection (the group diff and invalidation
-    /// rules 1–3). Mutates only the route cache; every assignment
-    /// write waits for [`DynamicsEngine::commit_plan`].
+    /// deployment, its origin-group snapshot, and the affected-cohort
+    /// selection (the group diff and invalidation rules 1–3). Mutates
+    /// only the route cache; every assignment write waits for
+    /// [`DynamicsEngine::commit_plan`].
     fn plan_reassign(&mut self, is_init: bool) -> ReassignPlan<'g> {
         let population = self.queries_per_day.len();
         // New catchment over whatever is still announced.
-        let (catchment, dense_to_orig) = match self.effective_deployment() {
-            Some((dep, orig)) => {
-                (Some(Catchment::compute_shared(self.graph, dep, &mut self.cache)), orig)
-            }
-            None => (None, Vec::new()),
-        };
-        // Snapshot its origin groups in original site ids.
+        let catchment =
+            Catchment::compute_shared(self.graph, self.effective_deployment(), &mut self.cache);
+        // Snapshot its origin groups.
         let mut new_groups: DetHashMap<(Asn, ExportScope), GroupSnap> = DetHashMap::default();
-        if let Some(c) = &catchment {
-            for (host, scope, routes, sites) in c.groups() {
-                let mut sites: Vec<SiteId> =
-                    sites.iter().map(|s| dense_to_orig[s.0 as usize]).collect();
-                sites.sort_unstable();
-                let drains: Vec<(SiteId, Vec<Asn>)> = sites
-                    .iter()
-                    .filter_map(|s| {
-                        let w = self.withheld_sessions(*s);
-                        (!w.is_empty()).then_some((*s, w))
-                    })
-                    .collect();
-                new_groups.insert(
-                    (host, scope),
-                    GroupSnap { routes: Arc::clone(routes), sites, drains },
-                );
-            }
+        for (host, scope, routes, sites) in catchment.groups() {
+            let drains: Vec<(SiteId, Vec<Asn>)> = sites
+                .iter()
+                .filter_map(|s| {
+                    let w = self.withheld_sessions(*s);
+                    (!w.is_empty()).then_some((*s, w))
+                })
+                .collect();
+            new_groups.insert(
+                (host, scope),
+                GroupSnap { routes: Arc::clone(routes), sites: sites.to_vec(), drains },
+            );
         }
 
         // Who must be re-ranked?
@@ -112,7 +103,7 @@ impl<'g> DynamicsEngine<'g> {
         } else {
             self.invalidated_cohorts(&new_groups)
         };
-        ReassignPlan { catchment, dense_to_orig, new_groups, affected, slice_users }
+        ReassignPlan { catchment, new_groups, affected, slice_users }
     }
 
     /// The cohorts an incremental recompute must re-rank, ascending,
@@ -218,9 +209,7 @@ impl<'g> DynamicsEngine<'g> {
                 }
                 // An added site takes over exactly when it beats the
                 // stored one on (distance to the stored entry point, site
-                // id) — `Catchment::pick_site`'s tie-break. Comparing
-                // original ids is order-isomorphic to the dense comparison
-                // because dense re-ids preserve ascending order.
+                // id) — `Catchment::pick_site`'s tie-break.
                 let e = st.entry.expect("served cohort has an entry");
                 let ds = base.sites[s.0 as usize].location.distance_km(&e);
                 if added.iter().any(|&a| {
@@ -255,36 +244,32 @@ impl<'g> DynamicsEngine<'g> {
     fn rank_plan(&self, plan: &ReassignPlan<'_>) -> Vec<Option<UserState>> {
         let cohorts = &self.cohorts;
         let model = &self.model;
-        let dense_to_orig = &plan.dense_to_orig;
-        let affected = &plan.affected;
-        match &plan.catchment {
-            Some(c) => par::ordered_map(affected, |_, &ci| {
-                let u = &cohorts[ci as usize];
-                c.assign_with_key(u.asn, &u.location).map(|(a, key)| {
-                    let ms = model
-                        .median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband));
-                    // The withhold-relevant session: the AS the host
-                    // announced to on this path (the hop right before
-                    // the host; None when the user sits inside it).
-                    let host = c.deployment().site(a.site).host;
-                    let via = a
-                        .as_path
-                        .iter()
-                        .position(|&n| n == host)
-                        .and_then(|p| p.checked_sub(1))
-                        .map(|p| a.as_path[p]);
-                    UserState {
-                        site: Some(dense_to_orig[a.site.0 as usize]),
-                        key: Some(key),
-                        via,
-                        entry: Some(a.entry),
-                        latency_ms: ms,
-                        path_km: a.path_km,
-                    }
-                })
-            }),
-            None => vec![None; affected.len()],
-        }
+        let c = &plan.catchment;
+        par::ordered_map(&plan.affected, |_, &ci| {
+            let u = &cohorts[ci as usize];
+            c.assign_with_key(u.asn, &u.location).map(|(a, key)| {
+                let ms =
+                    model.median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband));
+                // The withhold-relevant session: the AS the host
+                // announced to on this path (the hop right before the
+                // host; None when the user sits inside it).
+                let host = c.deployment().site(a.site).host;
+                let via = a
+                    .as_path
+                    .iter()
+                    .position(|&n| n == host)
+                    .and_then(|p| p.checked_sub(1))
+                    .map(|p| a.as_path[p]);
+                UserState {
+                    site: Some(a.site),
+                    key: Some(key),
+                    via,
+                    entry: Some(a.entry),
+                    latency_ms: ms,
+                    path_km: a.path_km,
+                }
+            })
+        })
     }
 
     /// Phase 3 of a recompute: store each rank result in the per-cohort

@@ -52,8 +52,7 @@ use topology::{Asn, SiteId};
 
 /// What a controller sees at the start of each decision round.
 ///
-/// All slices are indexed by original site id (the engine's stable id
-/// space, not the dense announced remap), so observations line up with
+/// All slices are indexed by site id, so observations line up with
 /// [`SiteCapacities`] across site failures and drains.
 #[derive(Debug)]
 pub struct LoadObservation<'a> {

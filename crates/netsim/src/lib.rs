@@ -28,5 +28,5 @@ pub mod tcp;
 pub use capture::Capture;
 pub use clock::{SimClock, SimTime};
 pub use latency::{LastMile, LatencyModel, PathProfile};
-pub use probe::{ping, traceroute, TracerouteHop};
+pub use probe::{median_ping_ms, ping, traceroute, TracerouteHop};
 pub use tcp::TransportProfile;

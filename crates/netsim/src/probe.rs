@@ -30,6 +30,26 @@ pub fn ping<R: Rng>(
     (0..count).map(|_| model.sample_rtt_ms(profile, rng)).collect()
 }
 
+/// The sampled median of `count` pings over an assignment: the
+/// [`ping`] samples stable-sorted ascending, element `count / 2` (the
+/// upper median when `count` is even) — the per-row RTT of the DITL
+/// TCP handshakes and of the CDN's server logs and client fetches.
+///
+/// # Panics
+///
+/// Panics when `count` is zero.
+pub fn median_ping_ms<R: Rng>(
+    model: &LatencyModel,
+    profile: &PathProfile,
+    count: usize,
+    rng: &mut R,
+) -> f64 {
+    assert!(count > 0, "a sampled median needs at least one RTT sample");
+    let mut samples = ping(model, profile, count, rng);
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite RTT samples"));
+    samples[count / 2]
+}
+
 /// Traceroutes over an assignment, yielding one responding hop per AS on
 /// the path (a real traceroute shows several interfaces per AS; the
 /// per-AS collapse is what Fig. 6's analysis does first anyway).
@@ -92,6 +112,25 @@ mod tests {
         let model = LatencyModel::default();
         let p = PathProfile::direct(500.0, 3, LastMile::None);
         assert_eq!(ping(&model, &p, 7, &mut rng).len(), 7);
+    }
+
+    #[test]
+    fn median_ping_is_the_upper_middle_of_the_same_draws() {
+        let model = LatencyModel::default();
+        let p = PathProfile::direct(500.0, 3, LastMile::None);
+        for count in [1, 4, 15] {
+            let mut samples = ping(&model, &p, count, &mut StdRng::seed_from_u64(5));
+            samples.sort_by(f64::total_cmp);
+            let median = median_ping_ms(&model, &p, count, &mut StdRng::seed_from_u64(5));
+            assert_eq!(median.to_bits(), samples[count / 2].to_bits(), "count {count}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one RTT sample")]
+    fn median_of_no_pings_panics() {
+        let p = PathProfile::direct(1.0, 1, LastMile::None);
+        median_ping_ms(&LatencyModel::default(), &p, 0, &mut StdRng::seed_from_u64(6));
     }
 
     #[test]

@@ -56,25 +56,10 @@ impl ConnectionPlan {
 /// smallest) that do not overlap temporally with any already-counted
 /// connection; sum Eq. 4 RTTs over the selected set; "add a final two
 /// RTTs for TCP and TLS handshakes" (later handshakes are assumed
-/// parallel).
+/// parallel). The [`TransportProfile::TcpTls`] case of
+/// [`page_load_rtts_with`].
 pub fn page_load_rtts(connections: &[ConnectionPlan], init_window: u64) -> u32 {
-    if connections.is_empty() {
-        return 0;
-    }
-    let mut by_size: Vec<&ConnectionPlan> = connections.iter().collect();
-    by_size.sort_by(|a, b| {
-        b.bytes
-            .cmp(&a.bytes)
-            .then(a.start_ms.partial_cmp(&b.start_ms).unwrap_or(std::cmp::Ordering::Equal))
-    });
-    let mut counted: Vec<&ConnectionPlan> = vec![by_size[0]];
-    for c in by_size.iter().skip(1) {
-        if !counted.iter().any(|k| k.overlaps(c)) {
-            counted.push(c);
-        }
-    }
-    let data: u32 = counted.iter().map(|c| transfer_rtts(c.bytes, init_window)).sum();
-    data + HANDSHAKE_RTTS
+    page_load_rtts_with(connections, init_window, TransportProfile::TcpTls)
 }
 
 #[cfg(test)]
@@ -198,8 +183,9 @@ impl TransportProfile {
     }
 }
 
-/// [`page_load_rtts`] under a transport profile: same parallel-connection
-/// lower-bound accounting, different handshakes and initial window.
+/// [`page_load_rtts`] under a transport profile: the same
+/// largest-first selection of non-overlapping connections, with the
+/// profile's handshakes and initial window.
 pub fn page_load_rtts_with(
     connections: &[ConnectionPlan],
     base_window: u64,
@@ -244,14 +230,6 @@ mod transport_tests {
             page_load_rtts_with(&page(), DEFAULT_INIT_WINDOW_BYTES, TransportProfile::PersistentTcp);
         assert!(quic < tcp, "QUIC {quic} vs TCP {tcp}");
         assert!(warm < quic, "persistent {warm} vs QUIC {quic}");
-    }
-
-    #[test]
-    fn tcp_profile_matches_the_paper_function() {
-        let via_profile =
-            page_load_rtts_with(&page(), DEFAULT_INIT_WINDOW_BYTES, TransportProfile::TcpTls);
-        let direct = page_load_rtts(&page(), DEFAULT_INIT_WINDOW_BYTES);
-        assert_eq!(via_profile, direct);
     }
 
     #[test]

@@ -85,6 +85,13 @@ pub struct AnycastDeployment {
     /// Sites in the middle of a gradual drain, with their staged
     /// withhold sets (see [`SiteDrain`]). Empty in steady state.
     pub site_drains: Vec<SiteDrain>,
+    /// Sites that do not announce right now (down, fully drained,
+    /// collapsed, or left out of a what-if), sorted ascending (a set).
+    /// Empty in steady state. A [`Catchment`] routes over the other
+    /// sites under their own ids; `sites`, [`AnycastDeployment::global_sites`]
+    /// and [`AnycastDeployment::total_site_count`] keep describing the
+    /// whole deployment.
+    pub withdrawn: Vec<SiteId>,
     /// The service's own origin AS, if it has one (root letters do; CDN
     /// rings originate from the CDN AS directly). When set, AS paths
     /// through upstream *hosts* gain this final hop, and — if the origin
@@ -114,6 +121,7 @@ impl AnycastDeployment {
             sites,
             withhold,
             site_drains: vec![],
+            withdrawn: vec![],
             origin_as: None,
             direct_hosts: vec![],
         }
@@ -132,33 +140,10 @@ impl AnycastDeployment {
         self
     }
 
-    /// The deployment as announced by the sites `keep` accepts alone —
-    /// the one way every "what if only these sites announce?" variant
-    /// is built. Kept sites stay in their original order, re-id'd
-    /// densely from 0; name, withhold list, origin AS and direct hosts
-    /// are copied, and no site is draining. The second element maps
-    /// each new id to its original id (ascending). `None` when `keep`
-    /// accepts no site.
-    pub fn restricted(
-        &self,
-        keep: impl Fn(&AnycastSite) -> bool,
-    ) -> Option<(AnycastDeployment, Vec<SiteId>)> {
-        let (orig, sites): (Vec<SiteId>, Vec<AnycastSite>) = self
-            .sites
-            .iter()
-            .filter(|s| keep(s))
-            .enumerate()
-            .map(|(i, s)| (s.id, AnycastSite { id: SiteId(i as u32), ..s.clone() }))
-            .unzip();
-        if sites.is_empty() {
-            return None;
-        }
-        let dep = AnycastDeployment {
-            origin_as: self.origin_as,
-            direct_hosts: self.direct_hosts.clone(),
-            ..AnycastDeployment::new(self.name.clone(), sites, self.withhold.clone())
-        };
-        Some((dep, orig))
+    /// The sites that announce: every site not in
+    /// [`AnycastDeployment::withdrawn`], ascending.
+    fn announced_sites(&self) -> impl Iterator<Item = &AnycastSite> {
+        self.sites.iter().filter(|s| self.withdrawn.binary_search(&s.id).is_err())
     }
 
     /// Sites with global scope — the set Eq. 1/2 minimize over ("we only
@@ -363,9 +348,9 @@ impl RouteCache {
         let mut keys: Vec<(Asn, ExportScope, &'d [Asn])> = Vec::new();
         for dep in deployments {
             let mut origins: Vec<(Asn, ExportScope)> =
-                dep.sites.iter().map(|s| (s.host, s.scope)).collect();
+                dep.announced_sites().map(|s| (s.host, s.scope)).collect();
             if let Some(origin) = dep.origin_as {
-                if graph.get(origin).is_some() {
+                if !origins.is_empty() && graph.get(origin).is_some() {
                     origins.push((origin, ExportScope::Global));
                 }
             }
@@ -498,15 +483,19 @@ impl<'g> Catchment<'g> {
 
     /// Computes catchments for a shared `deployment` without cloning it.
     /// Any origin routes missing from `cache` are computed on the
-    /// deterministic parallel layer.
+    /// deterministic parallel layer. Withdrawn sites
+    /// ([`AnycastDeployment::withdrawn`]) are in no group; when no site
+    /// announces there is no group, no route is computed, and every
+    /// assignment is `None`.
     pub fn compute_shared(
         graph: &'g AsGraph,
         deployment: Arc<AnycastDeployment>,
         cache: &mut RouteCache,
     ) -> Self {
-        // Group sites by (host, scope): one BGP computation per group.
+        // Group the announcing sites by (host, scope): one BGP
+        // computation per group.
         let mut grouped: DetHashMap<(Asn, ExportScope), Vec<SiteId>> = DetHashMap::default();
-        for site in &deployment.sites {
+        for site in deployment.announced_sites() {
             grouped.entry((site.host, site.scope)).or_default().push(site.id);
         }
         let mut keys: Vec<_> = grouped.keys().copied().collect();
@@ -526,16 +515,19 @@ impl<'g> Catchment<'g> {
                 sites: std::mem::take(grouped.get_mut(&(host, scope)).expect("grouped key")),
             })
             .collect();
-        // The origin AS itself announces every site over its own
-        // adjacencies (IXP peering sessions), when it exists in the graph
-        // and isn't already a host.
+        // The origin AS itself announces every announcing site over its
+        // own adjacencies (IXP peering sessions), when some site
+        // announces, it exists in the graph and isn't already a host.
         if let Some(origin) = deployment.origin_as {
-            if graph.get(origin).is_some() && !groups.iter().any(|g| g.host == origin) {
+            if !groups.is_empty()
+                && graph.get(origin).is_some()
+                && !groups.iter().any(|g| g.host == origin)
+            {
                 groups.push(OriginGroup {
                     host: origin,
                     scope: ExportScope::Global,
                     routes: cache.get(graph, origin, ExportScope::Global, &deployment.withhold),
-                    sites: deployment.sites.iter().map(|s| s.id).collect(),
+                    sites: deployment.announced_sites().map(|s| s.id).collect(),
                 });
             }
         }
@@ -1453,53 +1445,116 @@ mod tests {
         (keyed, [top(1), top(2), top(usize::MAX)])
     }
 
-    #[test]
-    fn restricted_keeps_sites_in_order_and_copies_the_announcement() {
-        let sites = (0..5).map(|i| site(i, 10 + i, f64::from(i), ExportScope::Global)).collect();
-        let mut dep = AnycastDeployment::new("letter", sites, vec![Asn(7), Asn(9)])
-            .with_origin(Asn(99), vec![Asn(11)]);
-        dep.site_drains = vec![SiteDrain { site: SiteId(3), withheld: vec![Asn(1)] }];
-        let (sub, orig) = dep.restricted(|s| s.id.0 % 2 == 1).expect("two sites kept");
-        assert_eq!(orig, vec![SiteId(1), SiteId(3)]);
-        for (i, s) in sub.sites.iter().enumerate() {
-            assert_eq!(s.id, SiteId(i as u32));
-            assert_eq!((&s.name, s.host), (&dep.site(orig[i]).name, dep.site(orig[i]).host));
+    /// The sub-deployment of `dep`'s announcing sites, re-numbered: the
+    /// kept sites in their order re-id'd densely from 0, the
+    /// announcement copied, the kept sites' drains moved to the new ids,
+    /// nothing withdrawn; plus the original id of each new id. `None`
+    /// when every site is withdrawn. The reference the withdrawn mask is
+    /// checked against.
+    fn renumbered(dep: &AnycastDeployment) -> Option<(AnycastDeployment, Vec<SiteId>)> {
+        let keep = |s: &AnycastSite| dep.withdrawn.binary_search(&s.id).is_err();
+        let (orig, sites): (Vec<SiteId>, Vec<AnycastSite>) = dep
+            .sites
+            .iter()
+            .filter(|s| keep(s))
+            .enumerate()
+            .map(|(i, s)| (s.id, AnycastSite { id: SiteId(i as u32), ..s.clone() }))
+            .unzip();
+        if sites.is_empty() {
+            return None;
         }
-        assert_eq!(sub.name, dep.name);
-        assert_eq!(sub.withhold, dep.withhold);
-        assert_eq!((sub.origin_as, &sub.direct_hosts), (Some(Asn(99)), &vec![Asn(11)]));
-        assert!(sub.site_drains.is_empty());
-        assert!(dep.restricted(|_| false).is_none());
+        let mut sub = AnycastDeployment {
+            origin_as: dep.origin_as,
+            direct_hosts: dep.direct_hosts.clone(),
+            ..AnycastDeployment::new(dep.name.clone(), sites, dep.withhold.clone())
+        };
+        for (new, old) in orig.iter().enumerate() {
+            if let Some(d) = dep.drain_of(*old) {
+                sub.site_drains.push(SiteDrain { site: SiteId(new as u32), ..d.clone() });
+            }
+        }
+        Some((sub, orig))
     }
 
-    /// Keeping every site reproduces the deployment's catchment exactly:
-    /// same site, path and candidate key for every source, so the
-    /// re-numbering preserves the ascending order the dynamics site diff
-    /// relies on.
+    /// A catchment that skips withdrawn sites routes exactly as the
+    /// re-numbered sub-deployment of the announcing sites: for every
+    /// source, `assign_with_key` and `ranked_top` at k = 1, 2 and
+    /// `usize::MAX` agree bit for bit once the sub-deployment's ids are
+    /// mapped back, and the route cache ends up holding the same origin
+    /// computations, all of which `prefill_deployments` had computed.
+    /// Withdrawn sets on three internets: none, all, all but one, and
+    /// random halves, each round with an origin AS, plus staged drains
+    /// on kept sites. With every site withdrawn nothing is assigned and
+    /// no route is computed.
     #[test]
-    fn restricting_to_every_site_changes_no_assignment() {
+    fn withdrawn_sites_route_as_the_renumbered_sub_deployment() {
         let mut compared = 0;
+        let mut origin_rounds = 0;
         for seed in [3, 17, 42] {
             let mut net = InternetGenerator::generate(&TopologyConfig::small(seed));
             let g = net.graph.clone();
+            let origins: Vec<Asn> = net.tier1s.iter().chain(&net.transits).copied().collect();
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut dep = random_deployment(&mut net, &g, &mut rng);
-            dep.site_drains.clear();
-            let (all, orig) = dep.restricted(|_| true).expect("non-empty");
-            assert_eq!(orig, dep.sites.iter().map(|s| s.id).collect::<Vec<_>>());
-            let mut cache = RouteCache::new();
-            let before = Catchment::compute(&g, &dep, &mut cache);
-            let after = Catchment::compute(&g, &all, &mut cache);
-            for loc in net.user_locations() {
-                let user = net.world.region(loc.region).center;
-                let key = |c: &Catchment<'_>| {
-                    c.assign_with_key(loc.asn, &user).map(|(a, k)| (summary(&a), k))
+            for round in 0..8 {
+                let mut dep = random_deployment(&mut net, &g, &mut rng);
+                if round % 2 == 0 {
+                    let origin = origins[rng.gen_range(0..origins.len())];
+                    dep = dep.with_origin(origin, vec![]);
+                }
+                origin_rounds += usize::from(dep.origin_as.is_some());
+                let n = dep.sites.len() as u32;
+                let kept = rng.gen_range(0..n);
+                dep.withdrawn = (0..n)
+                    .filter(|&i| match round {
+                        0 => false,
+                        1 => true,
+                        2 | 3 => i != kept,
+                        _ => rng.gen_bool(0.5),
+                    })
+                    .map(SiteId)
+                    .collect();
+                dep.site_drains.retain(|d| dep.withdrawn.binary_search(&d.site).is_err());
+                let mut cache = RouteCache::new();
+                cache.prefill_deployments(&g, [&dep]);
+                let prefilled = cache.len();
+                let masked = Catchment::compute(&g, &dep, &mut cache);
+                assert_eq!(cache.len(), prefilled, "prefill covers the masked catchment");
+                let Some((sub, orig)) = renumbered(&dep) else {
+                    assert_eq!((masked.groups().count(), cache.len()), (0, 0));
+                    for loc in net.user_locations() {
+                        let user = net.world.region(loc.region).center;
+                        assert!(masked.assign_with_key(loc.asn, &user).is_none());
+                        assert!(masked.ranked_top(loc.asn, &user, usize::MAX).is_empty());
+                    }
+                    continue;
                 };
-                assert_eq!(key(&before), key(&after));
-                compared += 1;
+                let mut sub_cache = RouteCache::new();
+                let reference = Catchment::compute(&g, &sub, &mut sub_cache);
+                assert_eq!(sub_cache.len(), cache.len());
+                let back = |a: &SiteAssignment| {
+                    let mut s = summary(a);
+                    s.0 = orig[s.0 .0 as usize];
+                    s
+                };
+                for loc in net.user_locations() {
+                    let user = net.world.region(loc.region).center;
+                    assert_eq!(
+                        masked.assign_with_key(loc.asn, &user).map(|(a, k)| (summary(&a), k)),
+                        reference.assign_with_key(loc.asn, &user).map(|(a, k)| (back(&a), k)),
+                    );
+                    for k in [1, 2, usize::MAX] {
+                        let got: Vec<Summary> =
+                            masked.ranked_top(loc.asn, &user, k).iter().map(summary).collect();
+                        let want: Vec<Summary> =
+                            reference.ranked_top(loc.asn, &user, k).iter().map(back).collect();
+                        assert_eq!(got, want, "ranked_top k = {k}");
+                    }
+                    compared += 1;
+                }
             }
         }
-        assert!(compared > 100, "only {compared} sources compared");
+        assert!(origin_rounds >= 12, "only {origin_rounds} rounds with an origin AS");
+        assert!(compared > 1000, "only {compared} sources compared");
     }
 
     #[test]

@@ -81,7 +81,7 @@ const V6_FRACTION: f64 = 0.12;
 /// Fraction of volume from private-space sources (excluded by §2.1).
 const PRIVATE_FRACTION: f64 = 0.07;
 /// TCP RTT samples drawn per (letter, resolver, site) row.
-const TCP_SAMPLES: u32 = 15;
+const TCP_SAMPLES: usize = 15;
 
 impl DitlConfig {
     /// Share of a median user's daily root-relevant demand that a
@@ -452,11 +452,7 @@ fn emit_rows(
             });
         }
         if tcp > 1e-9 {
-            let mut samples: Vec<f64> = (0..TCP_SAMPLES)
-                .map(|_| model.sample_rtt_ms(profile, rng))
-                .collect();
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let median = samples[samples.len() / 2];
+            let median = netsim::median_ping_ms(model, profile, TCP_SAMPLES, rng);
             rows.push(DitlRow {
                 letter,
                 src,

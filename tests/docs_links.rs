@@ -286,12 +286,14 @@ fn rust_tokens(src: &str) -> Vec<String> {
 }
 
 /// Every struct, enum, union, trait, type alias and enum variant name
-/// defined in the `.rs` files under `dir`, recursively.
-fn defined_type_names(dir: &Path, names: &mut BTreeSet<String>) {
+/// defined in the `.rs` files under `dir`, recursively, into `names`,
+/// and every identifier of their code (comments and literals left
+/// out) into `idents`.
+fn defined_type_names(dir: &Path, names: &mut BTreeSet<String>, idents: &mut BTreeSet<String>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
         let path = entry.expect("readable source entry").path();
         if path.is_dir() {
-            defined_type_names(&path, names);
+            defined_type_names(&path, names, idents);
             continue;
         }
         if !path.extension().is_some_and(|e| e == "rs") {
@@ -300,6 +302,8 @@ fn defined_type_names(dir: &Path, names: &mut BTreeSet<String>) {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         let toks = rust_tokens(&text);
+        let ident = |t: &&String| t.starts_with(|c: char| c.is_alphanumeric() || c == '_');
+        idents.extend(toks.iter().filter(ident).cloned());
         for (i, tok) in toks.iter().enumerate() {
             if !["struct", "enum", "union", "trait", "type"].contains(&tok.as_str()) {
                 continue;
@@ -345,33 +349,48 @@ fn cited_type(span: &str) -> Option<&str> {
 }
 
 /// Every type the docs cite in backticks, bare (`Type`) or qualified
-/// (`Type::name`), is defined somewhere in the repo's Rust sources or
-/// is a std (or JavaScript) name of [`FOREIGN_TYPES`], so a deleted or
-/// renamed type cannot stay cited. ROADMAP.md is left out: it names
-/// types that are planned or gone on purpose.
+/// (`Type::member`), is defined somewhere in the repo's Rust sources or
+/// is a std (or JavaScript) name of [`FOREIGN_TYPES`], and a qualified
+/// citation's `member` is an identifier of that code (a comment does
+/// not count), so a deleted or renamed type, method or variant cannot
+/// stay cited. Like the crate-path check, the member test is a name
+/// check, not name resolution.
+/// ROADMAP.md is left out: it names types that are planned or gone on
+/// purpose.
 #[test]
 fn every_backticked_type_name_is_defined() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut defined: BTreeSet<String> = FOREIGN_TYPES.iter().map(|s| s.to_string()).collect();
+    let mut idents = BTreeSet::new();
     for dir in ["crates", "src", "tests", "examples", "vendored", "perfbench/src"] {
-        defined_type_names(&root.join(dir), &mut defined);
+        defined_type_names(&root.join(dir), &mut defined, &mut idents);
     }
     assert!(defined.contains("DynamicsEngine") && defined.contains("SiteDown"), "parser broken");
     let mut unknown = Vec::new();
-    let mut checked = 0usize;
+    let (mut checked, mut members) = (0usize, 0usize);
     for file in doc_files().into_iter().filter(|f| !f.ends_with("ROADMAP.md")) {
         let text = std::fs::read_to_string(&file)
             .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
         for span in code_spans(&text) {
             let Some(name) = cited_type(&span) else { continue };
             checked += 1;
-            if !defined.contains(name) {
+            let member = span.trim()[name.len()..]
+                .strip_prefix("::")
+                .and_then(|rest| rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next())
+                .filter(|m| !m.is_empty());
+            members += usize::from(member.is_some());
+            if !defined.contains(name) || member.is_some_and(|m| !idents.contains(m)) {
                 unknown.push(format!("{} -> {}", file.display(), span.trim()));
             }
         }
     }
     assert!(checked > 100, "only {checked} backticked type names found — the extractor is broken");
-    assert!(unknown.is_empty(), "docs cite undefined types:\n  {}", unknown.join("\n  "));
+    assert!(members > 40, "only {members} backticked `Type::member` spans found");
+    assert!(
+        unknown.is_empty(),
+        "docs cite undefined types or members:\n  {}",
+        unknown.join("\n  ")
+    );
 }
 
 /// The handbook set is part of the repo's contract: auto-discovery
