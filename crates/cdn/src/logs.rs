@@ -10,12 +10,10 @@
 
 use crate::rings::Cdn;
 use geo::region::RegionId;
-use netsim::{LastMile, LatencyModel, PathProfile};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use netsim::LatencyModel;
 use serde::{Deserialize, Serialize};
 use topology::gen::Internet;
-use topology::{Asn, Catchment, RouteCache, SiteId};
+use topology::{Asn, SiteId};
 
 /// One aggregated log row: a ⟨region, AS⟩ location's connections to the
 /// front-end serving it in one ring.
@@ -53,29 +51,15 @@ impl ServerSideLogs {
         seed: u64,
     ) -> Self {
         let span = obs::span!("cdn.server_logs");
-        let mut cache = RouteCache::new();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5e2e_51de_10c5_ab1e);
         let mut records = Vec::new();
-        for ring in &cdn.rings {
-            let ring_span = obs::span!("cdn.ring", name = ring.name);
-            let catchment = Catchment::compute_shared(
-                &internet.graph,
-                std::sync::Arc::clone(&ring.deployment),
-                &mut cache,
-            );
-            for loc in internet.user_locations() {
-                let user_point = internet.world.region(loc.region).center;
-                let Some(assignment) = catchment.assign(loc.asn, &user_point) else {
-                    obs::counter_add("cdn.log_unroutable", 1);
-                    continue;
-                };
-                let profile = PathProfile::from_assignment(&assignment, LastMile::Broadband);
-                let median_rtt_ms = netsim::median_ping_ms(
-                    model,
-                    &profile,
-                    samples_per_location as usize,
-                    &mut rng,
-                );
+        crate::ring_location_medians(
+            internet,
+            cdn,
+            model,
+            samples_per_location,
+            seed ^ 0x5e2e_51de_10c5_ab1e,
+            "cdn.log_unroutable",
+            |ring, loc, assignment, median_rtt_ms| {
                 obs::record("cdn.log_rtt_ms", median_rtt_ms);
                 records.push(ServerLogRecord {
                     ring: ring.name.clone(),
@@ -84,9 +68,8 @@ impl ServerSideLogs {
                     front_end: assignment.site,
                     median_rtt_ms,
                 });
-            }
-            drop(ring_span);
-        }
+            },
+        );
         span.add_items(records.len() as u64);
         obs::counter_add("cdn.log_records", records.len() as u64);
         Self { records }

@@ -10,13 +10,11 @@
 
 use crate::rings::Cdn;
 use geo::region::RegionId;
-use netsim::{LastMile, LatencyModel, PathProfile};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use netsim::LatencyModel;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use topology::gen::Internet;
-use topology::{Asn, Catchment, RouteCache};
+use topology::Asn;
 
 /// One client-side measurement row: a ⟨region, AS⟩ location's fetch
 /// latency to one ring. No front-end identity — clients can't see it.
@@ -51,30 +49,20 @@ impl ClientMeasurements {
         seed: u64,
     ) -> Self {
         let span = obs::span!("cdn.client_measurements");
-        let mut cache = RouteCache::new();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0d1a_11ad_5afe_c0de);
         // Small constant server-side processing for the object fetch.
         const SERVER_MS: f64 = 0.8;
         let mut rows = Vec::new();
-        for ring in &cdn.rings {
-            let ring_span = obs::span!("cdn.ring", name = ring.name);
-            let catchment = Catchment::compute_shared(
-                &internet.graph,
-                std::sync::Arc::clone(&ring.deployment),
-                &mut cache,
-            );
-            for loc in internet.user_locations() {
-                let user_point = internet.world.region(loc.region).center;
-                let Some(assignment) = catchment.assign(loc.asn, &user_point) else {
-                    obs::counter_add("cdn.client_unroutable", 1);
-                    continue;
-                };
-                let profile = PathProfile::from_assignment(&assignment, LastMile::Broadband);
+        crate::ring_location_medians(
+            internet,
+            cdn,
+            model,
+            samples,
+            seed ^ 0x0d1a_11ad_5afe_c0de,
+            "cdn.client_unroutable",
+            |ring, loc, _, median_rtt_ms| {
                 // Adding a constant is monotone, so it commutes with
                 // the median.
-                let median_fetch_ms =
-                    netsim::median_ping_ms(model, &profile, samples as usize, &mut rng)
-                        + SERVER_MS;
+                let median_fetch_ms = median_rtt_ms + SERVER_MS;
                 obs::record("cdn.client_fetch_ms", median_fetch_ms);
                 rows.push(ClientMeasurement {
                     ring: ring.name.clone(),
@@ -82,9 +70,8 @@ impl ClientMeasurements {
                     asn: loc.asn,
                     median_fetch_ms,
                 });
-            }
-            drop(ring_span);
-        }
+            },
+        );
         span.add_items(rows.len() as u64);
         obs::counter_add("cdn.client_rows", rows.len() as u64);
         Self { rows }

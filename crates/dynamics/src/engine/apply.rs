@@ -48,13 +48,13 @@ impl<'g> DynamicsEngine<'g> {
     pub(super) fn epoch(&mut self, batch: &[RoutingEvent], queue: &mut EventQueue) -> Vec<EpochRecord> {
         let BatchOutcome { labels, mut notes, escalated, followups } = self.apply_batch(batch);
         let label = labels.join(" + ");
-        // Snapshot the assignment state only when an abort is
-        // possible.
+        // Snapshot the assignment state and the stored catchment only
+        // when an abort is possible.
         let snap = (!escalated.is_empty() && self.capacities.is_some())
-            .then(|| (self.states.clone(), self.groups.clone()));
+            .then(|| (self.states.clone(), self.catchment.clone()));
         let mut rec = self.reassign(&label, false);
         let mut committed = true;
-        if let Some((states, groups)) = snap {
+        if let Some((states, catchment)) = snap {
             let violation = {
                 let caps = self.capacities.as_ref().expect("snapshot implies capacities");
                 let loads = self.site_loads();
@@ -72,7 +72,7 @@ impl<'g> DynamicsEngine<'g> {
                 // stage moved move back, and the abort record's
                 // `shifted` counts them.
                 self.states = states;
-                self.groups = groups;
+                self.catchment = catchment;
                 for &s in &escalated {
                     self.abort_drain(s);
                 }

@@ -18,10 +18,6 @@ impl<'g> DynamicsEngine<'g> {
         for _ in 0..ctrl.max_rounds().max(1) {
             let loads = self.site_loads();
             let sessions = self.entry_sessions();
-            let mut announced = vec![false; self.base.sites.len()];
-            for s in self.announced_sites() {
-                announced[s.0 as usize] = true;
-            }
             let actions = {
                 let caps = self.capacities.as_ref().expect("with_controller requires capacities");
                 ctrl.decide(&LoadObservation {
@@ -29,7 +25,9 @@ impl<'g> DynamicsEngine<'g> {
                     caps,
                     sessions: &sessions,
                     withheld: &self.ctrl_withheld,
-                    announced: &announced,
+                    // Capacities exclude swap sets, so `alive` covers
+                    // exactly the deployment's sites.
+                    announced: &self.alive,
                 })
             };
             if actions.is_empty() {

@@ -1,8 +1,6 @@
-//! The staged-drain state machine: escalation, abort, the
-//! lightest-first withhold plan, and the merged withhold set a site
-//! currently applies. `docs/DYNAMICS.md` §3 draws the machine.
+//! The staged-drain state machine: escalation, abort, and the
+//! lightest-first withhold plan. `docs/DYNAMICS.md` §3 draws the machine.
 
-use super::apply::insert_sorted;
 use super::DynamicsEngine;
 use crate::event::RoutingEvent;
 use netsim::SimTime;
@@ -80,23 +78,5 @@ impl<'g> DynamicsEngine<'g> {
             la.total_cmp(&lb).then(a.cmp(b))
         });
         neigh
-    }
-
-    /// Sessions currently withheld at `site`: the drain withhold set
-    /// and the controller withhold set merged (sorted, deduplicated).
-    /// Both the effective deployment and the group-snapshot drain
-    /// footprint go through this, so a controller withhold is as
-    /// visible to the group-diff soundness argument as a drain stage.
-    pub(super) fn withheld_sessions(&self, site: SiteId) -> Vec<Asn> {
-        let mut w: Vec<Asn> = self
-            .drains
-            .iter()
-            .find(|d| d.site == site)
-            .map(|d| d.withheld.clone())
-            .unwrap_or_default();
-        for &(a, _) in &self.ctrl_withheld[site.0 as usize] {
-            insert_sorted(&mut w, a);
-        }
-        w
     }
 }

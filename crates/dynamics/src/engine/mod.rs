@@ -56,8 +56,7 @@ use netsim::{LatencyModel, SimClock, SimTime};
 use par::DetHashMap;
 use std::sync::Arc;
 use topology::{
-    AnycastDeployment, AnycastSite, AsGraph, Asn, CandidateKey, Catchment, ExportScope,
-    OriginRoutes, RouteCache, SiteId,
+    AnycastDeployment, AnycastSite, AsGraph, Asn, CandidateKey, Catchment, RouteCache, SiteId,
 };
 
 /// How the engine reacts to an event.
@@ -141,19 +140,6 @@ pub struct RecomputeMismatch {
     pub detail: String,
 }
 
-/// Snapshot of one origin group of the current catchment: the shared
-/// route table and the announcing hosted sites, sorted.
-#[derive(Debug, Clone)]
-struct GroupSnap {
-    routes: Arc<OriginRoutes>,
-    sites: Vec<SiteId>,
-    /// Active drain footprint of the group's sites (site ids and
-    /// withheld sessions, sorted by site): per-session eligibility
-    /// state the routes `Arc` cannot see, so it must take part in the
-    /// group diff.
-    drains: Vec<(SiteId, Vec<Asn>)>,
-}
-
 /// A running load-aware drain: the *staged → holding* half of the
 /// drain state machine (aborted and completed drains leave no state
 /// behind). See `docs/DYNAMICS.md` for the full diagram.
@@ -193,14 +179,13 @@ struct BatchOutcome {
     followups: Vec<(SimTime, RoutingEvent)>,
 }
 
-/// The planning half of one recompute: the new catchment, its origin
-/// group snapshot, and the affected-cohort selection the group diff
-/// produced. Everything here is decided before any assignment state
-/// is written — the seam between the `plan → rank → commit` phases of
-/// [`DynamicsEngine::reassign`].
+/// The planning half of one recompute: the new catchment and the
+/// affected-cohort selection its group diff against the stored
+/// catchment produced. Everything here is decided before any
+/// assignment state is written — the seam between the
+/// `plan → rank → commit` phases of [`DynamicsEngine::reassign`].
 struct ReassignPlan<'g> {
-    catchment: Catchment<'g>,
-    new_groups: DetHashMap<(Asn, ExportScope), GroupSnap>,
+    catchment: Arc<Catchment<'g>>,
     affected: Vec<u32>,
     slice_users: u64,
 }
@@ -250,8 +235,10 @@ pub struct DynamicsEngine<'g> {
     /// Neighbor ASes the deployment currently has no sessions toward
     /// (merged into the effective withhold list). Sorted.
     lost_peerings: Vec<Asn>,
-    /// Origin-group snapshot of the current catchment.
-    groups: DetHashMap<(Asn, ExportScope), GroupSnap>,
+    /// The last committed catchment, whose origin groups and drain
+    /// footprints the next recompute diffs against (`None` only until
+    /// the init commit).
+    catchment: Option<Arc<Catchment<'g>>>,
     baseline_median_ms: Option<f64>,
     init_record: Option<EpochRecord>,
     /// Per-site load limits. `None` (the default) runs drains
@@ -450,7 +437,7 @@ impl<'g> DynamicsEngine<'g> {
             clock: SimClock::new(),
             alive: vec![true; n_sites],
             lost_peerings: Vec::new(),
-            groups: DetHashMap::default(),
+            catchment: None,
             baseline_median_ms: None,
             init_record: None,
             capacities: None,

@@ -1,5 +1,5 @@
 //! The recompute: build the effective deployment, diff its origin groups
-//! against the stored snapshot, re-rank only the cohorts the diff
+//! against the stored catchment's, re-rank only the cohorts the diff
 //! invalidates (`plan → rank → commit`), and build the epoch record.
 //! [`DynamicsEngine::verify_full_recompute`] re-ranks everyone as the
 //! oracle.
@@ -9,15 +9,15 @@
 //! withholds and swaps keep the argument — is argued once, in
 //! `docs/DYNAMICS.md` §4 and §5.
 
+use super::apply::insert_sorted;
 use super::convergence;
 use super::{
-    DynamicsEngine, GroupSnap, MismatchKind, RecomputeMismatch, RecomputeMode, ReassignPlan,
-    UserState, UNSERVED,
+    DynamicsEngine, MismatchKind, RecomputeMismatch, RecomputeMode, ReassignPlan, UserState,
+    UNSERVED,
 };
 use crate::timeline::EpochRecord;
 use analysis::WeightedCdf;
 use netsim::{LastMile, PathProfile};
-use par::DetHashMap;
 use std::sync::Arc;
 use topology::{AnycastDeployment, Asn, Catchment, ExportScope, OriginRoutes, SiteDrain, SiteId};
 
@@ -34,12 +34,26 @@ enum GroupChange {
     Sites { added: Vec<SiteId>, removed: Vec<SiteId> },
 }
 
+/// The drain footprint of the group of `c` hosting `sites`: the site
+/// drains of `c`'s deployment that fall on those sites, ascending by
+/// site. Per-session eligibility state the routes `Arc` cannot see, so
+/// it takes part in the group diff.
+fn drain_footprint<'c>(
+    c: &'c Catchment<'_>,
+    sites: &'c [SiteId],
+) -> impl Iterator<Item = &'c SiteDrain> + 'c {
+    c.deployment().site_drains.iter().filter(|d| sites.binary_search(&d.site).is_ok())
+}
+
 impl<'g> DynamicsEngine<'g> {
     /// The deployment as currently announced: every site of `base`,
     /// the ones not alive withdrawn, lost peerings merged into the
-    /// withhold list, and the active withhold sets — partial drains
-    /// merged with controller sheds — as site drains. Holding drains
-    /// have no withheld set: their site is simply withdrawn.
+    /// withhold list, and each site's active withhold set (its partial
+    /// drain's sessions merged with the controller's sheds, sorted and
+    /// deduplicated) as a site drain, ascending by site. Holding drains
+    /// have no withheld set: their site is simply withdrawn. The group
+    /// diff reads a group's drain footprint from these site drains, so
+    /// a controller withhold is as visible to it as a drain stage.
     fn effective_deployment(&self) -> Arc<AnycastDeployment> {
         let mut dep = (*self.base).clone();
         dep.withhold.extend(self.lost_peerings.iter().copied());
@@ -50,7 +64,11 @@ impl<'g> DynamicsEngine<'g> {
                 dep.withdrawn.push(s.id);
                 continue;
             }
-            let withheld = self.withheld_sessions(s.id);
+            let drain = self.drains.iter().find(|d| d.site == s.id);
+            let mut withheld = drain.map(|d| d.withheld.clone()).unwrap_or_default();
+            for &(a, _) in &self.ctrl_withheld[s.id.0 as usize] {
+                insert_sorted(&mut withheld, a);
+            }
             if !withheld.is_empty() {
                 dep.site_drains.push(SiteDrain { site: s.id, withheld });
             }
@@ -72,38 +90,27 @@ impl<'g> DynamicsEngine<'g> {
     }
 
     /// Phase 1 of a recompute: the new catchment over the effective
-    /// deployment, its origin-group snapshot, and the affected-cohort
-    /// selection (the group diff and invalidation rules 1–3). Mutates
-    /// only the route cache; every assignment write waits for
+    /// deployment and the affected-cohort selection (the group diff
+    /// against the stored catchment and invalidation rules 1–3).
+    /// Mutates only the route cache; every assignment write, and the
+    /// new catchment's storing, waits for
     /// [`DynamicsEngine::commit_plan`].
     fn plan_reassign(&mut self, is_init: bool) -> ReassignPlan<'g> {
         let population = self.queries_per_day.len();
         // New catchment over whatever is still announced.
-        let catchment =
-            Catchment::compute_shared(self.graph, self.effective_deployment(), &mut self.cache);
-        // Snapshot its origin groups.
-        let mut new_groups: DetHashMap<(Asn, ExportScope), GroupSnap> = DetHashMap::default();
-        for (host, scope, routes, sites) in catchment.groups() {
-            let drains: Vec<(SiteId, Vec<Asn>)> = sites
-                .iter()
-                .filter_map(|s| {
-                    let w = self.withheld_sessions(*s);
-                    (!w.is_empty()).then_some((*s, w))
-                })
-                .collect();
-            new_groups.insert(
-                (host, scope),
-                GroupSnap { routes: Arc::clone(routes), sites: sites.to_vec(), drains },
-            );
-        }
-
+        let catchment = Arc::new(Catchment::compute_shared(
+            self.graph,
+            self.effective_deployment(),
+            &mut self.cache,
+        ));
         // Who must be re-ranked?
         let (affected, slice_users) = if is_init || self.mode == RecomputeMode::Full {
             ((0..self.cohorts.len() as u32).collect(), population as u64)
         } else {
-            self.invalidated_cohorts(&new_groups)
+            let old = self.catchment.as_deref().expect("the init commit stored a catchment");
+            self.invalidated_cohorts(old, &catchment)
         };
-        ReassignPlan { catchment, new_groups, affected, slice_users }
+        ReassignPlan { catchment, affected, slice_users }
     }
 
     /// The cohorts an incremental recompute must re-rank, ascending,
@@ -113,12 +120,11 @@ impl<'g> DynamicsEngine<'g> {
     /// to each cohort's stored key, reading its group from that key; a
     /// cohort of a group the epoch provably did not touch is skipped
     /// without a check.
-    fn invalidated_cohorts(
-        &self,
-        new_groups: &DetHashMap<(Asn, ExportScope), GroupSnap>,
-    ) -> (Vec<u32>, u64) {
-        // Diff the group sets. A group whose routes Arc, hosted sites, and
-        // drain footprint all survived unchanged ranks and materializes
+    fn invalidated_cohorts(&self, old: &Catchment<'_>, new: &Catchment<'_>) -> (Vec<u32>, u64) {
+        // Diff the group sets, walking both catchments' groups in their
+        // ascending `(host, scope)` order, so `touched` comes out
+        // ascending. A group whose routes Arc, hosted sites, and drain
+        // footprint all survived unchanged ranks and materializes
         // exactly as before. A group whose ONLY change is its hosted-site
         // list (the site up/down and deployment-swap shape) is diffed
         // site-by-site: its own users re-rank only when their stored site
@@ -128,47 +134,42 @@ impl<'g> DynamicsEngine<'g> {
         // (shrinking a group cannot improve it). Everything else
         // invalidates its own users wholesale and may challenge others.
         let mut touched: Vec<((Asn, ExportScope), GroupChange)> = Vec::new();
-        let mut challengers: Vec<((Asn, ExportScope), Arc<OriginRoutes>)> = Vec::new();
-        for (k, old) in &self.groups {
-            match new_groups.get(k) {
-                None => touched.push((*k, GroupChange::Invalidated)),
-                Some(new) => {
-                    if Arc::ptr_eq(&old.routes, &new.routes) && old.drains == new.drains {
-                        if old.sites != new.sites {
-                            let added: Vec<SiteId> = new
-                                .sites
-                                .iter()
-                                .copied()
-                                .filter(|s| old.sites.binary_search(s).is_err())
-                                .collect();
-                            let removed: Vec<SiteId> = old
-                                .sites
-                                .iter()
-                                .copied()
-                                .filter(|s| new.sites.binary_search(s).is_err())
-                                .collect();
-                            if !added.is_empty() {
-                                challengers.push((*k, Arc::clone(&new.routes)));
-                            }
-                            touched.push((*k, GroupChange::Sites { added, removed }));
-                        }
-                    } else {
-                        touched.push((*k, GroupChange::Invalidated));
-                        challengers.push((*k, Arc::clone(&new.routes)));
-                    }
+        let mut challengers: Vec<((Asn, ExportScope), &Arc<OriginRoutes>)> = Vec::new();
+        let mut olds = old.groups().peekable();
+        for (host, scope, routes, sites) in new.groups() {
+            let k = (host, scope);
+            // Old groups sorting before this one are gone.
+            while let Some((h, s, ..)) = olds.next_if(|&(h, s, ..)| (h, s) < k) {
+                touched.push(((h, s), GroupChange::Invalidated));
+            }
+            let Some((_, _, old_routes, old_sites)) = olds.next_if(|&(h, s, ..)| (h, s) == k)
+            else {
+                // A new group can only challenge.
+                challengers.push((k, routes));
+                continue;
+            };
+            if !Arc::ptr_eq(old_routes, routes)
+                || !drain_footprint(old, old_sites).eq(drain_footprint(new, sites))
+            {
+                touched.push((k, GroupChange::Invalidated));
+                challengers.push((k, routes));
+            } else if old_sites != sites {
+                // Both lists ascending: `a` minus `b`, in `a`'s order.
+                let minus = |a: &[SiteId], b: &[SiteId]| -> Vec<SiteId> {
+                    a.iter().copied().filter(|s| b.binary_search(s).is_err()).collect()
+                };
+                let (added, removed) = (minus(sites, old_sites), minus(old_sites, sites));
+                if !added.is_empty() {
+                    challengers.push((k, routes));
                 }
+                touched.push((k, GroupChange::Sites { added, removed }));
             }
         }
-        for (k, new) in new_groups {
-            if !self.groups.contains_key(k) {
-                challengers.push((*k, Arc::clone(&new.routes)));
-            }
-        }
+        touched.extend(olds.map(|(h, s, ..)| ((h, s), GroupChange::Invalidated)));
         // No touched group and no challenger: no rule applies to anyone.
         if touched.is_empty() && challengers.is_empty() {
             return (Vec::new(), 0);
         }
-        touched.sort_unstable_by_key(|(k, _)| *k);
         let base = &self.base;
         let mut out: Vec<u32> = Vec::new();
         let mut slice_users = 0u64;
@@ -273,16 +274,17 @@ impl<'g> DynamicsEngine<'g> {
     }
 
     /// Phase 3 of a recompute: store each rank result in the per-cohort
-    /// state table, adopt the new group snapshot, emit the recompute counters, and build the
-    /// epoch's record from the committed state.
+    /// state table, store the new catchment for the next group diff,
+    /// emit the recompute counters, and build the epoch's record from
+    /// the committed state.
     fn commit_plan(
         &mut self,
-        plan: ReassignPlan<'_>,
+        plan: ReassignPlan<'g>,
         results: &[Option<UserState>],
         label: &str,
         is_init: bool,
     ) -> EpochRecord {
-        let ReassignPlan { new_groups, affected, slice_users, .. } = plan;
+        let ReassignPlan { catchment, affected, slice_users } = plan;
         let population = self.queries_per_day.len();
         let mut shifted = 0.0;
         let mut shifted_qpd = 0.0;
@@ -296,7 +298,7 @@ impl<'g> DynamicsEngine<'g> {
             }
             self.states[ci as usize] = new;
         }
-        self.groups = new_groups;
+        self.catchment = Some(catchment);
 
         // The recompute ledger stays in *user* units: an affected
         // cohort recomputes once but stands in for all its members.

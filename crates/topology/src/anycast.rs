@@ -492,43 +492,42 @@ impl<'g> Catchment<'g> {
         deployment: Arc<AnycastDeployment>,
         cache: &mut RouteCache,
     ) -> Self {
-        // Group the announcing sites by (host, scope): one BGP
-        // computation per group.
-        let mut grouped: DetHashMap<(Asn, ExportScope), Vec<SiteId>> = DetHashMap::default();
-        for site in deployment.announced_sites() {
-            grouped.entry((site.host, site.scope)).or_default().push(site.id);
-        }
-        let mut keys: Vec<_> = grouped.keys().copied().collect();
-        keys.sort_unstable();
+        // Group the announcing sites by (host, scope), ascending, each
+        // group's sites by id: one BGP computation per group.
+        let mut announced: Vec<((Asn, ExportScope), SiteId)> =
+            deployment.announced_sites().map(|s| ((s.host, s.scope), s.id)).collect();
+        announced.sort_unstable();
+        let runs = || announced.chunk_by(|a, b| a.0 == b.0);
         // One parallel fan-out over every missing origin, then all the
         // `get` calls below are cache hits.
-        cache.prefill(
-            graph,
-            keys.iter().map(|&(host, scope)| (host, scope, deployment.withhold.as_slice())),
-        );
-        let mut groups: Vec<OriginGroup> = keys
-            .into_iter()
-            .map(|(host, scope)| OriginGroup {
-                host,
-                scope,
-                routes: cache.get(graph, host, scope, &deployment.withhold),
-                sites: std::mem::take(grouped.get_mut(&(host, scope)).expect("grouped key")),
+        let withhold = deployment.withhold.as_slice();
+        cache.prefill(graph, runs().map(|run| (run[0].0 .0, run[0].0 .1, withhold)));
+        let mut groups: Vec<OriginGroup> = runs()
+            .map(|run| {
+                let (host, scope) = run[0].0;
+                let routes = cache.get(graph, host, scope, withhold);
+                OriginGroup { host, scope, routes, sites: run.iter().map(|&(_, id)| id).collect() }
             })
             .collect();
         // The origin AS itself announces every announcing site over its
         // own adjacencies (IXP peering sessions), when some site
         // announces, it exists in the graph and isn't already a host.
+        // Its host is no other group's, so it has one sorted position.
         if let Some(origin) = deployment.origin_as {
             if !groups.is_empty()
                 && graph.get(origin).is_some()
                 && !groups.iter().any(|g| g.host == origin)
             {
-                groups.push(OriginGroup {
-                    host: origin,
-                    scope: ExportScope::Global,
-                    routes: cache.get(graph, origin, ExportScope::Global, &deployment.withhold),
-                    sites: deployment.announced_sites().map(|s| s.id).collect(),
-                });
+                let at = groups.partition_point(|g| g.host < origin);
+                groups.insert(
+                    at,
+                    OriginGroup {
+                        host: origin,
+                        scope: ExportScope::Global,
+                        routes: cache.get(graph, origin, ExportScope::Global, withhold),
+                        sites: deployment.announced_sites().map(|s| s.id).collect(),
+                    },
+                );
             }
         }
         Self { graph, deployment, groups, site_picks: Mutex::default() }
@@ -591,11 +590,12 @@ impl<'g> Catchment<'g> {
         best
     }
 
-    /// The origin groups of this catchment in their internal
-    /// (deterministic) order, as `(host, scope, routes, sites)`: the
-    /// group's key, the shared origin routes backing it, and the sites
-    /// it announces. One BGP computation backs each group; incremental
-    /// layers diff successive catchments at this granularity, and
+    /// The origin groups of this catchment, strictly ascending by
+    /// `(host, scope)`, as `(host, scope, routes, sites)`: the group's
+    /// key, the shared origin routes backing it, and the sites it
+    /// announces, ascending. One BGP computation backs each group;
+    /// incremental layers diff successive catchments at this
+    /// granularity by walking two catchments' groups together, and
     /// `Arc::ptr_eq` on two catchments' routes proves the underlying
     /// BGP computation was reused unchanged.
     pub fn groups(
@@ -1179,6 +1179,23 @@ mod tests {
             &group(&c, ExportScope::Global).unwrap().0,
             &group(&c2, ExportScope::Global).unwrap().0
         ));
+    }
+
+    #[test]
+    fn groups_ascend_with_the_origin_group_at_its_sorted_position() {
+        // Origin AS15 sorts between the hosts AS10 and AS21.
+        let (mut g, mut dep) = inflation_world();
+        g.add_as(node(15, AsKind::Content, vec![p(2.0)]));
+        g.add_provider_link(Asn(1), Asn(15), vec![p(1.5)]);
+        dep.sites.push(site(2, 10, 12.0, ExportScope::Local));
+        let dep = dep.with_origin(Asn(15), vec![]);
+        let mut cache = RouteCache::new();
+        let c = Catchment::compute(&g, &dep, &mut cache);
+        let keys: Vec<(Asn, ExportScope)> = c.groups().map(|(h, s, _, _)| (h, s)).collect();
+        assert_eq!(keys.len(), 4);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "not strictly ascending: {keys:?}");
+        let origin = c.groups().find(|&(h, ..)| h == Asn(15)).expect("origin group");
+        assert_eq!(origin.3, [SiteId(0), SiteId(1), SiteId(2)]);
     }
 
     /// Bit pattern of a point, so NaN-free points compare exactly.

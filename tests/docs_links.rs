@@ -82,20 +82,31 @@ fn every_relative_doc_link_resolves() {
 /// Roots of the repo paths the docs cite in backticks.
 const PATH_ROOTS: [&str; 6] = ["crates/", "results/", "docs/", "tests/", "perfbench/", "vendored/"];
 
-/// The contents of every inline code span in `text`, fenced blocks
-/// skipped.
+/// The contents of every inline code span in `text`. A prose span may
+/// wrap onto the next line. Unlabelled and `text` fences (DESIGN.md's
+/// workspace tree is one) are read one line at a time; code fences
+/// (`rust`, `sh`, `bash`, `json`) are skipped.
 fn code_spans(text: &str) -> Vec<String> {
+    let spans = |s: &str| s.split('`').skip(1).step_by(2).map(str::to_string).collect::<Vec<_>>();
     let mut prose = String::new();
-    let mut fenced = false;
+    let mut out = Vec::new();
+    let mut fence: Option<&str> = None;
     for line in text.lines() {
-        if line.trim_start().starts_with("```") {
-            fenced = !fenced;
-        } else if !fenced {
-            prose.push_str(line);
-            prose.push('\n');
+        if let Some(info) = line.trim_start().strip_prefix("```") {
+            fence = if fence.is_some() { None } else { Some(info.trim()) };
+        } else {
+            match fence {
+                None => {
+                    prose.push_str(line);
+                    prose.push('\n');
+                }
+                Some("" | "text") => out.extend(spans(line)),
+                Some(_) => {}
+            }
         }
     }
-    prose.split('`').skip(1).step_by(2).map(str::to_string).collect()
+    out.extend(spans(&prose));
+    out
 }
 
 /// The first word of every inline code span in `text` that starts
@@ -229,11 +240,12 @@ fn every_backticked_crate_path_names_a_word_of_its_crate() {
     );
 }
 
-/// Names the docs cite that no workspace source defines: std types and
-/// traits, and JavaScript's `Date`.
-const FOREIGN_TYPES: [&str; 11] = [
+/// Names the docs and comments cite that no workspace source defines:
+/// std types and traits, the `Self` of an `impl`, and JavaScript's
+/// `Date`.
+const FOREIGN_TYPES: [&str; 12] = [
     "Arc", "BTreeMap", "Date", "DefaultHasher", "Display", "Err", "HashMap", "HashSet",
-    "Iterator", "Mutex", "RandomState",
+    "Iterator", "Mutex", "RandomState", "Self",
 ];
 
 /// Splits Rust source into identifier and single-punctuation tokens,
@@ -337,6 +349,35 @@ fn defined_type_names(dir: &Path, names: &mut BTreeSet<String>, idents: &mut BTr
     }
 }
 
+/// The inline code spans of the `//`, `///` and `//!` comments of the
+/// `.rs` files under `dir`, recursively, each with its file. A run of
+/// comment lines is read as one text, so a span may wrap onto the next
+/// comment line but never past a line of code.
+fn comment_spans(dir: &Path, out: &mut Vec<(PathBuf, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("readable source entry").path();
+        if path.is_dir() {
+            comment_spans(&path, out);
+            continue;
+        }
+        if !path.extension().is_some_and(|e| e == "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let mut block = String::new();
+        for line in text.lines().chain([""]) {
+            if let Some(comment) = line.trim_start().strip_prefix("//") {
+                block.push_str(comment.trim_start_matches(['/', '!']));
+                block.push('\n');
+            } else if !block.is_empty() {
+                out.extend(code_spans(&block).into_iter().map(|s| (path.clone(), s)));
+                block.clear();
+            }
+        }
+    }
+}
+
 /// The leading name of an inline code span that cites a type: a
 /// CamelCase identifier, alone (`Type`) or qualified (`Type::name`).
 fn cited_type(span: &str) -> Option<&str> {
@@ -353,8 +394,9 @@ fn cited_type(span: &str) -> Option<&str> {
 /// is a std (or JavaScript) name of [`FOREIGN_TYPES`], and a qualified
 /// citation's `member` is an identifier of that code (a comment does
 /// not count), so a deleted or renamed type, method or variant cannot
-/// stay cited. Like the crate-path check, the member test is a name
-/// check, not name resolution.
+/// stay cited. The qualified citations in the comments of the crates'
+/// sources are held to the same check. Like the crate-path check, the
+/// member test is a name check, not name resolution.
 /// ROADMAP.md is left out: it names types that are planned or gone on
 /// purpose.
 #[test]
@@ -366,26 +408,41 @@ fn every_backticked_type_name_is_defined() {
         defined_type_names(&root.join(dir), &mut defined, &mut idents);
     }
     assert!(defined.contains("DynamicsEngine") && defined.contains("SiteDown"), "parser broken");
-    let mut unknown = Vec::new();
-    let (mut checked, mut members) = (0usize, 0usize);
+    let mut cited: Vec<(PathBuf, String)> = Vec::new();
     for file in doc_files().into_iter().filter(|f| !f.ends_with("ROADMAP.md")) {
         let text = std::fs::read_to_string(&file)
             .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
-        for span in code_spans(&text) {
-            let Some(name) = cited_type(&span) else { continue };
-            checked += 1;
-            let member = span.trim()[name.len()..]
-                .strip_prefix("::")
-                .and_then(|rest| rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next())
-                .filter(|m| !m.is_empty());
-            members += usize::from(member.is_some());
-            if !defined.contains(name) || member.is_some_and(|m| !idents.contains(m)) {
-                unknown.push(format!("{} -> {}", file.display(), span.trim()));
+        cited.extend(code_spans(&text).into_iter().map(|s| (file.clone(), s)));
+    }
+    let from_docs = cited.len();
+    for (_, dir) in workspace_crates(root) {
+        comment_spans(&dir.join("src"), &mut cited);
+    }
+    let mut unknown = Vec::new();
+    let (mut checked, mut members, mut comment_members) = (0usize, 0usize, 0usize);
+    for (i, (file, span)) in cited.iter().enumerate() {
+        let Some(name) = cited_type(span) else { continue };
+        let member = span.trim()[name.len()..]
+            .strip_prefix("::")
+            .and_then(|rest| rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next())
+            .filter(|m| !m.is_empty());
+        if i >= from_docs {
+            // Comments are checked for their qualified citations only.
+            if member.is_none() {
+                continue;
             }
+            comment_members += 1;
+        } else {
+            checked += 1;
+            members += usize::from(member.is_some());
+        }
+        if !defined.contains(name) || member.is_some_and(|m| !idents.contains(m)) {
+            unknown.push(format!("{} -> {}", file.display(), span.trim()));
         }
     }
     assert!(checked > 100, "only {checked} backticked type names found — the extractor is broken");
     assert!(members > 40, "only {members} backticked `Type::member` spans found");
+    assert!(comment_members > 100, "only {comment_members} `Type::member` spans in comments");
     assert!(
         unknown.is_empty(),
         "docs cite undefined types or members:\n  {}",
