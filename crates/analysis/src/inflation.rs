@@ -22,7 +22,7 @@ use crate::stats::WeightedCdf;
 use cdn::logs::ServerSideLogs;
 use cdn::rings::Ring;
 use dns::letters::{Letter, LetterSet};
-use geo::latency::km_to_rtt_ms;
+use geo::latency::{km_to_rtt_lower_bound_ms, km_to_rtt_ms};
 use geo::region::RegionId;
 use geo::GeoPoint;
 use serde::{Deserialize, Serialize};
@@ -30,12 +30,6 @@ use par::DetHashMap as HashMap;
 use topology::gen::Internet;
 use topology::{AnycastDeployment, Asn, Prefix24, SiteId};
 use workload::geoloc::Geolocator;
-
-/// Eq. 2's achievability bound: RTT of a perfect route to a site `km`
-/// away at effective speed `2cf/3`.
-fn latency_lower_bound_ms(km: f64) -> f64 {
-    geo::latency::km_to_rtt_lower_bound_ms(km)
-}
 
 /// Root-DNS inflation results (Fig. 2).
 #[derive(Debug, Clone)]
@@ -131,7 +125,7 @@ pub fn root_inflation(
 
         if root.meta.usable_for_latency_inflation() && a.tcp_volume >= MIN_TCP_VOLUME {
             let mean_rtt = a.tcp_rtt_weighted / a.tcp_volume;
-            let li = (mean_rtt - latency_lower_bound_ms(min_km)).max(0.0);
+            let li = (mean_rtt - km_to_rtt_lower_bound_ms(min_km)).max(0.0);
             lat_points.entry(*letter).or_default().push((li, users));
             let e = all_lat.entry(*prefix).or_insert((0.0, 0.0, users));
             e.0 += li * a.tcp_volume;
@@ -206,7 +200,7 @@ pub fn cdn_inflation(
         let gi = km_to_rtt_ms((hit_km - min_km).max(0.0));
         geo_by_location.insert((rec.region, rec.asn), gi);
         geo_pts.push((gi, users));
-        let li = (rec.median_rtt_ms - latency_lower_bound_ms(min_km)).max(0.0);
+        let li = (rec.median_rtt_ms - km_to_rtt_lower_bound_ms(min_km)).max(0.0);
         lat_pts.push((li, users));
     }
     CdnInflation {
@@ -365,7 +359,7 @@ mod tests {
             .iter()
             .find(|(l, _)| *l == Letter::K)
             .expect("K analyzed");
-        let bound = latency_lower_bound_ms(rloc.distance_km(&site));
+        let bound = km_to_rtt_lower_bound_ms(rloc.distance_km(&site));
         assert!((cdf.median() - (measured - bound)).abs() < 0.05);
     }
 

@@ -11,6 +11,7 @@ use crate::resilience::TrafficSource;
 use crate::stats::WeightedCdf;
 use netsim::{LastMile, LatencyModel, PathProfile};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use topology::{AnycastDeployment, AsGraph, Catchment, ExportScope, RouteCache};
 
 /// Outcome of the local-sites study for one deployment.
@@ -42,13 +43,13 @@ pub fn local_site_study(
     users: &[TrafficSource],
 ) -> LocalSiteStudy {
     let mut cache = RouteCache::new();
-    let full = Catchment::compute(graph, deployment, &mut cache);
+    let full = Catchment::compute(graph, Arc::new(deployment.clone()), &mut cache);
 
     // Global-only counterfactual: every local site withdrawn.
     let mut global_only = deployment.clone();
     global_only.withdrawn =
         deployment.sites.iter().filter(|s| s.scope == ExportScope::Local).map(|s| s.id).collect();
-    let counter_catchment = Catchment::compute(graph, &global_only, &mut cache);
+    let counter_catchment = Catchment::compute(graph, Arc::new(global_only), &mut cache);
 
     let mut local_weight = 0.0;
     let mut total_weight = 0.0;

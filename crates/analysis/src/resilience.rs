@@ -22,6 +22,7 @@ use geo::GeoPoint;
 use netsim::{LastMile, LatencyModel, PathProfile};
 use serde::{Deserialize, Serialize};
 use par::DetHashMap as HashMap;
+use std::sync::Arc;
 use topology::{AnycastDeployment, AsGraph, Asn, Catchment, RouteCache, SiteId};
 
 /// A weighted traffic source: who sends, from where, how much.
@@ -41,7 +42,7 @@ pub struct TrafficSource {
 /// the baseline and every variant `te` weighs.
 pub(crate) fn latency_cdf(
     graph: &AsGraph,
-    deployment: &AnycastDeployment,
+    deployment: Arc<AnycastDeployment>,
     model: &LatencyModel,
     users: &[TrafficSource],
     cache: &mut RouteCache,
@@ -221,7 +222,7 @@ pub fn simulate_attack(
     let mut latency_before = None;
     let mut withdrawn: Vec<SiteId> = Vec::new();
     // The deployment as still announced: the collapsed sites withdrawn.
-    let mut dep = deployment.clone();
+    let mut dep = Arc::new(deployment.clone());
     let mut rounds = 0;
     let total_users: f64 = users.iter().map(|u| u.load).sum();
     let (latency_after, unserved) = loop {
@@ -229,7 +230,7 @@ pub fn simulate_attack(
         if dep.withdrawn.len() == dep.sites.len() {
             break (WeightedCdf::from_points(vec![]), 1.0);
         }
-        let catchment = Catchment::compute(graph, &dep, &mut cache);
+        let catchment = Catchment::compute(graph, Arc::clone(&dep), &mut cache);
 
         // Load per (surviving) site.
         let mut load: HashMap<SiteId, f64> = HashMap::default();
@@ -266,8 +267,12 @@ pub fn simulate_attack(
             break (WeightedCdf::from_points(latency_pts), unserved.max(0.0));
         }
         withdrawn.extend(&failed_this_round);
-        dep.withdrawn.extend(failed_this_round);
-        dep.withdrawn.sort_unstable();
+        // The catchment's handle goes first, so the next round's
+        // deployment is this one edited in place.
+        drop(catchment);
+        let next = Arc::make_mut(&mut dep);
+        next.withdrawn.extend(failed_this_round);
+        next.withdrawn.sort_unstable();
         if rounds > deployment.sites.len() + 1 {
             // Every round kills at least one site, so this is unreachable;
             // guard against accounting bugs.
@@ -375,7 +380,7 @@ mod tests {
         // elsewhere.
         let total: f64 = users.iter().map(|u| u.load).sum();
         let mut cache = RouteCache::new();
-        let catchment = Catchment::compute(&net.graph, &dep, &mut cache);
+        let catchment = Catchment::compute(&net.graph, Arc::new(dep.clone()), &mut cache);
         let mut load: HashMap<SiteId, f64> = HashMap::default();
         for u in &users {
             if let Some(a) = catchment.assign(u.asn, &u.location) {

@@ -14,6 +14,7 @@ use crate::resilience::{latency_cdf, TrafficSource};
 use crate::stats::WeightedCdf;
 use netsim::LatencyModel;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use topology::{AnycastDeployment, AsGraph, Asn, RouteCache};
 
 /// Result of a TE optimization run.
@@ -46,7 +47,7 @@ pub fn optimize_withholds(
     min_gain_ms: f64,
 ) -> TeResult {
     let mut cache = RouteCache::new();
-    let before = latency_cdf(graph, deployment, model, users, &mut cache);
+    let before = latency_cdf(graph, Arc::new(deployment.clone()), model, users, &mut cache);
     let baseline_weight = before.total_weight();
 
     let mut current = deployment.clone();
@@ -65,7 +66,7 @@ pub fn optimize_withholds(
             }
             let mut variant = current.clone();
             variant.withhold.push(cand);
-            let cdf = latency_cdf(graph, &variant, model, users, &mut cache);
+            let cdf = latency_cdf(graph, Arc::new(variant), model, users, &mut cache);
             evaluations += 1;
             if cdf.total_weight() + 1e-9 < baseline_weight {
                 continue; // stranded users — never acceptable

@@ -13,6 +13,7 @@
 use crate::resilience::TrafficSource;
 use crate::stats::WeightedCdf;
 use netsim::{LastMile, LatencyModel, PathProfile};
+use std::sync::Arc;
 use topology::{AnycastDeployment, AsGraph, Catchment, ExportScope, RouteCache};
 
 /// Unicast-inflation CDF over a set of weighted users, plus the CDF of
@@ -41,7 +42,7 @@ pub fn unicast_study(
     last_mile: LastMile,
 ) -> UnicastStudy {
     let mut cache = RouteCache::new();
-    let catchment = Catchment::compute(graph, deployment, &mut cache);
+    let catchment = Catchment::compute(graph, Arc::new(deployment.clone()), &mut cache);
     // A one-site deployment of its own rather than the anycast one with
     // every other site withdrawn: a site's unicast address is announced
     // by its host alone, with no origin-AS hop and no origin-AS
@@ -49,7 +50,7 @@ pub fn unicast_study(
     let site_catchments: Vec<Catchment<'_>> = deployment
         .global_sites()
         .map(|site| {
-            let unicast_dep = AnycastDeployment::new(
+            let unicast_dep = Arc::new(AnycastDeployment::new(
                 format!("unicast-{}", site.name),
                 vec![topology::AnycastSite {
                     id: topology::SiteId(0),
@@ -59,8 +60,8 @@ pub fn unicast_study(
                     scope: ExportScope::Global,
                 }],
                 deployment.withhold.clone(),
-            );
-            Catchment::compute(graph, &unicast_dep, &mut cache)
+            ));
+            Catchment::compute(graph, unicast_dep, &mut cache)
         })
         .collect();
 

@@ -55,7 +55,7 @@ fn ring_location_medians(
     let locations = internet.user_locations();
     for ring in &cdn.rings {
         let _ring_span = obs::span!("cdn.ring", name = ring.name);
-        let catchment = Catchment::compute_shared(
+        let catchment = Catchment::compute(
             &internet.graph,
             std::sync::Arc::clone(&ring.deployment),
             &mut cache,

@@ -258,8 +258,8 @@ pub(crate) fn exttld(world: &World) -> Vec<Artifact> {
             .tld_rtts_for(&world.internet, &mut cache, &world.model, rec.asn, &rec.location);
     let mut root_rtts = Vec::new();
     for entry in &world.letters.letters {
-        let catchment =
-            topology::Catchment::compute(&world.internet.graph, &entry.deployment, &mut cache);
+        let deployment = std::sync::Arc::clone(&entry.deployment);
+        let catchment = topology::Catchment::compute(&world.internet.graph, deployment, &mut cache);
         let rtt = catchment
             .assign(rec.asn, &rec.location)
             .map(|a| {
@@ -361,7 +361,7 @@ pub(crate) fn extinfer(world: &World) -> Vec<Artifact> {
     use topology::{infer_relationships, score_inference};
 
     let mut paths: Vec<Vec<Asn>> = Vec::new();
-    let mut collect = |deployment: &topology::AnycastDeployment| {
+    let mut collect = |deployment: &std::sync::Arc<topology::AnycastDeployment>| {
         let routes = world.atlas.traceroute_deployment(
             &world.internet,
             deployment,

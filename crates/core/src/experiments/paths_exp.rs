@@ -7,12 +7,13 @@ use analysis::paths::{inflation_by_path_length, org_path_length, PathLenClass, P
 use analysis::{cdn_inflation, coverage_cdf, median, WeightedCdf};
 use dns::letters::Letter;
 use par::DetHashMap as HashMap;
+use std::sync::Arc;
 use topology::AnycastDeployment;
 
 /// Per-⟨region, AS⟩ path lengths toward a deployment, from traceroutes.
 fn path_lengths_to(
     world: &World,
-    deployment: &AnycastDeployment,
+    deployment: &Arc<AnycastDeployment>,
 ) -> HashMap<(geo::region::RegionId, topology::Asn), usize> {
     let routes = world.atlas.traceroute_deployment(
         &world.internet,

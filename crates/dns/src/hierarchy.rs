@@ -193,7 +193,7 @@ impl DnsHierarchy {
     ) -> Vec<f64> {
         let mut per_platform = Vec::with_capacity(self.platforms.len());
         for platform in &self.platforms {
-            let catchment = Catchment::compute_shared(
+            let catchment = Catchment::compute(
                 &internet.graph,
                 Arc::clone(&platform.deployment),
                 cache,

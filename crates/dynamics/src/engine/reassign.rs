@@ -98,7 +98,7 @@ impl<'g> DynamicsEngine<'g> {
     fn plan_reassign(&mut self, is_init: bool) -> ReassignPlan<'g> {
         let population = self.queries_per_day.len();
         // New catchment over whatever is still announced.
-        let catchment = Arc::new(Catchment::compute_shared(
+        let catchment = Arc::new(Catchment::compute(
             self.graph,
             self.effective_deployment(),
             &mut self.cache,

@@ -9,7 +9,7 @@ pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 ///
 /// Latitude is degrees north in `[-90, 90]`, longitude is degrees east in
 /// `[-180, 180]`. Constructors normalize longitude and clamp latitude so
-/// arithmetic (jitter, interpolation) can never produce an invalid point.
+/// arithmetic (jitter, offsets) can never produce an invalid point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GeoPoint {
     lat: f64,
@@ -54,60 +54,6 @@ impl GeoPoint {
         let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
         // Clamp guards against tiny negative/super-unit values from FP error.
         2.0 * EARTH_RADIUS_KM * a.sqrt().clamp(0.0, 1.0).asin()
-    }
-
-    /// Point a fraction `f` (in `[0, 1]`) of the way along the great circle
-    /// from `self` to `other`.
-    ///
-    /// Used to place intermediate routing waypoints when modeling
-    /// circuitous paths. For antipodal endpoints the great circle is
-    /// ambiguous; we fall back to the start point, which only affects
-    /// pathological synthetic topologies.
-    pub fn intermediate(&self, other: &GeoPoint, f: f64) -> GeoPoint {
-        let f = f.clamp(0.0, 1.0);
-        let d = self.distance_km(other) / EARTH_RADIUS_KM; // angular distance
-        if d < 1e-12 || (d - std::f64::consts::PI).abs() < 1e-9 {
-            return *self;
-        }
-        let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
-        let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
-        let a = ((1.0 - f) * d).sin() / d.sin();
-        let b = (f * d).sin() / d.sin();
-        let x = a * lat1.cos() * lon1.cos() + b * lat2.cos() * lon2.cos();
-        let y = a * lat1.cos() * lon1.sin() + b * lat2.cos() * lon2.sin();
-        let z = a * lat1.sin() + b * lat2.sin();
-        let lat = z.atan2((x * x + y * y).sqrt());
-        let lon = y.atan2(x);
-        GeoPoint::new(lat.to_degrees(), lon.to_degrees())
-    }
-
-    /// Weighted centroid of a set of points, used to compute the "mean
-    /// location of users in a ⟨region, AS⟩ location" of §6.
-    ///
-    /// Returns `None` when `points` is empty or total weight is zero.
-    /// Computed on the unit sphere (chord average, renormalized) so it is
-    /// correct across the antimeridian.
-    pub fn centroid(points: &[(GeoPoint, f64)]) -> Option<GeoPoint> {
-        let total: f64 = points.iter().map(|(_, w)| w).sum();
-        if points.is_empty() || total <= 0.0 {
-            return None;
-        }
-        let (mut x, mut y, mut z) = (0.0, 0.0, 0.0);
-        for (p, w) in points {
-            let lat = p.lat.to_radians();
-            let lon = p.lon.to_radians();
-            x += w * lat.cos() * lon.cos();
-            y += w * lat.cos() * lon.sin();
-            z += w * lat.sin();
-        }
-        let norm = (x * x + y * y + z * z).sqrt();
-        if norm < 1e-12 {
-            // Degenerate (e.g. two antipodal points): arbitrary but stable.
-            return Some(points[0].0);
-        }
-        let lat = (z / norm).asin();
-        let lon = y.atan2(x);
-        Some(GeoPoint::new(lat.to_degrees(), lon.to_degrees()))
     }
 }
 
@@ -157,52 +103,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_latitude_panics() {
         GeoPoint::new(f64::NAN, 0.0);
-    }
-
-    #[test]
-    fn intermediate_endpoints() {
-        let a = nyc();
-        let b = london();
-        assert!(a.intermediate(&b, 0.0).distance_km(&a) < 1.0);
-        assert!(a.intermediate(&b, 1.0).distance_km(&b) < 1.0);
-    }
-
-    #[test]
-    fn intermediate_midpoint_is_equidistant() {
-        let a = nyc();
-        let b = london();
-        let m = a.intermediate(&b, 0.5);
-        let da = m.distance_km(&a);
-        let db = m.distance_km(&b);
-        assert!((da - db).abs() < 1.0, "da={da} db={db}");
-        // Midpoint lies on the path: da + db == total.
-        assert!((da + db - a.distance_km(&b)).abs() < 1.0);
-    }
-
-    #[test]
-    fn centroid_of_single_point_is_that_point() {
-        let c = GeoPoint::centroid(&[(nyc(), 3.0)]).unwrap();
-        assert!(c.distance_km(&nyc()) < 1e-6);
-    }
-
-    #[test]
-    fn centroid_weighting_pulls_toward_heavier_point() {
-        let c = GeoPoint::centroid(&[(nyc(), 9.0), (london(), 1.0)]).unwrap();
-        assert!(c.distance_km(&nyc()) < c.distance_km(&london()));
-    }
-
-    #[test]
-    fn centroid_empty_is_none() {
-        assert!(GeoPoint::centroid(&[]).is_none());
-        assert!(GeoPoint::centroid(&[(nyc(), 0.0)]).is_none());
-    }
-
-    #[test]
-    fn centroid_across_antimeridian() {
-        // Two points straddling 180°: centroid must be near 180°, not 0°.
-        let a = GeoPoint::new(0.0, 179.0);
-        let b = GeoPoint::new(0.0, -179.0);
-        let c = GeoPoint::centroid(&[(a, 1.0), (b, 1.0)]).unwrap();
-        assert!(c.lon().abs() > 179.0, "lon={}", c.lon());
     }
 }

@@ -1,5 +1,5 @@
-//! Property tests for spherical geometry: metric axioms and constructive
-//! geometry invariants that every distance-based analysis depends on.
+//! Property tests for spherical geometry: the metric axioms and the
+//! coordinate normalization every distance-based analysis depends on.
 
 use anycast_geo::coord::EARTH_RADIUS_KM;
 use anycast_geo::GeoPoint;
@@ -34,28 +34,6 @@ proptest! {
     #[test]
     fn identity_of_indiscernibles(a in arb_point()) {
         prop_assert!(a.distance_km(&a) < 1e-9);
-    }
-
-    #[test]
-    fn intermediate_stays_on_segment(a in arb_point(), b in arb_point(), f in 0.0f64..1.0) {
-        let m = a.intermediate(&b, f);
-        let total = a.distance_km(&b);
-        // The waypoint's two legs sum to the whole (within FP noise),
-        // unless the endpoints are (nearly) antipodal, where the
-        // construction legitimately degenerates.
-        if total < 0.99 * std::f64::consts::PI * EARTH_RADIUS_KM {
-            let via = a.distance_km(&m) + m.distance_km(&b);
-            prop_assert!((via - total).abs() < 1.0, "via {via} vs {total}");
-        }
-    }
-
-    #[test]
-    fn centroid_lies_within_max_distance(a in arb_point(), b in arb_point(),
-                                         wa in 0.1f64..10.0, wb in 0.1f64..10.0) {
-        let c = GeoPoint::centroid(&[(a, wa), (b, wb)]).expect("non-empty");
-        let d = a.distance_km(&b);
-        prop_assert!(c.distance_km(&a) <= d + 1.0);
-        prop_assert!(c.distance_km(&b) <= d + 1.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! An RTT in the reproduction decomposes as:
 //!
 //! ```text
-//! rtt = stretch · (2 · path_km / cf)   fiber along the routed waypoints,
+//! rtt = stretch · (2 · path_km / cf)   fiber along the routed path,
 //!                                      with a stretch factor because fiber
 //!                                      conduits don't follow great circles
 //!     + per_hop · hops                 forwarding/serialization overhead
@@ -48,9 +48,9 @@ impl LastMile {
 /// [`SiteAssignment`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PathProfile {
-    /// Great-circle length of the waypoint sequence, km.
+    /// Great-circle length of the routed path, km.
     pub(crate) path_km: f64,
-    /// Number of forwarding segments (waypoint transitions).
+    /// Number of forwarding segments ([`SiteAssignment::hops`]).
     pub(crate) hops: u32,
     /// Access technology at the client end.
     pub(crate) last_mile: LastMile,
@@ -59,11 +59,7 @@ pub struct PathProfile {
 impl PathProfile {
     /// Builds a profile from a routed assignment.
     pub fn from_assignment(a: &SiteAssignment, last_mile: LastMile) -> Self {
-        Self {
-            path_km: a.path_km,
-            hops: a.waypoints.len().saturating_sub(1) as u32,
-            last_mile,
-        }
+        Self { path_km: a.path_km, hops: a.hops, last_mile }
     }
 
     /// A direct path of `km` kilometers with `hops` segments, for tests
@@ -120,8 +116,10 @@ impl LatencyModel {
     }
 }
 
-/// Box–Muller standard normal (keeps the dependency surface to `rand`).
-fn sample_standard_normal<R: Rng>(rng: &mut R) -> f64 {
+/// One standard normal draw by Box–Muller (keeps the dependency surface
+/// to `rand`): two `gen_range` calls, `u1` in `[1e-12, 1)` then `u2` in
+/// `[0, 1)`, and the cosine branch.
+pub fn sample_standard_normal<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -7,7 +7,7 @@
 //!
 //! * [`clock`] — simulated time (no wall clock anywhere in the
 //!   reproduction),
-//! * [`latency`] — the RTT model: fiber propagation along the waypoint
+//! * [`latency`] — the RTT model: fiber propagation along the routed
 //!   path, per-hop forwarding overhead, last-mile access delay, and
 //!   stochastic jitter,
 //! * [`tcp`] — the TCP behaviour the paper measures through: handshake
@@ -27,6 +27,6 @@ pub mod tcp;
 
 pub use capture::Capture;
 pub use clock::{SimClock, SimTime};
-pub use latency::{LastMile, LatencyModel, PathProfile};
+pub use latency::{sample_standard_normal, LastMile, LatencyModel, PathProfile};
 pub use probe::{median_ping_ms, ping, traceroute, TracerouteHop};
 pub use tcp::TransportProfile;

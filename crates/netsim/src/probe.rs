@@ -89,18 +89,12 @@ mod tests {
     use geo::GeoPoint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use topology::RouteClass;
 
     fn assignment() -> SiteAssignment {
         SiteAssignment {
             site: topology::SiteId(0),
-            class: RouteClass::Provider,
             as_path: vec![Asn(1), Asn(2), Asn(3)],
-            waypoints: vec![
-                GeoPoint::new(0.0, 0.0),
-                GeoPoint::new(0.0, 5.0),
-                GeoPoint::new(0.0, 10.0),
-            ],
+            hops: 4,
             path_km: 1100.0,
             entry: GeoPoint::new(0.0, 10.0),
         }

@@ -64,7 +64,7 @@ pub fn threads() -> usize {
 
 /// Derives the RNG seed for work item `index` of a campaign.
 ///
-/// SplitMix64 finalization over the pair: statistically independent
+/// [`splitmix64_mix`] over the pair: statistically independent
 /// streams for neighbouring indices, and a pure function of
 /// `(campaign_seed, index)` — never of scheduling.
 ///
@@ -78,10 +78,19 @@ pub fn threads() -> usize {
 /// assert_ne!(anycast_par::seed_for(2021, 5), anycast_par::seed_for(2022, 5));
 /// ```
 pub fn seed_for(campaign_seed: u64, index: u64) -> u64 {
-    let mut z = campaign_seed
-        .rotate_left(17)
-        .wrapping_add(index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x243f_6a88_85a3_08d3);
+    splitmix64_mix(
+        campaign_seed
+            .rotate_left(17)
+            .wrapping_add(index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_add(0x243f_6a88_85a3_08d3),
+    )
+}
+
+/// The SplitMix64 finalizer: two xor-shift-multiply rounds and a final
+/// xor-shift, a bijection on `u64` whose every output bit depends on
+/// every input bit. The stable hash behind [`seed_for`] and the
+/// per-prefix draws of the IP→ASN service and the geolocation database.
+pub fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

@@ -146,6 +146,38 @@ impl AnycastDeployment {
         self.sites.iter().filter(|s| self.withdrawn.binary_search(&s.id).is_err())
     }
 
+    /// The origin groups a [`Catchment`] over `graph` routes over, as
+    /// `(host, scope, sites, is_origin_as)`: strictly ascending by
+    /// `(host, scope)`, each group's sites ascending. The announcing
+    /// sites group by host and scope. The origin AS itself announces
+    /// every announcing site over its own adjacencies (IXP peering
+    /// sessions) when some site announces, it exists in the graph and
+    /// hosts no announcing site; its host is no other group's, so it
+    /// has one sorted position. Empty when no site announces.
+    fn origin_groups(&self, graph: &AsGraph) -> Vec<(Asn, ExportScope, Vec<SiteId>, bool)> {
+        let mut announced: Vec<((Asn, ExportScope), SiteId)> =
+            self.announced_sites().map(|s| ((s.host, s.scope), s.id)).collect();
+        announced.sort_unstable();
+        let mut groups: Vec<(Asn, ExportScope, Vec<SiteId>, bool)> = announced
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let (host, scope) = run[0].0;
+                (host, scope, run.iter().map(|&(_, id)| id).collect(), false)
+            })
+            .collect();
+        if let Some(origin) = self.origin_as {
+            if !groups.is_empty()
+                && graph.get(origin).is_some()
+                && !groups.iter().any(|g| g.0 == origin)
+            {
+                let at = groups.partition_point(|g| g.0 < origin);
+                let sites = self.announced_sites().map(|s| s.id).collect();
+                groups.insert(at, (origin, ExportScope::Global, sites, true));
+            }
+        }
+        groups
+    }
+
     /// Sites with global scope — the set Eq. 1/2 minimize over ("we only
     /// consider global sites, since we do not know which recursives can
     /// reach local sites").
@@ -182,13 +214,14 @@ impl AnycastDeployment {
 pub struct SiteAssignment {
     /// The selected site.
     pub site: SiteId,
-    /// Local-preference class of the selected route at the source.
-    pub class: RouteClass,
     /// AS path, source first, announcement origin last.
     pub as_path: Vec<Asn>,
-    /// Geographic waypoints from the user to the site.
-    pub waypoints: Vec<GeoPoint>,
-    /// Total great-circle length of `waypoints` in km.
+    /// Forwarding segments from the user to the site: user to serving
+    /// PoP, one per AS-level link crossed, and entry to site — the
+    /// links plus 2.
+    pub hops: u32,
+    /// Great-circle length of the hot-potato path in km: the sum of
+    /// its `hops` segments.
     pub path_km: f64,
     /// Entry point into the origin AS on this path: the last
     /// interconnect crossed, or the source's serving PoP when the
@@ -336,10 +369,10 @@ impl RouteCache {
     }
 
     /// Prefills origin routes for several deployments at once: the
-    /// union of their missing ⟨host, scope⟩ origins fans out over one
-    /// deterministic parallel map, so a whole letter set or ring
-    /// ladder is computed with maximal width before any catchment is
-    /// assigned.
+    /// union of the origin groups their catchments route over fans out
+    /// over one deterministic parallel map, so a whole letter set or
+    /// ring ladder is computed with maximal width before any catchment
+    /// is assigned.
     pub fn prefill_deployments<'d>(
         &mut self,
         graph: &AsGraph,
@@ -347,16 +380,8 @@ impl RouteCache {
     ) {
         let mut keys: Vec<(Asn, ExportScope, &'d [Asn])> = Vec::new();
         for dep in deployments {
-            let mut origins: Vec<(Asn, ExportScope)> =
-                dep.announced_sites().map(|s| (s.host, s.scope)).collect();
-            if let Some(origin) = dep.origin_as {
-                if !origins.is_empty() && graph.get(origin).is_some() {
-                    origins.push((origin, ExportScope::Global));
-                }
-            }
-            origins.sort_unstable();
-            origins.dedup();
-            keys.extend(origins.into_iter().map(|(a, s)| (a, s, dep.withhold.as_slice())));
+            let groups = dep.origin_groups(graph).into_iter();
+            keys.extend(groups.map(|(host, scope, ..)| (host, scope, dep.withhold.as_slice())));
         }
         self.prefill(graph, keys);
     }
@@ -381,7 +406,7 @@ struct OriginGroup {
 
 /// The BGP decision key of one candidate origin group for one source:
 /// everything the decision process compares *before* any path is
-/// materialized. Computing keys is cheap (no waypoint resolution), so
+/// materialized. Computing keys is cheap (no hot-potato walk), so
 /// incremental layers use them to decide whether a routing change can
 /// possibly move a source before paying for a full reassignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -470,66 +495,31 @@ pub struct Catchment<'g> {
 }
 
 impl<'g> Catchment<'g> {
-    /// Computes catchments for `deployment`, memoizing origin routes in
-    /// `cache`. Convenience wrapper over [`Catchment::compute_shared`]
-    /// for callers holding a plain reference.
-    pub fn compute(
-        graph: &'g AsGraph,
-        deployment: &AnycastDeployment,
-        cache: &mut RouteCache,
-    ) -> Self {
-        Self::compute_shared(graph, Arc::new(deployment.clone()), cache)
-    }
-
-    /// Computes catchments for a shared `deployment` without cloning it.
-    /// Any origin routes missing from `cache` are computed on the
-    /// deterministic parallel layer. Withdrawn sites
-    /// ([`AnycastDeployment::withdrawn`]) are in no group; when no site
-    /// announces there is no group, no route is computed, and every
+    /// Computes catchments for a shared `deployment`, memoizing origin
+    /// routes in `cache`: one BGP computation per origin group
+    /// ([`Catchment::groups`]). Routes missing for the sites' own
+    /// groups are computed on the deterministic parallel layer first;
+    /// the origin AS's group is a plain lookup, so the
+    /// `route_cache.prefill.*` counters count the sites' groups only
+    /// ([`RouteCache::prefill_deployments`] covers all groups). Withdrawn
+    /// sites ([`AnycastDeployment::withdrawn`]) are in no group; when no
+    /// site announces there is no group, no route is computed, and every
     /// assignment is `None`.
-    pub fn compute_shared(
+    pub fn compute(
         graph: &'g AsGraph,
         deployment: Arc<AnycastDeployment>,
         cache: &mut RouteCache,
     ) -> Self {
-        // Group the announcing sites by (host, scope), ascending, each
-        // group's sites by id: one BGP computation per group.
-        let mut announced: Vec<((Asn, ExportScope), SiteId)> =
-            deployment.announced_sites().map(|s| ((s.host, s.scope), s.id)).collect();
-        announced.sort_unstable();
-        let runs = || announced.chunk_by(|a, b| a.0 == b.0);
-        // One parallel fan-out over every missing origin, then all the
-        // `get` calls below are cache hits.
+        let listed = deployment.origin_groups(graph);
         let withhold = deployment.withhold.as_slice();
-        cache.prefill(graph, runs().map(|run| (run[0].0 .0, run[0].0 .1, withhold)));
-        let mut groups: Vec<OriginGroup> = runs()
-            .map(|run| {
-                let (host, scope) = run[0].0;
-                let routes = cache.get(graph, host, scope, withhold);
-                OriginGroup { host, scope, routes, sites: run.iter().map(|&(_, id)| id).collect() }
+        let hosted = listed.iter().filter(|g| !g.3);
+        cache.prefill(graph, hosted.map(|&(host, scope, ..)| (host, scope, withhold)));
+        let groups = listed
+            .into_iter()
+            .map(|(host, scope, sites, _)| {
+                OriginGroup { host, scope, routes: cache.get(graph, host, scope, withhold), sites }
             })
             .collect();
-        // The origin AS itself announces every announcing site over its
-        // own adjacencies (IXP peering sessions), when some site
-        // announces, it exists in the graph and isn't already a host.
-        // Its host is no other group's, so it has one sorted position.
-        if let Some(origin) = deployment.origin_as {
-            if !groups.is_empty()
-                && graph.get(origin).is_some()
-                && !groups.iter().any(|g| g.host == origin)
-            {
-                let at = groups.partition_point(|g| g.host < origin);
-                groups.insert(
-                    at,
-                    OriginGroup {
-                        host: origin,
-                        scope: ExportScope::Global,
-                        routes: cache.get(graph, origin, ExportScope::Global, withhold),
-                        sites: deployment.announced_sites().map(|s| s.id).collect(),
-                    },
-                );
-            }
-        }
         Self { graph, deployment, groups, site_picks: Mutex::default() }
     }
 
@@ -714,11 +704,11 @@ impl<'g> Catchment<'g> {
     }
 
     /// Builds the full assignment for candidate group `gi`: reconstruct
-    /// the AS path, pick the intra-origin site nearest the entry point
-    /// (the host's internal anycast/early-exit — for a CDN this is
-    /// "ingress PoP to nearest front-end in the ring";
-    /// [`Catchment::pick_site`], memoized per entry), and resolve
-    /// waypoints. Sites mid-drain ([`AnycastDeployment::site_drains`])
+    /// the AS path, walk its hot-potato handoffs to the entry point, and
+    /// pick the intra-origin site nearest that entry (the host's
+    /// internal anycast/early-exit — for a CDN this is "ingress PoP to
+    /// nearest front-end in the ring"; [`Catchment::pick_site`],
+    /// memoized per entry). Sites mid-drain ([`AnycastDeployment::site_drains`])
     /// are skipped for paths entering through a withheld neighbor
     /// session; returns `None` when that leaves the group with no
     /// eligible site (the caller falls through to the next-ranked
@@ -743,12 +733,10 @@ impl<'g> Catchment<'g> {
             .len()
             .checked_sub(2)
             .map(|p| self.graph.node_at(nodes[p]).asn);
-        // One hot-potato walk: its last point is the entry into the
-        // origin AS (the user's serving PoP when the user sits inside it).
-        let (mut points, walked_km) = waypoints::walk(self.graph, &links, user_loc, *serving);
-        let entry = *points.last().expect("the walk starts at the user");
+        // One hot-potato walk to the entry into the origin AS (the
+        // user's serving PoP when the user sits inside it).
+        let (entry, walked_km) = waypoints::walk(self.graph, &links, user_loc, *serving);
         let (site_id, site_km) = self.pick_site(gi, &entry, via)?;
-        points.push(self.deployment.site(site_id).location);
         let path_km = walked_km + site_km;
         let mut as_path: Vec<Asn> =
             nodes.iter().map(|&i| self.graph.node_at(i).asn).collect();
@@ -759,11 +747,8 @@ impl<'g> Catchment<'g> {
                 as_path.push(origin);
             }
         }
-        let class = match first {
-            None => RouteClass::Origin,
-            Some(_) => group.routes.route_at(src_idx).expect("had route").class,
-        };
-        Some(SiteAssignment { site: site_id, class, as_path, waypoints: points, path_km, entry })
+        let hops = links.len() as u32 + 2;
+        Some(SiteAssignment { site: site_id, as_path, hops, path_km, entry })
     }
 
     /// Intra-origin site selection for group `gi`: the nearest
@@ -889,7 +874,7 @@ mod tests {
             RouteComputer::new(&g).routes_from_origin(Asn(10), ExportScope::Global, &[Asn(999)]);
         assert_eq!(*plain, direct);
         dep.withhold = vec![Asn(999)];
-        let catchment = Catchment::compute(&g, &dep, &mut cache);
+        let catchment = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert_eq!(catchment.assign(Asn(1), &p(0.0)).unwrap().site, SiteId(0));
     }
 
@@ -897,7 +882,7 @@ mod tests {
     fn shorter_as_path_beats_geography() {
         let (g, dep) = inflation_world();
         let mut cache = RouteCache::new();
-        let catchment = Catchment::compute(&g, &dep, &mut cache);
+        let catchment = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let a = catchment.assign(Asn(1), &p(0.0)).unwrap();
         assert_eq!(a.site, SiteId(0), "2-AS path to far site must win");
         assert_eq!(a.as_path, vec![Asn(1), Asn(10)]);
@@ -908,10 +893,26 @@ mod tests {
     }
 
     #[test]
+    fn hops_count_the_as_links_plus_two() {
+        let (g, dep) = inflation_world();
+        let mut cache = RouteCache::new();
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
+        // A source inside the origin AS: user → serving PoP → site.
+        assert_eq!(c.assign(Asn(10), &p(10.0)).unwrap().hops, 2);
+        // One link (AS1 → AS10), then two (AS1 → AS20 → AS21).
+        let ranked = c.ranked_top(Asn(1), &p(0.0), usize::MAX);
+        assert_eq!(ranked.iter().map(|a| a.hops).collect::<Vec<_>>(), [3, 4]);
+        // An origin-AS hop appended to the AS path crosses no link.
+        let c = Catchment::compute(&g, Arc::new(dep.with_origin(Asn(99), vec![])), &mut cache);
+        let a = c.assign(Asn(1), &p(0.0)).unwrap();
+        assert_eq!((a.as_path.len(), a.hops), (3, 3));
+    }
+
+    #[test]
     fn ranked_returns_both_candidates_in_order() {
         let (g, dep) = inflation_world();
         let mut cache = RouteCache::new();
-        let catchment = Catchment::compute(&g, &dep, &mut cache);
+        let catchment = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let ranked = catchment.ranked_top(Asn(1), &p(0.0), usize::MAX);
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0].site, SiteId(0));
@@ -923,7 +924,7 @@ mod tests {
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].as_path, ranked[0].as_path);
         let (_, key) = catchment.assign_with_key(Asn(1), &p(0.0)).unwrap();
-        assert_eq!(key.class, ranked[0].class);
+        assert_eq!(key.class, RouteClass::Provider);
         assert_eq!(key.path_len as usize, ranked[0].as_path.len());
         assert!(key.path_len < ranked[1].as_path.len() as u32);
     }
@@ -946,7 +947,7 @@ mod tests {
             vec![],
         );
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert!(c.assign(Asn(1), &p(0.1)).is_some());
         assert!(
             c.assign(Asn(2), &p(5.1)).is_none(),
@@ -974,7 +975,7 @@ mod tests {
             vec![],
         );
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert_eq!(c.assign(Asn(1), &p(58.0)).unwrap().site, SiteId(1));
         assert_eq!(c.assign(Asn(2), &p(2.0)).unwrap().site, SiteId(0));
     }
@@ -994,7 +995,7 @@ mod tests {
             vec![],
         );
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let a = c.assign(Asn(1), &p(58.0)).unwrap();
         assert_eq!(a.site, SiteId(0));
         // Path: user(58) → pop(58) → interconnect(60) → site(0): the
@@ -1013,9 +1014,9 @@ mod tests {
             vec![],
         );
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
-        let a = c.assign(Asn(100), &p(29.0)).unwrap();
-        assert_eq!(a.class, RouteClass::Origin);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
+        let (a, key) = c.assign_with_key(Asn(100), &p(29.0)).unwrap();
+        assert_eq!(key.class, RouteClass::Origin);
         assert_eq!(a.site, SiteId(1));
         assert_eq!(a.as_path, vec![Asn(100)]);
     }
@@ -1024,9 +1025,9 @@ mod tests {
     fn route_cache_is_shared_across_deployments() {
         let (g, dep) = inflation_world();
         let mut cache = RouteCache::new();
-        let _c1 = Catchment::compute(&g, &dep, &mut cache);
+        let _c1 = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let n = cache.len();
-        let _c2 = Catchment::compute(&g, &dep, &mut cache);
+        let _c2 = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert_eq!(cache.len(), n, "second deployment reuses cached origins");
     }
 
@@ -1035,7 +1036,7 @@ mod tests {
         let (mut g, dep) = inflation_world();
         g.add_as(node(99, AsKind::Eyeball, vec![p(-50.0)]));
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert!(c.assign(Asn(99), &p(-50.0)).is_none());
     }
 
@@ -1049,13 +1050,14 @@ mod tests {
     fn assign_with_key_matches_assign() {
         let (g, dep) = inflation_world();
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let plain = c.assign(Asn(1), &p(0.0)).unwrap();
         let (a, key) = c.assign_with_key(Asn(1), &p(0.0)).unwrap();
         assert_eq!(a.site, plain.site);
         assert_eq!(a.as_path, plain.as_path);
+        assert_eq!(a.hops, plain.hops);
         assert_eq!(key.host, Asn(10), "winning group is the 2-AS host");
-        assert_eq!(key.class, a.class);
+        assert_eq!(key.class, RouteClass::Provider);
         assert_eq!(key.path_len, 2);
         assert_eq!(key.scope, ExportScope::Global);
     }
@@ -1097,17 +1099,17 @@ mod tests {
             vec![],
         );
         let mut cache = RouteCache::new();
-        let before = Catchment::compute(&g, &dep, &mut cache);
+        let before = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert_eq!(before.assign(Asn(1), &p(58.0)).unwrap().site, SiteId(1));
 
         dep.site_drains = vec![SiteDrain { site: SiteId(1), withheld: vec![Asn(1)] }];
-        let during = Catchment::compute(&g, &dep, &mut cache);
+        let during = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let a = during.assign(Asn(1), &p(58.0)).unwrap();
         assert_eq!(a.site, SiteId(0), "withheld session must fall to the sibling");
 
         // Sessions not in the withheld set are untouched.
         dep.site_drains = vec![SiteDrain { site: SiteId(1), withheld: vec![Asn(999)] }];
-        let other = Catchment::compute(&g, &dep, &mut cache);
+        let other = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert_eq!(other.assign(Asn(1), &p(58.0)).unwrap().site, SiteId(1));
     }
 
@@ -1119,12 +1121,12 @@ mod tests {
         // entry 1.
         let (g, mut dep) = inflation_world();
         let mut cache = RouteCache::new();
-        let baseline = Catchment::compute(&g, &dep, &mut cache);
+        let baseline = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let ranked = baseline.ranked_top(Asn(1), &p(0.0), usize::MAX);
         assert_eq!(ranked[0].site, SiteId(0));
 
         dep.site_drains = vec![SiteDrain { site: SiteId(0), withheld: vec![Asn(1)] }];
-        let drained = Catchment::compute(&g, &dep, &mut cache);
+        let drained = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let a = drained.assign(Asn(1), &p(0.0)).unwrap();
         assert_eq!(a.site, SiteId(1), "drained group must yield to the runner-up");
         assert_eq!(a.as_path, ranked[1].as_path);
@@ -1152,7 +1154,7 @@ mod tests {
         );
         dep.site_drains = vec![SiteDrain { site: SiteId(1), withheld: vec![Asn(100)] }];
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert_eq!(c.assign(Asn(100), &p(29.0)).unwrap().site, SiteId(1));
     }
 
@@ -1160,7 +1162,7 @@ mod tests {
     fn group_accessors_expose_origin_groups() {
         let (g, dep) = inflation_world();
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let keys: Vec<(Asn, ExportScope)> = c.groups().map(|(h, s, _, _)| (h, s)).collect();
         assert_eq!(keys.len(), 2);
         assert!(keys.contains(&(Asn(10), ExportScope::Global)));
@@ -1174,7 +1176,7 @@ mod tests {
         assert!(group(&c, ExportScope::Global).is_some());
         assert!(group(&c, ExportScope::Local).is_none());
         // Recomputing over the same cache reuses the same routes Arc.
-        let c2 = Catchment::compute(&g, &dep, &mut cache);
+        let c2 = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         assert!(Arc::ptr_eq(
             &group(&c, ExportScope::Global).unwrap().0,
             &group(&c2, ExportScope::Global).unwrap().0
@@ -1190,12 +1192,28 @@ mod tests {
         dep.sites.push(site(2, 10, 12.0, ExportScope::Local));
         let dep = dep.with_origin(Asn(15), vec![]);
         let mut cache = RouteCache::new();
-        let c = Catchment::compute(&g, &dep, &mut cache);
+        let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
         let keys: Vec<(Asn, ExportScope)> = c.groups().map(|(h, s, _, _)| (h, s)).collect();
         assert_eq!(keys.len(), 4);
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "not strictly ascending: {keys:?}");
         let origin = c.groups().find(|&(h, ..)| h == Asn(15)).expect("origin group");
         assert_eq!(origin.3, [SiteId(0), SiteId(1), SiteId(2)]);
+    }
+
+    #[test]
+    fn prefill_computes_exactly_the_catchment_groups() {
+        // The origin AS10 also hosts a site, a local one, so it announces
+        // no group of its own and needs no (AS10, Global) routes.
+        let (g, mut dep) = inflation_world();
+        dep.sites[0].scope = ExportScope::Local;
+        let dep = dep.with_origin(Asn(10), vec![]);
+        let mut cache = RouteCache::new();
+        cache.prefill_deployments(&g, [&dep]);
+        let prefilled = cache.len();
+        let c = Catchment::compute(&g, Arc::new(dep), &mut cache);
+        let groups: Vec<(Asn, ExportScope)> = c.groups().map(|(h, s, ..)| (h, s)).collect();
+        assert_eq!(groups, [(Asn(10), ExportScope::Local), (Asn(21), ExportScope::Global)]);
+        assert_eq!((prefilled, cache.len()), (2, 2));
     }
 
     /// Bit pattern of a point, so NaN-free points compare exactly.
@@ -1219,14 +1237,14 @@ mod tests {
     /// The construction `materialize` replaced: walk the hops for the
     /// entry, pick the site by `min_by` (ties to the lower id), then walk
     /// the hops again from a recomputed serving PoP for the waypoints.
-    /// Returns `(site, waypoints, path_km, entry)`.
+    /// Returns `(site, segments between waypoints, path_km, entry)`.
     fn two_walk(
         c: &Catchment<'_>,
         src_idx: usize,
         user_loc: &GeoPoint,
         group: &OriginGroup,
         first: Option<crate::bgp::FirstHop>,
-    ) -> Option<(SiteId, Vec<GeoPoint>, f64, GeoPoint)> {
+    ) -> Option<(SiteId, u32, f64, GeoPoint)> {
         let g = c.graph;
         let (nodes, links) = match first {
             Some(fh) => group.routes.path_via(src_idx, fh)?,
@@ -1255,7 +1273,7 @@ mod tests {
         }
         points.push(c.deployment.site(site).location);
         let km = points.windows(2).map(|w| w[0].distance_km(&w[1])).sum();
-        Some((site, points, km, entry))
+        Some((site, points.len() as u32 - 1, km, entry))
     }
 
     /// `g` with every PoP and interconnect snapped to a `step`-degree
@@ -1280,11 +1298,10 @@ mod tests {
     }
 
     /// Everything an assignment carries, floats as bits.
-    type Summary = (SiteId, RouteClass, Vec<Asn>, Vec<(u64, u64)>, u64, (u64, u64));
+    type Summary = (SiteId, Vec<Asn>, u32, u64, (u64, u64));
 
     fn summary(a: &SiteAssignment) -> Summary {
-        let points = a.waypoints.iter().map(bits).collect();
-        (a.site, a.class, a.as_path.clone(), points, a.path_km.to_bits(), bits(&a.entry))
+        (a.site, a.as_path.clone(), a.hops, a.path_km.to_bits(), bits(&a.entry))
     }
 
     /// A deployment over `net` drawn from `rng`: two to six hosts with one
@@ -1349,7 +1366,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(dep_seed);
             let dep = random_deployment(&mut net, &g, &mut rng);
             let mut cache = RouteCache::new();
-            let c = Catchment::compute(&g, &dep, &mut cache);
+            let c = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
             for loc in net.user_locations() {
                 let center = net.world.region(loc.region).center;
                 let user = GeoPoint::new(center.lat().round(), center.lon().round());
@@ -1385,8 +1402,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(dep_seed);
             let dep = random_deployment(&mut net, &g, &mut rng);
             let mut cache = RouteCache::new();
-            let warm = Catchment::compute(&g, &dep, &mut cache);
-            let scan = Catchment::compute(&g, &dep, &mut cache);
+            let warm = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
+            let scan = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
             let sources: Vec<(Asn, GeoPoint)> = net
                 .user_locations()
                 .iter()
@@ -1408,11 +1425,11 @@ mod tests {
             for &i in &order {
                 let (asn, user) = sources[i];
                 let got = picks(&warm, asn, &user);
-                let fresh = Catchment::compute(&g, &dep, &mut cache);
+                let fresh = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
                 prop_assert_eq!(&got, &picks(&fresh, asn, &user));
                 prop_assert_eq!(&got, &expected[i], "source {}", i);
             }
-            let shared = Catchment::compute(&g, &dep, &mut cache);
+            let shared = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
             let per_thread: Vec<Vec<Picks>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..4)
                     .map(|t| {
@@ -1534,7 +1551,7 @@ mod tests {
                 let mut cache = RouteCache::new();
                 cache.prefill_deployments(&g, [&dep]);
                 let prefilled = cache.len();
-                let masked = Catchment::compute(&g, &dep, &mut cache);
+                let masked = Catchment::compute(&g, Arc::new(dep.clone()), &mut cache);
                 assert_eq!(cache.len(), prefilled, "prefill covers the masked catchment");
                 let Some((sub, orig)) = renumbered(&dep) else {
                     assert_eq!((masked.groups().count(), cache.len()), (0, 0));
@@ -1546,7 +1563,7 @@ mod tests {
                     continue;
                 };
                 let mut sub_cache = RouteCache::new();
-                let reference = Catchment::compute(&g, &sub, &mut sub_cache);
+                let reference = Catchment::compute(&g, Arc::new(sub.clone()), &mut sub_cache);
                 assert_eq!(sub_cache.len(), cache.len());
                 let back = |a: &SiteAssignment| {
                     let mut s = summary(a);
@@ -1602,7 +1619,7 @@ mod tests {
             withheld.sort();
             dep.site_drains = vec![SiteDrain { site: SiteId(0), withheld }];
             let mut cache = RouteCache::new();
-            let c = Catchment::compute(g, &dep, &mut cache);
+            let c = Catchment::compute(g, Arc::new(dep.clone()), &mut cache);
             for loc in net.user_locations() {
                 let user = net.world.region(loc.region).center;
                 let src_idx = g.idx(loc.asn);
@@ -1628,10 +1645,8 @@ mod tests {
                     let new = c.materialize(src_idx, &user, &serving, cand.gi, cand.first);
                     let old = two_walk(&c, src_idx, &user, cand.group, cand.first);
                     assert_eq!(new.is_some(), old.is_some());
-                    let (Some(a), Some((site, points, km, entry))) = (new, old) else { continue };
-                    assert_eq!(a.site, site);
-                    let new_bits: Vec<_> = a.waypoints.iter().map(bits).collect();
-                    assert_eq!(new_bits, points.iter().map(bits).collect::<Vec<_>>());
+                    let (Some(a), Some((site, hops, km, entry))) = (new, old) else { continue };
+                    assert_eq!((a.site, a.hops), (site, hops));
                     assert_eq!(a.path_km.to_bits(), km.to_bits());
                     assert_eq!(bits(&a.entry), bits(&entry));
                     compared += 1;

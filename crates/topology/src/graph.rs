@@ -2,10 +2,11 @@
 //! interconnection points.
 //!
 //! Links carry the *locations* where the two ASes interconnect. This is
-//! what lets the waypoint resolver model hot-potato routing: an AS hands
-//! traffic to the next AS at one of the link's interconnect points, chosen
-//! early-exit, and sparse interconnection is precisely what makes paths
-//! through transit providers geographically circuitous (§7.1).
+//! what lets the path walk ([`crate::waypoints`]) model hot-potato
+//! routing: an AS hands traffic to the next AS at one of the link's
+//! interconnect points, chosen early-exit, and sparse interconnection is
+//! precisely what makes paths through transit providers geographically
+//! circuitous (§7.1).
 
 use crate::asn::{AsKind, Asn, OrgId};
 use crate::prefix::Prefix24;
@@ -213,7 +214,7 @@ impl AsGraph {
     }
 
     /// The PoP of `asn` nearest to `point` — the "serving PoP" used for
-    /// IGP early-exit decisions and as the first waypoint of a path.
+    /// IGP early-exit decisions and as the first handoff of a path.
     pub fn serving_pop(&self, asn: Asn, point: &GeoPoint) -> GeoPoint {
         let pops = self.node(asn).pops.iter().copied();
         nearest(pops, |p| p.distance_km(point)).expect("nodes always have PoPs").0

@@ -22,9 +22,10 @@
 //!   computation,
 //! * [`infer`] — Gao-style AS-relationship inference from observed
 //!   paths, with ground-truth scoring (the CAIDA-dataset stand-in),
-//! * [`waypoints`] — resolution of an AS-level path into a geographic
-//!   waypoint sequence (hot-potato interconnect selection), which is what
-//!   makes long AS paths *physically* circuitous in the latency model.
+//! * [`waypoints`] — the hot-potato walk of an AS-level path (the
+//!   interconnect nearest the traffic at each handoff) to its entry into
+//!   the origin AS and its great-circle length, which is what makes long
+//!   AS paths *physically* circuitous in the latency model.
 //!
 //! The model is intentionally policy-faithful rather than
 //! message-faithful: we compute BGP outcomes (which site each source

@@ -113,13 +113,10 @@ impl IpToAsnService {
         self.map.get(&prefix).copied()
     }
 
-    /// Stable hash of the prefix to a uniform `[0, 1)` value (splitmix64).
+    /// Stable hash of the prefix to a uniform `[0, 1)` value
+    /// ([`par::splitmix64_mix`]).
     fn pseudo_uniform(&self, prefix: Prefix24) -> f64 {
-        let mut z = (prefix.0 as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        par::unit_f64(z)
+        par::unit_f64(par::splitmix64_mix((prefix.0 as u64).wrapping_add(0x9e37_79b9_7f4a_7c15)))
     }
 }
 

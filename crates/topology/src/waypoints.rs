@@ -1,4 +1,4 @@
-//! Resolution of AS-level paths into geographic waypoint sequences.
+//! Hot-potato resolution of AS-level paths into geography.
 //!
 //! Latency in the reproduction is driven by *where packets physically
 //! travel*. Given the AS-level path BGP selected, each AS hands traffic to
@@ -11,17 +11,16 @@
 use crate::graph::AsGraph;
 use geo::GeoPoint;
 
-/// Walks a path's hot-potato handoffs: the waypoints from `user_loc`
-/// through `serving` (the source AS's serving PoP,
-/// [`AsGraph::serving_pop`]) and across each of `links` at its
-/// interconnect nearest to where the traffic currently is, with their
+/// Walks a path's hot-potato handoffs from `user_loc` through `serving`
+/// (the source AS's serving PoP, [`AsGraph::serving_pop`]) and across
+/// each of `links` at its interconnect nearest to where the traffic
+/// currently is. Returns the last point reached and the walk's
 /// great-circle length in km.
 ///
 /// `links` is the AS-level path's link sequence as produced by
 /// [`crate::bgp::OriginRoutes::path_via`]. The last point is where the
 /// path enters the final AS, from which the caller picks the
-/// destination site; it then pushes that site's location (the returned
-/// vector has room for it) and adds the last segment to the length.
+/// destination site and adds that last segment to the length.
 /// A hop's segment length is the distance its selection computed,
 /// measured from the hop rather than to it (haversine is symmetric bit
 /// for bit; `tests/nearest.rs` pins that), so no distance is evaluated
@@ -31,19 +30,15 @@ pub(crate) fn walk(
     links: &[usize],
     user_loc: &GeoPoint,
     serving: GeoPoint,
-) -> (Vec<GeoPoint>, f64) {
-    let mut points = Vec::with_capacity(links.len() + 3);
-    points.push(*user_loc);
-    points.push(serving);
+) -> (GeoPoint, f64) {
     let mut km = user_loc.distance_km(&serving);
     let mut cur = serving;
     for &link in links {
         let (hop, hop_km) = graph.nearest_interconnect(link, &cur);
-        points.push(hop);
         km += hop_km;
         cur = hop;
     }
-    (points, km)
+    (cur, km)
 }
 
 #[cfg(test)]
@@ -81,12 +76,9 @@ mod tests {
         let user = GeoPoint::new(1.0, 38.0);
         let serving = g.serving_pop(Asn(1), &user);
         assert!((serving.lon() - 40.0).abs() < 1e-9, "nearest PoP is lon 40");
-        let (pts, km) = walk(&g, &[0], &user, serving);
-        assert_eq!(pts.len(), 3); // user, serving pop, interconnect
-        assert_eq!(pts[1], serving);
-        assert!((pts[2].lon() - 45.0).abs() < 1e-9, "hot-potato interconnect");
-        assert!(pts.capacity() >= 4, "room for the destination");
-        let segments = user.distance_km(&pts[1]) + pts[1].distance_km(&pts[2]);
+        let (entry, km) = walk(&g, &[0], &user, serving);
+        assert!((entry.lon() - 45.0).abs() < 1e-9, "hot-potato interconnect");
+        let segments = user.distance_km(&serving) + serving.distance_km(&entry);
         assert_eq!(km.to_bits(), segments.to_bits());
     }
 
@@ -95,8 +87,8 @@ mod tests {
         let g = simple_graph();
         let user = GeoPoint::new(0.0, 1.0);
         let serving = g.serving_pop(Asn(1), &user);
-        let (pts, km) = walk(&g, &[], &user, serving);
-        assert_eq!(pts, vec![user, serving]);
+        let (entry, km) = walk(&g, &[], &user, serving);
+        assert_eq!(entry, serving);
         assert_eq!(km, user.distance_km(&serving));
     }
 }

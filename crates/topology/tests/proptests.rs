@@ -7,6 +7,7 @@ use anycast_topology::{
     AnycastDeployment, AnycastSite, Catchment, RouteCache, RouteClass, SiteId,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -147,9 +148,9 @@ proptest! {
                 scope: ExportScope::Global,
             })
             .collect();
-        let dep = AnycastDeployment::new("prop", sites, vec![]);
+        let dep = Arc::new(AnycastDeployment::new("prop", sites, vec![]));
         let mut cache = RouteCache::new();
-        let catchment = Catchment::compute(&net.graph, &dep, &mut cache);
+        let catchment = Catchment::compute(&net.graph, Arc::clone(&dep), &mut cache);
         for loc in net.user_locations().iter().take(30) {
             let point = net.world.region(loc.region).center;
             let Some(a) = catchment.assign(loc.asn, &point) else { continue };
@@ -157,6 +158,8 @@ proptest! {
             prop_assert!(a.path_km + 1e-6 >= direct, "path {} < direct {}", a.path_km, direct);
             prop_assert!(!a.as_path.is_empty());
             prop_assert_eq!(a.as_path[0], loc.asn);
+            // No origin AS: one link between successive path ASes.
+            prop_assert_eq!(a.hops as usize, a.as_path.len() + 1);
         }
     }
 }

@@ -14,6 +14,7 @@ use netsim::{ping, traceroute, LastMile, LatencyModel, PathProfile, TracerouteHo
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use topology::gen::Internet;
 use topology::{AnycastDeployment, Asn, Catchment, RouteCache};
 
@@ -96,13 +97,13 @@ impl AtlasPanel {
     pub fn ping_deployment(
         &self,
         internet: &Internet,
-        deployment: &AnycastDeployment,
+        deployment: &Arc<AnycastDeployment>,
         model: &LatencyModel,
         count: usize,
         seed: u64,
     ) -> Vec<(Probe, Vec<f64>)> {
         let mut cache = RouteCache::new();
-        let catchment = Catchment::compute(&internet.graph, deployment, &mut cache);
+        let catchment = Catchment::compute(&internet.graph, Arc::clone(deployment), &mut cache);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xa71a_5000_0000_0002);
         let mut out = Vec::new();
         for probe in &self.probes {
@@ -123,13 +124,13 @@ impl AtlasPanel {
     pub fn traceroute_deployment(
         &self,
         internet: &Internet,
-        deployment: &AnycastDeployment,
+        deployment: &Arc<AnycastDeployment>,
         model: &LatencyModel,
         ixp_unmapped_prob: f64,
         seed: u64,
     ) -> Vec<(Probe, Vec<TracerouteHop>)> {
         let mut cache = RouteCache::new();
-        let catchment = Catchment::compute(&internet.graph, deployment, &mut cache);
+        let catchment = Catchment::compute(&internet.graph, Arc::clone(deployment), &mut cache);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xa71a_5000_0000_0003);
         let mut out = Vec::new();
         for probe in &self.probes {
@@ -191,7 +192,7 @@ mod tests {
         // A one-site deployment hosted at a transit AS: reachable by all.
         let host = net.transits[0];
         let loc = net.graph.node(host).pops[0];
-        let dep = AnycastDeployment::new(
+        let dep = Arc::new(AnycastDeployment::new(
             "probe-target",
             vec![AnycastSite {
                 id: SiteId(0),
@@ -201,7 +202,7 @@ mod tests {
                 scope: ExportScope::Global,
             }],
             vec![],
-        );
+        ));
         let rows = panel.ping_deployment(&net, &dep, &LatencyModel::default(), 3, 2);
         assert!(!rows.is_empty());
         for (_, rtts) in &rows {
@@ -215,7 +216,7 @@ mod tests {
         let (net, panel) = setup();
         let host = net.transits[0];
         let loc = net.graph.node(host).pops[0];
-        let dep = AnycastDeployment::new(
+        let dep = Arc::new(AnycastDeployment::new(
             "probe-target",
             vec![AnycastSite {
                 id: SiteId(0),
@@ -225,7 +226,7 @@ mod tests {
                 scope: ExportScope::Global,
             }],
             vec![],
-        );
+        ));
         let rows = panel.traceroute_deployment(&net, &dep, &LatencyModel::default(), 0.1, 3);
         assert!(!rows.is_empty());
         for (_, hops) in &rows {

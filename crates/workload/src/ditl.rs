@@ -169,7 +169,7 @@ impl DitlDataset {
                 let captured = l.meta.in_ditl && !l.meta.fully_anonymized;
                 (
                     l.meta.letter,
-                    Catchment::compute_shared(
+                    Catchment::compute(
                         &internet.graph,
                         std::sync::Arc::clone(&l.deployment),
                         &mut cache,
@@ -225,10 +225,7 @@ impl DitlDataset {
 
             // --- per-recursive daily volumes by class -------------------
             let ln = |rng: &mut StdRng, median: f64, sigma: f64| -> f64 {
-                let u1: f64 = rng.gen_range(1e-12..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                median * (sigma * z).exp()
+                median * (sigma * netsim::sample_standard_normal(rng)).exp()
             };
             let mut valid = rec.users * ln(&mut rng, VALID_PER_USER_MEDIAN, VALID_SIGMA);
             if rng.gen_bool(BUGGY_RECURSIVE_PROB) {

@@ -47,11 +47,8 @@ impl Geolocator {
     /// snapshot. Returns `None` for prefixes not in the database.
     pub fn locate(&self, prefix: Prefix24) -> Option<GeoPoint> {
         let truth = self.truth.get(&prefix)?;
-        // Splitmix-style stable hash → error vector.
-        let mut z = (prefix.0 as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        // Stable hash → error vector.
+        let z = par::splitmix64_mix((prefix.0 as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
         let u1 = par::unit_f64(z);
         let u2 = ((z & 0xffff_ffff) as f64) / u32::MAX as f64;
         let gross = u1 < self.error.gross_prob;

@@ -197,9 +197,7 @@ fn poisson_large(rng: &mut StdRng, lambda: f64) -> usize {
         return poisson_small(rng, lambda);
     }
     // Normal approximation for large λ.
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    let z = netsim::sample_standard_normal(rng);
     (lambda + lambda.sqrt() * z).round().max(0.0) as usize
 }
 

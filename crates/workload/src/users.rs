@@ -283,12 +283,7 @@ impl UserPopulation {
         let mut asns: Vec<Asn> = truth.keys().copied().collect();
         asns.sort();
         for asn in asns {
-            let z: f64 = {
-                let u1: f64 = rng.gen_range(1e-12..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-            };
-            let noise = (APNIC_NOISE_SIGMA * z).exp();
+            let noise = (APNIC_NOISE_SIGMA * netsim::sample_standard_normal(&mut rng)).exp();
             by_asn.insert(asn, truth[&asn] * noise);
         }
         ApnicUserCounts { by_asn }

@@ -7,6 +7,7 @@
 
 use anycast_context::topology::{Catchment, RouteCache};
 use anycast_context::{experiments, World, WorldConfig};
+use std::sync::Arc;
 
 fn main() {
     // 1. Build a deterministic world: synthetic Internet, 13 root
@@ -27,7 +28,7 @@ fn main() {
     let mut cache = RouteCache::new();
 
     let c_root = &world.letters.get(anycast_context::dns::Letter::C).deployment;
-    let c = Catchment::compute(&world.internet.graph, c_root, &mut cache);
+    let c = Catchment::compute(&world.internet.graph, Arc::clone(c_root), &mut cache);
     if let Some(a) = c.assign(loc.asn, &user_point) {
         println!(
             "\n{} from {} → site {} via {} ASes, {:.0} km routed \
@@ -42,7 +43,7 @@ fn main() {
     }
 
     let ring = world.cdn.largest_ring();
-    let r = Catchment::compute(&world.internet.graph, &ring.deployment, &mut cache);
+    let r = Catchment::compute(&world.internet.graph, Arc::clone(&ring.deployment), &mut cache);
     if let Some(a) = r.assign(loc.asn, &user_point) {
         println!(
             "{} from {} → front-end {} via {} ASes, {:.0} km routed \

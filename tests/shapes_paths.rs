@@ -4,13 +4,14 @@
 use anycast_context::analysis::paths::{org_path_length, PathLengthDist};
 use anycast_context::{World, WorldConfig};
 use std::collections::HashMap;
+use std::sync::Arc;
 use anycast_context::{geo, netsim, topology};
 
 fn world() -> World {
     World::build(&WorldConfig { scale: 0.25, ..WorldConfig::paper(2021) })
 }
 
-fn dist_to(w: &World, deployment: &anycast_context::topology::AnycastDeployment) -> PathLengthDist {
+fn dist_to(w: &World, deployment: &Arc<anycast_context::topology::AnycastDeployment>) -> PathLengthDist {
     let routes = w
         .atlas
         .traceroute_deployment(&w.internet, deployment, &w.model, 0.08, 1);
