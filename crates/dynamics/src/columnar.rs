@@ -4,7 +4,7 @@
 //! Every user expanded from one weighted location shares its
 //! `(source AS, location)` pair and therefore — because BGP's decision
 //! process sees only that pair — one assignment forever. So the engine
-//! stores and re-ranks one `UserState` row per cohort, and an epoch's
+//! stores and re-ranks one `Served` row per cohort, and an epoch's
 //! cost scales with cohorts, never with the expanded population. The
 //! only per-user data is each member's query volume, which replay
 //! draws from. This module holds the expansion unit, `Cohort`:

@@ -234,9 +234,6 @@ impl<'g> DynamicsEngine<'g> {
                     hit += 1;
                 }
             }
-            // Full member-order resum, not `+= delta`: keeps the total
-            // bit-identical to a fresh engine built at the new demand.
-            self.total_weight = self.cohorts.iter().map(|c| c.weight).sum();
             out.labels.push(format!("surge x{factor:.2}"));
             out.notes.push(format!(
                 "demand x{factor:.3} within {radius_km:.0} km of ({:.1} {:.1}) hit {hit} cohorts ({delta:+.1} users)",
@@ -269,8 +266,7 @@ impl<'g> DynamicsEngine<'g> {
         }
 
         for &s in &downs {
-            if let Some(pos) = self.drains.iter().position(|d| d.site == s) {
-                self.drains.remove(pos);
+            if self.drains[s.0 as usize].take().is_some() {
                 obs::counter_add("dynamics.drain.aborted", 1);
                 out.notes.push(format!("drain on {s} aborted: site failed"));
             }
@@ -278,8 +274,7 @@ impl<'g> DynamicsEngine<'g> {
             out.labels.push(format!("down {s}"));
         }
         for &s in &ups {
-            if let Some(pos) = self.drains.iter().position(|d| d.site == s) {
-                self.drains.remove(pos);
+            if self.drains[s.0 as usize].take().is_some() {
                 obs::counter_add("dynamics.drain.completed", 1);
                 out.notes.push(format!("drain on {s} closed by site-up"));
             }
@@ -295,11 +290,10 @@ impl<'g> DynamicsEngine<'g> {
             out.labels.push(format!("peering-up {a}"));
         }
         for &(gen, carried) in &ends {
-            match self.drains.iter().position(|d| d.gen == gen && d.holding) {
-                Some(pos) => {
-                    let s = self.drains[pos].site;
+            match self.drain_site(gen, true) {
+                Some(s) => {
                     out.labels.push(format!("drain-end {s}"));
-                    self.drains.remove(pos);
+                    self.drains[s.0 as usize] = None;
                     self.alive[s.0 as usize] = true;
                     obs::counter_add("dynamics.drain.completed", 1);
                 }
@@ -310,9 +304,8 @@ impl<'g> DynamicsEngine<'g> {
             }
         }
         for &(gen, carried) in &stage_evs {
-            match self.drains.iter().position(|d| d.gen == gen && !d.holding) {
-                Some(pos) => {
-                    let s = self.drains[pos].site;
+            match self.drain_site(gen, false) {
+                Some(s) => {
                     out.labels.push(format!("drain-stage {s}"));
                     let f = self.escalate(s);
                     out.escalated.push(s);
@@ -328,7 +321,7 @@ impl<'g> DynamicsEngine<'g> {
             out.labels.push(format!("drain-start {s}"));
             if !self.alive[s.0 as usize] {
                 out.notes.push(format!("drain-start on down {s} ignored"));
-            } else if self.drains.iter().any(|d| d.site == s) {
+            } else if self.drains[s.0 as usize].is_some() {
                 out.notes.push(format!("drain-start on already-draining {s} ignored"));
             } else {
                 assert!(stages >= 1, "a drain needs at least one stage");
@@ -336,21 +329,8 @@ impl<'g> DynamicsEngine<'g> {
                 let gen = self.next_gen;
                 self.next_gen += 1;
                 let plan = self.drain_plan(s);
-                let pos = self.drains.partition_point(|d| d.site < s);
-                self.drains.insert(
-                    pos,
-                    DrainState {
-                        site: s,
-                        gen,
-                        plan,
-                        stages,
-                        stage: 0,
-                        stage_ms,
-                        hold_ms,
-                        withheld: Vec::new(),
-                        holding: false,
-                    },
-                );
+                self.drains[s.0 as usize] =
+                    Some(DrainState { gen, plan, stages, stage: 0, stage_ms, hold_ms });
                 obs::counter_add("dynamics.drain.started", 1);
                 let f = self.escalate(s);
                 out.escalated.push(s);
@@ -393,5 +373,15 @@ impl<'g> DynamicsEngine<'g> {
             }
         }
         out
+    }
+
+    /// The site whose running drain carries generation stamp `gen` and
+    /// is (or is not) `holding`: the only drain a follow-up stamped
+    /// `gen` may act on.
+    fn drain_site(&self, gen: u64, holding: bool) -> Option<SiteId> {
+        self.drains
+            .iter()
+            .position(|d| d.as_ref().is_some_and(|d| d.gen == gen && d.holding() == holding))
+            .map(|i| SiteId(i as u32))
     }
 }

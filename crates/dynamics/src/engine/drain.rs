@@ -15,27 +15,14 @@ impl<'g> DynamicsEngine<'g> {
     /// site for its maintenance hold.
     pub(super) fn escalate(&mut self, site: SiteId) -> (SimTime, RoutingEvent) {
         let now = self.clock.now();
-        let idx = self
-            .drains
-            .iter()
-            .position(|d| d.site == site)
-            .expect("escalating a live drain");
-        let d = &mut self.drains[idx];
+        let d = self.drains[site.0 as usize].as_mut().expect("escalating a live drain");
         d.stage += 1;
-        if d.stage < d.stages {
-            // Partial stage k of n: withhold the lightest
-            // ceil(k·len/(n−1)) neighbor sessions, so the last partial
-            // stage covers the whole plan and the final stage only
-            // removes the remaining intra-host traffic.
-            let len = d.plan.len();
-            let div = (d.stages - 1) as usize;
-            let cut = ((d.stage as usize * len) + div - 1) / div;
-            d.withheld = d.plan[..cut.min(len)].to_vec();
-            d.withheld.sort_unstable();
+        if !d.holding() {
+            // A partial stage withholds a longer prefix of the plan
+            // (`DrainState::withheld`); the final stage only removes the
+            // remaining intra-host traffic.
             (now.plus_ms(d.stage_ms), RoutingEvent::DrainStage { site, gen: d.gen })
         } else {
-            d.withheld.clear();
-            d.holding = true;
             let (gen, hold) = (d.gen, d.hold_ms);
             self.alive[site.0 as usize] = false;
             (now.plus_ms(hold), RoutingEvent::DrainEnd { site, gen })
@@ -46,11 +33,8 @@ impl<'g> DynamicsEngine<'g> {
     /// if the final stage had already withdrawn the site, it
     /// re-announces.
     pub(super) fn abort_drain(&mut self, site: SiteId) {
-        if let Some(pos) = self.drains.iter().position(|d| d.site == site) {
-            let d = self.drains.remove(pos);
-            if d.holding {
-                self.alive[site.0 as usize] = true;
-            }
+        if self.drains[site.0 as usize].take().is_some_and(|d| d.holding()) {
+            self.alive[site.0 as usize] = true;
         }
     }
 

@@ -84,40 +84,36 @@ pub struct DynUser {
     pub queries_per_day: f64,
 }
 
-/// A cohort's current assignment — the rank-result type the re-rank
+/// A served cohort's assignment — the rank-result type the re-rank
 /// step produces and the engine stores once per cohort (every member
 /// of an expansion cohort shares one `(source AS, location)` pair and
-/// therefore one assignment).
+/// therefore one assignment). An unserved cohort has no row.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct UserState {
-    site: Option<SiteId>,
-    key: Option<CandidateKey>,
-    /// The AS adjacent to the serving site's host on the current path —
-    /// the neighbor that heard the host's announcement, i.e. the
-    /// session a `PeeringDown` against that neighbor would sever.
+struct Served {
+    site: SiteId,
+    key: CandidateKey,
+    /// The entry session: the AS right before the serving site's host
+    /// on the AS path, i.e. the neighbor a withhold or a `PeeringDown`
+    /// against it would sever. `None` when no AS precedes the host on
+    /// the path: users inside the host AS carry no session, and neither
+    /// do users on the origin-AS group's paths unless the site's host
+    /// happens to be on the path.
     via: Option<Asn>,
     /// Entry point of the current path into the origin AS — the anchor
     /// of `Catchment::pick_site`'s nearest-site tie-break, stored so the
     /// site-diff rule can test whether an added site would beat the
     /// stored one without re-materializing the path.
-    entry: Option<GeoPoint>,
+    entry: GeoPoint,
     latency_ms: f64,
     path_km: f64,
 }
 
-const UNSERVED: UserState =
-    UserState { site: None, key: None, via: None, entry: None, latency_ms: 0.0, path_km: 0.0 };
-
-impl UserState {
-    /// Exact equality, floats compared bit for bit.
-    fn same_bits(&self, o: &UserState) -> bool {
-        self.site == o.site
-            && self.key == o.key
-            && self.via == o.via
-            && self.entry == o.entry
-            && self.latency_ms.to_bits() == o.latency_ms.to_bits()
-            && self.path_km.to_bits() == o.path_km.to_bits()
-    }
+/// Exact equality of two cohort rows, floats compared bit for bit.
+fn same_bits(a: &Option<Served>, b: &Option<Served>) -> bool {
+    let bits = |st: &Option<Served>| {
+        st.map(|s| (s.site, s.key, s.via, s.entry, s.latency_ms.to_bits(), s.path_km.to_bits()))
+    };
+    bits(a) == bits(b)
 }
 
 /// What a [`DynamicsEngine::verify_full_recompute`] disagreement is
@@ -140,12 +136,12 @@ pub struct RecomputeMismatch {
     pub detail: String,
 }
 
-/// A running load-aware drain: the *staged → holding* half of the
-/// drain state machine (aborted and completed drains leave no state
-/// behind). See `docs/DYNAMICS.md` for the full diagram.
+/// A running load-aware drain, in its site's slot of `drains`: the
+/// *staged → holding* half of the drain state machine (aborted and
+/// completed drains leave no state behind). See `docs/DYNAMICS.md` for
+/// the full diagram.
 #[derive(Debug, Clone)]
 struct DrainState {
-    site: SiteId,
     /// Generation stamp carried by this drain's scheduled follow-up
     /// events; a follow-up with a stale stamp is a recorded no-op.
     gen: u64,
@@ -160,12 +156,29 @@ struct DrainState {
     stage_ms: f64,
     /// How long the fully-drained site stays down.
     hold_ms: f64,
-    /// Currently withheld sessions (sorted; always a reordering of a
-    /// prefix of `plan`).
-    withheld: Vec<Asn>,
+}
+
+impl DrainState {
     /// The final stage has run: the site is down for its maintenance
     /// hold, awaiting its generation-stamped `DrainEnd`.
-    holding: bool,
+    fn holding(&self) -> bool {
+        self.stage >= self.stages
+    }
+
+    /// The sessions withheld now, sorted. Partial stage k of n withholds
+    /// the lightest ⌈k·|plan|/(n−1)⌉ plan entries, so the last partial
+    /// stage covers the whole plan; a holding drain withholds nothing,
+    /// because its site is withdrawn outright.
+    fn withheld(&self) -> Vec<Asn> {
+        if self.stage == 0 || self.holding() {
+            return Vec::new();
+        }
+        let len = self.plan.len();
+        let cut = (self.stage as usize * len).div_ceil((self.stages - 1) as usize);
+        let mut w = self.plan[..cut.min(len)].to_vec();
+        w.sort_unstable();
+        w
+    }
 }
 
 /// Everything one batched epoch's apply step produced besides the
@@ -215,18 +228,18 @@ pub struct DynamicsEngine<'g> {
     /// factors until [`DynamicsEngine::queries_per_day`] folds them.
     queries_per_day: Vec<f64>,
     /// The assignment, one row per cohort: every member of cohort `c`
-    /// is served exactly as `states[c]` says. This table is the only
-    /// copy; invalidation, apply, aggregates, load accumulation and
-    /// the oracle all read and compare it, so an epoch's cost scales
-    /// with cohorts, never with the expanded population.
-    states: Vec<UserState>,
+    /// is served exactly as `states[c]` says, or unserved when it is
+    /// `None`. This table is the only copy; invalidation, apply,
+    /// aggregates, load accumulation and the oracle all read and
+    /// compare it, so an epoch's cost scales with cohorts, never with
+    /// the expanded population.
+    states: Vec<Option<Served>>,
     /// Running totals behind `dynamics.invalidation.*`: users in the
     /// cohorts whose group (or the unkeyed bucket) the invalidation
     /// rules opened for a check, vs the population a per-user scan
     /// would have walked.
     slice_users_total: u64,
     population_total: u64,
-    total_weight: f64,
     cache: RouteCache,
     clock: SimClock,
     /// Announcement state per site of `base` (`false` = down, drained,
@@ -239,13 +252,13 @@ pub struct DynamicsEngine<'g> {
     /// footprints the next recompute diffs against (`None` only until
     /// the init commit).
     catchment: Option<Arc<Catchment<'g>>>,
-    baseline_median_ms: Option<f64>,
+    /// The `"init"` record, whose median is the inflation baseline.
     init_record: Option<EpochRecord>,
     /// Per-site load limits. `None` (the default) runs drains
     /// unguarded and leaves `headroom_frac` empty.
     capacities: Option<SiteCapacities>,
-    /// Active drains, kept sorted by site id.
-    drains: Vec<DrainState>,
+    /// The running drain per site of `base`, indexed by site id.
+    drains: Vec<Option<DrainState>>,
     /// Generation stamp handed to the next drain, so stage and end
     /// events of dead drains are recognizably stale.
     next_gen: u64,
@@ -420,7 +433,6 @@ impl<'g> DynamicsEngine<'g> {
                 queries_per_day: qpd[range].iter().sum(),
             });
         }
-        let total_weight = cohorts.iter().map(|c| c.weight).sum();
         let n_cohorts = cohorts.len();
         let mut eng = Self {
             graph,
@@ -429,19 +441,17 @@ impl<'g> DynamicsEngine<'g> {
             mode,
             cohorts,
             queries_per_day: qpd,
-            states: vec![UNSERVED; n_cohorts],
+            states: vec![None; n_cohorts],
             slice_users_total: 0,
             population_total: 0,
-            total_weight,
             cache: RouteCache::new(),
             clock: SimClock::new(),
             alive: vec![true; n_sites],
             lost_peerings: Vec::new(),
             catchment: None,
-            baseline_median_ms: None,
             init_record: None,
             capacities: None,
-            drains: Vec::new(),
+            drains: vec![None; n_sites],
             next_gen: 0,
             swap_set: Vec::new(),
             current_swap: 0,
@@ -451,7 +461,6 @@ impl<'g> DynamicsEngine<'g> {
             load_ledger: LoadLedger::default(),
         };
         let mut rec = eng.reassign("init", true);
-        eng.baseline_median_ms = rec.median_ms;
         rec.inflation_ms = rec.median_ms.map(|_| 0.0);
         eng.init_record = Some(rec);
         eng
@@ -559,6 +568,7 @@ impl<'g> DynamicsEngine<'g> {
         let n_sites = widest.sites.len();
         self.base = Arc::clone(widest);
         self.alive.resize(n_sites, false);
+        self.drains.resize(n_sites, None);
         self.ctrl_withheld.resize(n_sites, Vec::new());
         self.swap_set = set;
         self.current_swap = current;
@@ -637,9 +647,8 @@ impl<'g> DynamicsEngine<'g> {
     pub fn user_snapshot(&self) -> Vec<(Option<SiteId>, f64, f64)> {
         let mut out = Vec::with_capacity(self.queries_per_day.len());
         for (c, st) in self.cohorts.iter().zip(&self.states) {
-            for _ in c.range() {
-                out.push((st.site, st.latency_ms, st.path_km));
-            }
+            let row = st.map_or((None, 0.0, 0.0), |s| (Some(s.site), s.latency_ms, s.path_km));
+            out.extend(std::iter::repeat_n(row, c.len() as usize));
         }
         out
     }
@@ -656,8 +665,8 @@ impl<'g> DynamicsEngine<'g> {
             .map(|(c, st)| ServingCohort {
                 start: c.range().start as u32,
                 end: c.range().end as u32,
-                site: st.site,
-                latency_ms: st.latency_ms,
+                site: st.map(|s| s.site),
+                latency_ms: st.map_or(0.0, |s| s.latency_ms),
             })
             .collect()
     }
@@ -687,6 +696,12 @@ impl<'g> DynamicsEngine<'g> {
         self.init_record.as_ref().expect("set in new()")
     }
 
+    /// Total user weight, summed in cohort order: the same bits as a
+    /// fresh engine built at the current demand.
+    fn total_weight(&self) -> f64 {
+        self.cohorts.iter().map(|c| c.weight).sum()
+    }
+
     /// The currently effective deployment: the swap-set entry last
     /// swapped to, or the deployment the engine was built over when no
     /// swap set is registered.
@@ -700,8 +715,8 @@ impl<'g> DynamicsEngine<'g> {
     pub fn site_loads(&self) -> Vec<f64> {
         let mut loads = vec![0.0; self.deployment().sites.len()];
         for (c, st) in self.cohorts.iter().zip(&self.states) {
-            if let Some(s) = st.site {
-                loads[s.0 as usize] += c.weight;
+            if let Some(st) = st {
+                loads[st.site.0 as usize] += c.weight;
             }
         }
         loads
@@ -709,16 +724,19 @@ impl<'g> DynamicsEngine<'g> {
 
     /// Current user weight entering the deployment through each
     /// host-adjacent neighbor AS (the last interdomain session before
-    /// the serving site), heaviest first, ties broken by ASN. Users
-    /// inside a host AS cross no such session and are not counted.
-    /// Scenario builders use this to aim peering events at sessions
-    /// that actually carry traffic — withholding is per host neighbor,
-    /// so only host-adjacent ASes are meaningful targets.
+    /// the serving site), heaviest first, ties broken by ASN. A user
+    /// counts only when its AS path enters the serving site's host from
+    /// another AS: users inside a host AS carry no session, and neither
+    /// do users on the origin-AS group's paths unless the site's host
+    /// happens to be on the path. Scenario builders use this to aim
+    /// peering events at sessions that actually carry traffic —
+    /// withholding is per host neighbor, so only host-adjacent ASes are
+    /// meaningful targets.
     pub fn transit_loads(&self) -> Vec<(Asn, f64)> {
         let mut loads: DetHashMap<Asn, f64> = DetHashMap::default();
         for (c, st) in self.cohorts.iter().zip(&self.states) {
-            if let (Some(_), Some(via)) = (st.site, st.via) {
-                *loads.entry(via).or_default() += c.weight;
+            if let Some(Served { via: Some(via), .. }) = st {
+                *loads.entry(*via).or_default() += c.weight;
             }
         }
         let mut out: Vec<(Asn, f64)> = loads.into_iter().collect();
@@ -730,16 +748,19 @@ impl<'g> DynamicsEngine<'g> {
     /// lists the `(neighbor, weight)` sessions of the users site `s`
     /// currently serves, lightest first (ties by ASN). Load
     /// controllers, drain plans and scenario builders all shed in
-    /// units of these sessions. Each site's sums accumulate in cohort
-    /// order, and each served cohort has exactly one serving site, so
-    /// the per-site lists partition [`DynamicsEngine::transit_loads`].
-    /// Cost is O(cohorts), independent of the expanded population.
+    /// units of these sessions; users whose path does not enter the
+    /// site's host from another AS (inside the host AS, or on an
+    /// origin-AS group's path that misses it) carry none. Each site's
+    /// sums accumulate in cohort order, and each served cohort has
+    /// exactly one serving site, so the per-site lists partition
+    /// [`DynamicsEngine::transit_loads`]. Cost is O(cohorts),
+    /// independent of the expanded population.
     pub fn entry_sessions(&self) -> Vec<Vec<(Asn, f64)>> {
         let mut maps: Vec<DetHashMap<Asn, f64>> =
             vec![DetHashMap::default(); self.deployment().sites.len()];
         for (c, st) in self.cohorts.iter().zip(&self.states) {
-            if let (Some(s), Some(via)) = (st.site, st.via) {
-                *maps[s.0 as usize].entry(via).or_default() += c.weight;
+            if let Some(Served { site, via: Some(via), .. }) = st {
+                *maps[site.0 as usize].entry(*via).or_default() += c.weight;
             }
         }
         maps.into_iter()

@@ -12,8 +12,8 @@
 use super::apply::insert_sorted;
 use super::convergence;
 use super::{
-    DynamicsEngine, MismatchKind, RecomputeMismatch, RecomputeMode, ReassignPlan, UserState,
-    UNSERVED,
+    same_bits, DrainState, DynamicsEngine, MismatchKind, RecomputeMismatch, RecomputeMode,
+    ReassignPlan, Served,
 };
 use crate::timeline::EpochRecord;
 use analysis::WeightedCdf;
@@ -64,8 +64,8 @@ impl<'g> DynamicsEngine<'g> {
                 dep.withdrawn.push(s.id);
                 continue;
             }
-            let drain = self.drains.iter().find(|d| d.site == s.id);
-            let mut withheld = drain.map(|d| d.withheld.clone()).unwrap_or_default();
+            let drain = self.drains[s.id.0 as usize].as_ref();
+            let mut withheld = drain.map(DrainState::withheld).unwrap_or_default();
             for &(a, _) in &self.ctrl_withheld[s.id.0 as usize] {
                 insert_sorted(&mut withheld, a);
             }
@@ -178,9 +178,8 @@ impl<'g> DynamicsEngine<'g> {
             let src = cohort.src_idx as usize;
             // Rule 3: unserved cohorts re-rank when an added or changed
             // group now has any route at their source. With no challengers
-            // they are provably untouched and never checked. A stored key
-            // and a stored site are set together.
-            let (Some(key), Some(s)) = (st.key, st.site) else {
+            // they are provably untouched and never checked.
+            let Some(st) = st else {
                 if !challengers.is_empty() {
                     slice_users += u64::from(cohort.len());
                     if challengers.iter().any(|(_, r)| r.route_at(src).is_some()) {
@@ -192,7 +191,7 @@ impl<'g> DynamicsEngine<'g> {
             // Rules 1 and 2, per cohort of a stored-key group: a cohort
             // whose group is not invalidated, not site-diffed, and
             // challenged by nobody else is skipped without a check.
-            let gk = key.group();
+            let gk = st.key.group();
             let change =
                 touched.binary_search_by_key(&gk, |(k, _)| *k).ok().map(|i| &touched[i].1);
             if change.is_none() && challengers.iter().all(|(ck, _)| *ck == gk) {
@@ -204,18 +203,17 @@ impl<'g> DynamicsEngine<'g> {
                 continue;
             }
             if let Some(GroupChange::Sites { added, removed }) = change {
-                if removed.binary_search(&s).is_ok() {
+                if removed.binary_search(&st.site).is_ok() {
                     out.push(c);
                     continue;
                 }
                 // An added site takes over exactly when it beats the
                 // stored one on (distance to the stored entry point, site
                 // id) — `Catchment::pick_site`'s tie-break.
-                let e = st.entry.expect("served cohort has an entry");
-                let ds = base.sites[s.0 as usize].location.distance_km(&e);
+                let ds = base.sites[st.site.0 as usize].location.distance_km(&st.entry);
                 if added.iter().any(|&a| {
-                    let da = base.sites[a.0 as usize].location.distance_km(&e);
-                    da < ds || (da == ds && a < s)
+                    let da = base.sites[a.0 as usize].location.distance_km(&st.entry);
+                    da < ds || (da == ds && a < st.site)
                 }) {
                     out.push(c);
                     continue;
@@ -226,7 +224,7 @@ impl<'g> DynamicsEngine<'g> {
             if challengers.iter().any(|(ck, r)| {
                 *ck != gk
                     && r.route_at(src)
-                        .is_some_and(|nr| key.challenged_by(nr.class, nr.path_len))
+                        .is_some_and(|nr| st.key.challenged_by(nr.class, nr.path_len))
             }) {
                 out.push(c);
             }
@@ -242,7 +240,7 @@ impl<'g> DynamicsEngine<'g> {
     /// fixes the merge order. One BGP decision per cohort serves every
     /// member: the decision sees only `(source AS, location)`, which
     /// members share. Reads the engine immutably.
-    fn rank_plan(&self, plan: &ReassignPlan<'_>) -> Vec<Option<UserState>> {
+    fn rank_plan(&self, plan: &ReassignPlan<'_>) -> Vec<Option<Served>> {
         let cohorts = &self.cohorts;
         let model = &self.model;
         let c = &plan.catchment;
@@ -253,7 +251,7 @@ impl<'g> DynamicsEngine<'g> {
                     model.median_rtt_ms(&PathProfile::from_assignment(&a, LastMile::Broadband));
                 // The withhold-relevant session: the AS the host
                 // announced to on this path (the hop right before the
-                // host; None when the user sits inside it).
+                // host; None when no AS precedes it — `Served::via`).
                 let host = c.deployment().site(a.site).host;
                 let via = a
                     .as_path
@@ -261,11 +259,11 @@ impl<'g> DynamicsEngine<'g> {
                     .position(|&n| n == host)
                     .and_then(|p| p.checked_sub(1))
                     .map(|p| a.as_path[p]);
-                UserState {
-                    site: Some(a.site),
-                    key: Some(key),
+                Served {
+                    site: a.site,
+                    key,
                     via,
-                    entry: Some(a.entry),
+                    entry: a.entry,
                     latency_ms: ms,
                     path_km: a.path_km,
                 }
@@ -280,7 +278,7 @@ impl<'g> DynamicsEngine<'g> {
     fn commit_plan(
         &mut self,
         plan: ReassignPlan<'g>,
-        results: &[Option<UserState>],
+        results: &[Option<Served>],
         label: &str,
         is_init: bool,
     ) -> EpochRecord {
@@ -288,11 +286,10 @@ impl<'g> DynamicsEngine<'g> {
         let population = self.queries_per_day.len();
         let mut shifted = 0.0;
         let mut shifted_qpd = 0.0;
-        for (&ci, &res) in affected.iter().zip(results) {
+        for (&ci, &new) in affected.iter().zip(results) {
             let cohort = self.cohorts[ci as usize];
             let old = self.states[ci as usize];
-            let new = res.unwrap_or(UNSERVED);
-            if !is_init && new.site != old.site {
+            if !is_init && new.map(|s| s.site) != old.map(|s| s.site) {
                 shifted += cohort.weight;
                 shifted_qpd += cohort.queries_per_day;
             }
@@ -329,7 +326,7 @@ impl<'g> DynamicsEngine<'g> {
     /// [`DynamicsEngine::verify_full_recompute`] a fresh full re-rank.
     fn record(
         &self,
-        states: &[UserState],
+        states: &[Option<Served>],
         label: &str,
         shifted: f64,
         shifted_qpd: f64,
@@ -339,7 +336,7 @@ impl<'g> DynamicsEngine<'g> {
         let mut served_w = 0.0;
         let mut path_sum = 0.0;
         for (c, st) in self.cohorts.iter().zip(states) {
-            if st.site.is_some() {
+            if let Some(st) = st {
                 served_w += c.weight;
                 path_sum += st.path_km * c.weight;
                 latency_pts.push((st.latency_ms, c.weight));
@@ -347,7 +344,8 @@ impl<'g> DynamicsEngine<'g> {
         }
         let cdf = WeightedCdf::from_points(latency_pts);
         let median_ms = (!cdf.is_empty()).then(|| cdf.median());
-        let frac = |w: f64| if self.total_weight > 0.0 { w / self.total_weight } else { 0.0 };
+        let total_weight = self.total_weight();
+        let frac = |w: f64| if total_weight > 0.0 { w / total_weight } else { 0.0 };
         let shifted_frac = frac(shifted);
         let convergence_ms = convergence::convergence_ms(shifted, shifted_frac);
         EpochRecord {
@@ -357,7 +355,8 @@ impl<'g> DynamicsEngine<'g> {
             shifted_frac,
             unserved_frac: (1.0 - frac(served_w)).max(0.0),
             median_ms,
-            inflation_ms: match (median_ms, self.baseline_median_ms) {
+            // `None` during the init recompute itself.
+            inflation_ms: match (median_ms, self.init_record.as_ref().and_then(|r| r.median_ms)) {
                 (Some(m), Some(b)) => Some(m - b),
                 _ => None,
             },
@@ -390,20 +389,21 @@ impl<'g> DynamicsEngine<'g> {
         let span = obs::span!("dynamics.verify_full_recompute");
         span.add_items(self.cohorts.len() as u64);
         let plan = self.plan_reassign(true);
-        let fresh: Vec<UserState> =
-            self.rank_plan(&plan).into_iter().map(|r| r.unwrap_or(UNSERVED)).collect();
+        let fresh = self.rank_plan(&plan);
         let mut out = Vec::new();
         // One cohort is evidence enough; don't flood.
-        if let Some(c) = (0..fresh.len()).find(|&c| !self.states[c].same_bits(&fresh[c])) {
-            let (a, b) = (&self.states[c], &fresh[c]);
+        if let Some(c) = (0..fresh.len()).find(|&c| !same_bits(&self.states[c], &fresh[c])) {
+            let show = |st: Option<Served>| {
+                (st.map(|s| s.site), st.map_or(0.0, |s| s.latency_ms), st.and_then(|s| s.via))
+            };
+            let (a, b) = (show(self.states[c]), show(fresh[c]));
             let cohort = &self.cohorts[c];
             out.push(RecomputeMismatch {
                 kind: MismatchKind::State,
                 detail: format!(
                     "cohort [{}, {}) stores {:?}@{} ms via {:?} but a full re-rank gives \
                      {:?}@{} ms via {:?}",
-                    cohort.start, cohort.end, a.site, a.latency_ms, a.via, b.site,
-                    b.latency_ms, b.via
+                    cohort.start, cohort.end, a.0, a.1, a.2, b.0, b.1, b.2
                 ),
             });
         }
@@ -430,9 +430,13 @@ impl<'g> DynamicsEngine<'g> {
 
     /// Nudges one cohort's stored latency by one ulp, so tests can
     /// prove [`DynamicsEngine::verify_full_recompute`] notices.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cohort is unserved: it stores no latency.
     #[doc(hidden)]
     pub fn corrupt_cohort_state_for_test(&mut self, cohort: usize) {
-        let st = &mut self.states[cohort];
+        let st = self.states[cohort].as_mut().expect("only a served cohort stores a latency");
         st.latency_ms = f64::from_bits(st.latency_ms.to_bits() ^ 1);
     }
 }

@@ -102,8 +102,9 @@ impl EpochStepper {
         // Close the drain ledger: whatever is still draining when the
         // script runs out stays staged, so
         // `started = staged + aborted + completed` always balances.
-        if !eng.drains.is_empty() {
-            obs::counter_add("dynamics.drain.staged", eng.drains.len() as u64);
+        let staged = eng.drains.iter().flatten().count();
+        if staged > 0 {
+            obs::counter_add("dynamics.drain.staged", staged as u64);
         }
         // Close the load ledger. Overload left standing after the last
         // event accrues nothing (there is no later instant to measure

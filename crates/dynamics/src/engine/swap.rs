@@ -3,6 +3,7 @@
 //! sites announce. `docs/DYNAMICS.md` §5 has the semantics.
 
 use super::{BatchOutcome, DynamicsEngine};
+use topology::SiteId;
 
 impl<'g> DynamicsEngine<'g> {
     /// Display name of swap-set entry `t`.
@@ -33,18 +34,17 @@ impl<'g> DynamicsEngine<'g> {
         obs::counter_add("dynamics.swap.epochs", 1);
 
         // Drains: survivors keep their state and generation stamp; a
-        // drain of a departing site is cancelled and ledgered.
-        self.drains.retain(|d| {
-            if (d.site.0 as usize) < new_len {
-                return true;
+        // drain of a departing site is cancelled and ledgered, in
+        // ascending site order.
+        for (i, slot) in self.drains.iter_mut().enumerate().skip(new_len) {
+            if slot.take().is_some() {
+                obs::counter_add("dynamics.drain.aborted", 1);
+                out.notes.push(format!(
+                    "drain on {} cancelled: site left the deployment (ledgered)",
+                    SiteId(i as u32)
+                ));
             }
-            obs::counter_add("dynamics.drain.aborted", 1);
-            out.notes.push(format!(
-                "drain on {} cancelled: site left the deployment (ledgered)",
-                d.site
-            ));
-            false
-        });
+        }
 
         // A site that leaves forfeits its state: re-entering on a later
         // swap starts alive. Controller withholds cannot coexist with
@@ -60,7 +60,7 @@ impl<'g> DynamicsEngine<'g> {
             .cohorts
             .iter()
             .zip(&self.states)
-            .filter(|(_, st)| st.site.is_some_and(|s| (s.0 as usize) < new_len))
+            .filter(|(_, st)| st.is_some_and(|st| (st.site.0 as usize) < new_len))
             .map(|(c, _)| u64::from(c.len()))
             .sum();
         obs::counter_add("dynamics.swap.users_rekeyed", kept_users);

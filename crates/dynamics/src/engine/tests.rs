@@ -636,6 +636,91 @@ fn site_failure_mid_drain_aborts_it_and_stale_stages_are_ignored() {
     assert_eq!(t.records.last().unwrap().median_ms, init_median);
 }
 
+/// A drain aborted by `SiteDown` and restarted on the same site after
+/// `SiteUp` shares the site's drain slot with its dead predecessor, so
+/// only the generation stamp tells their follow-ups apart: the dead
+/// drain's queued stage or end is a stale no-op, and the new drain
+/// escalates and ends on its own schedule.
+#[test]
+fn a_drain_restarted_on_the_same_site_ignores_the_dead_drains_followups() {
+    let (net, dep, users) = world(4);
+    // Drain from 10 s (30 s stages, 120 s hold), fail at `down_s`,
+    // recover 5 s later and restart 5 s after that; returns each
+    // record's (t in s, event, stale, shifted) with the site as `T`.
+    let restart = |stages: u32, down_s: f64| -> Vec<(f64, String, bool, f64)> {
+        let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental);
+        let target = hottest_site(&e);
+        let before = e.user_snapshot();
+        let init_median = e.init_record().median_ms;
+        let drain = RoutingEvent::DrainStart {
+            site: target,
+            stage_ms: 30_000.0,
+            stages,
+            hold_ms: 120_000.0,
+        };
+        let s = Scenario::new("restart")
+            .at(SimTime::from_secs(10.0), drain)
+            .at(SimTime::from_secs(down_s), RoutingEvent::SiteDown(target))
+            .at(SimTime::from_secs(down_s + 5.0), RoutingEvent::SiteUp(target))
+            .at(SimTime::from_secs(down_s + 10.0), drain);
+        let t = e.run(&s);
+        assert!(t.records.iter().any(|r| r.note.contains("aborted: site failed")));
+        assert_eq!(t.records.last().unwrap().median_ms, init_median);
+        assert_eq!(e.user_snapshot(), before, "both drains are over");
+        t.records[1..]
+            .iter()
+            .map(|r| {
+                let event = r.event.replace(&target.to_string(), "T");
+                (r.t_ms / 1000.0, event, r.note.contains("stale"), r.shifted)
+            })
+            .collect()
+    };
+    let check = |rows: &[(f64, String, bool, f64)], want: &[(f64, &str, bool)]| {
+        let got: Vec<(f64, &str, bool)> = rows.iter().map(|r| (r.0, r.1.as_str(), r.2)).collect();
+        assert_eq!(got, want);
+        for r in rows.iter().filter(|r| r.2) {
+            assert_eq!(r.3, 0.0, "a stale follow-up moves nobody: {r:?}");
+        }
+    };
+
+    // Four stages: the dead drain's stage at 40 s lands while the new
+    // drain (started at 35 s) is staged, and must not escalate it.
+    let rows = restart(4, 25.0);
+    check(
+        &rows,
+        &[
+            (10.0, "drain-start T", false),
+            (25.0, "down T", false),
+            (30.0, "up T", false),
+            (35.0, "drain-start T", false),
+            (40.0, "drain-stage T", true),
+            (65.0, "drain-stage T", false),
+            (95.0, "drain-stage T", false),
+            (125.0, "drain-stage T", false),
+            (245.0, "drain-end T", false),
+        ],
+    );
+
+    // Two stages: the first drain holds from 40 s, so its queued end at
+    // 160 s lands while the new drain (holding from 90 s) keeps the
+    // site down, and must not bring it back early.
+    let rows = restart(2, 50.0);
+    check(
+        &rows,
+        &[
+            (10.0, "drain-start T", false),
+            (40.0, "drain-stage T", false),
+            (50.0, "down T", false),
+            (55.0, "up T", false),
+            (60.0, "drain-start T", false),
+            (90.0, "drain-stage T", false),
+            (160.0, "drain-end T", true),
+            (210.0, "drain-end T", false),
+        ],
+    );
+    assert!(rows.last().unwrap().3 > 0.0, "the site's users return at the real end");
+}
+
 fn crowd(e: &DynamicsEngine<'_>, factor: f64) -> Scenario {
     let hot = hottest_site(e);
     let center = e.base.sites[hot.0 as usize].location;
@@ -657,7 +742,7 @@ fn crowd(e: &DynamicsEngine<'_>, factor: f64) -> Scenario {
 fn demand_scale_is_lazy_and_the_reciprocal_restores_it() {
     let (net, dep, users) = world(4);
     let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental);
-    let w0 = e.total_weight;
+    let w0 = e.total_weight();
     let q0: f64 = e.queries_per_day().iter().sum();
     let s = crowd(&e, 2.0);
     let t = e.run(&s);
@@ -673,7 +758,7 @@ fn demand_scale_is_lazy_and_the_reciprocal_restores_it() {
     }
     assert!(t.records.iter().any(|r| r.event.starts_with("surge x2.00")));
     assert!(t.records.iter().any(|r| r.event.starts_with("surge x0.50")));
-    assert!((e.total_weight - w0).abs() < 1e-6 * w0, "reciprocal restores total weight");
+    assert!((e.total_weight() - w0).abs() < 1e-6 * w0, "reciprocal restores total weight");
     assert!(e.demand_mult.iter().all(|m| (m - 1.0).abs() < 1e-9 || *m != 1.0));
     let q1: f64 = e.queries_per_day().iter().sum();
     assert!((q1 - q0).abs() < 1e-6 * q0, "the fold restores per-user query volumes");
@@ -734,7 +819,7 @@ fn demand_fold_doubles_exactly_the_members_inside_the_radius() {
 fn demand_scale_grows_weight_while_the_crowd_holds() {
     let (net, dep, users) = world(4);
     let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental);
-    let w0 = e.total_weight;
+    let w0 = e.total_weight();
     let hot = hottest_site(&e);
     let center = e.base.sites[hot.0 as usize].location;
     let s = Scenario::new("half").at(
@@ -742,7 +827,7 @@ fn demand_scale_grows_weight_while_the_crowd_holds() {
         RoutingEvent::DemandScale { center, radius_km: 6_000.0, factor: 2.0 },
     );
     e.run(&s);
-    assert!(e.total_weight > w0, "somebody inside the radius scaled up");
+    assert!(e.total_weight() > w0, "somebody inside the radius scaled up");
     assert!(e.demand_mult.iter().any(|m| (*m - 2.0).abs() < 1e-12));
 }
 

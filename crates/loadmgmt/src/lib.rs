@@ -63,7 +63,11 @@ pub struct LoadObservation<'a> {
     /// Active entry sessions per site: `(neighbor AS, carried user
     /// weight)`, lightest first (ties by ASN) — the same ordering
     /// convention as drain withhold plans. Sessions the controller has
-    /// already withheld carry no users and do not appear here.
+    /// already withheld carry no users and do not appear here. A user
+    /// counts toward a session only when its AS path enters the
+    /// serving site's host from another AS: users inside the host AS
+    /// carry no session, and neither do users on the origin-AS group's
+    /// paths unless the site's host happens to be on the path.
     pub sessions: &'a [Vec<(Asn, f64)>],
     /// Sessions currently withheld by the controller, per site, sorted
     /// by ASN, with the user weight each carried when withheld — the
